@@ -82,7 +82,7 @@ impl<V: LogicValue> ThreadedTimeWarpSimulator<V> {
     /// Attaches a trace probe. Workers record wall-clock `BarrierWait`
     /// spans, rollbacks (`arg` = events undone), state saves, batched gate
     /// evaluations, event/anti-message sends (`lp` = source LP, `arg` =
-    /// destination LP) and one `GvtAdvance` per round (worker 0).
+    /// destination LP) and one `GvtAdvance` per round (processor 0).
     pub fn with_probe(mut self, probe: Probe) -> Self {
         self.probe = probe;
         self

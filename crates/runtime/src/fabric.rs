@@ -73,20 +73,31 @@ enum Directive<T> {
     Fail,
 }
 
+/// One worker's side of the per-round exchange with the round's leader.
+struct RoundSlot<R, T> {
+    /// Deposited by the owner before it arrives, taken by the leader.
+    report: Option<R>,
+    /// Left by the leader before it releases, taken by the owner.
+    directive: Option<Directive<T>>,
+}
+
 /// Everything one run's workers share, bundled so the loop reads clearly.
 struct RunShared<M, R, T> {
     mesh: MailboxMesh<M>,
     barrier: RoundBarrier,
-    reports: Mutex<Vec<Option<R>>>,
-    directive: Mutex<Option<Directive<T>>>,
+    /// Per-worker exchange slots. Never contended: the owner's accesses
+    /// (before arriving, after release) and the leader's (while every peer
+    /// is held) are separated by the round rendezvous, so each mutex is a
+    /// safe cell for a generic payload, not a serialization point.
+    slots: Vec<Mutex<RoundSlot<R, T>>>,
     /// Caught worker panics: (where, panic message), in arrival order.
     failures: Mutex<Vec<(WorkerDiagnostic, String)>>,
     /// First coordinator-detected fatal error (abort, delivery fault,
     /// barrier timeout).
     fatal: Mutex<Option<SimError>>,
-    /// Per-worker count of barrier arrivals (both barriers of every round),
-    /// bumped just before each wait. On a timeout this attributes the hang:
-    /// any worker whose count lags the timed-out worker's never arrived.
+    /// Per-worker count of rendezvous arrivals (one per round), bumped just
+    /// before each wait. On a timeout this attributes the hang: any worker
+    /// whose count lags the timed-out worker's never arrived.
     arrivals: Vec<AtomicU64>,
     /// Total events charged by the protocols, for the event budget.
     events: AtomicU64,
@@ -127,29 +138,37 @@ impl<M, R, T> RunShared<M, R, T> {
         }
     }
 
-    /// One barrier synchronization, traced as a [`TraceKind::BarrierWait`]
-    /// span. Returns false when the round loop must stop: the barrier was
-    /// aborted (a peer failed and its error is already recorded) or this
-    /// worker's wait timed out (recorded here).
-    fn sync(
+    /// The round's one barrier crossing. Every worker arrives with its
+    /// report already in its slot; the last to arrive runs `lead` (the
+    /// coordinator step) while its peers are held, and the release
+    /// publishes whatever `lead` left in the slots. Traced as one
+    /// [`TraceKind::BarrierWait`] span per worker covering the time it was
+    /// held (the leader's own `lead` time excluded). Returns false when the
+    /// round loop must stop: the barrier was aborted (a peer failed and its
+    /// error is already recorded) or this worker's wait timed out
+    /// (recorded here).
+    fn rendezvous(
         &self,
         ph: &mut ProbeHandle,
         worker: usize,
         round: u64,
         timeout: Option<Duration>,
+        lead: impl FnOnce(&mut ProbeHandle),
     ) -> bool {
         // relaxed: diagnostics-only watermark; a stale read on the timeout
         // path can at worst omit a culprit from the stalled list.
         let mine = self.arrivals[worker].fetch_add(1, Ordering::Relaxed) + 1;
-        let result = if ph.enabled() {
-            let start = ph.now_ns();
-            let r = self.barrier.wait(timeout);
-            let end = ph.now_ns();
-            ph.emit(start, 0, worker as u32, NO_LP, TraceKind::BarrierWait, end - start);
-            r
-        } else {
-            self.barrier.wait(timeout)
-        };
+        let start = ph.now_ns();
+        let mut led_ns = 0;
+        let result = self.barrier.rendezvous(timeout, || {
+            let lead_start = ph.now_ns();
+            lead(ph);
+            led_ns = ph.now_ns() - lead_start;
+        });
+        if ph.enabled() {
+            let held = (ph.now_ns() - start).saturating_sub(led_ns);
+            ph.emit(start, 0, worker as u32, NO_LP, TraceKind::BarrierWait, held);
+        }
         match result {
             Ok(_) => true,
             Err(BarrierError::Aborted) => false,
@@ -176,6 +195,18 @@ impl<M, R, T> RunShared<M, R, T> {
                 false
             }
         }
+    }
+
+    /// Leaves `directive` in every worker's slot (leader only, peers held).
+    fn broadcast(&self, directive: Directive<T>)
+    where
+        T: Clone,
+    {
+        let (last, rest) = self.slots.split_last().expect("a run has at least one worker");
+        for slot in rest {
+            lock_recover(slot).directive = Some(directive.clone());
+        }
+        lock_recover(last).directive = Some(directive);
     }
 }
 
@@ -232,13 +263,13 @@ struct CompiledPlan {
 ///
 /// A fabric is built from a circuit and a [`Partition`] (one worker per
 /// block, each block optionally split into `granularity` LPs) and then
-/// driven by a [`SyncProtocol`] via [`Fabric::run`] (or the infallible
-/// [`Fabric::execute`]). The fabric owns everything the paper's §IV
-/// disciplines have in common — the worker pool, the round/barrier
-/// cadence, the batched mailbox mesh, report collection, result merging,
-/// probe plumbing, and the failure model: worker panics are caught at the
-/// round boundary and converted into a barrier-safe abort broadcast, so
-/// one dying worker can neither hang its peers nor tear the process down.
+/// driven by a [`SyncProtocol`] via [`Fabric::run`]. The fabric owns
+/// everything the paper's §IV disciplines have in common — the worker
+/// pool, the round/rendezvous cadence, the batched mailbox mesh, report
+/// collection, result merging, probe plumbing, and the failure model:
+/// worker panics are caught at the round boundary and converted into a
+/// barrier-safe abort broadcast, so one dying worker can neither hang its
+/// peers nor tear the process down.
 #[derive(Debug)]
 pub struct Fabric<'c> {
     circuit: &'c Circuit,
@@ -454,34 +485,11 @@ impl<'c> Fabric<'c> {
     }
 
     /// Runs `protocol` to completion on the worker pool and merges the
-    /// per-worker outputs. Infallible wrapper around [`Fabric::run`] with
-    /// default [`RunOptions`], kept for callers that treat any failure as
-    /// a programming error.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`SimError`] display form if the run fails (a
-    /// worker panicked, or the protocol aborted).
-    pub fn execute<V, P>(
-        &self,
-        stimulus: &Stimulus,
-        until: VirtualTime,
-        probe: &Probe,
-        protocol: &P,
-    ) -> SimOutcome<V>
-    where
-        V: LogicValue,
-        P: SyncProtocol<V>,
-    {
-        self.run(stimulus, until, probe, protocol, &RunOptions::default())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs `protocol` to completion on the worker pool and merges the
     /// per-worker outputs, under the given [`RunOptions`].
     ///
     /// `stats.barriers` of the merged outcome reports the number of
-    /// synchronization rounds executed (each round is one barrier pair).
+    /// synchronization rounds executed (each round crosses the barrier
+    /// once: a single rendezvous with the coordinator step inside it).
     ///
     /// # Failure model
     ///
@@ -491,8 +499,8 @@ impl<'c> Fabric<'c> {
     /// broadcast on the round barrier, so every peer — including ones
     /// already blocked waiting — wakes and exits instead of hanging. A
     /// [`Decision::Abort`] from the coordinator likewise makes *every*
-    /// worker (not just worker 0) leave with an error, so no partial
-    /// results are ever merged as if complete. Shared-lock poisoning from
+    /// worker (not just the one that decided) leave with an error, so no
+    /// partial results are ever merged as if complete. Shared-lock poisoning from
     /// a panicking thread is recovered, not propagated: the run's error is
     /// the original panic, never a cascade of unrelated lock failures.
     ///
@@ -534,8 +542,9 @@ impl<'c> Fabric<'c> {
         let shared: RunShared<P::Msg, P::Report, P::Verdict> = RunShared {
             mesh,
             barrier: RoundBarrier::new(self.workers),
-            reports: Mutex::new((0..self.workers).map(|_| None).collect()),
-            directive: Mutex::new(None),
+            slots: (0..self.workers)
+                .map(|_| Mutex::new(RoundSlot { report: None, directive: None }))
+                .collect(),
             failures: Mutex::new(Vec::new()),
             fatal: Mutex::new(None),
             arrivals: (0..self.workers).map(|_| AtomicU64::new(0)).collect(),
@@ -665,6 +674,8 @@ impl<'c> Fabric<'c> {
         };
         let mut inbox: Vec<P::Msg> = Vec::new();
         let mut outbox = Outbox::new(&shared.mesh, p, DEFAULT_BATCH_LIMIT);
+        // Where this worker collects every report in the rounds it leads.
+        let mut gathered: Vec<Option<P::Report>> = (0..self.workers).map(|_| None).collect();
         let mut rounds = 0u64;
 
         loop {
@@ -723,26 +734,20 @@ impl<'c> Fabric<'c> {
                     return None;
                 }
             };
-            lock_recover(&shared.reports)[p] = Some(report);
+            lock_recover(&shared.slots[p]).report = Some(report);
 
-            if !shared.sync(&mut ph, p, rounds, options.barrier_timeout) {
-                outbox.discard_pending();
-                return None;
-            }
-            if p == 0 {
-                let directive = self.coordinate(protocol, shared, options, rounds, until, &mut ph);
-                *lock_recover(&shared.directive) = Some(directive);
-            }
-            if !shared.sync(&mut ph, p, rounds, options.barrier_timeout) {
-                outbox.discard_pending();
-                return None;
-            }
-
-            let directive = lock_recover(&shared.directive).clone();
+            let released = shared.rendezvous(&mut ph, p, rounds, options.barrier_timeout, |ph| {
+                let directive =
+                    self.coordinate(protocol, shared, options, p, rounds, until, &mut gathered, ph);
+                shared.broadcast(directive);
+            });
+            let directive = lock_recover(&shared.slots[p]).directive.take();
             match directive {
-                Some(Directive::Continue(v)) => verdict = v,
-                Some(Directive::Stop) => break,
-                Some(Directive::Fail) | None => {
+                Some(Directive::Continue(v)) if released => verdict = v,
+                Some(Directive::Stop) if released => break,
+                // Not released (abort or timeout, already recorded), or
+                // the leader broadcast `Fail`.
+                _ => {
                     outbox.discard_pending();
                     return None;
                 }
@@ -758,16 +763,23 @@ impl<'c> Fabric<'c> {
         }
     }
 
-    /// Worker 0's step between the two barriers: surface delivery
-    /// violations and injection trace notes, run the protocol's `decide`
-    /// (itself panic-safe), and apply the run budget.
+    /// The coordinator step, run by the round's leader (the last worker to
+    /// arrive at the rendezvous) while every peer is held: surface delivery
+    /// violations and injection trace notes, collect the reports into
+    /// `gathered`, run the protocol's `decide` (itself panic-safe), and
+    /// apply the run budget. Which worker leads varies from round to round;
+    /// nothing it computes depends on that, and its trace records carry
+    /// processor 0 whoever emits them.
+    #[allow(clippy::too_many_arguments)]
     fn coordinate<V, P>(
         &self,
         protocol: &P,
         shared: &RunShared<P::Msg, P::Report, P::Verdict>,
         options: &RunOptions,
+        leader: usize,
         round: u64,
         until: VirtualTime,
+        gathered: &mut [Option<P::Report>],
         ph: &mut ProbeHandle,
     ) -> Directive<P::Verdict>
     where
@@ -775,8 +787,9 @@ impl<'c> Fabric<'c> {
         P: SyncProtocol<V>,
     {
         let spills = shared.mesh.spill_events();
-        // relaxed: only the coordinator touches this high-water mark, and
-        // the counter it shadows is itself statistics-only.
+        // relaxed: leaders touch this high-water mark one at a time, a
+        // rendezvous apart, and the counter it shadows is itself
+        // statistics-only.
         let seen = shared.spills_seen.swap(spills, Ordering::Relaxed);
         if spills > seen && ph.enabled() {
             let t = ph.now_ns();
@@ -796,27 +809,24 @@ impl<'c> Fabric<'c> {
                 return Directive::Fail;
             }
         }
-        let decided = {
-            let mut slots = lock_recover(&shared.reports);
-            debug_assert!(slots.iter().all(Option::is_some), "every worker reported");
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut cx = DecideCx { until, round, probe: ph, frontier: &shared.frontier };
-                protocol.decide(self, &mut slots, &mut cx)
-            }));
-            for slot in slots.iter_mut() {
-                *slot = None;
-            }
-            result
-        };
+        for (report, slot) in gathered.iter_mut().zip(&shared.slots) {
+            *report = lock_recover(slot).report.take();
+        }
+        debug_assert!(gathered.iter().all(Option::is_some), "every worker reported");
+        let decided = catch_unwind(AssertUnwindSafe(|| {
+            let mut cx = DecideCx { until, round, probe: ph, frontier: &shared.frontier };
+            protocol.decide(self, gathered, &mut cx)
+        }));
+        gathered.fill_with(|| None);
         match decided {
             Err(payload) => {
-                // `decide` runs on worker 0; its panic is that worker's
-                // failure. Peers are between the barriers, so broadcasting
-                // Fail (not aborting) releases them cleanly.
+                // `decide` ran on the leader; its panic is that worker's
+                // failure. Peers are held at the rendezvous, so
+                // broadcasting Fail (not aborting) releases them cleanly.
                 let diag = WorkerDiagnostic {
-                    worker: 0,
-                    lp: shared.progress[0].lp(),
-                    virtual_time: shared.progress[0].virtual_time(),
+                    worker: leader,
+                    lp: shared.progress[leader].lp(),
+                    virtual_time: shared.progress[leader].virtual_time(),
                     round,
                 };
                 lock_recover(&shared.failures).push((diag, panic_message(payload)));
@@ -828,12 +838,12 @@ impl<'c> Fabric<'c> {
             }
             Ok(Decision::Stop) => Directive::Stop,
             Ok(Decision::Continue(v)) => {
-                // relaxed: both cells are ordered by the round barrier the
-                // coordinator sits behind; the counter is monotonic and the
+                // relaxed: both cells are ordered by the round rendezvous
+                // the leader sits inside; the counter is monotonic and the
                 // flag is one-shot, so no weaker guarantee is consumed.
                 let events = shared.events.load(Ordering::Relaxed);
                 if options.budget.exceeded_by(round, events, shared.start.elapsed()).is_some() {
-                    // relaxed: one-shot flag, ordered by the round barrier.
+                    // relaxed: one-shot flag, ordered by the round release.
                     shared.truncated.store(true, Ordering::Relaxed);
                     Directive::Stop
                 } else {

@@ -364,8 +364,8 @@ impl FaultInjector {
         lock_recover(&self.notes).push(FaultNote { recovered: true, target: target as u64 });
     }
 
-    /// Drains the pending trace notes (the fabric emits them on worker 0's
-    /// probe handle each round).
+    /// Drains the pending trace notes (the round's leader emits them, as
+    /// processor 0, each round).
     pub(crate) fn take_notes(&self) -> Vec<FaultNote> {
         std::mem::take(&mut *lock_recover(&self.notes))
     }

@@ -32,8 +32,7 @@ pub enum Decision<T> {
     /// no one hangs at a barrier), no worker contributes partial results,
     /// and the run fails with
     /// [`SimError::ProtocolAbort`](parsim_core::SimError) carrying the
-    /// message ([`Fabric::execute`](crate::Fabric::execute) panics with its
-    /// rendered form).
+    /// message.
     Abort(String),
 }
 
@@ -151,15 +150,15 @@ impl<M> RoundCx<'_, '_, M> {
     }
 }
 
-/// Context handed to [`SyncProtocol::decide`] (runs on worker 0 between
-/// the two round barriers).
+/// Context handed to [`SyncProtocol::decide`] (runs inside the round
+/// rendezvous, on whichever worker arrived last, while every peer is held).
 #[derive(Debug)]
 pub struct DecideCx<'a> {
     /// Simulation horizon.
     pub until: VirtualTime,
     /// Rounds completed so far, including the one being decided.
     pub round: u64,
-    /// Worker 0's trace recorder.
+    /// The deciding worker's trace recorder.
     pub probe: &'a mut ProbeHandle,
     /// Commit-frontier slot (see [`DecideCx::note_frontier`]); `u64::MAX`
     /// encodes "never noted".
@@ -198,18 +197,19 @@ impl DecideCx<'_> {
 ///     drain mailbox → inbox
 ///     report = protocol.round(state, verdict, cx)   // act on verdict,
 ///     flush outbox                                  // apply inbox, work
-///     barrier
-///     worker 0: decision = protocol.decide(reports)
-///     barrier
+///     rendezvous {                                  // one barrier crossing
+///         last arriver: decision = protocol.decide(reports)
+///     }
 ///     Continue(v) → verdict = v;  Stop/Abort → leave
 /// }
 /// ```
 ///
 /// Messages posted during round *r* are visible in every inbox at round
-/// *r + 1* — the barrier pair is the delivery guarantee. A verdict decided
-/// after round *r* is acted on at the *start* of round *r + 1* (e.g.
-/// deadlock recovery, fossil collection), which is equivalent to acting
-/// after the second barrier since nothing happens in between.
+/// *r + 1* — the rendezvous is the delivery guarantee: nobody is released
+/// into round *r + 1* before everybody has flushed round *r*. A verdict
+/// decided after round *r* is acted on at the *start* of round *r + 1*
+/// (e.g. deadlock recovery, fossil collection), which is equivalent to
+/// acting right after the release since nothing happens in between.
 pub trait SyncProtocol<V: LogicValue>: Sync {
     /// Inter-worker message (events, nulls, anti-messages…). `Clone` lets
     /// the mailbox mesh's fault-injection layer duplicate a batch.

@@ -384,7 +384,7 @@ impl<M> SpscRing<M> {
     /// Claims the producer side and holds it for the guard's lifetime, as
     /// an overlapping poster would — deterministic misuse for the
     /// mesh-misuse-panic test.
-    #[cfg(all(test, not(loom)))]
+    #[cfg(all(test, debug_assertions, not(loom)))]
     pub(crate) fn hold_producer_for_test(&self) -> impl Drop + '_ {
         claim(&self.producer_busy, "producer")
     }

@@ -19,6 +19,28 @@ pub use std::sync::{
 #[cfg(not(loom))]
 pub use std::thread;
 
+/// Busy-wait support for bounded spin phases (the round barrier's
+/// spin-then-park wait).
+#[cfg(not(loom))]
+pub mod hint {
+    pub use std::hint::spin_loop;
+
+    /// Upper bound on the polls of one spin phase. Under std the phase is
+    /// ended by its wall-clock budget, so this never binds.
+    pub const SPIN_POLL_LIMIT: u32 = u32::MAX;
+}
+
+/// Under the model checker a spin is a scheduling point, and a spin phase
+/// is two polls long: time does not pass in a model, so a wall-clock
+/// budget would never end it, and every extra poll multiplies the
+/// explored schedules without adding a distinguishable one.
+#[cfg(loom)]
+pub mod hint {
+    pub use loom::hint::spin_loop;
+
+    pub const SPIN_POLL_LIMIT: u32 = 2;
+}
+
 /// Interior-mutability shim matching `loom::cell`'s closure-based API, so
 /// lock-free code (the SPSC mailbox rings) can be model-checked without a
 /// source change. Under std this is a zero-cost wrapper over

@@ -9,7 +9,9 @@ use parsim_event::{Event, VirtualTime};
 use parsim_logic::Bit;
 use parsim_netlist::bench;
 use parsim_partition::Partition;
-use parsim_runtime::{DecideCx, Decision, Fabric, RoundCx, RunOptions, SyncProtocol, WorkerOutput};
+use parsim_runtime::{
+    DecideCx, Decision, Fabric, FaultPlan, RoundCx, RunOptions, SyncProtocol, WorkerOutput,
+};
 use parsim_trace::Probe;
 
 /// Silences the default panic-hook backtrace chatter for the panics these
@@ -116,12 +118,15 @@ fn run_ring(workers: usize, sending_rounds: u64) -> SimStats {
     let part = Partition::new(workers, vec![0; c.len()]).expect("valid partition");
     let fabric = Fabric::new(&c, &part, 1, Observe::Outputs);
     assert_eq!(fabric.workers(), workers);
-    let out = fabric.execute::<Bit, _>(
-        &Stimulus::quiet(100),
-        VirtualTime::new(100),
-        &Probe::disabled(),
-        &TokenRing { sending_rounds },
-    );
+    let out = fabric
+        .run::<Bit, _>(
+            &Stimulus::quiet(100),
+            VirtualTime::new(100),
+            &Probe::disabled(),
+            &TokenRing { sending_rounds },
+            &RunOptions::default(),
+        )
+        .expect("a healthy token ring completes");
     out.stats
 }
 
@@ -201,12 +206,15 @@ fn abort_panics_with_the_protocol_message_instead_of_hanging() {
     let part = Partition::new(3, vec![0; c.len()]).expect("valid partition");
     let fabric = Fabric::new(&c, &part, 1, Observe::Outputs);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        fabric.execute::<Bit, _>(
-            &Stimulus::quiet(100),
-            VirtualTime::new(100),
-            &Probe::disabled(),
-            &AbortImmediately,
-        )
+        fabric
+            .run::<Bit, _>(
+                &Stimulus::quiet(100),
+                VirtualTime::new(100),
+                &Probe::disabled(),
+                &AbortImmediately,
+                &RunOptions::default(),
+            )
+            .expect("caller treats any failure as a bug")
     }));
     let payload = result.expect_err("abort must panic");
     let msg = payload
@@ -342,6 +350,109 @@ fn worker_panic_in_the_very_first_round_is_also_safe() {
         .expect_err("a worker panic must fail the run");
     assert_eq!(err.worker(), Some(0));
     assert_eq!(err.round(), Some(1));
+}
+
+#[test]
+fn stalled_worker_is_named_on_either_side_of_the_barrier_spin_budget() {
+    use std::time::Duration;
+    let c = bench::c17();
+    let part = Partition::new(4, vec![0; c.len()]).expect("valid partition");
+    let fabric = Fabric::new(&c, &part, 1, Observe::Outputs);
+    // 20 µs expires while the waiters still spin; 100 ms only after they
+    // parked. The short guard could also fire on a merely slow peer, so it
+    // stalls round 1 (the only round it can then blame) and tolerates
+    // extra names; the long one must name exactly the culprit.
+    for (timeout, stall_round) in [(Duration::from_micros(20), 1), (Duration::from_millis(100), 3)]
+    {
+        let err = fabric
+            .run::<Bit, _>(
+                &Stimulus::quiet(100),
+                VirtualTime::new(100),
+                &Probe::disabled(),
+                &TokenRing { sending_rounds: 20 },
+                &RunOptions::default()
+                    .with_faults(FaultPlan::new().with_stall(2, stall_round))
+                    .with_barrier_timeout(timeout),
+            )
+            .expect_err("a stalled worker must time the run out");
+        match err {
+            SimError::BarrierTimeout { round, waited, ref stalled, .. } => {
+                assert_eq!(round, stall_round, "{timeout:?}: wrong round blamed");
+                assert_eq!(waited, timeout);
+                assert!(stalled.iter().any(|d| d.worker == 2), "{timeout:?}: {stalled:?}");
+                if stall_round > 1 {
+                    assert!(stalled.iter().all(|d| d.worker == 2), "{timeout:?}: {stalled:?}");
+                }
+            }
+            other => panic!("{timeout:?}: expected BarrierTimeout, got {other}"),
+        }
+    }
+}
+
+/// A protocol whose coordinator step panics in a given round.
+struct DecidePanics {
+    round: u64,
+}
+
+impl SyncProtocol<Bit> for DecidePanics {
+    type Msg = ();
+    type Worker = ();
+    type Report = ();
+    type Verdict = ();
+
+    fn worker(&self, _f: &Fabric<'_>, _w: usize, _p: Vec<Vec<Event<Bit>>>) {}
+
+    fn first_verdict(&self) {}
+
+    fn round(&self, _f: &Fabric<'_>, _s: &mut (), _v: &(), cx: &mut RoundCx<'_, '_, ()>) {
+        cx.inbox.clear();
+    }
+
+    fn decide(
+        &self,
+        _f: &Fabric<'_>,
+        reports: &mut [Option<()>],
+        cx: &mut DecideCx<'_>,
+    ) -> Decision<()> {
+        assert!(reports.iter().all(Option::is_some), "decide sees every report");
+        if cx.round == self.round {
+            panic!("deliberate test panic in decide");
+        }
+        Decision::Continue(())
+    }
+
+    fn finish(&self, _f: &Fabric<'_>, _w: usize, (): ()) -> WorkerOutput<Bit> {
+        WorkerOutput {
+            owned_values: Vec::new(),
+            waveforms: BTreeMap::new(),
+            stats: SimStats::default(),
+        }
+    }
+}
+
+#[test]
+fn panic_in_decide_fails_every_worker_without_stranding_the_held_peers() {
+    quiet_deliberate_panics();
+    let c = bench::c17();
+    let part = Partition::new(4, vec![0; c.len()]).expect("valid partition");
+    let fabric = Fabric::new(&c, &part, 1, Observe::Outputs);
+    let err = fabric
+        .run::<Bit, _>(
+            &Stimulus::quiet(100),
+            VirtualTime::new(100),
+            &Probe::disabled(),
+            &DecidePanics { round: 5 },
+            &RunOptions::default(),
+        )
+        .expect_err("a coordinator panic must fail the run");
+    match err {
+        SimError::WorkerPanic { diagnostic, ref message, ref also_failed } => {
+            assert_eq!(diagnostic.round, 5);
+            assert!(message.contains("deliberate test panic in decide"), "{message}");
+            assert!(also_failed.is_empty(), "peers leave on the broadcast, not by panicking");
+        }
+        other => panic!("expected WorkerPanic, got {other}"),
+    }
 }
 
 #[test]

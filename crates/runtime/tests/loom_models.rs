@@ -84,6 +84,110 @@ fn barrier_abort_after_worker_panic_releases_peer() {
     });
 }
 
+/// Spin→park hand-off: a waiter polls twice under the model (the facade's
+/// `SPIN_POLL_LIMIT`), then registers in `parked` and sleeps, racing the
+/// arrival that releases it. The leader notifies only when it sees a
+/// registered parker, so the dangerous schedule is "waiter re-checks the
+/// state, leader releases and sees nobody parked, waiter sleeps" — a lost
+/// wakeup, which the model would report as a deadlock. Two generations:
+/// the first spin never pays in a model, so the second generation takes
+/// the backed-off path straight to the park, and the counter reset, the
+/// re-arrival and the `parked` bookkeeping are crossed as well; each
+/// generation has exactly one leader.
+#[test]
+fn barrier_park_handoff_never_loses_the_release() {
+    loom::model(|| {
+        let barrier = Arc::new(RoundBarrier::new(2));
+        let leaders = Arc::new(AtomicUsize::new(0));
+        let (b2, l2) = (Arc::clone(&barrier), Arc::clone(&leaders));
+        let peer = loom::thread::spawn(move || {
+            for _ in 0..2 {
+                if b2.wait(None).expect("barrier completes") {
+                    l2.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        });
+        for _ in 0..2 {
+            if barrier.wait(None).expect("barrier completes") {
+                leaders.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        peer.join().expect("no panic");
+        assert_eq!(leaders.load(Ordering::SeqCst), 2);
+        assert!(!barrier.is_aborted());
+    });
+}
+
+/// The fabric's single-rendezvous round, with its slot discipline: every
+/// worker deposits its report in its own slot and arrives; the leader
+/// (whichever arrives last) must find *every* report of *this* round,
+/// and leaves each worker a directive before releasing; every worker
+/// must then find the directive of its own generation — never a missing
+/// one, never the previous round's.
+#[test]
+fn split_phase_round_publishes_reports_in_and_directives_out() {
+    const WORKERS: usize = 2;
+    const ROUNDS: u64 = 2;
+    struct Slot {
+        report: Option<u64>,
+        directive: Option<u64>,
+    }
+    fn round_loop(barrier: &RoundBarrier, slots: &[Mutex<Slot>], me: usize) {
+        for round in 1..=ROUNDS {
+            lock_recover(&slots[me]).report = Some(round);
+            barrier
+                .rendezvous(None, || {
+                    for slot in slots {
+                        let report = lock_recover(slot).report.take();
+                        assert_eq!(report, Some(round), "leader missed a report");
+                    }
+                    for slot in slots {
+                        let stale = lock_recover(slot).directive.replace(round);
+                        assert_eq!(stale, None, "previous directive never consumed");
+                    }
+                })
+                .expect("round completes");
+            let directive = lock_recover(&slots[me]).directive.take();
+            assert_eq!(directive, Some(round), "worker {me} saw the wrong generation");
+        }
+    }
+    loom::model(|| {
+        let barrier = Arc::new(RoundBarrier::new(WORKERS));
+        let slots: Arc<Vec<Mutex<Slot>>> = Arc::new(
+            (0..WORKERS).map(|_| Mutex::new(Slot { report: None, directive: None })).collect(),
+        );
+        let (b2, s2) = (Arc::clone(&barrier), Arc::clone(&slots));
+        let peer = loom::thread::spawn(move || round_loop(&b2, &s2, 1));
+        round_loop(&barrier, &slots, 0);
+        peer.join().expect("no panic");
+    });
+}
+
+/// A panic in the rendezvous step (the fabric's coordinator) must not
+/// strand the peers the leader is holding: the barrier aborts on unwind.
+#[test]
+fn panicking_rendezvous_step_releases_the_held_peer() {
+    loom::model(|| {
+        let barrier = Arc::new(RoundBarrier::new(2));
+        let b2 = Arc::clone(&barrier);
+        let peer = loom::thread::spawn(move || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                b2.rendezvous(None, || panic!("coordinator died"))
+            }))
+        });
+        let mine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            barrier.rendezvous(None, || panic!("coordinator died"))
+        }));
+        let theirs = peer.join().expect("panic caught inside the thread");
+        // Whoever arrived last led and panicked; the other was held and
+        // must come back `Aborted`.
+        let outcomes = [mine.ok(), theirs.ok()];
+        assert!(outcomes.contains(&None), "one of the two led");
+        assert!(outcomes.contains(&Some(Err(BarrierError::Aborted))), "{outcomes:?}");
+        assert!(barrier.is_aborted());
+    });
+}
+
 /// MailboxMesh: two senders posting concurrently into one mailbox (each
 /// on its own SPSC channel), with a drain racing both. Every message is
 /// delivered exactly once and each sender's subsequence arrives in send

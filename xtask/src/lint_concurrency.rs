@@ -22,8 +22,10 @@
 //!    `// relaxed:` justification comment on the same or one of the three
 //!    preceding lines.
 //!
-//! Vendored shims (`crates/vendor/`) and build output are exempt: they
-//! are API mirrors, not fabric code.
+//! Vendored shims (`crates/vendor/`), the repo benchmark (`benchmark/`, a
+//! workspace of its own that measures the product from outside) and build
+//! output are exempt: they are API mirrors and instruments, not fabric
+//! code.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -395,10 +397,11 @@ pub fn scan_file(rel_path: &str, src: &str, allow: &Allowlist) -> Vec<Finding> {
 }
 
 /// True for paths the audit covers (workspace sources minus vendored
-/// shims and build output).
+/// shims, the stand-alone benchmark and build output).
 fn audited(rel_path: &str) -> bool {
     rel_path.ends_with(".rs")
         && !rel_path.starts_with("crates/vendor/")
+        && !rel_path.starts_with("benchmark/")
         && !rel_path.starts_with("target/")
         && !rel_path.starts_with(".git/")
 }
@@ -410,7 +413,10 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> 
         let rel = path.strip_prefix(root).unwrap_or(&path);
         let rel_str = rel.to_string_lossy().replace('\\', "/");
         if path.is_dir() {
-            if rel_str.starts_with("target") || rel_str.starts_with(".git") {
+            if rel_str.starts_with("target")
+                || rel_str.starts_with(".git")
+                || rel_str == "benchmark"
+            {
                 continue;
             }
             walk(root, &path, out)?;
@@ -596,6 +602,7 @@ mod tests {
     fn vendor_and_target_are_exempt() {
         assert!(!audited("crates/vendor/loom/src/lib.rs"));
         assert!(!audited("target/debug/build/foo.rs"));
+        assert!(!audited("benchmark/src/alloc.rs"));
         assert!(audited("crates/runtime/src/fabric.rs"));
         assert!(!audited("README.md"));
     }
