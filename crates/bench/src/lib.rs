@@ -38,6 +38,7 @@ use parsim_logic::Bit;
 use parsim_machine::MachineConfig;
 use parsim_netlist::{generate, Circuit, DelayModel};
 use parsim_partition::{ConePartitioner, GateWeights, Partition, Partitioner};
+use parsim_trace::json_string;
 
 pub use parsim_conservative::{ConservativeSimulator, DeadlockStrategy};
 pub use parsim_optimistic::{Cancellation, StateSaving, TimeWarpSimulator};
@@ -286,22 +287,6 @@ fn command_line(cmd: &str, args: &[&str]) -> String {
             text.lines().next().map(|l| l.trim().to_string()).filter(|l| !l.is_empty())
         })
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Appends `s` as a JSON string literal (quoted, escaped).
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Appends a table cell as a JSON value: integer, float, or string.

@@ -2,61 +2,30 @@
 //!
 //! The netlist-to-bytecode lowering lives in `parsim-compile` (one
 //! compiler, every backend); this module adds the oblivious bit-parallel
-//! precondition — unit gate delays — and re-exposes the block under the
-//! names the kernel grew up with.
+//! precondition — unit gate delays — and re-exposes the op under the name
+//! the kernel grew up with.
 
 use parsim_netlist::Circuit;
 
 pub use parsim_compile::{CompiledBlock, Op as CompiledOp};
 
-/// A circuit compiled for oblivious bit-parallel evaluation: the
-/// whole-circuit [`CompiledBlock`] (every non-source gate exactly once,
-/// sequential section first, then combinational levels, kind-sorted within
-/// each section), checked against the kernel's unit-delay precondition.
+/// Checks the oblivious bit-parallel precondition before
+/// [`CompiledBlock::compile`]: the kernel is double-buffered (tick `t`
+/// values are a pure function of tick `t − 1` values), which is only the
+/// circuit's behaviour when every gate takes exactly one tick.
 ///
-/// The kernel is double-buffered (tick `t` values are a pure function of
-/// tick `t − 1` values), so the schedule order is not needed for
-/// correctness — it provides cache-friendly straight-line order, the unit
-/// of work for thread sharding, and the span boundaries the trace probes
-/// charge.
+/// # Panics
 ///
-/// Derefs to [`CompiledBlock`], so all block accessors ([`ops`],
-/// [`levels`], [`fanin`], [`seq_ops`], [`nets`]) are available directly.
-///
-/// [`ops`]: CompiledBlock::ops
-/// [`levels`]: CompiledBlock::levels
-/// [`fanin`]: CompiledBlock::fanin
-/// [`seq_ops`]: CompiledBlock::seq_ops
-/// [`nets`]: CompiledBlock::nets
-#[derive(Debug, Clone)]
-pub struct CompiledCircuit(CompiledBlock);
-
-impl CompiledCircuit {
-    /// Compiles `circuit` into a levelized straight-line schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any non-source gate has a delay other than one tick — the
-    /// oblivious discipline's precondition, shared with
-    /// `ObliviousSimulator`.
-    pub fn compile(circuit: &Circuit) -> Self {
-        for (_, g) in circuit.iter() {
-            assert!(
-                g.kind().is_source() || g.delay().ticks() == 1,
-                "bit-parallel simulation requires unit gate delays, found {} on a {}",
-                g.delay(),
-                g.kind()
-            );
-        }
-        CompiledCircuit(CompiledBlock::compile(circuit))
-    }
-}
-
-impl std::ops::Deref for CompiledCircuit {
-    type Target = CompiledBlock;
-
-    fn deref(&self) -> &CompiledBlock {
-        &self.0
+/// Panics if any non-source gate has a delay other than one tick — the
+/// oblivious discipline's precondition, shared with `ObliviousSimulator`.
+pub(crate) fn assert_unit_delays(circuit: &Circuit) {
+    for (_, g) in circuit.iter() {
+        assert!(
+            g.kind().is_source() || g.delay().ticks() == 1,
+            "bit-parallel simulation requires unit gate delays, found {} on a {}",
+            g.delay(),
+            g.kind()
+        );
     }
 }
 
@@ -73,7 +42,7 @@ mod tests {
             seed: 9,
             ..Default::default()
         });
-        let cc = CompiledCircuit::compile(&c);
+        let cc = CompiledBlock::compile(&c);
         let mut seen = vec![false; c.len()];
         for op in cc.ops() {
             assert!(!seen[op.gate.index()], "gate scheduled twice");
@@ -90,7 +59,7 @@ mod tests {
     #[test]
     fn levels_respect_combinational_topology() {
         let c = bench::c17();
-        let cc = CompiledCircuit::compile(&c);
+        let cc = CompiledBlock::compile(&c);
         // Within the schedule, a combinational gate appears after all of
         // its scheduled fanins (sequential fanins sit in the up-front
         // sequential section, so they are always earlier).
@@ -114,6 +83,6 @@ mod tests {
     #[should_panic(expected = "unit gate delays")]
     fn rejects_non_unit_delays() {
         let c = generate::ripple_adder(2, DelayModel::PerKind);
-        let _ = CompiledCircuit::compile(&c);
+        assert_unit_delays(&c);
     }
 }

@@ -13,9 +13,9 @@
 //! - [`PackedValue`] with two carriers: [`PackedBit`] (one `u64` plane, the
 //!   two-valued fast path) and [`PackedLogic4`] (two planes packing the
 //!   four-valued `Logic4`, with word-wide X/Z propagation).
-//! - [`CompiledCircuit`]: the circuit levelized
-//!   (`parsim_netlist::Levelization`) into a straight-line evaluation
-//!   schedule, compiled once per run.
+//! - the whole-circuit `parsim_compile::CompiledBlock`: the circuit
+//!   levelized (`parsim_netlist::Levelization`) into a straight-line
+//!   evaluation schedule, compiled once per run after the unit-delay check.
 //! - [`BitSimulator`]: the §IV oblivious discipline over packed words —
 //!   every gate evaluated every tick, double-buffered unit-delay
 //!   semantics, optionally sharding each level across the `parsim-runtime`
@@ -43,7 +43,7 @@ mod packed;
 mod sim;
 mod stimulus;
 
-pub use compile::{CompiledCircuit, CompiledOp};
+pub use compile::CompiledOp;
 pub use fault::simulate_faults_packed;
 pub use packed::{PackedBit, PackedLogic4, PackedValue, LANES};
 pub use sim::{BitSimulator, PackedForce};

@@ -12,7 +12,7 @@ use parsim_netlist::{Circuit, GateId};
 use parsim_runtime::{lock_recover, RoundBarrier};
 use parsim_trace::{Probe, ProbeHandle, TraceKind, NO_LP};
 
-use crate::compile::{CompiledCircuit, CompiledOp};
+use crate::compile::{assert_unit_delays, CompiledBlock, CompiledOp};
 use crate::packed::{PackedValue, LANES};
 use crate::stimulus::{PackedEvent, PackedOutcome, PackedStimulus, PackedWaveform};
 
@@ -21,7 +21,7 @@ use crate::stimulus::{PackedEvent, PackedOutcome, PackedStimulus, PackedWaveform
 /// tick.
 ///
 /// The kernel compiles the circuit once into a levelized straight-line
-/// schedule ([`CompiledCircuit`]) and then, like [`ObliviousSimulator`],
+/// schedule ([`CompiledBlock`]) and then, like [`ObliviousSimulator`],
 /// evaluates every gate at every tick with double buffering — tick `t`
 /// values are a pure function of tick `t − 1` values, i.e. unit-delay
 /// semantics. The packed operations are lane-exact, so **lane `k` of a
@@ -181,7 +181,8 @@ impl<P: PackedValue> BitSimulator<P> {
     ) -> PackedOutcome<P> {
         assert!((1..=LANES).contains(&lanes), "1..={LANES} lanes required, got {lanes}");
         events.sort_by_key(|e| (e.time, e.net.index()));
-        let cc = CompiledCircuit::compile(circuit);
+        assert_unit_delays(circuit);
+        let cc = CompiledBlock::compile(circuit);
         let waveforms: BTreeMap<GateId, PackedWaveform<P>> = circuit
             .ids()
             .filter(|&id| self.observe.wants(circuit, id))
@@ -199,7 +200,7 @@ impl<P: PackedValue> BitSimulator<P> {
     /// The single-threaded hot loop.
     fn run_inline(
         &self,
-        cc: &CompiledCircuit,
+        cc: &CompiledBlock,
         events: &[PackedEvent<P>],
         forces: &[PackedForce<P>],
         mut waveforms: BTreeMap<GateId, PackedWaveform<P>>,
@@ -271,7 +272,7 @@ impl<P: PackedValue> BitSimulator<P> {
     /// of spawning a fresh set per run.
     fn run_sharded(
         &self,
-        cc: CompiledCircuit,
+        cc: CompiledBlock,
         events: Vec<PackedEvent<P>>,
         forces: Vec<PackedForce<P>>,
         waveforms: BTreeMap<GateId, PackedWaveform<P>>,
@@ -319,7 +320,7 @@ impl<P: PackedValue> BitSimulator<P> {
         // Everything the workers touch, owned (`'static`) and shared via
         // `Arc` — persistent pool threads outlive this call's borrows.
         struct Shared<P: PackedValue> {
-            cc: CompiledCircuit,
+            cc: CompiledBlock,
             events: Vec<PackedEvent<P>>,
             forces: Vec<PackedForce<P>>,
             chunks: Vec<Vec<(usize, std::ops::Range<usize>)>>,
@@ -551,7 +552,7 @@ fn apply_inputs<P: PackedValue>(
 
 /// Evaluates one compiled op against the tick's frozen values.
 fn eval_op<P: PackedValue>(
-    cc: &CompiledCircuit,
+    cc: &CompiledBlock,
     op: &CompiledOp,
     values: &[P],
     seq_prev: &mut [P],

@@ -27,10 +27,11 @@
 //! across LPs, which is what makes the kernel's results bit-identical to
 //! the sequential reference.
 //!
-//! [`ConservativeSimulator`] runs the protocol on the virtual
-//! multiprocessor (modeled speedups for Figure 1);
-//! [`ThreadedConservativeSimulator`] runs the identical LP state machine on
-//! real threads with crossbeam channels.
+//! One protocol (`CmbProtocol`, a `parsim_runtime::SyncProtocol`), two
+//! drivers: [`ConservativeSimulator`] steps it on the virtual multiprocessor
+//! (the fabric's modeled driver; modeled speedups for Figure 1), and
+//! [`ThreadedConservativeSimulator`] runs the same protocol object on the
+//! fabric's worker threads and mailbox mesh.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

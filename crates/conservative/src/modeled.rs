@@ -1,27 +1,23 @@
 //! The modeled conservative kernel.
 
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
-use parsim_core::{LpTopology, Observe, SimOutcome, SimStats, Simulator, Stimulus, Waveform};
-use parsim_event::{Event, VirtualTime};
-use parsim_logic::{GateKind, LogicValue};
-use parsim_machine::{MachineConfig, VirtualMachine};
-use parsim_netlist::{Circuit, Delay, GateId};
+use parsim_core::{Observe, SimOutcome, Simulator, Stimulus};
+use parsim_event::VirtualTime;
+use parsim_logic::LogicValue;
+use parsim_machine::MachineConfig;
+use parsim_netlist::Circuit;
 use parsim_partition::Partition;
-use parsim_trace::{Probe, TraceKind, NO_LP};
+use parsim_runtime::Fabric;
+use parsim_trace::Probe;
 
-use crate::lp_state::{LpState, Outgoing};
+use crate::threaded::CmbProtocol;
 use crate::DeadlockStrategy;
 
-/// A message in flight between LPs.
-#[derive(Debug, Clone, Copy)]
-enum Delivery<V> {
-    Event(Event<V>),
-    Null(VirtualTime),
-}
-
-/// The Chandy–Misra–Bryant kernel on the virtual multiprocessor.
+/// The Chandy–Misra–Bryant kernel on the virtual multiprocessor: the
+/// protocol [`ThreadedConservativeSimulator`](crate::ThreadedConservativeSimulator)
+/// runs on threads, stepped by the fabric's modeled driver
+/// ([`Fabric::run_modeled`]) instead.
 ///
 /// LPs are partition blocks, optionally subdivided with
 /// [`with_granularity`](Self::with_granularity) (experiment E7). Activations
@@ -84,11 +80,11 @@ impl<V: LogicValue> ConservativeSimulator<V> {
         }
     }
 
-    /// Attaches a trace probe. The virtual machine records charge, idle and
-    /// barrier spans; the kernel adds per-channel event and null-message
-    /// sends (`lp` = source LP, `arg` = destination LP — the axes of the
+    /// Attaches a trace probe. The virtual machine records charge and idle
+    /// spans; the protocol adds per-channel event and null-message sends
+    /// (`lp` = source LP, `arg` = destination LP — the axes of the
     /// null-ratio analysis), batched gate evaluations per activation, and a
-    /// `GvtAdvance` per deadlock recovery.
+    /// `GvtAdvance` per processor per deadlock recovery.
     pub fn with_probe(mut self, probe: Probe) -> Self {
         self.probe = probe;
         self
@@ -116,11 +112,6 @@ impl<V: LogicValue> ConservativeSimulator<V> {
         self.observe = observe;
         self
     }
-
-    fn topology(&self, circuit: &Circuit) -> LpTopology {
-        let coarse: Vec<usize> = circuit.ids().map(|id| self.partition.block_of(id)).collect();
-        LpTopology::with_granularity(circuit, &coarse, self.partition.blocks(), self.granularity)
-    }
 }
 
 impl<V: LogicValue> Simulator<V> for ConservativeSimulator<V> {
@@ -133,216 +124,15 @@ impl<V: LogicValue> Simulator<V> for ConservativeSimulator<V> {
     }
 
     fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
-        assert_eq!(self.partition.len(), circuit.len(), "partition does not match circuit");
-        assert!(
-            circuit.min_gate_delay().ticks() >= 1,
-            "simulation kernels require nonzero gate delays"
-        );
-        let topo = self.topology(circuit);
-        let n_lps = topo.lps().len();
-        let proc_of = |lp: usize| lp / self.granularity;
-        let mut vm = VirtualMachine::new(self.machine);
-        vm.attach_probe(&self.probe);
-        let mut ph = self.probe.handle();
-        let mut stats = SimStats::default();
-        let send_nulls = self.strategy == DeadlockStrategy::NullMessages;
-
-        let mut lps: Vec<LpState<V>> = (0..n_lps)
-            .map(|i| {
-                let owned = topo.lps()[i].gates.clone();
-                LpState::new(
-                    circuit,
-                    &topo,
-                    i,
-                    owned.into_iter().filter(|&id| self.observe.wants(circuit, id)),
-                )
-            })
-            .collect();
-
-        // Preload stimulus and constants into every LP that reads the net,
-        // plus the owner (for value reporting). Known in advance: no
-        // messages needed.
-        let mut logical_events = 0u64;
-        let mut preload = |lps: &mut Vec<LpState<V>>, e: Event<V>| {
-            logical_events += 1;
-            let owner = topo.lp_of(e.net);
-            let mut sent_to_owner = false;
-            for &dst in topo.destinations(e.net) {
-                lps[dst].preload(e);
-                sent_to_owner |= dst == owner;
-            }
-            if !sent_to_owner {
-                lps[owner].preload(e);
-            }
-        };
-        for e in stimulus.events::<V>(circuit, until) {
-            preload(&mut lps, e);
-        }
-        for (id, g) in circuit.iter() {
-            if g.kind() == GateKind::Const1 {
-                preload(&mut lps, Event::new(VirtualTime::ZERO, id, V::ONE));
-            }
-        }
-
-        let mut inbox: Vec<Vec<(u64, Delivery<V>, usize)>> = vec![Vec::new(); n_lps];
-        let mut evals = 0u64;
-
-        loop {
-            let mut outbox: Vec<Vec<(u64, Delivery<V>, usize)>> = vec![Vec::new(); n_lps];
-            let mut any_work = false;
-            let mut any_sent = false;
-
-            for (lp_idx, lp) in lps.iter_mut().enumerate() {
-                let p = proc_of(lp_idx);
-                // Consume messages delivered last round.
-                for (ready, delivery, src) in inbox[lp_idx].drain(..) {
-                    vm.receive(p, ready);
-                    match delivery {
-                        Delivery::Event(e) => lp.receive_event(e),
-                        Delivery::Null(t) => lp.receive_null(src, t),
-                    }
-                }
-                // Run the LP.
-                // The modeled driver stays interpreted: it is the
-                // differential reference the compiled paths are checked
-                // against.
-                let work = lp.activate(circuit, &topo, until, send_nulls, None, &mut |out| {
-                    match out {
-                        Outgoing::Event { dst, event } => {
-                            let ready = vm.send(p, proc_of(dst));
-                            stats.messages_sent += 1;
-                            if ph.enabled() {
-                                ph.emit(
-                                    vm.clock(p),
-                                    event.time.ticks(),
-                                    p as u32,
-                                    lp_idx as u32,
-                                    TraceKind::MessageSend,
-                                    dst as u64,
-                                );
-                            }
-                            outbox[dst].push((ready, Delivery::Event(event), lp_idx));
-                        }
-                        Outgoing::Null { dst, time } => {
-                            let ready = vm.send(p, proc_of(dst));
-                            stats.null_messages += 1;
-                            if ph.enabled() {
-                                ph.emit(
-                                    vm.clock(p),
-                                    time.ticks(),
-                                    p as u32,
-                                    lp_idx as u32,
-                                    TraceKind::NullMessage,
-                                    dst as u64,
-                                );
-                            }
-                            outbox[dst].push((ready, Delivery::Null(time), lp_idx));
-                        }
-                    }
-                    any_sent = true;
-                });
-                vm.charge(
-                    p,
-                    work.events_popped * self.machine.event_cost
-                        + work.evaluations * self.machine.eval_cost
-                        + work.events_scheduled * self.machine.event_cost,
-                );
-                if ph.enabled() && work.evaluations > 0 {
-                    ph.emit(
-                        vm.clock(p),
-                        0,
-                        p as u32,
-                        lp_idx as u32,
-                        TraceKind::GateEval,
-                        work.evaluations,
-                    );
-                }
-                stats.events_processed += work.events_popped;
-                stats.gate_evaluations += work.evaluations;
-                stats.events_scheduled += work.events_scheduled;
-                logical_events += work.events_scheduled;
-                evals += work.evaluations;
-                any_work |= work.evaluations > 0 || work.events_popped > 0;
-            }
-
-            let all_done = lps.iter().all(|lp| lp.done(until));
-            if all_done && !any_sent {
-                break;
-            }
-            if !any_work && !any_sent {
-                // Global block. Under null messages this means livelock,
-                // which the protocol excludes; under detect-and-recover it
-                // is the expected deadlock.
-                match self.strategy {
-                    DeadlockStrategy::NullMessages => {
-                        let mut dump = String::new();
-                        for (i, lp) in lps.iter().enumerate() {
-                            dump.push_str(&format!(
-                                "LP{i}: head={:?} safe={} done={} la={} out={:?}\n",
-                                lp.head_time(),
-                                lp.safe_time(),
-                                lp.done(until),
-                                topo.lps()[i].lookahead,
-                                topo.lps()[i].out_channels,
-                            ));
-                        }
-                        unreachable!(
-                            "null-message protocol cannot deadlock with lookahead ≥ 1\n{dump}"
-                        )
-                    }
-                    DeadlockStrategy::DetectAndRecover => {
-                        // Circulating marker: a serial hop across all
-                        // processors, then a broadcast of the recovery time.
-                        for p in 1..self.machine.processors {
-                            let ready = vm.send(p - 1, p);
-                            vm.receive(p, ready);
-                        }
-                        stats.gvt_rounds += 1;
-                        let m = lps.iter().filter_map(LpState::head_time).min();
-                        if ph.enabled() {
-                            let recovered = m.map_or(0, VirtualTime::ticks);
-                            ph.emit(
-                                vm.makespan(),
-                                recovered,
-                                0,
-                                NO_LP,
-                                TraceKind::GvtAdvance,
-                                recovered,
-                            );
-                        }
-                        match m {
-                            Some(m) if m <= until => {
-                                for lp in lps.iter_mut() {
-                                    lp.recover_to(m + Delay::UNIT);
-                                }
-                                for p in 0..self.machine.processors {
-                                    vm.charge(p, self.machine.recv_cost);
-                                }
-                            }
-                            _ => break,
-                        }
-                    }
-                }
-            }
-            inbox = outbox;
-        }
-
-        // Assemble the outcome from per-LP state.
-        let mut final_values = vec![V::ZERO; circuit.len()];
-        let mut waveforms: BTreeMap<GateId, Waveform<V>> = BTreeMap::new();
-        for lp in &lps {
-            for (id, v) in lp.owned_values(&topo) {
-                final_values[id.index()] = v;
-            }
-        }
-        for lp in &mut lps {
-            waveforms.extend(lp.take_waveforms());
-        }
-
-        stats.modeled_makespan = vm.makespan();
-        stats.modeled_work =
-            evals * self.machine.eval_cost + 2 * logical_events * self.machine.event_cost;
-        SimOutcome { final_values, waveforms, end_time: until, stats }
+        // Interpreted on purpose: the modeled kernels are the differential
+        // reference the compiled paths are checked against.
+        Fabric::new(circuit, &self.partition, self.granularity, self.observe).run_modeled(
+            stimulus,
+            until,
+            &self.probe,
+            &CmbProtocol { strategy: self.strategy },
+            self.machine,
+        )
     }
 }
 

@@ -162,26 +162,41 @@ impl<V: LogicValue> Simulator<V> for ThreadedConservativeSimulator<V> {
 
 /// A routed message: destination LP, source LP, payload.
 #[derive(Clone)]
-enum Wire<V> {
+pub(crate) enum Wire<V> {
     Event(usize, Event<V>),
     Null { dst: usize, src: usize, time: VirtualTime },
 }
 
+impl<V> Wire<V> {
+    fn dst(&self) -> usize {
+        match *self {
+            Wire::Event(dst, _) | Wire::Null { dst, .. } => dst,
+        }
+    }
+}
+
 /// The conservative discipline: channel clocks advance via null messages
 /// or central deadlock recovery; the coordinator only tests quiescence.
-struct CmbProtocol {
-    strategy: DeadlockStrategy,
+///
+/// On the modeled machine its rounds are not supersteps (the default
+/// [`SyncProtocol::SUPERSTEP`]): LPs run asynchronously, a message is taken
+/// when it has arrived, and the only global agreement ever paid for is the
+/// circulating marker of a deadlock recovery.
+pub(crate) struct CmbProtocol {
+    pub(crate) strategy: DeadlockStrategy,
 }
 
 /// Per-worker state: this worker's LPs (ascending slot order).
-struct CmbWorker<V> {
+pub(crate) struct CmbWorker<V> {
     lps: Vec<LpState<V>>,
+    /// Per LP slot, the inbox indices addressed to it this round.
+    mail: Vec<Vec<u32>>,
     stats: SimStats,
 }
 
 /// Round report: did this worker send or work, is it drained, and where is
 /// its earliest pending event (for deadlock recovery).
-struct CmbReport {
+pub(crate) struct CmbReport {
     sent: bool,
     worked: bool,
     done: bool,
@@ -193,7 +208,7 @@ struct CmbReport {
 
 /// Coordinator verdict for the next round.
 #[derive(Clone)]
-enum CmbVerdict {
+pub(crate) enum CmbVerdict {
     /// Keep simulating.
     Run,
     /// Deadlock was detected: advance every channel clock to this time
@@ -233,7 +248,8 @@ impl<V: LogicValue> SyncProtocol<V> for CmbProtocol {
                 lps[slot].preload(e);
             }
         }
-        CmbWorker { lps, stats: SimStats::default() }
+        let mail = vec![Vec::new(); lps.len()];
+        CmbWorker { lps, mail, stats: SimStats::default() }
     }
 
     fn first_verdict(&self) -> CmbVerdict {
@@ -261,77 +277,64 @@ impl<V: LogicValue> SyncProtocol<V> for CmbProtocol {
             }
             state.stats.gvt_rounds += 1;
             if cx.probe.enabled() {
-                let now = cx.probe.now_ns();
+                let now = cx.now();
                 cx.probe.emit(now, t.ticks(), me as u32, NO_LP, TraceKind::GvtAdvance, t.ticks());
             }
         }
 
-        // Drain the inbox (messages sent in the previous round).
-        for wire in cx.inbox.drain(..) {
-            match wire {
-                Wire::Event(dst, e) => state.lps[fabric.slot_of(dst)].receive_event(e),
-                Wire::Null { dst, src, time } => {
-                    state.lps[fabric.slot_of(dst)].receive_null(src, time);
-                }
-            }
+        // Sort the inbox (messages sent in the previous round) by
+        // destination LP, arrival order kept within each.
+        let CmbWorker { lps, mail, stats } = state;
+        mail.iter_mut().for_each(Vec::clear);
+        let inbox = std::mem::take(cx.inbox);
+        for (i, wire) in inbox.iter().enumerate() {
+            mail[fabric.slot_of(wire.dst())].push(i as u32);
         }
 
-        // Activate every owned LP.
+        // Activate every owned LP. Each takes its own messages off the wire
+        // immediately before it runs, not the whole inbox up front: on the
+        // modeled machine a receive waits for its message, so what the
+        // processor has already waited for when an LP sends is part of the
+        // cost model (E7 sweeps exactly this).
         let mut sent = false;
         let mut worked = false;
-        let stats = &mut state.stats;
-        for lp in &mut state.lps {
+        for (lp, mail) in lps.iter_mut().zip(mail.iter()) {
             let lp_idx = lp.index;
-            let work = {
-                let probe = &mut *cx.probe;
-                let outbox = &mut *cx.outbox;
-                let granularity = cx.granularity;
-                let block = fabric.compiled_block(lp_idx);
-                lp.activate(circuit, topo, cx.until, send_nulls, block, &mut |out| {
-                    sent = true;
-                    match out {
-                        Outgoing::Event { dst, event } => {
-                            stats.messages_sent += 1;
-                            if probe.enabled() {
-                                let t = probe.now_ns();
-                                probe.emit(
-                                    t,
-                                    event.time.ticks(),
-                                    me as u32,
-                                    lp_idx as u32,
-                                    TraceKind::MessageSend,
-                                    dst as u64,
-                                );
-                            }
-                            outbox.send(dst / granularity, Wire::Event(dst, event));
-                        }
-                        Outgoing::Null { dst, time } => {
-                            stats.null_messages += 1;
-                            if probe.enabled() {
-                                let t = probe.now_ns();
-                                probe.emit(
-                                    t,
-                                    time.ticks(),
-                                    me as u32,
-                                    lp_idx as u32,
-                                    TraceKind::NullMessage,
-                                    dst as u64,
-                                );
-                            }
-                            outbox.send(dst / granularity, Wire::Null { dst, src: lp_idx, time });
-                        }
+            for &i in mail {
+                cx.receive(i as usize);
+                match inbox[i as usize] {
+                    Wire::Event(_, e) => lp.receive_event(e),
+                    Wire::Null { src, time, .. } => lp.receive_null(src, time),
+                }
+            }
+            let block = fabric.compiled_block(lp_idx);
+            let work = lp.activate(circuit, topo, cx.until, send_nulls, block, &mut |out| {
+                sent = true;
+                let (kind, dst, vt, wire) = match out {
+                    Outgoing::Event { dst, event } => {
+                        stats.messages_sent += 1;
+                        (TraceKind::MessageSend, dst, event.time, Wire::Event(dst, event))
                     }
-                })
-            };
+                    Outgoing::Null { dst, time } => {
+                        stats.null_messages += 1;
+                        (TraceKind::NullMessage, dst, time, Wire::Null { dst, src: lp_idx, time })
+                    }
+                };
+                if cx.probe.enabled() {
+                    let t = cx.now();
+                    cx.probe.emit(t, vt.ticks(), me as u32, lp_idx as u32, kind, dst as u64);
+                }
+                cx.send_lp(dst, wire);
+            });
             stats.events_processed += work.events_popped;
             stats.gate_evaluations += work.evaluations;
             stats.events_scheduled += work.events_scheduled;
-            cx.charge_events(work.events_popped);
+            cx.charge(work.events_popped, work.evaluations, work.events_scheduled);
             if let Some(t) = lp.head_time() {
                 cx.note_progress(lp_idx, t);
             }
             if cx.probe.enabled() && work.evaluations > 0 {
-                let t = cx.probe.now_ns();
+                let t = cx.now();
                 cx.probe.emit(
                     t,
                     0,
@@ -343,6 +346,8 @@ impl<V: LogicValue> SyncProtocol<V> for CmbProtocol {
             }
             worked |= work.evaluations > 0 || work.events_popped > 0;
         }
+        // Hand the buffer back for the next drain (the fabric clears it).
+        *cx.inbox = inbox;
 
         CmbReport {
             sent,
@@ -385,6 +390,7 @@ impl<V: LogicValue> SyncProtocol<V> for CmbProtocol {
                     let m = reports.iter().flatten().filter_map(|r| r.head).min();
                     match m {
                         Some(m) if m <= cx.until => {
+                            cx.charge_marker_round();
                             Decision::Continue(CmbVerdict::Recover(m + Delay::UNIT))
                         }
                         _ => Decision::Stop,

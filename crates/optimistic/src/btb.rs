@@ -4,12 +4,13 @@
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
-use parsim_core::{LpTopology, Observe, SimOutcome, SimStats, Simulator, Stimulus, Waveform};
+use parsim_core::{Observe, SimOutcome, SimStats, Simulator, Stimulus, Waveform};
 use parsim_event::{Event, VirtualTime};
-use parsim_logic::{GateKind, LogicValue};
+use parsim_logic::LogicValue;
 use parsim_machine::{MachineConfig, VirtualMachine};
 use parsim_netlist::{Circuit, GateId};
 use parsim_partition::Partition;
+use parsim_runtime::Fabric;
 
 use crate::lp::{TwLp, TwOutgoing, TwWork};
 use crate::{Cancellation, StateSaving};
@@ -112,18 +113,10 @@ impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
     }
 
     fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
-        assert_eq!(self.partition.len(), circuit.len(), "partition does not match circuit");
-        assert!(
-            circuit.min_gate_delay().ticks() >= 1,
-            "simulation kernels require nonzero gate delays"
-        );
-        let coarse: Vec<usize> = circuit.ids().map(|id| self.partition.block_of(id)).collect();
-        let topo = LpTopology::with_granularity(
-            circuit,
-            &coarse,
-            self.partition.blocks(),
-            self.granularity,
-        );
+        // The fabric is used for what every driver shares — the LP
+        // decomposition and the preload routing — not for its round loop.
+        let fabric = Fabric::new(circuit, &self.partition, self.granularity, self.observe);
+        let topo = fabric.topo();
         let n_lps = topo.lps().len();
         let proc_of = |lp: usize| lp / self.granularity;
         let mut vm = VirtualMachine::new(self.machine);
@@ -134,7 +127,7 @@ impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
                 let owned = topo.lps()[i].gates.clone();
                 TwLp::new(
                     circuit,
-                    &topo,
+                    topo,
                     i,
                     StateSaving::Incremental,
                     Cancellation::Aggressive,
@@ -143,24 +136,9 @@ impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
             })
             .collect();
 
-        // Preloads (stimulus + constants), exactly as in Time Warp.
-        let preload = |lps: &mut Vec<TwLp<V>>, e: Event<V>| {
-            let owner = topo.lp_of(e.net);
-            let mut to_owner = false;
-            for &dst in topo.destinations(e.net) {
-                lps[dst].preload(e);
-                to_owner |= dst == owner;
-            }
-            if !to_owner {
-                lps[owner].preload(e);
-            }
-        };
-        for e in stimulus.events::<V>(circuit, until) {
-            preload(&mut lps, e);
-        }
-        for (id, g) in circuit.iter() {
-            if g.kind() == GateKind::Const1 {
-                preload(&mut lps, Event::new(VirtualTime::ZERO, id, V::ONE));
+        for (lp, events) in lps.iter_mut().zip(fabric.preloads::<V>(stimulus, until)) {
+            for e in events {
+                lp.preload(e);
             }
         }
 
@@ -203,7 +181,7 @@ impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
                     let mut work = TwWork::default();
                     let processed = lps[lp_idx].process_next(
                         circuit,
-                        &topo,
+                        topo,
                         until,
                         None,
                         &mut work,
@@ -219,7 +197,7 @@ impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
                     );
                     debug_assert!(processed, "next_time was checked above");
                     charge(&mut vm, p, &work, &self.machine);
-                    accumulate(&mut total, &work);
+                    total.accumulate(&work);
                     processed_any = true;
                     stats.state_saves += 1;
                 }
@@ -255,7 +233,7 @@ impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
                     // no message traffic (the anti-message count in `work`
                     // is discarded — nothing left the node).
                     charge(&mut vm, p, &work, &self.machine);
-                    accumulate(&mut total, &work);
+                    total.accumulate(&work);
                 }
             }
 
@@ -280,7 +258,7 @@ impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
         let mut final_values = vec![V::ZERO; circuit.len()];
         let mut waveforms: BTreeMap<GateId, Waveform<V>> = BTreeMap::new();
         for lp in &lps {
-            for (id, v) in lp.owned_values(&topo) {
+            for (id, v) in lp.owned_values(topo) {
                 final_values[id.index()] = v;
             }
         }
@@ -288,18 +266,10 @@ impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
             waveforms.extend(lp.take_waveforms());
         }
 
-        let committed_events = total.events_processed - total.events_rolled_back;
-        let committed_evals = total.evaluations - total.evaluations_rolled_back;
-        stats.events_processed = committed_events;
-        stats.events_scheduled = total.events_scheduled;
-        stats.gate_evaluations = total.evaluations;
-        stats.rollbacks = total.rollbacks;
-        stats.events_rolled_back = total.events_rolled_back;
+        total.write_stats(&mut stats);
         stats.anti_messages = 0; // structurally: cancellations never leave the node
-        stats.state_bytes_saved = total.state_slots_saved;
         stats.modeled_makespan = vm.makespan();
-        stats.modeled_work = committed_evals * self.machine.eval_cost
-            + 2 * committed_events * self.machine.event_cost;
+        stats.modeled_work = total.committed_cost(&self.machine);
         SimOutcome { final_values, waveforms, end_time: until, stats }
     }
 }
@@ -313,17 +283,6 @@ fn charge(vm: &mut VirtualMachine, p: usize, w: &TwWork, cfg: &MachineConfig) {
             + w.rollbacks * cfg.rollback_cost
             + w.state_slots_saved * cfg.incremental_save_cost,
     );
-}
-
-fn accumulate(total: &mut TwWork, w: &TwWork) {
-    total.events_processed += w.events_processed;
-    total.evaluations += w.evaluations;
-    total.events_scheduled += w.events_scheduled;
-    total.state_slots_saved += w.state_slots_saved;
-    total.rollbacks += w.rollbacks;
-    total.events_rolled_back += w.events_rolled_back;
-    total.evaluations_rolled_back += w.evaluations_rolled_back;
-    total.anti_messages += w.anti_messages;
 }
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 
 use std::collections::BTreeMap;
 
-use parsim_core::{GateRuntime, LpTopology, Waveform};
+use parsim_core::{GateRuntime, LpTopology, SimStats, Waveform};
 use parsim_event::{Event, VirtualTime};
 use parsim_logic::LogicValue;
+use parsim_machine::MachineConfig;
 use parsim_netlist::{Circuit, Delay, GateId};
 use parsim_runtime::{CompiledBlock, LpCore};
 
@@ -50,6 +51,40 @@ pub(crate) struct TwWork {
     pub events_rolled_back: u64,
     pub evaluations_rolled_back: u64,
     pub anti_messages: u64,
+}
+
+impl TwWork {
+    /// Folds one action's work into this running total.
+    pub(crate) fn accumulate(&mut self, w: &TwWork) {
+        self.events_processed += w.events_processed;
+        self.evaluations += w.evaluations;
+        self.events_scheduled += w.events_scheduled;
+        self.state_slots_saved += w.state_slots_saved;
+        self.rollbacks += w.rollbacks;
+        self.events_rolled_back += w.events_rolled_back;
+        self.evaluations_rolled_back += w.evaluations_rolled_back;
+        self.anti_messages += w.anti_messages;
+    }
+
+    /// Writes a run's total into the statistics every Time Warp driver
+    /// reports: committed events, everything executed, everything undone.
+    pub(crate) fn write_stats(&self, stats: &mut SimStats) {
+        stats.events_processed = self.events_processed - self.events_rolled_back;
+        stats.events_scheduled = self.events_scheduled;
+        stats.gate_evaluations = self.evaluations;
+        stats.rollbacks = self.rollbacks;
+        stats.events_rolled_back = self.events_rolled_back;
+        stats.anti_messages = self.anti_messages;
+        stats.state_bytes_saved = self.state_slots_saved;
+    }
+
+    /// What one processor would be charged for the committed history alone
+    /// (each event scheduled once and retrieved once) — the numerator of a
+    /// modeled speedup.
+    pub(crate) fn committed_cost(&self, machine: &MachineConfig) -> u64 {
+        (self.evaluations - self.evaluations_rolled_back) * machine.eval_cost
+            + 2 * (self.events_processed - self.events_rolled_back) * machine.event_cost
+    }
 }
 
 /// Records one freshly scheduled output event: self-delivery into the

@@ -3,12 +3,13 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 
-use parsim_core::{LpTopology, Observe, SimOutcome, SimStats, Simulator, Stimulus, Waveform};
+use parsim_core::{Observe, SimOutcome, SimStats, Simulator, Stimulus, Waveform};
 use parsim_event::{Event, VirtualTime};
-use parsim_logic::{GateKind, LogicValue};
+use parsim_logic::LogicValue;
 use parsim_machine::{MachineConfig, VirtualMachine};
 use parsim_netlist::{Circuit, GateId};
 use parsim_partition::Partition;
+use parsim_runtime::Fabric;
 use parsim_trace::{Probe, TraceKind, NO_LP};
 
 use crate::lp::{TwLp, TwOutgoing, TwWork};
@@ -182,18 +183,10 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
     }
 
     fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
-        assert_eq!(self.partition.len(), circuit.len(), "partition does not match circuit");
-        assert!(
-            circuit.min_gate_delay().ticks() >= 1,
-            "simulation kernels require nonzero gate delays"
-        );
-        let coarse: Vec<usize> = circuit.ids().map(|id| self.partition.block_of(id)).collect();
-        let topo = LpTopology::with_granularity(
-            circuit,
-            &coarse,
-            self.partition.blocks(),
-            self.granularity,
-        );
+        // The fabric is used for what every driver shares — the LP
+        // decomposition and the preload routing — not for its round loop.
+        let fabric = Fabric::new(circuit, &self.partition, self.granularity, self.observe);
+        let topo = fabric.topo();
         let n_lps = topo.lps().len();
         let p_count = self.machine.processors;
         let proc_of = |lp: usize| lp / self.granularity;
@@ -207,7 +200,7 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
                 let owned = topo.lps()[i].gates.clone();
                 TwLp::new(
                     circuit,
-                    &topo,
+                    topo,
                     i,
                     self.saving,
                     self.cancellation,
@@ -216,24 +209,9 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
             })
             .collect();
 
-        // Preload stimulus and constants.
-        let preload = |lps: &mut Vec<TwLp<V>>, e: Event<V>| {
-            let owner = topo.lp_of(e.net);
-            let mut to_owner = false;
-            for &dst in topo.destinations(e.net) {
-                lps[dst].preload(e);
-                to_owner |= dst == owner;
-            }
-            if !to_owner {
-                lps[owner].preload(e);
-            }
-        };
-        for e in stimulus.events::<V>(circuit, until) {
-            preload(&mut lps, e);
-        }
-        for (id, g) in circuit.iter() {
-            if g.kind() == GateKind::Const1 {
-                preload(&mut lps, Event::new(VirtualTime::ZERO, id, V::ONE));
+        for (lp, events) in lps.iter_mut().zip(fabric.preloads::<V>(stimulus, until)) {
+            for e in events {
+                lp.preload(e);
             }
         }
 
@@ -370,7 +348,7 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
                                 sends.push((dst, TwMsg::Anti(event)));
                             }
                         });
-                        accumulate(&mut total_work, &work);
+                        total_work.accumulate(&work);
                         route!(p, dst, work, sends);
                     }
                     acted = true;
@@ -397,11 +375,11 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
                         // The modeled driver stays interpreted: it is the
                         // differential reference for the compiled paths.
                         let processed = lps[lp_idx]
-                            .process_next(circuit, &topo, limit, None, &mut work, collect);
+                            .process_next(circuit, topo, limit, None, &mut work, collect);
                         debug_assert!(processed, "candidate had work");
                     }
                     batches_since_gvt += 1;
-                    accumulate(&mut total_work, &work);
+                    total_work.accumulate(&work);
                     stats.state_saves += 1;
                     route!(p, lp_idx, work, sends);
                     acted = true;
@@ -463,7 +441,7 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
         let mut final_values = vec![V::ZERO; circuit.len()];
         let mut waveforms: BTreeMap<GateId, Waveform<V>> = BTreeMap::new();
         for lp in &lps {
-            for (id, v) in lp.owned_values(&topo) {
+            for (id, v) in lp.owned_values(topo) {
                 final_values[id.index()] = v;
             }
         }
@@ -471,31 +449,11 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
             waveforms.extend(lp.take_waveforms());
         }
 
-        let committed_events = total_work.events_processed - total_work.events_rolled_back;
-        let committed_evals = total_work.evaluations - total_work.evaluations_rolled_back;
-        stats.events_processed = committed_events;
-        stats.events_scheduled = total_work.events_scheduled;
-        stats.gate_evaluations = total_work.evaluations;
-        stats.rollbacks = total_work.rollbacks;
-        stats.events_rolled_back = total_work.events_rolled_back;
-        stats.anti_messages = total_work.anti_messages;
-        stats.state_bytes_saved = total_work.state_slots_saved;
+        total_work.write_stats(&mut stats);
         stats.modeled_makespan = vm.makespan();
-        stats.modeled_work = committed_evals * self.machine.eval_cost
-            + 2 * committed_events * self.machine.event_cost;
+        stats.modeled_work = total_work.committed_cost(&self.machine);
         SimOutcome { final_values, waveforms, end_time: until, stats }
     }
-}
-
-fn accumulate(total: &mut TwWork, w: &TwWork) {
-    total.events_processed += w.events_processed;
-    total.evaluations += w.evaluations;
-    total.events_scheduled += w.events_scheduled;
-    total.state_slots_saved += w.state_slots_saved;
-    total.rollbacks += w.rollbacks;
-    total.events_rolled_back += w.events_rolled_back;
-    total.evaluations_rolled_back += w.evaluations_rolled_back;
-    total.anti_messages += w.anti_messages;
 }
 
 #[cfg(test)]

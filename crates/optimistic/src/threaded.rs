@@ -350,7 +350,7 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
         for (dst, batch) in groups {
             let mut work = TwWork::default();
             lps[dst % granularity].receive_batch(batch, &mut work, &mut |o| route!(dst, o));
-            accumulate(total, &work);
+            total.accumulate(&work);
             emit_work(probe, me, dst, &work);
         }
 
@@ -363,7 +363,7 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
                 let processed = lp.process_next(circuit, topo, until, block, &mut work, &mut |o| {
                     route!(lp_idx, o);
                 });
-                accumulate(total, &work);
+                total.accumulate(&work);
                 emit_work(probe, me, lp_idx, &work);
                 if !processed {
                     break;
@@ -372,7 +372,7 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
         }
 
         let local = lps.iter().filter_map(TwLp::gvt_component).min();
-        cx.charge_events(total.events_processed - processed_before);
+        cx.charge(total.events_processed - processed_before, 0, 0);
         if let Some(t) = local {
             cx.note_progress(me * granularity, t);
         }
@@ -425,29 +425,11 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
             owned_values.extend(lp.owned_values(fabric.topo()));
             waveforms.extend(lp.take_waveforms());
         }
-        let total = state.total;
         let mut stats = state.stats;
-        stats.events_processed = total.events_processed - total.events_rolled_back;
-        stats.events_scheduled = total.events_scheduled;
-        stats.gate_evaluations = total.evaluations;
-        stats.rollbacks = total.rollbacks;
-        stats.events_rolled_back = total.events_rolled_back;
-        stats.anti_messages = total.anti_messages;
-        stats.state_bytes_saved = total.state_slots_saved;
+        state.total.write_stats(&mut stats);
         stats.gvt_rounds = state.gvt_rounds;
         WorkerOutput { owned_values, waveforms, stats }
     }
-}
-
-fn accumulate(total: &mut TwWork, w: &TwWork) {
-    total.events_processed += w.events_processed;
-    total.evaluations += w.evaluations;
-    total.events_scheduled += w.events_scheduled;
-    total.state_slots_saved += w.state_slots_saved;
-    total.rollbacks += w.rollbacks;
-    total.events_rolled_back += w.events_rolled_back;
-    total.evaluations_rolled_back += w.evaluations_rolled_back;
-    total.anti_messages += w.anti_messages;
 }
 
 #[cfg(test)]

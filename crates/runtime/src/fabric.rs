@@ -11,6 +11,7 @@ use parsim_core::{
 };
 use parsim_event::{Event, VirtualTime};
 use parsim_logic::{GateKind, LogicValue};
+use parsim_machine::{MachineConfig, VirtualMachine};
 use parsim_netlist::Circuit;
 use parsim_partition::Partition;
 use parsim_trace::{Probe, ProbeHandle, TraceKind, NO_LP};
@@ -19,7 +20,9 @@ use crate::barrier::{BarrierError, RoundBarrier};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::mailbox::{MailboxMesh, Outbox, DEFAULT_BATCH_LIMIT};
 use crate::poison::lock_recover;
-use crate::protocol::{DecideCx, Decision, RoundCx, SyncProtocol, WorkerOutput, WorkerProgress};
+use crate::protocol::{
+    DecideCx, Decision, ModeledRun, RoundCx, SyncProtocol, WorkerOutput, WorkerProgress,
+};
 
 /// Per-run execution options for [`Fabric::run`]: resource budget, fault
 /// injection, and the barrier hang guard. The default is a plain unbounded
@@ -594,18 +597,12 @@ impl<'c> Fabric<'c> {
             }
         }
 
-        let mut final_values = vec![V::ZERO; self.circuit.len()];
-        let mut waveforms = std::collections::BTreeMap::new();
-        let mut stats = SimStats::default();
         let mut rounds = 0u64;
-        for (out, worker_rounds) in results.into_iter().flatten() {
-            for (id, v) in out.owned_values {
-                final_values[id.index()] = v;
-            }
-            waveforms.extend(out.waveforms);
-            stats.merge(&out.stats);
+        let outputs = results.into_iter().flatten().map(|(out, worker_rounds)| {
             rounds = rounds.max(worker_rounds);
-        }
+            out
+        });
+        let SimOutcome { final_values, mut waveforms, mut stats, .. } = self.merge(outputs, until);
         stats.barriers = stats.barriers.max(rounds);
         // relaxed: the flag is set strictly before the barrier every worker
         // crossed on its way out; the barrier orders it, not the load.
@@ -642,6 +639,134 @@ impl<'c> Fabric<'c> {
             until
         };
         Ok(SimOutcome { final_values, waveforms, end_time, stats })
+    }
+
+    /// Folds the workers' outputs into one outcome covering `until`.
+    fn merge<V: LogicValue>(
+        &self,
+        outputs: impl Iterator<Item = WorkerOutput<V>>,
+        until: VirtualTime,
+    ) -> SimOutcome<V> {
+        let mut final_values = vec![V::ZERO; self.circuit.len()];
+        let mut waveforms = std::collections::BTreeMap::new();
+        let mut stats = SimStats::default();
+        for out in outputs {
+            for (id, v) in out.owned_values {
+                final_values[id.index()] = v;
+            }
+            waveforms.extend(out.waveforms);
+            stats.merge(&out.stats);
+        }
+        SimOutcome { final_values, waveforms, end_time: until, stats }
+    }
+
+    /// Runs `protocol` to completion on the virtual multiprocessor: the
+    /// deterministic single-threaded twin of [`Fabric::run`]. Same protocol
+    /// object, preloads, mailbox mesh and output merge; workers are stepped
+    /// 0..P in order, round by round, and what the protocol routes through
+    /// its contexts — sends, deliveries, reported work, the verdict — is
+    /// charged to `machine`'s clocks under the protocol's
+    /// [`SyncProtocol::SUPERSTEP`] convention. `modeled_makespan` is the
+    /// largest clock, `modeled_work` what one processor would be charged
+    /// for the same evaluations and queue operations (each event scheduled
+    /// once and retrieved once), `barriers` the machine barriers charged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine's processor count differs from the worker
+    /// count, or if the protocol aborts.
+    pub fn run_modeled<V, P>(
+        &self,
+        stimulus: &Stimulus,
+        until: VirtualTime,
+        probe: &Probe,
+        protocol: &P,
+        machine: MachineConfig,
+    ) -> SimOutcome<V>
+    where
+        V: LogicValue,
+        P: SyncProtocol<V>,
+    {
+        assert_eq!(machine.processors, self.workers, "one partition block per processor");
+        let mut vm = VirtualMachine::new(machine);
+        vm.attach_probe(probe);
+        let mut modeled = ModeledRun::new(vm, P::SUPERSTEP);
+        let mut ph = probe.handle();
+
+        let mut preloads = self.preloads::<V>(stimulus, until);
+        // Every known-in-advance event reaches its net's owner exactly once.
+        let mut initial = 0u64;
+        for (lp, events) in preloads.iter().enumerate() {
+            initial += events.iter().filter(|e| self.topo.lp_of(e.net) == lp).count() as u64;
+        }
+        let mut states: Vec<P::Worker> = (0..self.workers)
+            .map(|p| {
+                let mine = self.my_lps(p).map(|lp| std::mem::take(&mut preloads[lp])).collect();
+                protocol.worker(self, p, mine)
+            })
+            .collect();
+
+        let mesh = MailboxMesh::with_ring_capacity(self.workers, self.ring_capacity);
+        let mut outboxes: Vec<Outbox<'_, P::Msg>> =
+            (0..self.workers).map(|p| Outbox::new(&mesh, p, DEFAULT_BATCH_LIMIT)).collect();
+        let mut inboxes: Vec<Vec<P::Msg>> = (0..self.workers).map(|_| Vec::new()).collect();
+        let mut reports: Vec<Option<P::Report>> = (0..self.workers).map(|_| None).collect();
+        let progress = WorkerProgress::new();
+        let (events, frontier) = (AtomicU64::new(0), AtomicU64::new(u64::MAX));
+        let mut verdict = protocol.first_verdict();
+        let mut round = 0u64;
+
+        loop {
+            round += 1;
+            // Drain every inbox before any worker runs: round r's posts
+            // are visible in round r + 1 only, as behind the rendezvous.
+            mesh.enter_round(round);
+            modeled.begin_round();
+            for (p, inbox) in inboxes.iter_mut().enumerate() {
+                mesh.drain_into(p, inbox);
+                debug_assert!(P::SUPERSTEP || modeled.arrived[p].len() == inbox.len());
+            }
+            for p in 0..self.workers {
+                let mut cx = RoundCx {
+                    worker: p,
+                    until,
+                    inbox: &mut inboxes[p],
+                    outbox: &mut outboxes[p],
+                    probe: &mut ph,
+                    granularity: self.granularity,
+                    progress: &progress,
+                    events: &events,
+                    modeled: Some(&mut modeled),
+                };
+                reports[p] = Some(protocol.round(self, &mut states[p], &verdict, &mut cx));
+                inboxes[p].clear();
+                outboxes[p].flush();
+            }
+            if P::SUPERSTEP {
+                modeled.vm.barrier();
+            }
+            let mut cx = DecideCx {
+                until,
+                round,
+                probe: &mut ph,
+                frontier: &frontier,
+                modeled: Some(&mut modeled),
+            };
+            match protocol.decide(self, &mut reports, &mut cx) {
+                Decision::Continue(v) => verdict = v,
+                Decision::Stop => break,
+                Decision::Abort(reason) => panic!("protocol abort at round {round}: {reason}"),
+            }
+        }
+
+        let outputs = states.into_iter().enumerate().map(|(p, s)| protocol.finish(self, p, s));
+        let mut outcome = self.merge(outputs, until);
+        let ModeledRun { vm, evaluated, scheduled, .. } = modeled;
+        outcome.stats.barriers = vm.stats().barriers;
+        outcome.stats.modeled_makespan = vm.makespan();
+        outcome.stats.modeled_work =
+            evaluated * machine.eval_cost + 2 * (initial + scheduled) * machine.event_cost;
+        outcome
     }
 
     /// One worker's round loop. Returns `None` when the run failed — the
@@ -720,6 +845,7 @@ impl<'c> Fabric<'c> {
                     granularity: self.granularity,
                     progress: &shared.progress[p],
                     events: &shared.events,
+                    modeled: None,
                 };
                 let report = protocol.round(self, &mut state, &verdict, &mut cx);
                 inbox.clear();
@@ -814,7 +940,8 @@ impl<'c> Fabric<'c> {
         }
         debug_assert!(gathered.iter().all(Option::is_some), "every worker reported");
         let decided = catch_unwind(AssertUnwindSafe(|| {
-            let mut cx = DecideCx { until, round, probe: ph, frontier: &shared.frontier };
+            let mut cx =
+                DecideCx { until, round, probe: ph, frontier: &shared.frontier, modeled: None };
             protocol.decide(self, gathered, &mut cx)
         }));
         gathered.fill_with(|| None);

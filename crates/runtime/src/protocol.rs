@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 use parsim_core::{SimStats, Waveform};
 use parsim_event::VirtualTime;
 use parsim_logic::LogicValue;
+use parsim_machine::VirtualMachine;
 use parsim_netlist::GateId;
 use parsim_trace::ProbeHandle;
 
@@ -79,6 +80,60 @@ impl WorkerProgress {
     }
 }
 
+/// The modeled driver's side of a run ([`Fabric::run_modeled`]): the
+/// virtual machine every protocol action is charged to, plus the arrival
+/// stamps that travel beside the mesh's messages. Absent on threads.
+#[derive(Debug)]
+pub(crate) struct ModeledRun {
+    pub(crate) vm: VirtualMachine,
+    /// [`SyncProtocol::SUPERSTEP`] of the protocol being driven.
+    pub(crate) superstep: bool,
+    /// Ready times of the messages sent this round, per destination worker.
+    /// Workers are stepped in index order and the mesh drains its rings in
+    /// sender order, so this is exactly next round's inbox order.
+    in_flight: Vec<Vec<u64>>,
+    /// Ready times aligned index for index with each worker's inbox.
+    pub(crate) arrived: Vec<Vec<u64>>,
+    /// Evaluations and scheduled events reported through
+    /// [`RoundCx::charge`]: the one-processor work a speedup is against.
+    pub(crate) evaluated: u64,
+    pub(crate) scheduled: u64,
+}
+
+impl ModeledRun {
+    pub(crate) fn new(vm: VirtualMachine, superstep: bool) -> Self {
+        let workers = vm.processors();
+        ModeledRun {
+            vm,
+            superstep,
+            in_flight: vec![Vec::new(); workers],
+            arrived: vec![Vec::new(); workers],
+            evaluated: 0,
+            scheduled: 0,
+        }
+    }
+
+    /// Last round's sent stamps become this round's arrival stamps.
+    pub(crate) fn begin_round(&mut self) {
+        for (arrived, sent) in self.arrived.iter_mut().zip(&mut self.in_flight) {
+            arrived.clear();
+            std::mem::swap(arrived, sent);
+        }
+    }
+
+    fn send(&mut self, src: usize, dst: usize) {
+        let ready = self.vm.send(src, dst);
+        if self.superstep {
+            // The round's barrier hides the latency: the receiver pays for
+            // the delivery inside the superstep it was sent in.
+            let recv = self.vm.config().recv_cost;
+            self.vm.charge(dst, recv);
+        } else {
+            self.in_flight[dst].push(ready);
+        }
+    }
+}
+
 /// What one worker hands back when its rounds are over.
 #[derive(Debug)]
 pub struct WorkerOutput<V> {
@@ -115,19 +170,48 @@ pub struct RoundCx<'a, 'm, M> {
     /// This worker's shared progress marks (see [`RoundCx::note_progress`]).
     pub(crate) progress: &'a WorkerProgress,
     /// Shared processed-event counter feeding the run budget (see
-    /// [`RoundCx::charge_events`]).
+    /// [`RoundCx::charge`]).
     pub(crate) events: &'a AtomicU64,
+    /// The virtual machine to charge, under the modeled driver.
+    pub(crate) modeled: Option<&'a mut ModeledRun>,
 }
 
 impl<M: Clone> RoundCx<'_, '_, M> {
     /// Sends `msg` to the worker owning LP `dst_lp`.
     #[inline]
     pub fn send_lp(&mut self, dst_lp: usize, msg: M) {
-        self.outbox.send(dst_lp / self.granularity, msg);
+        let dst = dst_lp / self.granularity;
+        if let Some(m) = &mut self.modeled {
+            m.send(self.worker, dst);
+        }
+        self.outbox.send(dst, msg);
     }
 }
 
 impl<M> RoundCx<'_, '_, M> {
+    /// The timeline position for a trace record emitted now: host
+    /// nanoseconds on the threaded driver, this processor's clock in cost
+    /// units on the modeled one.
+    #[inline]
+    pub fn now(&self) -> u64 {
+        match &self.modeled {
+            Some(m) => m.vm.clock(self.worker),
+            None => self.probe.now_ns(),
+        }
+    }
+
+    /// Marks inbox message `index` as taken off the wire: the modeled
+    /// processor waits for its arrival and pays the receive (unless rounds
+    /// are [`SyncProtocol::SUPERSTEP`]s, where the sender's round did).
+    #[inline]
+    pub fn receive(&mut self, index: usize) {
+        if let Some(m) = &mut self.modeled {
+            if !m.superstep {
+                m.vm.receive(self.worker, m.arrived[self.worker][index]);
+            }
+        }
+    }
+
     /// Marks that this worker is working on LP `lp` at virtual time `vt`.
     /// Best effort: feeds the `WorkerDiagnostic` of a failure report, so a
     /// crashed run can say where each worker was.
@@ -136,16 +220,26 @@ impl<M> RoundCx<'_, '_, M> {
         self.progress.mark(lp, vt);
     }
 
-    /// Charges `n` processed events against the run budget
-    /// ([`RunBudget::max_events`](parsim_core::RunBudget)). Protocols call
-    /// this once per round with the round's event count; unreported work is
-    /// simply invisible to the budget.
+    /// Reports a stretch of local work: `popped` events taken off the
+    /// queue, `evaluated` gates, `scheduled` output events. `popped` counts
+    /// against the run budget
+    /// ([`RunBudget::max_events`](parsim_core::RunBudget)) — unreported work
+    /// is invisible to it — and the modeled driver charges all three to
+    /// this processor at the machine's event and evaluation prices.
+    /// Messages sent before the call leave at the clock before the charge.
     #[inline]
-    pub fn charge_events(&mut self, n: u64) {
-        if n > 0 {
+    pub fn charge(&mut self, popped: u64, evaluated: u64, scheduled: u64) {
+        if popped > 0 {
             // relaxed: monotonic statistics counter; the budget check reads
             // it after a barrier, which already orders the updates.
-            self.events.fetch_add(n, Ordering::Relaxed);
+            self.events.fetch_add(popped, Ordering::Relaxed);
+        }
+        if let Some(m) = &mut self.modeled {
+            let price = m.vm.config();
+            let cost = (popped + scheduled) * price.event_cost + evaluated * price.eval_cost;
+            m.vm.charge(self.worker, cost);
+            m.evaluated += evaluated;
+            m.scheduled += scheduled;
         }
     }
 }
@@ -163,6 +257,8 @@ pub struct DecideCx<'a> {
     /// Commit-frontier slot (see [`DecideCx::note_frontier`]); `u64::MAX`
     /// encodes "never noted".
     pub(crate) frontier: &'a AtomicU64,
+    /// The virtual machine to charge, under the modeled driver.
+    pub(crate) modeled: Option<&'a mut ModeledRun>,
 }
 
 impl DecideCx<'_> {
@@ -184,6 +280,22 @@ impl DecideCx<'_> {
             // Release pairs with the merge-side Acquire load; in practice
             // the worker join already orders it.
             self.frontier.store(vt.ticks(), Ordering::Release);
+        }
+    }
+
+    /// Charges the modeled machine for agreeing on a verdict without a
+    /// barrier: a marker hops serially through every processor, then each
+    /// takes delivery of the broadcast result. Free on the threaded driver.
+    pub fn charge_marker_round(&mut self) {
+        if let Some(m) = &mut self.modeled {
+            for p in 1..m.vm.processors() {
+                let ready = m.vm.send(p - 1, p);
+                m.vm.receive(p, ready);
+            }
+            let recv = m.vm.config().recv_cost;
+            for p in 0..m.vm.processors() {
+                m.vm.charge(p, recv);
+            }
         }
     }
 }
@@ -211,6 +323,17 @@ impl DecideCx<'_> {
 /// (e.g. deadlock recovery, fossil collection), which is equivalent to
 /// acting right after the release since nothing happens in between.
 pub trait SyncProtocol<V: LogicValue>: Sync {
+    /// The family's cost convention on the modeled machine
+    /// ([`Fabric::run_modeled`]): is a round a barrier-synchronized superstep
+    /// of the discipline itself, or only the driver's way of interleaving
+    /// LPs that a real machine would run asynchronously? `true`: every round
+    /// ends in one machine barrier, which hides message latency — the
+    /// receiver pays for a delivery in the round it was sent. `false`: no
+    /// barrier; a message is receivable one latency after its send, and the
+    /// receiver waits and pays when the protocol takes it
+    /// ([`RoundCx::receive`]).
+    const SUPERSTEP: bool = false;
+
     /// Inter-worker message (events, nulls, anti-messages…). `Clone` lets
     /// the mailbox mesh's fault-injection layer duplicate a batch.
     type Msg: Send + Clone;

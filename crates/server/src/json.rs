@@ -8,6 +8,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use parsim_trace::json_string;
+
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -78,7 +80,7 @@ impl Json {
                     let _ = write!(out, "{n}");
                 }
             }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => json_string(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -95,7 +97,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    json_string(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -103,24 +105,6 @@ impl Json {
             }
         }
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Builds an object from key/value pairs — the renderer-side convenience.

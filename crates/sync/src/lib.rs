@@ -7,16 +7,17 @@
 //! next point in simulated time that has events to be processed"
 //! (Chamberlain, DAC '95 §IV).
 //!
-//! Two implementations share the algorithm:
+//! One protocol (`BarrierProtocol`, a `parsim_runtime::SyncProtocol`), two
+//! drivers:
 //!
-//! * [`SyncSimulator`] — the *modeled* kernel: executes the superstep
-//!   protocol while charging every action to a
-//!   [`VirtualMachine`](parsim_machine::VirtualMachine), producing the
-//!   modeled speedups of Figure 1 / E3 / E8 / E9. Deterministic.
-//! * [`ThreadedSyncSimulator`] — the same protocol on real `std::thread`
-//!   workers with crossbeam channels and a `std::sync::Barrier`; used for
-//!   wall-clock measurements on real multiprocessors and as a second
-//!   correctness witness.
+//! * [`SyncSimulator`] — the *modeled* kernel: the fabric's deterministic
+//!   single-threaded driver steps the protocol while charging every action
+//!   to a [`VirtualMachine`](parsim_machine::VirtualMachine), producing the
+//!   modeled speedups of Figure 1 / E3 / E8 / E9.
+//! * [`ThreadedSyncSimulator`] — the same protocol object on the fabric's
+//!   worker threads, mailbox mesh and round barrier; used for wall-clock
+//!   measurements on real multiprocessors and as a second correctness
+//!   witness.
 //!
 //! Both produce logical results identical to the sequential reference — the
 //! differential tests at the bottom of this crate enforce it.

@@ -1,19 +1,22 @@
 //! The modeled synchronous kernel.
 
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
-use parsim_core::{
-    evaluate_gate, GateRuntime, Observe, SimOutcome, SimStats, Simulator, Stimulus, Waveform,
-};
-use parsim_event::{BinaryHeapQueue, Event, EventQueue, VirtualTime};
-use parsim_logic::{GateKind, LogicValue};
-use parsim_machine::{MachineConfig, VirtualMachine};
-use parsim_netlist::{Circuit, GateId};
+use parsim_core::{Observe, SimOutcome, Simulator, Stimulus};
+use parsim_event::VirtualTime;
+use parsim_logic::LogicValue;
+use parsim_machine::MachineConfig;
+use parsim_netlist::Circuit;
 use parsim_partition::Partition;
-use parsim_trace::{Probe, TraceKind};
+use parsim_runtime::Fabric;
+use parsim_trace::Probe;
 
-/// The synchronous global-clock kernel on the virtual multiprocessor.
+use crate::threaded::BarrierProtocol;
+
+/// The synchronous global-clock kernel on the virtual multiprocessor: the
+/// protocol [`ThreadedSyncSimulator`](crate::ThreadedSyncSimulator) runs on
+/// threads, stepped by the fabric's modeled driver
+/// ([`Fabric::run_modeled`]) instead.
 ///
 /// Each superstep: every processor retrieves its events at the common
 /// simulated time, applies them, evaluates its affected gates, distributes
@@ -61,9 +64,9 @@ impl<V: LogicValue> SyncSimulator<V> {
     }
 
     /// Attaches a trace probe. The virtual machine records charge, idle and
-    /// barrier-wait spans on the modeled cost-unit timeline; the kernel adds
-    /// queue operations, gate evaluations and cross-block message sends at
-    /// the same timeline positions.
+    /// barrier-wait spans on the modeled cost-unit timeline; the protocol
+    /// adds dequeues, gate evaluations and cross-block message sends at the
+    /// same timeline positions.
     pub fn with_probe(mut self, probe: Probe) -> Self {
         self.probe = probe;
         self
@@ -81,206 +84,15 @@ impl<V: LogicValue> Simulator<V> for SyncSimulator<V> {
     }
 
     fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
-        assert_eq!(self.partition.len(), circuit.len(), "partition does not match circuit");
-        assert!(
-            circuit.min_gate_delay().ticks() >= 1,
-            "simulation kernels require nonzero gate delays"
-        );
-        let n = circuit.len();
-        let p_count = self.machine.processors;
-        let mut vm = VirtualMachine::new(self.machine);
-        vm.attach_probe(&self.probe);
-        let mut ph = self.probe.handle();
-        let mut stats = SimStats::default();
-
-        let mut values = vec![V::ZERO; n];
-        let mut runtime = vec![GateRuntime::<V>::default(); n];
-        let mut waveforms: BTreeMap<GateId, Waveform<V>> = circuit
-            .ids()
-            .filter(|&id| self.observe.wants(circuit, id))
-            .map(|id| (id, Waveform::new(V::ZERO)))
-            .collect();
-
-        // Per-processor pending event queues. An event on net `g` is
-        // delivered to every processor owning a fanout gate of `g`, plus the
-        // owner of `g` itself (which maintains the authoritative net value).
-        let mut queues: Vec<BinaryHeapQueue<V>> =
-            (0..p_count).map(|_| BinaryHeapQueue::new()).collect();
-
-        let block_of = |id: GateId| self.partition.block_of(id);
-        let dests = |id: GateId| -> Vec<usize> {
-            let mut d: Vec<usize> = circuit.fanout(id).iter().map(|e| block_of(e.gate)).collect();
-            d.push(block_of(id));
-            d.sort_unstable();
-            d.dedup();
-            d
-        };
-
-        // Logical (deduplicated) event production count, for the modeled
-        // sequential-work baseline.
-        let mut logical_events = 0u64;
-
-        // Initialization: stimulus and constants. Distribution costs are not
-        // charged — loading the testbench is setup, not simulation.
-        let mut initial: Vec<Event<V>> = stimulus.events::<V>(circuit, until);
-        for (id, g) in circuit.iter() {
-            if g.kind() == GateKind::Const1 {
-                initial.push(Event::new(VirtualTime::ZERO, id, V::ONE));
-            }
-        }
-        for e in &initial {
-            logical_events += 1;
-            stats.events_scheduled += 1;
-            for &q in &dests(e.net) {
-                queues[q].push(*e);
-            }
-        }
-
-        // Per-processor dirty sets (stamped).
-        let mut stamp = vec![u64::MAX; n];
-        let mut stamp_counter = 0u64;
-        // Deduplicated value application within a step.
-        let mut applied_stamp = vec![u64::MAX; n];
-
-        let mut evals = 0u64;
-        let mut first_step = true;
-
-        loop {
-            // The first step always runs at t = 0 (initial evaluation),
-            // even when the earliest queued event is later.
-            let now = if first_step {
-                VirtualTime::ZERO
-            } else {
-                match queues.iter().filter_map(EventQueue::peek_time).min() {
-                    Some(t) if t <= until => t,
-                    _ => break,
-                }
-            };
-            stamp_counter += 1;
-            let mut dirty: Vec<Vec<GateId>> = vec![Vec::new(); p_count];
-
-            // Phase 1: every processor retrieves and applies its events.
-            for (p, queue) in queues.iter_mut().enumerate() {
-                while queue.peek_time() == Some(now) {
-                    let e = queue.pop().expect("peeked");
-                    vm.charge(p, self.machine.event_cost);
-                    if ph.enabled() {
-                        ph.emit(
-                            vm.clock(p),
-                            now.ticks(),
-                            p as u32,
-                            e.net.index() as u32,
-                            TraceKind::Dequeue,
-                            queue.len() as u64,
-                        );
-                    }
-                    // The block owning the net applies it authoritatively
-                    // (counts once); readers apply to their local copy
-                    // (modeled by the shared array — no second write
-                    // needed, but the event cost above is still paid).
-                    if applied_stamp[e.net.index()] != stamp_counter {
-                        applied_stamp[e.net.index()] = stamp_counter;
-                        stats.events_processed += 1;
-                        if values[e.net.index()] == e.value {
-                            continue;
-                        }
-                        values[e.net.index()] = e.value;
-                        if let Some(w) = waveforms.get_mut(&e.net) {
-                            w.record(now, e.value);
-                        }
-                        for entry in circuit.fanout(e.net) {
-                            if stamp[entry.gate.index()] != stamp_counter {
-                                stamp[entry.gate.index()] = stamp_counter;
-                                dirty[block_of(entry.gate)].push(entry.gate);
-                            }
-                        }
-                    }
-                }
-            }
-            if first_step {
-                for (id, g) in circuit.iter() {
-                    if !g.kind().is_source() && stamp[id.index()] != stamp_counter {
-                        stamp[id.index()] = stamp_counter;
-                        dirty[block_of(id)].push(id);
-                    }
-                }
-                first_step = false;
-            }
-
-            // Phase 2: each processor evaluates its dirty gates and
-            // distributes the resulting events.
-            for (p, dirty_p) in dirty.iter_mut().enumerate() {
-                dirty_p.sort_unstable();
-                for &id in dirty_p.iter() {
-                    vm.charge(p, self.machine.eval_cost);
-                    evals += 1;
-                    stats.gate_evaluations += 1;
-                    if ph.enabled() {
-                        ph.emit(
-                            vm.clock(p),
-                            now.ticks(),
-                            p as u32,
-                            id.index() as u32,
-                            TraceKind::GateEval,
-                            1,
-                        );
-                    }
-                    let out = evaluate_gate(
-                        circuit,
-                        id,
-                        &mut |f| values[f.index()],
-                        &mut runtime[id.index()],
-                    );
-                    if let Some(v) = out {
-                        let e = Event::new(now + circuit.delay(id), id, v);
-                        logical_events += 1;
-                        stats.events_scheduled += 1;
-                        for &q in &dests(id) {
-                            queues[q].push(e);
-                            if q == p {
-                                vm.charge(p, self.machine.event_cost);
-                            } else {
-                                // Remote delivery: sender pays the send,
-                                // receiver pays the receive (the barrier
-                                // hides the latency).
-                                let _ready = vm.send(p, q);
-                                vm.charge(q, self.machine.recv_cost);
-                                stats.messages_sent += 1;
-                                if ph.enabled() {
-                                    ph.emit(
-                                        vm.clock(p),
-                                        now.ticks(),
-                                        p as u32,
-                                        id.index() as u32,
-                                        TraceKind::MessageSend,
-                                        q as u64,
-                                    );
-                                }
-                            }
-                            if ph.enabled() {
-                                ph.emit(
-                                    vm.clock(q),
-                                    e.time.ticks(),
-                                    q as u32,
-                                    id.index() as u32,
-                                    TraceKind::Enqueue,
-                                    queues[q].len() as u64,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Phase 3: barrier to agree on the next simulated time.
-            vm.barrier();
-            stats.barriers += 1;
-        }
-
-        stats.modeled_makespan = vm.makespan();
-        stats.modeled_work =
-            evals * self.machine.eval_cost + 2 * logical_events * self.machine.event_cost;
-        SimOutcome { final_values: values, waveforms, end_time: until, stats }
+        // Interpreted on purpose: the modeled kernels are the differential
+        // reference the compiled paths are checked against.
+        Fabric::new(circuit, &self.partition, 1, self.observe).run_modeled(
+            stimulus,
+            until,
+            &self.probe,
+            &BarrierProtocol,
+            self.machine,
+        )
     }
 }
 

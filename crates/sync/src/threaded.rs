@@ -162,7 +162,7 @@ fn route_event<V: LogicValue>(
         } else {
             stats.messages_sent += 1;
             if cx.probe.enabled() {
-                let t = cx.probe.now_ns();
+                let t = cx.now();
                 cx.probe.emit(
                     t,
                     now.ticks(),
@@ -184,10 +184,10 @@ fn route_event<V: LogicValue>(
 }
 
 /// The synchronous discipline: every worker steps at the same global time.
-struct BarrierProtocol;
+pub(crate) struct BarrierProtocol;
 
 /// Per-worker state: one LP (= partition block) with a private event queue.
-struct SyncWorker<V> {
+pub(crate) struct SyncWorker<V> {
     owned: Vec<GateId>,
     core: LpCore<V>,
     queue: BinaryHeapQueue<V>,
@@ -196,6 +196,10 @@ struct SyncWorker<V> {
 }
 
 impl<V: LogicValue> SyncProtocol<V> for BarrierProtocol {
+    /// The round barrier *is* the discipline, so the modeled machine
+    /// charges it and the deliveries it hides.
+    const SUPERSTEP: bool = true;
+
     type Msg = Event<V>;
     type Worker = SyncWorker<V>;
     /// Earliest pending timestamp: min(queue head, earliest send this round).
@@ -215,12 +219,14 @@ impl<V: LogicValue> SyncProtocol<V> for BarrierProtocol {
         let core =
             LpCore::new(circuit, owned.iter().copied().filter(|&id| observe.wants(circuit, id)));
         let mut queue = BinaryHeapQueue::new();
-        for events in preloads {
-            for e in events {
-                queue.push(e);
-            }
+        let mut stats = SimStats::default();
+        for e in preloads.into_iter().flatten() {
+            // A stimulus or constant event is scheduled once, by the
+            // worker that owns its net, however many readers hold a copy.
+            stats.events_scheduled += u64::from(fabric.topo().lp_of(e.net) == worker);
+            queue.push(e);
         }
-        SyncWorker { owned, core, queue, first: true, stats: SimStats::default() }
+        SyncWorker { owned, core, queue, first: true, stats }
     }
 
     fn first_verdict(&self) -> VirtualTime {
@@ -255,7 +261,7 @@ impl<V: LogicValue> SyncProtocol<V> for BarrierProtocol {
             state.stats.events_processed += 1;
             popped += 1;
             if cx.probe.enabled() {
-                let t = cx.probe.now_ns();
+                let t = cx.now();
                 cx.probe.emit(
                     t,
                     now.ticks(),
@@ -273,7 +279,6 @@ impl<V: LogicValue> SyncProtocol<V> for BarrierProtocol {
             state.core.mark_owned_non_source(circuit, &state.owned);
             state.first = false;
         }
-        cx.charge_events(popped);
 
         // Phase 2: evaluate the dirty batch and distribute. The compiled
         // path runs it through the LP's bytecode (one dispatch per
@@ -282,10 +287,11 @@ impl<V: LogicValue> SyncProtocol<V> for BarrierProtocol {
         // (time, net), so within-batch emission order is immaterial.
         let mut sent_min: Option<VirtualTime> = None;
         let dirty = state.core.take_dirty_sorted();
+        let scheduled_before = state.stats.events_scheduled;
         state.stats.gate_evaluations += dirty.len() as u64;
         if let Some(block) = fabric.compiled_block(me) {
             if cx.probe.enabled() && !dirty.is_empty() {
-                let t = cx.probe.now_ns();
+                let t = cx.now();
                 cx.probe.emit(
                     t,
                     now.ticks(),
@@ -303,7 +309,7 @@ impl<V: LogicValue> SyncProtocol<V> for BarrierProtocol {
         } else {
             for &id in &dirty {
                 if cx.probe.enabled() {
-                    let t = cx.probe.now_ns();
+                    let t = cx.now();
                     cx.probe.emit(
                         t,
                         now.ticks(),
@@ -328,6 +334,9 @@ impl<V: LogicValue> SyncProtocol<V> for BarrierProtocol {
                 }
             }
         }
+        // Each scheduled event costs one local enqueue (the driver's own
+        // block always keeps a copy); remote copies were paid as sends.
+        cx.charge(popped, dirty.len() as u64, state.stats.events_scheduled - scheduled_before);
         state.core.recycle_dirty(dirty);
 
         match (state.queue.peek_time(), sent_min) {

@@ -56,7 +56,7 @@ pub mod stream;
 mod trace;
 
 pub use metrics::{Histogram, Metrics, MetricsSnapshot};
-pub use perfetto::{to_csv, to_perfetto_json};
+pub use perfetto::{json_string, to_csv, to_perfetto_json};
 pub use probe::{Probe, ProbeHandle, DEFAULT_CAPACITY};
 pub use record::{TraceKind, TraceRecord, NO_LP};
 pub use report::run_report;

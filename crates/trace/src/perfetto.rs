@@ -17,9 +17,12 @@ use std::fmt::Write as _;
 
 use crate::{Trace, TraceKind, TraceRecord, NO_LP};
 
-/// Escapes a string for a JSON string literal (control characters, quotes,
-/// backslashes).
-fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` as a JSON string literal: quoted, with quotes, backslashes
+/// and control characters escaped. The workspace's one JSON string writer
+/// (the Perfetto export here, the server's `Json` renderer and the bench
+/// tables all call it).
+pub fn json_string(s: &str, out: &mut String) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -33,6 +36,7 @@ fn escape_json(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+    out.push('"');
 }
 
 /// The `tid` a record renders under: LP-scoped records get their LP track,
@@ -86,9 +90,9 @@ pub fn to_perfetto_json(trace: &Trace) -> String {
 
     for r in trace.records() {
         line.clear();
-        line.push_str("{\"name\":\"");
-        escape_json(r.kind.label(), &mut line);
-        line.push_str("\",");
+        line.push_str("{\"name\":");
+        json_string(r.kind.label(), &mut line);
+        line.push(',');
         match r.kind {
             TraceKind::Charge | TraceKind::Idle | TraceKind::BarrierWait | TraceKind::Compile => {
                 let _ = write!(line, "\"ph\":\"X\",\"dur\":{},", r.arg);
@@ -178,7 +182,7 @@ mod tests {
     #[test]
     fn escaping() {
         let mut s = String::new();
-        escape_json("a\"b\\c\nd\u{1}", &mut s);
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
+        json_string("a\"b\\c\nd\u{1}", &mut s);
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }
