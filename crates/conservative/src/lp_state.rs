@@ -75,10 +75,12 @@ pub(crate) struct LpState<V> {
     pub(crate) index: usize,
     core: LpCore<V>,
     queue: BinaryHeapQueue<V>,
-    /// Channel clocks: `in_clock[src]` is the promise from LP `src`.
-    in_clock: BTreeMap<usize, VirtualTime>,
-    /// Last null-message value sent per outgoing channel (to avoid resends).
-    last_null: BTreeMap<usize, VirtualTime>,
+    /// Channel clocks: `in_clock[i]` is the promise from LP
+    /// `in_channels[i]` of this LP's spec (sorted, de-duplicated).
+    in_clock: Vec<VirtualTime>,
+    /// Last null-message value sent per outgoing channel (to avoid
+    /// resends), aligned with the spec's `out_channels`.
+    last_null: Vec<VirtualTime>,
     /// Timestamp frontier: all timestamps `< frontier` are fully processed.
     frontier: VirtualTime,
     did_initial: bool,
@@ -96,8 +98,8 @@ impl<V: LogicValue> LpState<V> {
             index,
             core: LpCore::new(circuit, observed),
             queue: BinaryHeapQueue::new(),
-            in_clock: spec.in_channels.iter().map(|&s| (s, VirtualTime::ZERO)).collect(),
-            last_null: spec.out_channels.iter().map(|&d| (d, VirtualTime::ZERO)).collect(),
+            in_clock: vec![VirtualTime::ZERO; spec.in_channels.len()],
+            last_null: vec![VirtualTime::ZERO; spec.out_channels.len()],
             frontier: VirtualTime::ZERO,
             did_initial: false,
         }
@@ -120,14 +122,18 @@ impl<V: LogicValue> LpState<V> {
     }
 
     /// Handles an incoming null message from `src`.
-    pub(crate) fn receive_null(&mut self, src: usize, time: VirtualTime) {
-        let clock = self.in_clock.get_mut(&src).expect("null from a known channel");
+    pub(crate) fn receive_null(&mut self, topo: &LpTopology, src: usize, time: VirtualTime) {
+        let channel = topo.lps()[self.index]
+            .in_channels
+            .binary_search(&src)
+            .expect("null from a known channel");
+        let clock = &mut self.in_clock[channel];
         *clock = (*clock).max(time);
     }
 
     /// Recovery: advances every channel clock to at least `time`.
     pub(crate) fn recover_to(&mut self, time: VirtualTime) {
-        for clock in self.in_clock.values_mut() {
+        for clock in &mut self.in_clock {
             *clock = (*clock).max(time);
         }
     }
@@ -135,7 +141,7 @@ impl<V: LogicValue> LpState<V> {
     /// The input-waiting-rule bound: events strictly earlier than this are
     /// safe to process.
     pub(crate) fn safe_time(&self) -> VirtualTime {
-        self.in_clock.values().copied().min().unwrap_or(VirtualTime::INFINITY)
+        self.in_clock.iter().copied().min().unwrap_or(VirtualTime::INFINITY)
     }
 
     /// The commit frontier: every timestamp strictly below it is fully
@@ -194,8 +200,7 @@ impl<V: LogicValue> LpState<V> {
                 // a boundary gate of delay ≥ lookahead.
                 let horizon = self.queue.peek_time().unwrap_or(VirtualTime::INFINITY).min(safe);
                 let bound = (horizon + spec.lookahead).min(until + Delay::UNIT);
-                for &dst in &spec.out_channels {
-                    let last = self.last_null.get_mut(&dst).expect("known channel");
+                for (&dst, last) in spec.out_channels.iter().zip(&mut self.last_null) {
                     if bound > *last {
                         *last = bound;
                         out(Outgoing::Null { dst, time: bound });

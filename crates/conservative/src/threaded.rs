@@ -304,7 +304,7 @@ impl<V: LogicValue> SyncProtocol<V> for CmbProtocol {
                 cx.receive(i as usize);
                 match inbox[i as usize] {
                     Wire::Event(_, e) => lp.receive_event(e),
-                    Wire::Null { src, time, .. } => lp.receive_null(src, time),
+                    Wire::Null { src, time, .. } => lp.receive_null(topo, src, time),
                 }
             }
             let block = fabric.compiled_block(lp_idx);

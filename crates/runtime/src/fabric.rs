@@ -718,12 +718,12 @@ impl<'c> Fabric<'c> {
 
         loop {
             round += 1;
-            // Drain every inbox before any worker runs: round r's posts
-            // are visible in round r + 1 only, as behind the rendezvous.
-            mesh.enter_round(round);
+            // The same sealed drain as `worker_loop`: round r's posts are
+            // visible in round r + 1 only, exactly as behind the rendezvous,
+            // because the mesh enforces it on both drivers.
             modeled.begin_round();
             for (p, inbox) in inboxes.iter_mut().enumerate() {
-                mesh.drain_into(p, inbox);
+                mesh.drain_round_into(p, round, inbox);
                 debug_assert!(P::SUPERSTEP || modeled.arrived[p].len() == inbox.len());
             }
             for p in 0..self.workers {
@@ -741,6 +741,7 @@ impl<'c> Fabric<'c> {
                 reports[p] = Some(protocol.round(self, &mut states[p], &verdict, &mut cx));
                 inboxes[p].clear();
                 outboxes[p].flush();
+                mesh.seal_round(p, round);
             }
             if P::SUPERSTEP {
                 modeled.vm.barrier();
@@ -805,9 +806,6 @@ impl<'c> Fabric<'c> {
 
         loop {
             rounds += 1;
-            // Advance the mesh's round stamp before this round's drain, so
-            // every push the drain observes is stamped <= its epoch.
-            shared.mesh.enter_round(rounds);
             if let Some(inj) = &shared.injector {
                 inj.enter_round(rounds);
                 if inj.should_poison(p, rounds) {
@@ -835,7 +833,10 @@ impl<'c> Fabric<'c> {
                         panic!("injected kill of worker {p} at round {rounds}");
                     }
                 }
-                shared.mesh.drain_into(p, &mut inbox);
+                // Exactly what every peer sealed before the rendezvous
+                // that opened this round: a fast peer's posts of this
+                // round stay queued, however late this drain runs.
+                shared.mesh.drain_round_into(p, rounds, &mut inbox);
                 let mut cx = RoundCx {
                     worker: p,
                     until,
@@ -850,6 +851,7 @@ impl<'c> Fabric<'c> {
                 let report = protocol.round(self, &mut state, &verdict, &mut cx);
                 inbox.clear();
                 outbox.flush();
+                shared.mesh.seal_round(p, rounds);
                 report
             }));
             let report = match round_result {

@@ -11,9 +11,9 @@
 //! Delivery itself is lock-free: the mesh holds one bounded
 //! [`SpscRing`](crate::spsc) per (sender, receiver) pair, so a post is a
 //! slot write plus a `Release` store of the producer's tail counter and a
-//! drain is one `Acquire` snapshot of each inbound tail (a consistent
-//! round cut) — no mutex, no syscall, no cross-worker contention beyond
-//! the cache-coherence traffic of the counters themselves. Bursts beyond
+//! drain is one `Acquire` snapshot of each inbound tail — no mutex, no
+//! syscall, no cross-worker contention beyond the cache-coherence traffic
+//! of the counters themselves. Bursts beyond
 //! a ring's capacity overflow into that ring's mutexed spill vector
 //! (counted, traced as `ring_spill`, never lost). The previous
 //! mutex-per-mailbox transport survives as [`MutexedMesh`], the measured
@@ -27,6 +27,14 @@
 //! among themselves; the ring's spill protocol (see `spsc.rs`) keeps FIFO
 //! across overflow. Messages on *different* channels have no ordering
 //! relation, exactly as before.
+//!
+//! Round delivery: [`MailboxMesh::drain_into`] takes everything published
+//! so far, which under a fabric would let a late drain consume a fast
+//! peer's posts of the *same* round. The fabric therefore drains through
+//! the round seal instead — each worker calls [`MailboxMesh::seal_round`]
+//! after its end-of-round flush, and [`MailboxMesh::drain_round_into`] in
+//! round *r* takes exactly what its senders sealed in round *r − 1* — so
+//! what a worker receives in a round does not depend on thread timing.
 //!
 //! Fault tolerance: a mesh built with [`MailboxMesh::with_faults`] carries
 //! the fault-injection layer (see [`FaultPlan`](crate::FaultPlan)): each
@@ -45,7 +53,7 @@ use crate::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
 
 use crate::fault::{BatchFault, FaultInjector};
 use crate::poison::lock_recover;
-use crate::spsc::{SpscRing, DEFAULT_RING_CAPACITY, MAX_RING_CAPACITY};
+use crate::spsc::{Cut, SpscRing, DEFAULT_RING_CAPACITY, MAX_RING_CAPACITY};
 
 /// Default number of messages an [`Outbox`] accumulates per destination
 /// before posting the batch early. Large enough that a typical activation
@@ -107,9 +115,6 @@ struct FaultState<M> {
 pub struct MailboxMesh<M> {
     workers: usize,
     rings: Vec<SpscRing<M>>,
-    /// Current fabric round, advanced by [`MailboxMesh::enter_round`];
-    /// stamps pushes and bounds the drain cut (diagnostic).
-    epoch: AtomicU64,
     /// Total messages that overflowed a ring into its spill (mesh-wide,
     /// monotonic); surfaced per round as a `ring_spill` trace instant.
     spills: AtomicU64,
@@ -144,7 +149,6 @@ impl<M> MailboxMesh<M> {
         MailboxMesh {
             workers,
             rings: (0..workers * workers).map(|_| SpscRing::new(capacity)).collect(),
-            epoch: AtomicU64::new(0),
             spills: AtomicU64::new(0),
             faults: None,
         }
@@ -176,13 +180,6 @@ impl<M> MailboxMesh<M> {
     /// The (`src` → `dst`) channel.
     fn ring(&self, src: usize, dst: usize) -> &SpscRing<M> {
         &self.rings[src * self.workers + dst]
-    }
-
-    /// Advances the mesh's round stamp (monotonic). The fabric calls this
-    /// at the top of every round, before the round's drain, so every push
-    /// a drain observes carries a stamp ≤ the drain's epoch.
-    pub fn enter_round(&self, round: u64) {
-        self.epoch.fetch_max(round, Ordering::AcqRel);
     }
 
     /// Total messages that have overflowed a full ring into its spill
@@ -238,6 +235,38 @@ impl<M> MailboxMesh<M> {
     /// Panics if `w` is out of range, or if another thread is concurrently
     /// draining `w` (mesh misuse: one consumer per mailbox).
     pub fn drain_into(&self, w: usize, into: &mut Vec<M>) {
+        self.drain(w, into, Cut::Published);
+    }
+
+    /// Seals worker `src`'s outgoing channels for `round`: everything it
+    /// has posted so far — and nothing it posts later — is what its peers'
+    /// round-`round + 1` [`drain_round_into`](MailboxMesh::drain_round_into)
+    /// takes. Call after the round's last post (the outbox flush) and
+    /// before the round's synchronization point.
+    pub fn seal_round(&self, src: usize, round: u64) {
+        for dst in 0..self.workers {
+            self.ring(src, dst).seal(round);
+        }
+    }
+
+    /// Worker `w`'s drain for `round` (1-based): like
+    /// [`drain_into`](MailboxMesh::drain_into), but each inbound channel
+    /// stops at its sender's round-`round − 1` seal, so posts a fast peer
+    /// has already made in `round` stay queued for `round + 1` however
+    /// late this drain runs. Round 1 has no seal before it and delivers
+    /// nothing. Requires a synchronization point between a round's seals
+    /// and the next round's drains (the fabric's rendezvous).
+    ///
+    /// # Panics
+    ///
+    /// As [`drain_into`](MailboxMesh::drain_into).
+    pub fn drain_round_into(&self, w: usize, round: u64, into: &mut Vec<M>) {
+        self.drain(w, into, Cut::SealedIn(round - 1));
+    }
+
+    /// The one drain: expired held batches, then every inbound ring up to
+    /// `cut`.
+    fn drain(&self, w: usize, into: &mut Vec<M>, cut: Cut) {
         if let Some(f) = &self.faults {
             let round = f.injector.round();
             let mut held = Self::held(f, w);
@@ -253,9 +282,8 @@ impl<M> MailboxMesh<M> {
                 }
             });
         }
-        let epoch = self.epoch.load(Ordering::Acquire);
         for src in 0..self.workers {
-            self.ring(src, w).drain_into(into, epoch);
+            self.ring(src, w).drain_into(into, cut);
         }
     }
 
@@ -345,11 +373,10 @@ impl<M: Clone> MailboxMesh<M> {
         self.deliver(src, dst, batch);
     }
 
-    /// Pushes the batch onto the channel's ring, stamped with the current
-    /// epoch, counting any spill overflow.
+    /// Pushes the batch onto the channel's ring, counting any spill
+    /// overflow.
     fn deliver(&self, src: usize, dst: usize, batch: &mut Vec<M>) {
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let spilled = self.ring(src, dst).push_batch(batch, epoch);
+        let spilled = self.ring(src, dst).push_batch(batch);
         if spilled > 0 {
             // relaxed: monotonic statistics counter, no data guarded by it.
             self.spills.fetch_add(spilled, Ordering::Relaxed);
@@ -578,6 +605,31 @@ mod tests {
         }
         assert_eq!(got, (0..75).collect::<Vec<_>>());
         assert_eq!(mesh.spill_events(), 0, "3-message rounds fit a 4-slot ring");
+    }
+
+    #[test]
+    fn round_drain_delivers_each_rounds_posts_in_the_next_round_only() {
+        // Tiny rings, 5-message rounds: every round's burst spills, and a
+        // sender running a round ahead of the drain is never overheard.
+        let mesh = MailboxMesh::with_ring_capacity(2, 2);
+        let mut outbox = Outbox::new(&mesh, 0, 3);
+        let mut got = Vec::new();
+        for round in 1..=20u64 {
+            // This round's posts are already queued when the drain runs.
+            for k in 0..5 {
+                outbox.send(1, round * 5 + k);
+            }
+            outbox.flush();
+            mesh.drain_round_into(1, round, &mut got);
+            let sealed: Vec<u64> =
+                if round == 1 { Vec::new() } else { ((round - 1) * 5..round * 5).collect() };
+            assert_eq!(got, sealed, "round {round}");
+            got.clear();
+            mesh.seal_round(0, round);
+        }
+        assert!(mesh.spill_events() > 0, "capacity 2 under 5-message rounds must spill");
+        mesh.drain_into(1, &mut got);
+        assert_eq!(got, (100..105).collect::<Vec<_>>(), "the last round is still queued");
     }
 
     #[test]

@@ -306,9 +306,9 @@ impl DecideCx<'_> {
 ///
 /// ```text
 /// loop {
-///     drain mailbox → inbox
+///     drain mailbox → inbox                         // up to the round seal
 ///     report = protocol.round(state, verdict, cx)   // act on verdict,
-///     flush outbox                                  // apply inbox, work
+///     flush outbox, seal the round                  // apply inbox, work
 ///     rendezvous {                                  // one barrier crossing
 ///         last arriver: decision = protocol.decide(reports)
 ///     }
@@ -316,9 +316,12 @@ impl DecideCx<'_> {
 /// }
 /// ```
 ///
-/// Messages posted during round *r* are visible in every inbox at round
-/// *r + 1* — the rendezvous is the delivery guarantee: nobody is released
-/// into round *r + 1* before everybody has flushed round *r*. A verdict
+/// Messages posted during round *r* are in every inbox at round *r + 1*,
+/// and nothing else is: nobody is released into round *r + 1* before
+/// everybody has flushed round *r* (the rendezvous), and a drain stops at
+/// what its senders had posted when they sealed round *r* (the mesh), so a
+/// fast peer's round-*r + 1* posts wait for round *r + 2*. What a worker
+/// receives in a round therefore never depends on thread timing. A verdict
 /// decided after round *r* is acted on at the *start* of round *r + 1*
 /// (e.g. deadlock recovery, fossil collection), which is equivalent to
 /// acting right after the release since nothing happens in between.

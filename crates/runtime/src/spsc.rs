@@ -13,10 +13,21 @@
 //!
 //! - **Publish**: the producer writes the slot, then `tail.store(Release)`.
 //!   The consumer's `tail.load(Acquire)` therefore happens-after the slot
-//!   write for every position below the loaded value. The loaded value is
-//!   the *round cut*: one snapshot per drain, so a drain observes a
-//!   consistent prefix of the channel even while the producer keeps
-//!   pushing.
+//!   write for every position below the loaded value: one snapshot per
+//!   drain, so a drain observes a consistent prefix of the channel even
+//!   while the producer keeps pushing.
+//! - **Seal**: the fabric's *round cut*. After its last push of round
+//!   `r` the producer stores the channel's message count (`tail` plus
+//!   everything ever spilled) into `seals[r & 1]` (`Release`), then
+//!   arrives at the round rendezvous. The consumer's round-`r + 1` drain
+//!   loads that slot (`Acquire`, so every sealed push happens-before it),
+//!   subtracts what it has consumed (`head` plus everything ever taken
+//!   from the spill) and takes exactly that many messages — whatever the
+//!   producer has pushed since stays for round `r + 2`. Two slots
+//!   suffice: the producer overwrites `seals[r & 1]` next at its round
+//!   `r + 2` seal, which is after rendezvous `r + 1`, which the consumer
+//!   reaches only after its round-`r + 1` drain. The seal is a count, not
+//!   a position, because the cut may fall inside the spill.
 //! - **Free**: the consumer takes the slots, then `head.store(Release)`;
 //!   the producer's `head.load(Acquire)` happens-after the takes, so a
 //!   slot is never overwritten while the consumer may still read it.
@@ -31,10 +42,12 @@
 //!   `tail` snapshot — its original cut may predate the spill, and ring
 //!   entries past it are still older than the spill; the producer cannot
 //!   ring-push in between because the sole producer already observed its
-//!   own spill — then appends the spill and zeroes `spill_pending`
-//!   (`Release`) under the same lock. Ring-order then spill-order is
-//!   exactly send order, preserving per-channel FIFO (model-checked:
-//!   `ring_spill_is_exactly_once_and_fifo_under_race`).
+//!   own spill — then takes the spill (all of it, or the front of it
+//!   when a seal cuts inside) and republishes `spill_pending` (`Release`)
+//!   under the same lock. Ring-order then spill-order is exactly send
+//!   order, preserving per-channel FIFO (model-checked:
+//!   `ring_spill_is_exactly_once_and_fifo_under_race`,
+//!   `seal_inside_the_spill_keeps_fifo_and_exactly_once`).
 //! - The only `Relaxed` loads are each side's load of its *own* counter,
 //!   which no other thread writes.
 //!
@@ -76,14 +89,36 @@ pub const MAX_RING_CAPACITY: usize = 1 << 15;
 #[derive(Debug, Default)]
 struct CachePadded<T>(T);
 
+/// The words the producer publishes through, sharing one cache line: the
+/// consumer's sealed drain reads a seal and then `tail`, one miss for both.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+struct ProducerSide {
+    /// Next position the producer will fill.
+    tail: AtomicU64,
+    /// Round seals, indexed by round parity: the channel's message count
+    /// when the producer finished that round (module docs, **Seal**).
+    seals: [AtomicU64; 2],
+}
+
+/// How far a drain reads into the channel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Cut {
+    /// Everything published so far.
+    Published,
+    /// Exactly the messages the producer had sent when it sealed the given
+    /// round, minus what earlier drains took.
+    SealedIn(u64),
+}
+
 /// A bounded SPSC ring with a mutexed spill for overflow. See the module
 /// docs for the ordering protocol.
 #[derive(Debug)]
 pub(crate) struct SpscRing<M> {
     /// Next position the consumer will take. Written only by the consumer.
     head: CachePadded<AtomicU64>,
-    /// Next position the producer will fill. Written only by the producer.
-    tail: CachePadded<AtomicU64>,
+    /// `tail` and the round seals. Written only by the producer.
+    producer: ProducerSide,
     /// `capacity - 1`; capacity is a power of two.
     mask: u64,
     /// Slot `pos & mask` is initialized exactly when
@@ -96,9 +131,11 @@ pub(crate) struct SpscRing<M> {
     /// Number of spilled messages awaiting drain; maintained under the
     /// spill lock, read lock-free by the producer fast path.
     spill_pending: AtomicU64,
-    /// Round stamp of the youngest push (diagnostic: a drain at epoch `e`
-    /// must never observe a push stamped `> e`).
-    push_epoch: AtomicU64,
+    /// Messages ever spilled (producer-owned) and ever taken back out of
+    /// the spill (consumer-owned): with `tail` and `head` they count the
+    /// channel's messages sent and consumed, which is what a seal cuts.
+    spilled: AtomicU64,
+    unspilled: AtomicU64,
     /// Runtime single-producer / single-consumer enforcement.
     producer_busy: AtomicBool,
     consumer_busy: AtomicBool,
@@ -146,12 +183,13 @@ impl<M> SpscRing<M> {
         let slots = (0..capacity).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect();
         Self {
             head: CachePadded::default(),
-            tail: CachePadded::default(),
+            producer: ProducerSide::default(),
             mask: capacity as u64 - 1,
             slots,
             spill: Mutex::new(Vec::new()),
             spill_pending: AtomicU64::new(0),
-            push_epoch: AtomicU64::new(0),
+            spilled: AtomicU64::new(0),
+            unspilled: AtomicU64::new(0),
             producer_busy: AtomicBool::new(false),
             consumer_busy: AtomicBool::new(false),
         }
@@ -246,7 +284,7 @@ impl<M> SpscRing<M> {
         })
     }
 
-    /// Pushes every message of `batch` in order, stamped with `epoch`.
+    /// Pushes every message of `batch` in order.
     /// Messages that do not fit in the ring go to the spill (never lost);
     /// returns how many spilled. Panics if a second producer is active.
     ///
@@ -255,11 +293,10 @@ impl<M> SpscRing<M> {
     /// a batch of N messages costs O(1) atomics plus N plain slot writes —
     /// that amortization is what lets the lock-free path beat a
     /// one-lock-per-batch mutex.
-    pub(crate) fn push_batch(&self, batch: &mut Vec<M>, epoch: u64) -> u64 {
+    pub(crate) fn push_batch(&self, batch: &mut Vec<M>) -> u64 {
         let _claim = claim(&self.producer_busy, "producer");
-        self.push_epoch.store(epoch, Ordering::Release);
         // relaxed: `tail` is written only by this (sole) producer.
-        let mut tail = self.tail.0.load(Ordering::Relaxed);
+        let mut tail = self.producer.tail.load(Ordering::Relaxed);
         // May this batch use the ring at all? Once anything spills, FIFO
         // forbids newer messages overtaking it. The lock-free check is
         // stable when it reads 0 — only this producer makes the spill
@@ -293,7 +330,7 @@ impl<M> SpscRing<M> {
                 tail = tail.wrapping_add(n as u64);
                 // One Release publishes the whole chunk: a racing drain
                 // sees chunk-granular prefixes, never a torn chunk.
-                self.tail.0.store(tail, Ordering::Release);
+                self.producer.tail.store(tail, Ordering::Release);
             }
         }
         let spilled = batch.len() as u64;
@@ -301,8 +338,21 @@ impl<M> SpscRing<M> {
             let mut spill = spill_guard.unwrap_or_else(|| lock_recover(&self.spill));
             spill.append(batch);
             self.spill_pending.store(spill.len() as u64, Ordering::Release);
+            // relaxed: `spilled` is read only by this (sole) producer.
+            self.spilled.fetch_add(spilled, Ordering::Relaxed);
         }
         spilled
+    }
+
+    /// Seals `round`: records how many messages this channel has carried
+    /// so far, for the consumer's round-`round + 1` drain to stop at.
+    /// Producer side, after the round's last push and before the round
+    /// rendezvous (module docs, **Seal**).
+    pub(crate) fn seal(&self, round: u64) {
+        // relaxed: both counters are written only by this (sole) producer.
+        let sent =
+            self.producer.tail.load(Ordering::Relaxed) + self.spilled.load(Ordering::Relaxed);
+        self.producer.seals[(round & 1) as usize].store(sent, Ordering::Release);
     }
 
     /// Pops ring slots `[*pos, cut)` into `into`, advancing `*pos`.
@@ -344,37 +394,59 @@ impl<M> SpscRing<M> {
         *pos = cut;
     }
 
-    /// Appends every message published before the call to `into`, in send
-    /// order: the ring prefix up to one `tail` snapshot (the consistent
-    /// round cut), then — if anything spilled — the remainder of the ring
-    /// and the spill. Panics if a second consumer is active; debug-asserts
-    /// that no observed push is stamped after `epoch`.
-    pub(crate) fn drain_into(&self, into: &mut Vec<M>, epoch: u64) {
+    /// Pops up to `*left` ring slots from `*pos` towards `cut`, charging
+    /// them to `*left`.
+    fn pop_some(&self, into: &mut Vec<M>, pos: &mut u64, cut: u64, left: &mut u64) {
+        let take = cut.wrapping_sub(*pos).min(*left);
+        self.pop_to(into, pos, pos.wrapping_add(take));
+        *left -= take;
+    }
+
+    /// Appends the channel's messages up to `cut` to `into`, in send order:
+    /// the ring prefix up to one `tail` snapshot, then — if anything
+    /// spilled — the remainder of the ring and the spill. A sealed cut
+    /// stops after exactly the sealed count, wherever that falls (ring or
+    /// spill), and leaves the rest in place. Panics if a second consumer
+    /// is active.
+    pub(crate) fn drain_into(&self, into: &mut Vec<M>, cut: Cut) {
         let _claim = claim(&self.consumer_busy, "consumer");
-        let cut = self.tail.0.load(Ordering::Acquire);
-        debug_assert!(
-            self.push_epoch.load(Ordering::Acquire) <= epoch,
-            "drain at epoch {epoch} observed a push from a later round"
-        );
-        // relaxed: `head` is written only by this (sole) consumer.
+        // relaxed: `head` and `unspilled` are written only by this (sole)
+        // consumer.
         let start = self.head.0.load(Ordering::Relaxed);
+        let taken = self.unspilled.load(Ordering::Relaxed);
+        // The seal is loaded before `tail`, so the snapshot below covers
+        // every sealed ring push. A `Published` drain that ran ahead of
+        // the seal leaves nothing to take (saturating).
+        let mut left = match cut {
+            Cut::Published => u64::MAX,
+            Cut::SealedIn(round) => self.producer.seals[(round & 1) as usize]
+                .load(Ordering::Acquire)
+                .saturating_sub(start.wrapping_add(taken)),
+        };
+        let snapshot = self.producer.tail.load(Ordering::Acquire);
         let mut pos = start;
-        self.pop_to(into, &mut pos, cut);
-        if self.spill_pending.load(Ordering::Acquire) != 0 {
+        self.pop_some(into, &mut pos, snapshot, &mut left);
+        if left > 0 && self.spill_pending.load(Ordering::Acquire) != 0 {
             let mut spill = lock_recover(&self.spill);
             if !spill.is_empty() {
                 // FIFO across the boundary: while the spill is non-empty
                 // every producer push goes to the spill (the fast path
                 // re-checks `spill_pending`, the slow path holds this
                 // lock), so every ring entry — including ones published
-                // *after* our `cut` snapshot — is older than every spilled
+                // *after* our snapshot — is older than every spilled
                 // message. Pop the ring to a fresh snapshot before taking
                 // the spill; the producer cannot ring-push in between.
-                let fresh = self.tail.0.load(Ordering::Acquire);
-                self.pop_to(into, &mut pos, fresh);
-                into.append(&mut spill);
+                let fresh = self.producer.tail.load(Ordering::Acquire);
+                self.pop_some(into, &mut pos, fresh, &mut left);
+                // A seal that cuts inside the spill leaves the rest: it
+                // keeps the spill non-empty, so younger pushes keep
+                // queueing behind it.
+                let n = left.min(spill.len() as u64) as usize;
+                into.extend(spill.drain(..n));
+                // relaxed: consumer-owned, as above.
+                self.unspilled.store(taken + n as u64, Ordering::Relaxed);
             }
-            self.spill_pending.store(0, Ordering::Release);
+            self.spill_pending.store(spill.len() as u64, Ordering::Release);
         }
         if pos != start {
             self.head.0.store(pos, Ordering::Release);
@@ -392,7 +464,7 @@ impl<M> SpscRing<M> {
     /// True when nothing is published and nothing is spilled. Exact only
     /// while the producer is quiescent (e.g. between fabric barriers).
     pub(crate) fn is_empty(&self) -> bool {
-        self.head.0.load(Ordering::Acquire) == self.tail.0.load(Ordering::Acquire)
+        self.head.0.load(Ordering::Acquire) == self.producer.tail.load(Ordering::Acquire)
             && self.spill_pending.load(Ordering::Acquire) == 0
     }
 }
@@ -403,7 +475,7 @@ impl<M> Drop for SpscRing<M> {
     /// itself. `&mut self` proves both sides are quiescent, so plain
     /// loads suffice. (The spill is a `Vec` and drops itself.)
     fn drop(&mut self) {
-        let tail = self.tail.0.load(Ordering::Acquire);
+        let tail = self.producer.tail.load(Ordering::Acquire);
         let mut pos = self.head.0.load(Ordering::Acquire);
         while pos != tail {
             drop(self.slot_take(pos));
@@ -423,12 +495,12 @@ mod tests {
         let mut out = Vec::new();
         for i in 0u64..100 {
             batch.push(i);
-            ring.push_batch(&mut batch, 0);
+            ring.push_batch(&mut batch);
             if i % 2 == 1 {
-                ring.drain_into(&mut out, 0);
+                ring.drain_into(&mut out, Cut::Published);
             }
         }
-        ring.drain_into(&mut out, 0);
+        ring.drain_into(&mut out, Cut::Published);
         assert_eq!(out, (0..100).collect::<Vec<_>>());
         assert!(ring.is_empty());
     }
@@ -437,14 +509,14 @@ mod tests {
     fn burst_beyond_capacity_spills_and_preserves_order() {
         let ring = SpscRing::new(4);
         let mut batch: Vec<u64> = (0..11).collect();
-        let spilled = ring.push_batch(&mut batch, 0);
+        let spilled = ring.push_batch(&mut batch);
         assert_eq!(spilled, 7, "4 in the ring, 7 in the spill");
         assert!(!ring.is_empty());
         // FIFO: nothing may ring-enter past a non-empty spill.
         let mut batch2: Vec<u64> = vec![11, 12];
-        assert_eq!(ring.push_batch(&mut batch2, 0), 2);
+        assert_eq!(ring.push_batch(&mut batch2), 2);
         let mut out = Vec::new();
-        ring.drain_into(&mut out, 0);
+        ring.drain_into(&mut out, Cut::Published);
         assert_eq!(out, (0..13).collect::<Vec<_>>());
         assert!(ring.is_empty());
     }
@@ -453,14 +525,71 @@ mod tests {
     fn spill_then_ring_reentry_after_drain_keeps_fifo() {
         let ring = SpscRing::new(2);
         let mut b: Vec<u64> = vec![0, 1, 2];
-        ring.push_batch(&mut b, 0);
+        ring.push_batch(&mut b);
         let mut out = Vec::new();
-        ring.drain_into(&mut out, 0);
+        ring.drain_into(&mut out, Cut::Published);
         // Spill drained: the fast path is legal again.
         let mut b2: Vec<u64> = vec![3, 4];
-        assert_eq!(ring.push_batch(&mut b2, 1), 0);
-        ring.drain_into(&mut out, 1);
+        assert_eq!(ring.push_batch(&mut b2), 0);
+        ring.drain_into(&mut out, Cut::Published);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn sealed_drain_stops_at_the_seal_in_the_ring_and_inside_the_spill() {
+        let ring = SpscRing::new(4);
+        let mut out = Vec::new();
+        ring.drain_into(&mut out, Cut::SealedIn(0));
+        assert!(out.is_empty(), "nothing is sealed before round 1");
+
+        // Round 1: the cut falls inside the ring.
+        let mut b: Vec<u64> = vec![0, 1];
+        ring.push_batch(&mut b);
+        ring.seal(1);
+        b.push(2);
+        ring.push_batch(&mut b);
+        ring.drain_into(&mut out, Cut::SealedIn(1));
+        assert_eq!(out, vec![0, 1]);
+
+        // Round 2: 2 is still queued, 3..=5 fill the ring, 6..=8 spill; the
+        // seal covers 2..=6, so the cut falls inside the spill.
+        b.extend(3..=6);
+        assert_eq!(ring.push_batch(&mut b), 1);
+        ring.seal(2);
+        b.extend(7..=8);
+        assert_eq!(ring.push_batch(&mut b), 2, "behind a pending spill everything spills");
+        ring.drain_into(&mut out, Cut::SealedIn(2));
+        assert_eq!(out, (0..=6).collect::<Vec<_>>());
+        assert!(!ring.is_empty(), "7 and 8 stay in the spill");
+
+        // Round 3: a post behind the remaining spill keeps FIFO; then the
+        // spill empties and the ring is legal again.
+        b.push(9);
+        assert_eq!(ring.push_batch(&mut b), 1);
+        ring.seal(3);
+        ring.drain_into(&mut out, Cut::SealedIn(3));
+        assert_eq!(out, (0..=9).collect::<Vec<_>>());
+        assert!(ring.is_empty());
+        b.push(10);
+        assert_eq!(ring.push_batch(&mut b), 0);
+        ring.seal(4);
+        ring.drain_into(&mut out, Cut::SealedIn(4));
+        assert_eq!(out, (0..=10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn published_drain_past_a_seal_leaves_the_sealed_drain_nothing() {
+        let ring = SpscRing::new(2);
+        let mut b: Vec<u64> = vec![0, 1, 2];
+        ring.push_batch(&mut b);
+        ring.seal(1);
+        b.push(3);
+        ring.push_batch(&mut b);
+        let mut out = Vec::new();
+        ring.drain_into(&mut out, Cut::Published);
+        assert_eq!(out, vec![0, 1, 2, 3]);
+        ring.drain_into(&mut out, Cut::SealedIn(1));
+        assert_eq!(out.len(), 4, "already consumed past the seal: nothing twice");
     }
 
     #[test]

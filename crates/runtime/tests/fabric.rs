@@ -165,6 +165,87 @@ fn workers_exceeding_lps_still_run() {
     assert_eq!(stats.events_processed, 24);
 }
 
+/// Strict round delivery as a protocol: every worker posts its round number
+/// to every worker (itself included) each round, and requires its round-*r*
+/// inbox to hold exactly the P messages stamped *r − 1* — nothing from the
+/// round in progress, nothing left over — and none in round 1.
+struct RoundEcho {
+    rounds: u64,
+}
+
+impl SyncProtocol<Bit> for RoundEcho {
+    type Msg = u64;
+    type Worker = ();
+    type Report = ();
+    /// Completed round count.
+    type Verdict = u64;
+
+    fn worker(&self, _f: &Fabric<'_>, _w: usize, _p: Vec<Vec<Event<Bit>>>) {}
+
+    fn first_verdict(&self) -> u64 {
+        0
+    }
+
+    fn round(&self, fabric: &Fabric<'_>, _s: &mut (), done: &u64, cx: &mut RoundCx<'_, '_, u64>) {
+        let round = done + 1;
+        let expected = if round == 1 { Vec::new() } else { vec![round - 1; fabric.workers()] };
+        assert_eq!(*cx.inbox, expected, "worker {} round {round}: not round-strict", cx.worker);
+        cx.inbox.clear();
+        for lp in 0..fabric.workers() {
+            cx.send_lp(lp, round);
+        }
+    }
+
+    fn decide(
+        &self,
+        _f: &Fabric<'_>,
+        _r: &mut [Option<()>],
+        cx: &mut DecideCx<'_>,
+    ) -> Decision<u64> {
+        if cx.round >= self.rounds {
+            Decision::Stop
+        } else {
+            Decision::Continue(cx.round)
+        }
+    }
+
+    fn finish(&self, _f: &Fabric<'_>, _w: usize, (): ()) -> WorkerOutput<Bit> {
+        WorkerOutput {
+            owned_values: Vec::new(),
+            waveforms: BTreeMap::new(),
+            stats: SimStats::default(),
+        }
+    }
+}
+
+#[test]
+fn a_round_delivers_exactly_the_previous_rounds_posts() {
+    // Fails without the round seal: a worker that starts a round late
+    // (thread start-up skew in round 1 is enough) drains a peer's posts of
+    // the same round. The oversubscribed count makes late drains the rule.
+    const ROUNDS: u64 = 10_000;
+    const WALL_BUDGET: std::time::Duration = std::time::Duration::from_secs(60);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let c = bench::c17();
+    let start = std::time::Instant::now();
+    for workers in [2, 4, 4 * cores] {
+        let part = Partition::new(workers, vec![0; c.len()]).expect("valid partition");
+        let fabric = Fabric::new(&c, &part, 1, Observe::Outputs);
+        let out = fabric
+            .run::<Bit, _>(
+                &Stimulus::quiet(100),
+                VirtualTime::new(100),
+                &Probe::disabled(),
+                &RoundEcho { rounds: ROUNDS },
+                &RunOptions::default(),
+            )
+            .unwrap_or_else(|e| panic!("P = {workers}: {e}"));
+        assert_eq!(out.stats.barriers, ROUNDS, "P = {workers}");
+    }
+    let took = start.elapsed();
+    assert!(took < WALL_BUDGET, "3 x {ROUNDS} rounds took {took:?} (budget {WALL_BUDGET:?})");
+}
+
 /// A protocol whose coordinator aborts on the first decision.
 struct AbortImmediately;
 

@@ -292,6 +292,88 @@ fn ring_spill_is_exactly_once_and_fifo_under_race() {
     });
 }
 
+/// The round seal under the fabric's cadence (post, seal, rendezvous,
+/// drain): a fast sender posts its round-2 message while the slow
+/// receiver is still in its round-2 drain. That drain must deliver exactly
+/// what was sealed in round 1 — never the racing post — and the round-3
+/// drain must deliver exactly the rest. Round 1 delivers nothing. The two
+/// seal slots are reused (round 3 overwrites round 1's) while the peer may
+/// still be reading the other one.
+#[test]
+fn sealed_drain_never_observes_the_round_in_progress() {
+    const ROUNDS: u64 = 3;
+    loom::model(|| {
+        let mesh = Arc::new(MailboxMesh::new(2));
+        let barrier = Arc::new(RoundBarrier::new(2));
+        let sender = {
+            let (mesh, barrier) = (Arc::clone(&mesh), Arc::clone(&barrier));
+            loom::thread::spawn(move || {
+                let mut batch = Vec::new();
+                for round in 1..=ROUNDS {
+                    batch.push(round);
+                    mesh.post(0, 1, &mut batch);
+                    mesh.seal_round(0, round);
+                    barrier.wait(None).expect("round completes");
+                }
+            })
+        };
+        let mut got: Vec<u64> = Vec::new();
+        for round in 1..=ROUNDS {
+            mesh.drain_round_into(1, round, &mut got);
+            let sealed: Vec<u64> = (round > 1).then_some(round - 1).into_iter().collect();
+            assert_eq!(got, sealed, "round {round} drain crossed its seal");
+            got.clear();
+            barrier.wait(None).expect("round completes");
+        }
+        sender.join().expect("no panic");
+        mesh.drain_round_into(1, ROUNDS + 1, &mut got);
+        assert_eq!(got, vec![ROUNDS], "the last round's post is delivered by the next drain");
+        assert!(mesh.is_empty(1));
+    });
+}
+
+/// A seal that falls inside the spill: round 1's burst of three overflows
+/// a 2-slot ring (two in the ring, one spilled) and round 2's post queues
+/// behind it — in the spill while it is non-empty, in the ring once the
+/// racing drain has emptied it. The round-2 drain must stop after exactly
+/// the three sealed messages wherever the fourth landed, and the next
+/// drains deliver the rest in send order: FIFO and exactly-once across
+/// ring → spill → ring.
+#[test]
+fn seal_inside_the_spill_keeps_fifo_and_exactly_once() {
+    loom::model(|| {
+        let mesh = Arc::new(MailboxMesh::with_ring_capacity(2, 2));
+        let barrier = Arc::new(RoundBarrier::new(2));
+        let sender = {
+            let (mesh, barrier) = (Arc::clone(&mesh), Arc::clone(&barrier));
+            loom::thread::spawn(move || {
+                let mut batch: Vec<u64> = vec![0, 1, 2];
+                mesh.post(0, 1, &mut batch);
+                mesh.seal_round(0, 1);
+                barrier.wait(None).expect("round completes");
+                // Races the receiver's round-2 drain.
+                batch.push(3);
+                mesh.post(0, 1, &mut batch);
+                mesh.seal_round(0, 2);
+                batch.push(4);
+                mesh.post(0, 1, &mut batch);
+            })
+        };
+        let mut got: Vec<u64> = Vec::new();
+        mesh.drain_round_into(1, 1, &mut got);
+        assert_eq!(got, Vec::<u64>::new(), "round 1 has no seal before it");
+        barrier.wait(None).expect("round completes");
+        mesh.drain_round_into(1, 2, &mut got);
+        assert_eq!(got, vec![0, 1, 2], "exactly the sealed burst, cut inside the spill or not");
+        sender.join().expect("no panic");
+        mesh.drain_round_into(1, 3, &mut got);
+        assert_eq!(got, vec![0, 1, 2, 3], "round 2's seal covers one more message");
+        mesh.drain_into(1, &mut got);
+        assert_eq!(got, vec![0, 1, 2, 3, 4], "and the unsealed tail is still there, in order");
+        assert!(mesh.is_empty(1));
+    });
+}
+
 /// `lock_recover` after poisoning: a thread panicking while holding the
 /// guard races a writer and a reader; recovery never observes torn state
 /// (the two halves of the invariant always agree) in any interleaving.

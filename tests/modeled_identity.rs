@@ -151,6 +151,102 @@ fn modeled_and_threaded_sync_count_the_same_events() {
     }
 }
 
+/// What the conservative protocol counts, driver-independent since the
+/// mesh seals every round: `null_messages`, `messages_sent`,
+/// `events_processed`, `gate_evaluations`, `events_scheduled`, `gvt_rounds`.
+fn cmb_counters(s: &SimStats) -> [u64; 6] {
+    [
+        s.null_messages,
+        s.messages_sent,
+        s.events_processed,
+        s.gate_evaluations,
+        s.events_scheduled,
+        s.gvt_rounds,
+    ]
+}
+
+fn cmb_subject(delays: DelayModel) -> Circuit {
+    generate::random_dag(&generate::RandomDagConfig {
+        gates: 600,
+        seq_fraction: 0.1,
+        delays,
+        seed: 15,
+        ..Default::default()
+    })
+}
+
+/// The threaded conservative kernel is the modeled one on real threads:
+/// with round-strict delivery every LP sees the same inbox in the same
+/// round on both drivers, so every protocol counter — not just the
+/// committed history — is equal, cell for cell. Before the round seal a
+/// late drain consumed same-round nulls and P=2 reported half the nulls
+/// of the modeled run.
+#[test]
+fn threaded_conservative_counts_what_the_modeled_kernel_counts() {
+    let stimulus = Stimulus::random(15, 9).with_clock(5);
+    let until = VirtualTime::new(120);
+    for (delay_name, delays) in [
+        ("unit", DelayModel::Unit),
+        ("uniform1-5", DelayModel::Uniform { min: 1, max: 5, seed: 15 }),
+    ] {
+        let circuit = cmb_subject(delays);
+        let weights = GateWeights::uniform(circuit.len());
+        for workers in [2, 3, 4] {
+            let part = FiducciaMattheyses::default().partition(&circuit, workers, &weights);
+            for strategy in [DeadlockStrategy::NullMessages, DeadlockStrategy::DetectAndRecover] {
+                for granularity in [1, 2, 4] {
+                    let cell = format!("{delay_name}/P{workers}/{strategy:?}/g{granularity}");
+                    let modeled = ConservativeSimulator::<Logic4>::new(
+                        part.clone(),
+                        MachineConfig::shared_memory(workers),
+                    )
+                    .with_strategy(strategy)
+                    .with_granularity(granularity)
+                    .run(&circuit, &stimulus, until);
+                    let threaded = ThreadedConservativeSimulator::<Logic4>::new(part.clone())
+                        .with_strategy(strategy)
+                        .with_granularity(granularity);
+                    for (mode, kernel) in
+                        [("interpreted", threaded.clone()), ("compiled", threaded.with_compiled())]
+                    {
+                        let out = kernel.run(&circuit, &stimulus, until);
+                        assert_eq!(
+                            cmb_counters(&out.stats),
+                            cmb_counters(&modeled.stats),
+                            "{cell}/{mode}: threaded vs modeled"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Run-to-run: the threaded kernels' statistics no longer depend on which
+/// worker reaches its drain first. Conservative counters repeat exactly
+/// (before the seal, P=4 gave a different null count on every run), and so
+/// does everything threaded Time Warp counts — its rollbacks are decided by
+/// which stragglers a round's inbox holds, which is now fixed.
+#[test]
+fn threaded_statistics_repeat_exactly() {
+    let circuit = cmb_subject(DelayModel::Uniform { min: 1, max: 5, seed: 15 });
+    let stimulus = Stimulus::random(15, 9).with_clock(5);
+    let until = VirtualTime::new(120);
+    let weights = GateWeights::uniform(circuit.len());
+    let part = FiducciaMattheyses::default().partition(&circuit, 4, &weights);
+
+    let cmb = ThreadedConservativeSimulator::<Logic4>::new(part.clone());
+    let first = cmb.run(&circuit, &stimulus, until).stats;
+    assert!(first.null_messages > 0, "the cell must exercise null messages");
+    let tw = ThreadedTimeWarpSimulator::<Logic4>::new(part);
+    let tw_first = tw.run(&circuit, &stimulus, until).stats;
+    assert!(tw_first.rollbacks > 0, "the cell must exercise rollbacks");
+    for run in 2..=20 {
+        assert_eq!(cmb.run(&circuit, &stimulus, until).stats, first, "conservative, run {run}");
+        assert_eq!(tw.run(&circuit, &stimulus, until).stats, tw_first, "time warp, run {run}");
+    }
+}
+
 /// Captured at commit 9d674b8. `Bit` and `Logic4` agree cell for cell: both
 /// start every net at zero and none of these stimuli drives an `X`.
 const PINNED: &[(&str, Row)] = &[
