@@ -32,7 +32,7 @@ pub(crate) fn assert_unit_delays(circuit: &Circuit) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsim_netlist::{bench, generate, DelayModel};
+    use parsim_netlist::{generate, DelayModel};
 
     #[test]
     fn schedule_covers_every_non_source_gate_once() {
@@ -54,29 +54,6 @@ mod tests {
         let sources = c.iter().filter(|(_, g)| g.kind().is_source()).count();
         assert_eq!(scheduled + sources, c.len());
         assert_eq!(cc.levels().iter().map(ExactSizeIterator::len).sum::<usize>(), cc.ops().len());
-    }
-
-    #[test]
-    fn levels_respect_combinational_topology() {
-        let c = bench::c17();
-        let cc = CompiledBlock::compile(&c);
-        // Within the schedule, a combinational gate appears after all of
-        // its scheduled fanins (sequential fanins sit in the up-front
-        // sequential section, so they are always earlier).
-        let mut pos = vec![usize::MAX; c.len()];
-        for (i, op) in cc.ops().iter().enumerate() {
-            pos[op.gate.index()] = i;
-        }
-        for op in cc.ops() {
-            if c.kind(op.gate).is_sequential() {
-                continue;
-            }
-            for &f in cc.fanin(op) {
-                if pos[f.index()] != usize::MAX {
-                    assert!(pos[f.index()] < pos[op.gate.index()]);
-                }
-            }
-        }
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //!   two-valued fast path) and [`PackedLogic4`] (two planes packing the
 //!   four-valued `Logic4`, with word-wide X/Z propagation).
 //! - the whole-circuit `parsim_compile::CompiledBlock`: the circuit
-//!   levelized (`parsim_netlist::Levelization`) into a straight-line
-//!   evaluation schedule, compiled once per run after the unit-delay check.
+//!   lowered into a straight-line kind-major evaluation schedule, compiled
+//!   once per run after the unit-delay check.
 //! - [`BitSimulator`]: the §IV oblivious discipline over packed words —
 //!   every gate evaluated every tick, double-buffered unit-delay
-//!   semantics, optionally sharding each level across the `parsim-runtime`
-//!   worker pool.
+//!   semantics, optionally sharding each schedule section across the
+//!   `parsim-runtime` worker pool.
 //! - [`PackedStimulus`] / [`PackedOutcome`]: transposing 64 scalar
 //!   [`Stimulus`](parsim_core::Stimulus) streams into packed events and
 //!   projecting per-lane scalar [`SimOutcome`](parsim_core::SimOutcome)s

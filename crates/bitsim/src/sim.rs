@@ -1,11 +1,11 @@
 //! The bit-parallel compiled oblivious kernel.
 
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use parsim_core::{Observe, SimStats};
+use parsim_core::{Observe, SimStats, WaveRecorder};
 use parsim_event::VirtualTime;
 use parsim_logic::{GateKind, LogicValue};
 use parsim_netlist::{Circuit, GateId};
@@ -20,21 +20,23 @@ use crate::stimulus::{PackedEvent, PackedOutcome, PackedStimulus, PackedWaveform
 /// patterns per machine word, one word-wide gate operation per gate per
 /// tick.
 ///
-/// The kernel compiles the circuit once into a levelized straight-line
+/// The kernel compiles the circuit once into a straight-line kind-major
 /// schedule ([`CompiledBlock`]) and then, like [`ObliviousSimulator`],
 /// evaluates every gate at every tick with double buffering — tick `t`
 /// values are a pure function of tick `t − 1` values, i.e. unit-delay
-/// semantics. The packed operations are lane-exact, so **lane `k` of a
-/// packed run is bit-identical to a scalar run driven by stimulus lane `k`
-/// alone** (waveforms included); the differential suite compares packed
-/// runs against 64 [`SequentialSimulator`] runs.
+/// semantics: evaluation fills a second full value buffer, the observed
+/// nets (only those) are compared and recorded, and the buffers swap. The
+/// packed operations are lane-exact, so **lane `k` of a packed run is
+/// bit-identical to a scalar run driven by stimulus lane `k` alone**
+/// (waveforms included); the differential suite compares packed runs
+/// against 64 [`SequentialSimulator`] runs.
 ///
 /// Wide schedules can optionally be sharded across threads
-/// ([`with_threads`](BitSimulator::with_threads)): each level's ops are
+/// ([`with_threads`](BitSimulator::with_threads)): each section's ops are
 /// chunked over the `parsim-runtime` worker pool, workers evaluate their
-/// chunks against a frozen value snapshot, and worker 0 applies the
-/// results in deterministic schedule order — the threaded run is
-/// bit-identical to the single-threaded one.
+/// chunks against a frozen value snapshot, and worker 0 folds the results
+/// into the next buffer and publishes it exactly as the inline loop does —
+/// the threaded run is bit-identical to the single-threaded one.
 ///
 /// [`ObliviousSimulator`]: parsim_core::ObliviousSimulator
 /// [`SequentialSimulator`]: parsim_core::SequentialSimulator
@@ -96,15 +98,15 @@ impl<P: PackedValue> BitSimulator<P> {
 
     /// Attaches a trace probe. The kernel records one batched `GateEval`
     /// per tick (`arg` = packed word evaluations), a `Dequeue` per applied
-    /// packed input event, and — per tick, per level, per worker — a
-    /// `Charge` span (`lp` = level index, `arg` = span nanoseconds) for
-    /// the level's evaluation work.
+    /// packed input event, and — per tick, per schedule section, per
+    /// worker — a `Charge` span (`lp` = section index, `arg` = span
+    /// nanoseconds) for the worker's share of the section.
     pub fn with_probe(mut self, probe: Probe) -> Self {
         self.probe = probe;
         self
     }
 
-    /// Shards each level's ops across `threads` workers on the
+    /// Shards each section's ops across `threads` workers on the
     /// `parsim-runtime` pool. `1` (the default) evaluates inline. The
     /// result is bit-identical either way.
     ///
@@ -183,178 +185,107 @@ impl<P: PackedValue> BitSimulator<P> {
         events.sort_by_key(|e| (e.time, e.net.index()));
         assert_unit_delays(circuit);
         let cc = CompiledBlock::compile(circuit);
-        let waveforms: BTreeMap<GateId, PackedWaveform<P>> = circuit
-            .ids()
-            .filter(|&id| self.observe.wants(circuit, id))
-            .map(|id| (id, PackedWaveform::new(P::ALL_ZERO)))
-            .collect();
-        let run = if self.threads > 1 {
-            self.run_sharded(cc, events, forces.to_vec(), waveforms, until)
-        } else {
-            self.run_inline(&cc, &events, forces, waveforms, until)
+        let apply = ApplyPhase {
+            events,
+            forces: forces.to_vec(),
+            sources: circuit.ids().filter(|&id| circuit.kind(id).is_source()).collect(),
+            next: vec![P::ALL_ZERO; cc.nets()],
+            waveforms: WaveRecorder::observing(
+                circuit,
+                self.observe,
+                PackedWaveform::new(P::ALL_ZERO),
+            ),
+            next_input: 0,
+            stats: SimStats::default(),
         };
-        let (final_values, waveforms, stats) = run;
-        PackedOutcome { final_values, waveforms, end_time: until, stats, lanes }
+        let (final_values, apply) = if self.threads > 1 {
+            self.run_sharded(cc, apply, until)
+        } else {
+            self.run_inline(&cc, apply, until)
+        };
+        PackedOutcome {
+            final_values,
+            waveforms: apply.waveforms.into_map(),
+            end_time: until,
+            stats: apply.stats,
+            lanes,
+        }
     }
 
     /// The single-threaded hot loop.
     fn run_inline(
         &self,
         cc: &CompiledBlock,
-        events: &[PackedEvent<P>],
-        forces: &[PackedForce<P>],
-        mut waveforms: BTreeMap<GateId, PackedWaveform<P>>,
+        mut apply: ApplyPhase<P>,
         until: VirtualTime,
-    ) -> (Vec<P>, BTreeMap<GateId, PackedWaveform<P>>, SimStats) {
-        let n = cc.nets();
-        let mut values = vec![P::ALL_ZERO; n];
-        // `pending[g]` is the output computed at the previous tick, applied
-        // this tick (unit delay). Seeding it with the initial values makes
-        // the very first application a no-op, like the scalar kernel.
-        let mut pending = vec![P::ALL_ZERO; n];
-        let mut seq_prev = vec![P::ALL_ZERO; cc.seq_ops()];
-        let mut seq_q = vec![P::ALL_ZERO; cc.seq_ops()];
-        let mut stats = SimStats::default();
+    ) -> (Vec<P>, ApplyPhase<P>) {
+        let mut values = vec![P::ALL_ZERO; cc.nets()];
+        let mut seq = SeqState::new(cc);
+        let share = shares(cc, 1).pop().expect("one worker, one share");
         let mut ph = self.probe.handle();
-        let mut next_input = 0usize;
 
         let mut t = 0u64;
         loop {
-            let now = VirtualTime::new(t);
-            for op in cc.ops() {
-                let i = op.gate.index();
-                let v = pending[i];
-                if v != values[i] {
-                    values[i] = v;
-                    if let Some(w) = waveforms.get_mut(&op.gate) {
-                        w.record(now, v);
-                    }
-                }
-            }
-            apply_inputs(
-                events,
-                &mut next_input,
-                now,
-                &mut values,
-                &mut waveforms,
-                &mut stats,
-                &mut ph,
-            );
-            apply_forces(forces, now, &mut values, &mut waveforms);
-            if now >= until {
+            apply.tick(VirtualTime::new(t), &mut values, &mut ph);
+            if t >= until.ticks() {
                 break;
             }
-            for (level, range) in cc.levels().iter().enumerate() {
-                let span_start = if ph.enabled() { ph.now_ns() } else { 0 };
-                for op in &cc.ops()[range.clone()] {
-                    pending[op.gate.index()] = eval_op(cc, op, &values, &mut seq_prev, &mut seq_q);
-                }
-                if ph.enabled() {
-                    let dur = ph.now_ns() - span_start;
-                    ph.emit(span_start, t, 0, level as u32, TraceKind::Charge, dur);
-                }
-            }
-            stats.gate_evaluations += cc.ops().len() as u64;
+            let evals = eval_share(cc, &share, &values, &mut apply.next, &mut seq, &mut ph, t);
+            apply.stats.gate_evaluations += evals;
             if ph.enabled() {
-                ph.emit(t, t, 0, NO_LP, TraceKind::GateEval, cc.ops().len() as u64);
+                ph.emit(t, t, 0, NO_LP, TraceKind::GateEval, evals);
             }
             t += 1;
         }
-        (values, waveforms, stats)
+        (values, apply)
     }
 
-    /// The level-sharded loop: `threads` workers on the **persistent**
+    /// The section-sharded loop: `threads` workers on the **persistent**
     /// runtime pool ([`parsim_runtime::global_pool`]) evaluate disjoint
-    /// chunks of every level against a frozen snapshot of the tick's
-    /// values; worker 0 applies all results in schedule order, so the
-    /// outcome is bit-identical to [`run_inline`]. Repeated sharded runs
-    /// (a bench sweep, a fault campaign) reuse the pool's threads instead
-    /// of spawning a fresh set per run.
+    /// chunks of every section against a frozen snapshot of the tick's
+    /// values; worker 0 folds all results into the next buffer and runs
+    /// the same apply phase, so the outcome is bit-identical to
+    /// [`run_inline`]. Repeated sharded runs (a bench sweep, a fault
+    /// campaign) reuse the pool's threads instead of spawning a fresh set
+    /// per run.
     fn run_sharded(
         &self,
         cc: CompiledBlock,
-        events: Vec<PackedEvent<P>>,
-        forces: Vec<PackedForce<P>>,
-        waveforms: BTreeMap<GateId, PackedWaveform<P>>,
+        apply: ApplyPhase<P>,
         until: VirtualTime,
-    ) -> (Vec<P>, BTreeMap<GateId, PackedWaveform<P>>, SimStats) {
+    ) -> (Vec<P>, ApplyPhase<P>) {
         let workers = self.threads;
         let n = cc.nets();
-        // Chunk every level contiguously across the workers.
-        let mut chunks: Vec<Vec<(usize, std::ops::Range<usize>)>> = vec![Vec::new(); workers];
-        for (level, range) in cc.levels().iter().enumerate() {
-            let len = range.len();
-            for (w, chunk) in chunks.iter_mut().enumerate() {
-                let lo = range.start + len * w / workers;
-                let hi = range.start + len * (w + 1) / workers;
-                if lo < hi {
-                    chunk.push((level, lo..hi));
-                }
-            }
-        }
-        let owner_of: Vec<usize> = {
-            let mut owner = vec![0usize; cc.ops().len()];
-            for (w, chunk) in chunks.iter().enumerate() {
-                for (_, r) in chunk {
-                    for slot in &mut owner[r.clone()] {
-                        *slot = w;
-                    }
-                }
-            }
-            owner
-        };
 
         // Each worker owns a full-width pending buffer plus the sequential
         // state of its ops (globally indexed; only owned slots are used).
         struct Shard<P> {
             pending: Vec<P>,
-            seq_prev: Vec<P>,
-            seq_q: Vec<P>,
-        }
-        // Worker 0 owns the apply phase: waveforms, input cursor, stats.
-        struct ApplyState<P> {
-            waveforms: BTreeMap<GateId, PackedWaveform<P>>,
-            next_input: usize,
-            stats: SimStats,
+            seq: SeqState<P>,
         }
         // Everything the workers touch, owned (`'static`) and shared via
         // `Arc` — persistent pool threads outlive this call's borrows.
         struct Shared<P: PackedValue> {
+            shares: Vec<Share>,
             cc: CompiledBlock,
-            events: Vec<PackedEvent<P>>,
-            forces: Vec<PackedForce<P>>,
-            chunks: Vec<Vec<(usize, std::ops::Range<usize>)>>,
-            owner_of: Vec<usize>,
             values: RwLock<Vec<P>>,
             shards: Vec<Mutex<Shard<P>>>,
-            apply: Mutex<Option<ApplyState<P>>>,
+            /// Worker 0 owns the apply phase for the whole run.
+            apply: Mutex<Option<ApplyPhase<P>>>,
             barrier: RoundBarrier,
             stop: AtomicBool,
             until: VirtualTime,
             probe: Probe,
         }
         let shards: Vec<Mutex<Shard<P>>> = (0..workers)
-            .map(|_| {
-                Mutex::new(Shard {
-                    pending: vec![P::ALL_ZERO; n],
-                    seq_prev: vec![P::ALL_ZERO; cc.seq_ops()],
-                    seq_q: vec![P::ALL_ZERO; cc.seq_ops()],
-                })
-            })
+            .map(|_| Mutex::new(Shard { pending: vec![P::ALL_ZERO; n], seq: SeqState::new(&cc) }))
             .collect();
         let shared = std::sync::Arc::new(Shared {
+            shares: shares(&cc, workers),
             cc,
-            events,
-            forces,
-            chunks,
-            owner_of,
             values: RwLock::new(vec![P::ALL_ZERO; n]),
             shards,
-            apply: Mutex::new(Some(ApplyState {
-                waveforms,
-                next_input: 0,
-                stats: SimStats::default(),
-            })),
+            apply: Mutex::new(Some(apply)),
             barrier: RoundBarrier::new(workers),
             stop: AtomicBool::new(false),
             until,
@@ -387,35 +318,18 @@ impl<P: PackedValue> BitSimulator<P> {
             let mut t = 0u64;
             loop {
                 // Round phase 1 — apply: worker 0 folds every worker's
-                // pending buffer into the shared values, in schedule order.
+                // pending buffer into the next values and publishes them.
                 if w == 0 {
                     let st = state.as_mut().expect("worker 0 owns the apply state");
                     let mut vals = sh.values.write().expect("values lock");
-                    let now = VirtualTime::new(t);
-                    {
-                        let shards: Vec<_> = sh.shards.iter().map(lock_recover).collect();
-                        for (i, op) in sh.cc.ops().iter().enumerate() {
-                            let g = op.gate.index();
-                            let v = shards[sh.owner_of[i]].pending[g];
-                            if v != vals[g] {
-                                vals[g] = v;
-                                if let Some(wave) = st.waveforms.get_mut(&op.gate) {
-                                    wave.record(now, v);
-                                }
-                            }
+                    for (shard, share) in sh.shards.iter().zip(&sh.shares) {
+                        let shard = lock_recover(shard);
+                        for op in share.chunks.iter().flat_map(|c| &sh.cc.ops()[c.ops.clone()]) {
+                            st.next[op.gate.index()] = shard.pending[op.gate.index()];
                         }
                     }
-                    apply_inputs(
-                        &sh.events,
-                        &mut st.next_input,
-                        now,
-                        &mut vals,
-                        &mut st.waveforms,
-                        &mut st.stats,
-                        &mut ph,
-                    );
-                    apply_forces(&sh.forces, now, &mut vals, &mut st.waveforms);
-                    if now >= sh.until {
+                    st.tick(VirtualTime::new(t), &mut vals, &mut ph);
+                    if t >= sh.until.ticks() {
                         sh.stop.store(true, Ordering::Release);
                     }
                 }
@@ -428,19 +342,8 @@ impl<P: PackedValue> BitSimulator<P> {
                 {
                     let vals = sh.values.read().expect("values lock");
                     let mut shard = lock_recover(&sh.shards[w]);
-                    let shard = &mut *shard;
-                    for (level, range) in &sh.chunks[w] {
-                        let span_start = if ph.enabled() { ph.now_ns() } else { 0 };
-                        for op in &sh.cc.ops()[range.clone()] {
-                            shard.pending[op.gate.index()] =
-                                eval_op(&sh.cc, op, &vals, &mut shard.seq_prev, &mut shard.seq_q);
-                        }
-                        evals += range.len() as u64;
-                        if ph.enabled() {
-                            let dur = ph.now_ns() - span_start;
-                            ph.emit(span_start, t, w as u32, *level as u32, TraceKind::Charge, dur);
-                        }
-                    }
+                    let Shard { pending, seq } = &mut *shard;
+                    evals += eval_share(&sh.cc, &sh.shares[w], &vals, pending, seq, &mut ph, t);
                 }
                 // Round phase 3 — eval done, shard locks released.
                 ph.barrier_span(w as u32, t, || sh.barrier.wait(None))
@@ -457,7 +360,7 @@ impl<P: PackedValue> BitSimulator<P> {
         st.stats.gate_evaluations += results.iter().map(|&(_, e)| e).sum::<u64>();
         st.stats.barriers = until.ticks() + 1;
         let values = shared.values.read().expect("values lock").clone();
-        (values, st.waveforms, st.stats)
+        (values, st)
     }
 }
 
@@ -484,26 +387,6 @@ pub struct PackedForce<P> {
     pub value: P,
 }
 
-/// Overrides the forced nets after an apply phase, recording waveform
-/// transitions like any other value change.
-fn apply_forces<P: PackedValue>(
-    forces: &[PackedForce<P>],
-    now: VirtualTime,
-    values: &mut [P],
-    waveforms: &mut BTreeMap<GateId, PackedWaveform<P>>,
-) {
-    for f in forces {
-        let i = f.net.index();
-        let forced = values[i].select(f.value, f.mask);
-        if forced != values[i] {
-            values[i] = forced;
-            if let Some(w) = waveforms.get_mut(&f.net) {
-                w.record(now, forced);
-            }
-        }
-    }
-}
-
 /// All populated lanes as a mask.
 fn lanes_mask(lanes: usize) -> u64 {
     if lanes >= LANES {
@@ -513,90 +396,224 @@ fn lanes_mask(lanes: usize) -> u64 {
     }
 }
 
-/// Applies the packed input events stamped `now`, recording waveforms and
-/// stats like the scalar oblivious kernel does.
-fn apply_inputs<P: PackedValue>(
-    events: &[PackedEvent<P>],
-    next_input: &mut usize,
-    now: VirtualTime,
-    values: &mut [P],
-    waveforms: &mut BTreeMap<GateId, PackedWaveform<P>>,
-    stats: &mut SimStats,
-    ph: &mut ProbeHandle,
-) {
-    while *next_input < events.len() && events[*next_input].time == now {
-        let e = events[*next_input];
-        *next_input += 1;
-        stats.events_processed += u64::from(e.mask.count_ones());
-        if ph.enabled() {
-            let remaining = (events.len() - *next_input) as u64;
-            ph.emit(
-                now.ticks(),
-                now.ticks(),
-                0,
-                e.net.index() as u32,
-                TraceKind::Dequeue,
-                remaining,
-            );
+/// Everything that happens between two evaluations: the buffer evaluation
+/// fills, the observed waveforms, and the input and force streams. One
+/// owner per run — the inline loop, or worker 0 of a sharded run.
+struct ApplyPhase<P> {
+    /// Sorted by `(time, net)`.
+    events: Vec<PackedEvent<P>>,
+    forces: Vec<PackedForce<P>>,
+    /// Nets no op drives (inputs and constants).
+    sources: Vec<GateId>,
+    /// The outputs computed from the previous tick's values, applied this
+    /// tick (unit delay). All-zero like the initial values, so the very
+    /// first application is a no-op, like the scalar kernel's.
+    next: Vec<P>,
+    waveforms: WaveRecorder<PackedWaveform<P>>,
+    next_input: usize,
+    stats: SimStats,
+}
+
+impl<P: PackedValue> ApplyPhase<P> {
+    /// Makes `values` the values of tick `now`: publishes `next`, then
+    /// applies the tick's input events, then the forces.
+    fn tick(&mut self, now: VirtualTime, values: &mut Vec<P>, ph: &mut ProbeHandle) {
+        self.publish(now, values);
+        self.apply_inputs(now, values, ph);
+        self.apply_forces(now, values);
+    }
+
+    /// Swaps `next` in as the current values instead of scanning every
+    /// net for a change: the source nets, which nothing evaluates, are
+    /// carried over first, and only the observed nets are compared (and
+    /// recorded when they differ). A forced net's driver keeps computing
+    /// its unforced value, so an observed forced net records that value
+    /// here and the force at the same tick in [`Self::apply_forces`] —
+    /// the order `PackedWaveform::record` needs for the force to win.
+    fn publish(&mut self, now: VirtualTime, values: &mut Vec<P>) {
+        for s in &self.sources {
+            self.next[s.index()] = values[s.index()];
         }
-        let i = e.net.index();
-        let merged = values[i].select(e.value, e.mask);
-        if merged != values[i] {
-            values[i] = merged;
-            if let Some(w) = waveforms.get_mut(&e.net) {
-                w.record(now, merged);
+        for (id, w) in self.waveforms.iter_mut() {
+            let v = self.next[id.index()];
+            if v != values[id.index()] {
+                w.record(now, v);
+            }
+        }
+        std::mem::swap(values, &mut self.next);
+    }
+
+    /// Applies the packed input events stamped `now`, recording waveforms
+    /// and stats like the scalar oblivious kernel does.
+    fn apply_inputs(&mut self, now: VirtualTime, values: &mut [P], ph: &mut ProbeHandle) {
+        while self.next_input < self.events.len() && self.events[self.next_input].time == now {
+            let e = self.events[self.next_input];
+            self.next_input += 1;
+            self.stats.events_processed += u64::from(e.mask.count_ones());
+            if ph.enabled() {
+                let remaining = (self.events.len() - self.next_input) as u64;
+                let net = e.net.index() as u32;
+                ph.emit(now.ticks(), now.ticks(), 0, net, TraceKind::Dequeue, remaining);
+            }
+            let i = e.net.index();
+            let merged = values[i].select(e.value, e.mask);
+            if merged != values[i] {
+                values[i] = merged;
+                if let Some(w) = self.waveforms.get_mut(e.net) {
+                    w.record(now, merged);
+                }
+            }
+        }
+    }
+
+    /// Overrides the forced nets, recording waveform transitions like any
+    /// other value change.
+    fn apply_forces(&mut self, now: VirtualTime, values: &mut [P]) {
+        for f in &self.forces {
+            let i = f.net.index();
+            let forced = values[i].select(f.value, f.mask);
+            if forced != values[i] {
+                values[i] = forced;
+                if let Some(w) = self.waveforms.get_mut(f.net) {
+                    w.record(now, forced);
+                }
             }
         }
     }
 }
 
-/// Evaluates one compiled op against the tick's frozen values.
-fn eval_op<P: PackedValue>(
+/// The packed sequential state, indexed by `Op::seq_slot`.
+struct SeqState<P> {
+    prev_clk: Vec<P>,
+    q: Vec<P>,
+}
+
+impl<P: PackedValue> SeqState<P> {
+    fn new(cc: &CompiledBlock) -> Self {
+        SeqState { prev_clk: vec![P::ALL_ZERO; cc.seq_ops()], q: vec![P::ALL_ZERO; cc.seq_ops()] }
+    }
+}
+
+/// One worker's part of one schedule section: a contiguous op range, cut
+/// into its same-kind runs.
+#[derive(Debug, Clone)]
+struct Chunk {
+    section: usize,
+    ops: Range<usize>,
+    runs: Vec<(GateKind, Range<usize>)>,
+}
+
+/// One worker's part of the schedule.
+#[derive(Debug, Clone)]
+struct Share {
+    worker: usize,
+    chunks: Vec<Chunk>,
+}
+
+/// Chunks every section contiguously across `workers` shares.
+fn shares(cc: &CompiledBlock, workers: usize) -> Vec<Share> {
+    let mut shares: Vec<Share> =
+        (0..workers).map(|worker| Share { worker, chunks: Vec::new() }).collect();
+    for (section, range) in cc.levels().iter().enumerate() {
+        let len = range.len();
+        for share in &mut shares {
+            let lo = range.start + len * share.worker / workers;
+            let hi = range.start + len * (share.worker + 1) / workers;
+            if lo < hi {
+                let runs = cc
+                    .runs()
+                    .iter()
+                    .map(|(kind, r)| (*kind, r.start.max(lo)..r.end.min(hi)))
+                    .filter(|(_, r)| !r.is_empty())
+                    .collect();
+                share.chunks.push(Chunk { section, ops: lo..hi, runs });
+            }
+        }
+    }
+    shares
+}
+
+/// Evaluates one worker's share of tick `t` against the tick's frozen
+/// `values`, writing each op's output to `out[gate]`, with a `Charge` span
+/// per section. Returns the number of ops evaluated.
+fn eval_share<P: PackedValue>(
     cc: &CompiledBlock,
-    op: &CompiledOp,
+    share: &Share,
     values: &[P],
-    seq_prev: &mut [P],
-    seq_q: &mut [P],
-) -> P {
-    let fanin = cc.fanin(op);
-    let read = |k: usize| values[fanin[k].index()];
-    match op.kind {
-        GateKind::Buf => read(0),
-        GateKind::Not => read(0).not(),
-        GateKind::And => fold(values, fanin, P::splat(P::Scalar::ONE), P::and),
-        GateKind::Nand => fold(values, fanin, P::splat(P::Scalar::ONE), P::and).not(),
-        GateKind::Or => fold(values, fanin, P::splat(P::Scalar::ZERO), P::or),
-        GateKind::Nor => fold(values, fanin, P::splat(P::Scalar::ZERO), P::or).not(),
+    out: &mut [P],
+    seq: &mut SeqState<P>,
+    ph: &mut ProbeHandle,
+    t: u64,
+) -> u64 {
+    let mut evals = 0u64;
+    for chunk in &share.chunks {
+        let span_start = if ph.enabled() { ph.now_ns() } else { 0 };
+        for (kind, run) in &chunk.runs {
+            eval_run(cc, *kind, &cc.ops()[run.clone()], values, out, seq);
+        }
+        evals += chunk.ops.len() as u64;
+        if ph.enabled() {
+            let dur = ph.now_ns() - span_start;
+            let (worker, section) = (share.worker as u32, chunk.section as u32);
+            ph.emit(span_start, t, worker, section, TraceKind::Charge, dur);
+        }
+    }
+    evals
+}
+
+/// One same-kind run: match once, then a tight per-op loop.
+fn eval_run<P: PackedValue>(
+    cc: &CompiledBlock,
+    kind: GateKind,
+    ops: &[CompiledOp],
+    values: &[P],
+    out: &mut [P],
+    seq: &mut SeqState<P>,
+) {
+    macro_rules! run {
+        (|$ins:ident| $new:expr) => {
+            for op in ops {
+                let $ins = cc.fanin(op);
+                out[op.gate.index()] = $new;
+            }
+        };
+    }
+    let at = |id: GateId| values[id.index()];
+    let (zero, one) = (P::splat(P::Scalar::ZERO), P::splat(P::Scalar::ONE));
+    match kind {
+        GateKind::Buf => run!(|ins| at(ins[0])),
+        GateKind::Not => run!(|ins| at(ins[0]).not()),
+        GateKind::And => run!(|ins| fold(values, ins, one, P::and)),
+        GateKind::Nand => run!(|ins| fold(values, ins, one, P::and).not()),
+        GateKind::Or => run!(|ins| fold(values, ins, zero, P::or)),
+        GateKind::Nor => run!(|ins| fold(values, ins, zero, P::or).not()),
         // Xor reduces without an initial element, like the scalar kernel.
-        GateKind::Xor => fanin
-            .iter()
-            .map(|&f| values[f.index()])
-            .reduce(P::xor)
-            .unwrap_or(P::splat(P::Scalar::ZERO)),
-        GateKind::Xnor => fanin
-            .iter()
-            .map(|&f| values[f.index()])
-            .reduce(P::xor)
-            .unwrap_or(P::splat(P::Scalar::ZERO))
-            .not(),
-        GateKind::Mux2 => P::mux(read(0), read(1), read(2)),
-        GateKind::Tribuf => P::tribuf(read(0), read(1)),
-        GateKind::Bus => fold(values, fanin, P::splat(P::Scalar::HIGH_Z), P::resolve),
+        GateKind::Xor => run!(|ins| ins.iter().map(|&f| at(f)).reduce(P::xor).unwrap_or(zero)),
+        GateKind::Xnor => {
+            run!(|ins| ins.iter().map(|&f| at(f)).reduce(P::xor).unwrap_or(zero).not());
+        }
+        GateKind::Mux2 => run!(|ins| P::mux(at(ins[0]), at(ins[1]), at(ins[2]))),
+        GateKind::Tribuf => run!(|ins| P::tribuf(at(ins[0]), at(ins[1]))),
+        GateKind::Bus => run!(|ins| fold(values, ins, P::splat(P::Scalar::HIGH_Z), P::resolve)),
         GateKind::Dff => {
-            let s = op.seq_slot as usize;
-            let clk = read(0);
-            let q = P::dff(seq_prev[s], clk, read(1), seq_q[s]);
-            seq_prev[s] = clk;
-            seq_q[s] = q;
-            q
+            for op in ops {
+                let (ins, s) = (cc.fanin(op), op.seq_slot as usize);
+                let clk = at(ins[0]);
+                let q = P::dff(seq.prev_clk[s], clk, at(ins[1]), seq.q[s]);
+                seq.prev_clk[s] = clk;
+                seq.q[s] = q;
+                out[op.gate.index()] = q;
+            }
         }
         GateKind::Latch => {
-            let s = op.seq_slot as usize;
-            let en = read(0);
-            let q = P::latch(en, read(1), seq_q[s]);
-            seq_prev[s] = en;
-            seq_q[s] = q;
-            q
+            for op in ops {
+                let (ins, s) = (cc.fanin(op), op.seq_slot as usize);
+                let en = at(ins[0]);
+                let q = P::latch(en, at(ins[1]), seq.q[s]);
+                seq.prev_clk[s] = en;
+                seq.q[s] = q;
+                out[op.gate.index()] = q;
+            }
         }
         GateKind::Input | GateKind::Const0 | GateKind::Const1 => {
             unreachable!("sources are never scheduled")
@@ -671,6 +688,99 @@ mod tests {
                 .run(&c, &stim, until);
             assert_eq!(sharded.final_values, one.final_values, "{threads} threads");
             assert_eq!(sharded.waveforms, one.waveforms, "{threads} threads");
+        }
+    }
+
+    /// The deep-DAG contract of the swap-not-scan loop: on a circuit with
+    /// hundreds of levels (two schedule sections all the same), observing
+    /// primary outputs only and forcing three of them, the inline run, the
+    /// 2- and 4-thread sharded runs and 64 scalar runs of the rewired
+    /// circuits agree — and every worker still charges every section.
+    #[test]
+    fn deep_dag_inline_sharded_and_scalar_runs_agree_with_forced_outputs() {
+        use parsim_core::fault::{inject, StuckAtFault};
+        use parsim_netlist::Levelization;
+
+        let c = generate::random_dag(&generate::RandomDagConfig {
+            gates: 1600,
+            inputs: 16,
+            locality: 0.98,
+            seq_fraction: 0.1,
+            seed: 77,
+            ..Default::default()
+        });
+        assert!(Levelization::of(&c).depth() >= 200, "depth {}", Levelization::of(&c).depth());
+        let block = CompiledBlock::compile(&c);
+        let (sections, ops) = (block.levels().len(), block.ops().len() as u64);
+        assert_eq!(sections, 2, "a sequential and a combinational section");
+
+        let stim = PackedStimulus::new(
+            (0..LANES as u64).map(|k| Stimulus::random(k + 31, 6).with_clock(5)).collect(),
+        );
+        let until = VirtualTime::new(70);
+        // Lane → stuck primary output; two lanes share a net.
+        let outputs = c.outputs();
+        let faults: Vec<(usize, StuckAtFault)> = vec![
+            (3, StuckAtFault { net: outputs[0], value: true }),
+            (17, StuckAtFault { net: outputs[0], value: false }),
+            (40, StuckAtFault { net: outputs[outputs.len() / 2], value: true }),
+            (63, StuckAtFault { net: outputs[outputs.len() - 1], value: false }),
+        ];
+        let mut forces: Vec<PackedForce<PackedLogic4>> = Vec::new();
+        for &(k, fault) in &faults {
+            assert!(!c.kind(fault.net).is_source(), "the force must fight a driver");
+            if !forces.iter().any(|f| f.net == fault.net) {
+                forces.push(PackedForce { net: fault.net, mask: 0, value: PackedLogic4::ALL_ZERO });
+            }
+            let f = forces.iter_mut().find(|f| f.net == fault.net).expect("pushed above");
+            f.mask |= 1 << k;
+            f.value.set_lane(k, Logic4::from_bool(fault.value));
+        }
+
+        let run = |threads: usize| {
+            let probe = Probe::enabled();
+            let out = BitSimulator::<PackedLogic4>::new()
+                .with_threads(threads)
+                .with_probe(probe.clone())
+                .run_events_forced(&c, stim.events(&c, until), LANES, until, &forces);
+            // One `Charge` span per tick, per section, per worker.
+            let mut charges = std::collections::BTreeMap::new();
+            for r in probe.take_trace().records().iter().filter(|r| r.kind == TraceKind::Charge) {
+                *charges.entry((r.processor, r.lp)).or_insert(0u64) += 1;
+            }
+            let want: std::collections::BTreeMap<(u32, u32), u64> = (0..threads as u32)
+                .flat_map(|w| (0..sections as u32).map(move |s| ((w, s), until.ticks())))
+                .collect();
+            assert_eq!(charges, want, "{threads} threads");
+            assert_eq!(out.stats.gate_evaluations, until.ticks() * ops);
+            out
+        };
+        let inline = run(1);
+        assert_eq!(inline.waveforms.len(), outputs.len(), "primary outputs only");
+        for threads in [2, 4] {
+            let sharded = run(threads);
+            assert_eq!(sharded.final_values, inline.final_values, "{threads} threads");
+            assert_eq!(sharded.waveforms, inline.waveforms, "{threads} threads");
+        }
+
+        let free = BitSimulator::<PackedLogic4>::new().run(&c, &stim, until);
+        for &(k, fault) in &faults {
+            let unforced = free.waveforms[&fault.net].lane_waveform(k);
+            assert!(unforced.toggle_count() > 0, "vacuous force on lane {k}: the net never moves");
+        }
+        for k in 0..LANES {
+            // The scalar twin of lane `k`: the circuit rewired around its
+            // fault, if it has one.
+            let faulty = faults.iter().find(|&&(lane, _)| lane == k).map(|&(_, f)| inject(&c, f));
+            let twin = faulty.as_ref().unwrap_or(&c);
+            let scalar = SequentialSimulator::<Logic4>::new().run(twin, stim.lane(k), until);
+            for (po, twin_po) in outputs.iter().zip(twin.outputs()) {
+                assert_eq!(
+                    inline.waveforms[po].lane_waveform(k),
+                    scalar.waveforms[twin_po],
+                    "lane {k}, output {po}"
+                );
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use parsim_core::{SimOutcome, SimStats, Stimulus, Waveform};
-use parsim_event::VirtualTime;
+use parsim_event::{Event, VirtualTime};
 use parsim_netlist::{Circuit, GateId};
 
 use crate::packed::{PackedValue, LANES};
@@ -72,23 +72,46 @@ impl PackedStimulus {
         circuit: &Circuit,
         until: VirtualTime,
     ) -> Vec<PackedEvent<P>> {
-        let mut grouped: BTreeMap<(VirtualTime, usize), (u64, P)> = BTreeMap::new();
-        for (k, stim) in self.lanes.iter().enumerate() {
-            for e in stim.events::<P::Scalar>(circuit, until) {
-                let entry = grouped.entry((e.time, e.net.index())).or_insert((0, P::ALL_ZERO));
-                entry.0 |= 1 << k;
-                entry.1.set_lane(k, e.value);
-            }
-        }
-        grouped
-            .into_iter()
-            .map(|((time, net), (mask, value))| PackedEvent {
-                time,
-                net: GateId::new(net),
-                mask,
-                value,
+        // Each lane's stream in time order. Stable, so a lane driving one
+        // net twice at one time keeps its stream order and the later value
+        // wins below.
+        let lanes: Vec<Vec<Event<P::Scalar>>> = self
+            .lanes
+            .iter()
+            .map(|stim| {
+                let mut lane = stim.events(circuit, until);
+                lane.sort_by_key(|e| e.time);
+                lane
             })
-            .collect()
+            .collect();
+        // Merge the lanes one timestamp at a time. `slot[net]` is where
+        // the packed event of `net` at the timestamp being merged sits in
+        // `events`; an entry left by an earlier timestamp points below
+        // `start` and is stale.
+        let mut cursor = vec![0usize; lanes.len()];
+        let mut slot = vec![usize::MAX; circuit.len()];
+        let mut events: Vec<PackedEvent<P>> = Vec::new();
+        let next_time = |cursor: &[usize]| {
+            lanes.iter().zip(cursor).filter_map(|(lane, &c)| lane.get(c)).map(|e| e.time).min()
+        };
+        while let Some(time) = next_time(&cursor) {
+            let start = events.len();
+            for (k, (lane, c)) in lanes.iter().zip(&mut cursor).enumerate() {
+                while let Some(e) = lane.get(*c).filter(|e| e.time == time) {
+                    *c += 1;
+                    let net = e.net;
+                    if !(start..events.len()).contains(&slot[net.index()]) {
+                        slot[net.index()] = events.len();
+                        events.push(PackedEvent { time, net, mask: 0, value: P::ALL_ZERO });
+                    }
+                    let packed = &mut events[slot[net.index()]];
+                    packed.mask |= 1 << k;
+                    packed.value.set_lane(k, e.value);
+                }
+            }
+            events[start..].sort_unstable_by_key(|e| e.net);
+        }
+        events
     }
 }
 
@@ -221,6 +244,61 @@ mod tests {
             let want: Vec<(VirtualTime, usize, Bit)> =
                 scalar.iter().map(|e| (e.time, e.net.index(), e.value)).collect();
             assert_eq!(from_packed, want, "lane {k}");
+        }
+    }
+
+    /// The transposition this module shipped with, kept as the model: one
+    /// `BTreeMap` entry call per scalar event.
+    fn tree_transposition<P: PackedValue>(
+        stim: &PackedStimulus,
+        circuit: &Circuit,
+        until: VirtualTime,
+    ) -> Vec<(VirtualTime, GateId, u64, P)> {
+        let mut grouped: BTreeMap<(VirtualTime, usize), (u64, P)> = BTreeMap::new();
+        for k in 0..stim.lanes() {
+            for e in stim.lane(k).events::<P::Scalar>(circuit, until) {
+                let entry = grouped.entry((e.time, e.net.index())).or_insert((0, P::ALL_ZERO));
+                entry.0 |= 1 << k;
+                entry.1.set_lane(k, e.value);
+            }
+        }
+        grouped.into_iter().map(|((t, n), (mask, v))| (t, GateId::new(n), mask, v)).collect()
+    }
+
+    #[test]
+    fn merge_transposition_matches_the_tree_transposition() {
+        use crate::packed::PackedLogic4;
+        use parsim_netlist::generate;
+        let c = generate::random_dag(&generate::RandomDagConfig {
+            gates: 300,
+            inputs: 24,
+            seed: 6,
+            ..Default::default()
+        });
+        // 64 clocked random lanes with different cadences, so timestamps
+        // are shared by some lanes and private to others.
+        let random = PackedStimulus::new(
+            (0..LANES as u64)
+                .map(|k| Stimulus::random(k * 7 + 1, 3 + k % 5).with_clock(2 + k % 4))
+                .collect(),
+        );
+        // A replayed lane that drives one input twice at one time: the
+        // later value must win, as it did in the tree.
+        let name = c.gate(c.inputs()[1]).name().expect("inputs are named").to_owned();
+        let twice = vec![(4, name.clone(), true), (4, name.clone(), false), (9, name, true)];
+        let replayed = PackedStimulus::new(vec![
+            Stimulus::replay(twice),
+            Stimulus::counting(4),
+            Stimulus::quiet(10).with_clock(3),
+        ]);
+        for (stim, until) in [(&random, 160), (&replayed, 40), (&random, 0)] {
+            let until = VirtualTime::new(until);
+            let merged: Vec<_> = stim
+                .events::<PackedLogic4>(&c, until)
+                .into_iter()
+                .map(|e| (e.time, e.net, e.mask, e.value))
+                .collect();
+            assert_eq!(merged, tree_transposition::<PackedLogic4>(stim, &c, until));
         }
     }
 

@@ -3,7 +3,7 @@
 use std::ops::Range;
 
 use parsim_logic::GateKind;
-use parsim_netlist::{Circuit, GateId, Levelization};
+use parsim_netlist::{Circuit, GateId};
 
 /// Sentinel `seq_slot` for combinational ops.
 pub const NO_SEQ_SLOT: u32 = u32::MAX;
@@ -83,25 +83,28 @@ pub(crate) fn kind_from_code(code: u8) -> Option<GateKind> {
 /// One LP's (or the whole circuit's) gates lowered to linear bytecode.
 ///
 /// Layout: `ops[..seq_ops]` is the sequential section (flip-flops and
-/// latches), followed by the combinational levels in ascending level
-/// order. Within every section ops are sorted by kind (then gate id), so
-/// consecutive same-kind runs are as long as the circuit allows; the
-/// precomputed [`runs`](Self::runs) cover the whole schedule and never
-/// cross a section boundary. [`levels`](Self::levels) exposes the section
-/// ranges (sequential section first, when non-empty) — the unit of work
-/// for thread sharding and trace spans.
+/// latches), followed by *one* combinational section holding every other
+/// owned gate. Each section is sorted by kind, then gate id, so the
+/// precomputed [`runs`](Self::runs) hold at most one run per gate kind per
+/// section — an executor dispatches a dozen times per sweep however deep
+/// the circuit is — and never cross the section boundary.
+/// [`levels`](Self::levels) exposes the section ranges (sequential section
+/// first, when non-empty) — the unit of work for thread sharding and trace
+/// spans.
 ///
-/// Evaluation-order note: both executors may evaluate ops in any order
-/// within a tick/batch because every gate reads *net values* (updated by
-/// event application, never during evaluation) and writes only its own
-/// state and output, and each gate appears at most once per batch — the
-/// workspace-wide once-per-timestamp contract.
+/// Evaluation-order note: the schedule is *not* topological, and need not
+/// be. Both executors may evaluate ops in any order within a tick/batch
+/// because every gate reads *net values* (updated by event application,
+/// never during evaluation) and writes only its own state and output, and
+/// each gate appears at most once per batch — the workspace-wide
+/// once-per-timestamp contract. A zero-delay, rank-ordered backend
+/// (`CycleSimulator`) levelizes the circuit itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledBlock {
     ops: Vec<Op>,
     fanins: Vec<GateId>,
     /// Section ranges over `ops`: the sequential section (if any), then
-    /// each non-empty combinational level, ascending.
+    /// the combinational section (if any).
     levels: Vec<Range<usize>>,
     seq_ops: usize,
     nets: usize,
@@ -114,26 +117,30 @@ pub struct CompiledBlock {
 impl CompiledBlock {
     /// Compiles the whole circuit as one block.
     pub fn compile(circuit: &Circuit) -> Self {
-        let lv = Levelization::of(circuit);
-        Self::lower(circuit, &lv, |_| true)
+        Self::compile_filtered(circuit, |_| true)
     }
 
     /// Compiles the subset of `circuit` owned by one LP (`owns` decides
-    /// membership), against a shared levelization.
-    pub fn compile_filtered(
-        circuit: &Circuit,
-        lv: &Levelization,
-        owns: impl Fn(GateId) -> bool,
-    ) -> Self {
-        Self::lower(circuit, lv, owns)
-    }
+    /// membership).
+    pub fn compile_filtered(circuit: &Circuit, owns: impl Fn(GateId) -> bool) -> Self {
+        let (mut seq, mut comb): (Vec<GateId>, Vec<GateId>) = (Vec::new(), Vec::new());
+        for id in circuit.ids().filter(|&id| owns(id)) {
+            let kind = circuit.kind(id);
+            if kind.is_sequential() {
+                seq.push(id);
+            } else if !kind.is_source() {
+                comb.push(id);
+            }
+        }
+        let seq_ops = seq.len();
 
-    fn lower(circuit: &Circuit, lv: &Levelization, owns: impl Fn(GateId) -> bool) -> Self {
-        let mut ops: Vec<Op> = Vec::new();
+        let mut ops: Vec<Op> = Vec::with_capacity(seq_ops + comb.len());
         let mut fanins: Vec<GateId> = Vec::new();
         let mut levels: Vec<Range<usize>> = Vec::new();
-
-        let push_section = |ops: &mut Vec<Op>, fanins: &mut Vec<GateId>, mut gates: Vec<GateId>| {
+        for mut gates in [seq, comb] {
+            if gates.is_empty() {
+                continue;
+            }
             gates.sort_unstable_by_key(|&id| (kind_code(circuit.kind(id)), id));
             let start = ops.len();
             for id in gates {
@@ -142,45 +149,19 @@ impl CompiledBlock {
                 assert!(delay <= u64::from(u32::MAX), "gate delay overflows the op encoding");
                 let fanin_start = u32::try_from(fanins.len()).expect("fanin array fits u32");
                 fanins.extend_from_slice(g.fanin());
+                // The sequential section comes first, so a sequential
+                // op's state slot is its position in the schedule.
+                let seq_slot = if ops.len() < seq_ops { ops.len() as u32 } else { NO_SEQ_SLOT };
                 ops.push(Op {
                     gate: id,
                     kind: g.kind(),
                     delay: delay as u32,
-                    seq_slot: NO_SEQ_SLOT,
+                    seq_slot,
                     fanin_start,
                     fanin_len: g.fanin().len() as u32,
                 });
             }
-            start..ops.len()
-        };
-
-        // Sequential section: every owned flip-flop/latch (all at level 0).
-        let by_level = lv.by_level();
-        let seq: Vec<GateId> =
-            circuit.ids().filter(|&id| circuit.kind(id).is_sequential() && owns(id)).collect();
-        let seq_range = push_section(&mut ops, &mut fanins, seq);
-        let seq_ops = seq_range.len();
-        for (slot, op) in ops[seq_range.clone()].iter_mut().enumerate() {
-            op.seq_slot = slot as u32;
-        }
-        if !seq_range.is_empty() {
-            levels.push(seq_range);
-        }
-
-        // Combinational levels, ascending.
-        for level in by_level {
-            let comb: Vec<GateId> = level
-                .into_iter()
-                .filter(|&id| {
-                    let k = circuit.kind(id);
-                    !k.is_source() && !k.is_sequential() && owns(id)
-                })
-                .collect();
-            if comb.is_empty() {
-                continue;
-            }
-            let range = push_section(&mut ops, &mut fanins, comb);
-            levels.push(range);
+            levels.push(start..ops.len());
         }
 
         Self::assemble(ops, fanins, levels, seq_ops, circuit.len())
@@ -216,14 +197,15 @@ impl CompiledBlock {
         CompiledBlock { ops, fanins, levels, seq_ops, nets, op_of, runs }
     }
 
-    /// The straight-line schedule: sequential section, then levels.
+    /// The straight-line schedule: sequential section, then the
+    /// combinational section.
     pub fn ops(&self) -> &[Op] {
         &self.ops
     }
 
-    /// Section index ranges over [`ops`](Self::ops): the sequential
-    /// section first (when non-empty), then each non-empty combinational
-    /// level ascending.
+    /// Section index ranges over [`ops`](Self::ops) — the unit of sharding
+    /// and of `Charge` spans: the sequential section first, then the
+    /// combinational one; an empty section has no range, so at most two.
     pub fn levels(&self) -> &[Range<usize>] {
         &self.levels
     }
@@ -267,9 +249,7 @@ impl CompiledBlock {
 }
 
 /// Compiles one block per LP from a per-gate assignment: `lp_of[g]` is the
-/// LP owning gate `g`, `n_lps` the block count. Levelizes once and filters
-/// per LP, so the cost is `O(circuit + total ops)`, not `O(n_lps ×
-/// circuit)` levelizations.
+/// LP owning gate `g`, `n_lps` the block count.
 ///
 /// # Panics
 ///
@@ -277,9 +257,8 @@ impl CompiledBlock {
 pub fn compile_blocks(circuit: &Circuit, lp_of: &[usize], n_lps: usize) -> Vec<CompiledBlock> {
     assert_eq!(lp_of.len(), circuit.len(), "assignment must cover every gate");
     assert!(lp_of.iter().all(|&l| l < n_lps), "LP index out of range");
-    let lv = Levelization::of(circuit);
     (0..n_lps)
-        .map(|lp| CompiledBlock::compile_filtered(circuit, &lv, |id| lp_of[id.index()] == lp))
+        .map(|lp| CompiledBlock::compile_filtered(circuit, |id| lp_of[id.index()] == lp))
         .collect()
 }
 
@@ -333,21 +312,49 @@ mod tests {
         assert_eq!(slots.len(), b.seq_ops());
     }
 
+    /// The layout contract of the two-section schedule, on the whole
+    /// circuit and on every block of a partition.
     #[test]
-    fn comb_ops_appear_after_their_compiled_fanins() {
-        let c = bench::c17();
-        let b = CompiledBlock::compile(&c);
-        let mut pos = vec![usize::MAX; c.len()];
-        for (i, op) in b.ops().iter().enumerate() {
-            pos[op.gate.index()] = i;
-        }
-        for op in &b.ops()[b.seq_ops()..] {
-            for &f in b.fanin(op) {
-                if pos[f.index()] != usize::MAX && !c.kind(f).is_sequential() {
-                    assert!(pos[f.index()] < pos[op.gate.index()]);
-                }
+    fn schedule_is_two_kind_major_sections() {
+        let deep = generate::random_dag(&generate::RandomDagConfig {
+            gates: 600,
+            seq_fraction: 0.2,
+            seed: 31,
+            ..Default::default()
+        });
+        let comb_only = bench::c17();
+        let lp_of: Vec<usize> = (0..deep.len()).map(|i| i % 3).collect();
+        let mut blocks = compile_blocks(&deep, &lp_of, 3);
+        blocks.push(CompiledBlock::compile(&deep));
+        blocks.push(CompiledBlock::compile(&comb_only));
+        for b in &blocks {
+            let sections = b.levels();
+            assert!(sections.len() <= 2, "{} sections", sections.len());
+            assert_eq!(sections.first().map_or(0, |s| s.start), 0);
+            assert_eq!(sections.last().map_or(0, |s| s.end), b.ops().len());
+            if b.seq_ops() > 0 {
+                assert_eq!(sections[0], 0..b.seq_ops(), "sequential section comes first");
             }
+            for (i, op) in b.ops().iter().enumerate() {
+                let want = if i < b.seq_ops() { i as u32 } else { NO_SEQ_SLOT };
+                assert_eq!(op.seq_slot, want, "seq slots count 0.. through the first section");
+                assert_eq!(op.kind.is_sequential(), i < b.seq_ops());
+                assert_eq!(b.op_of(op.gate), Some(op), "op_of finds the op back");
+            }
+            let mut kinds_present = 0;
+            for section in sections {
+                let ops = &b.ops()[section.clone()];
+                let key = |op: &Op| (kind_code(op.kind), op.gate);
+                assert!(ops.windows(2).all(|w| key(&w[0]) < key(&w[1])), "kind-major, then id");
+                kinds_present += 1 + ops.windows(2).filter(|w| w[0].kind != w[1].kind).count();
+            }
+            assert_eq!(b.runs().len(), kinds_present, "one run per kind present per section");
         }
+        let scheduled: usize = blocks[..3].iter().map(|b| b.ops().len()).sum();
+        assert_eq!(scheduled, blocks[3].ops().len(), "LP blocks tile the whole-circuit block");
+        assert_eq!(blocks[4].levels().len(), 1, "a combinational circuit has one section");
+        let unowned = GateId::new(lp_of.iter().position(|&lp| lp != 0).expect("three LPs"));
+        assert!(blocks[0].op_of(unowned).is_none());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::compile_blocks;
 /// Bytecode format version; bump on any layout or semantics change (kind
 /// codes, hash function, array meaning). Old-version files are treated as
 /// misses, never migrated.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: [u8; 8] = *b"PARSIMC\0";
 
@@ -384,7 +384,7 @@ pub fn deserialize_blocks(bytes: &[u8]) -> Option<(u64, Vec<CompiledBlock>)> {
             prev_end = end;
             levels.push(start..end);
         }
-        if prev_end != n_ops || seq_ops > n_ops {
+        if prev_end != n_ops || seq_ops > n_ops || n_levels > 2 {
             return None;
         }
         blocks.push(CompiledBlock::assemble(ops, fanins, levels, seq_ops, nets));
@@ -420,6 +420,25 @@ mod tests {
         let (stored_key, loaded) = deserialize_blocks(&bytes).expect("valid artifact");
         assert_eq!(stored_key, key);
         assert_eq!(loaded, blocks, "derived structures rebuilt identically");
+    }
+
+    #[test]
+    fn previous_format_version_is_refused() {
+        let (c, lp_of, blocks) = zoo_blocks();
+        let key = ArtifactStore::cache_key(&c, &lp_of, 4);
+        let current = serialize_blocks(key, &blocks);
+        // The same payload stamped with the previous version and a valid
+        // checksum: only the version check can refuse it.
+        let restamp = |version: u32| {
+            let mut bytes = current[..current.len() - 8].to_vec();
+            bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+            let mut h = Fnv1a::new();
+            h.write(&bytes);
+            push_u64(&mut bytes, h.finish());
+            bytes
+        };
+        assert_eq!(restamp(FORMAT_VERSION), current);
+        assert!(deserialize_blocks(&restamp(FORMAT_VERSION - 1)).is_none());
     }
 
     #[test]

@@ -27,9 +27,10 @@ pub struct GateSlices<'a, V> {
 }
 
 /// Evaluates every op of `block` against `values`, in schedule order
-/// (sequential section, then levels). For each gate whose new output
-/// differs from its `last_driven` value, calls `emit(gate, value, delay)`
-/// — "schedule `value` on the gate's net at `now + delay`".
+/// (sequential section, then the combinational one). For each gate whose
+/// new output differs from its `last_driven` value, calls
+/// `emit(gate, value, delay)` — "schedule `value` on the gate's net at
+/// `now + delay`".
 ///
 /// This is the oblivious backend: no dirty set, no event queue, one
 /// dispatch per precompiled kind run.

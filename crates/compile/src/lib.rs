@@ -2,14 +2,13 @@
 //!
 //! The netlist-to-bytecode compiler every kernel shares.
 //!
-//! GSIM-style levelized compiled-code simulation replaces the generic
-//! per-gate interpreter walk (gate → kind dispatch → fanin pointer chase)
-//! with a compact linear bytecode: one [`Op`] per non-source gate — kind,
+//! GSIM-style compiled-code simulation replaces the generic per-gate
+//! interpreter walk (gate → kind dispatch → fanin pointer chase) with a compact linear bytecode: one [`Op`] per non-source gate — kind,
 //! a slice of a flat fanin array, the gate's own delay, and (for
 //! flip-flops and latches) a sequential state slot — grouped into a
-//! separate sequential section followed by the combinational levels, with
-//! ops inside each section sorted by kind so the executors can dispatch
-//! **once per kind run** instead of once per gate.
+//! sequential section followed by one combinational section, each sorted
+//! by kind so the executors dispatch **once per kind** instead of once per
+//! gate.
 //!
 //! One compiler, three backends:
 //!

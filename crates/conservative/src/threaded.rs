@@ -230,18 +230,9 @@ impl<V: LogicValue> SyncProtocol<V> for CmbProtocol {
     ) -> CmbWorker<V> {
         let circuit = fabric.circuit();
         let topo = fabric.topo();
-        let observe = fabric.observe();
         let mut lps: Vec<LpState<V>> = fabric
             .my_lps(worker)
-            .map(|i| {
-                let owned = topo.lps()[i].gates.clone();
-                LpState::new(
-                    circuit,
-                    topo,
-                    i,
-                    owned.into_iter().filter(|&id| observe.wants(circuit, id)),
-                )
-            })
+            .map(|i| LpState::new(circuit, topo, i, fabric.observed_by(i)))
             .collect();
         for (slot, events) in preloads.into_iter().enumerate() {
             for e in events {

@@ -7,7 +7,7 @@ use parsim_event::{Event, VirtualTime};
 use parsim_logic::{eval_combinational, eval_dff, eval_latch, GateKind, LogicValue};
 use parsim_netlist::{Circuit, GateId, Levelization};
 
-use crate::{Observe, SimOutcome, SimStats, Simulator, Stimulus, Waveform};
+use crate::{Observe, SimOutcome, SimStats, Simulator, Stimulus, WaveRecorder, Waveform};
 
 /// A cycle-based simulator: gate delays are ignored and the combinational
 /// network is evaluated to its fixpoint in levelized (rank) order at every
@@ -78,11 +78,7 @@ impl<V: LogicValue> Simulator<V> for CycleSimulator<V> {
         let lv = Levelization::of(circuit);
         let mut values = vec![V::ZERO; n];
         let mut stats = SimStats::default();
-        let mut waveforms: BTreeMap<GateId, Waveform<V>> = circuit
-            .ids()
-            .filter(|&id| self.observe.wants(circuit, id))
-            .map(|id| (id, Waveform::new(V::ZERO)))
-            .collect();
+        let mut waveforms = WaveRecorder::observing(circuit, self.observe, Waveform::new(V::ZERO));
 
         // Sequential elements: previous clock level for edge detection.
         let seq: Vec<GateId> = circuit.sequential_elements();
@@ -168,7 +164,7 @@ impl<V: LogicValue> Simulator<V> for CycleSimulator<V> {
             old.clone_from(&values);
         }
 
-        SimOutcome { final_values: values, waveforms, end_time: until, stats }
+        SimOutcome { final_values: values, waveforms: waveforms.into_map(), end_time: until, stats }
     }
 }
 

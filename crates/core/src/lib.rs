@@ -19,7 +19,8 @@
 //! * [`Stimulus`] — deterministic test-vector sources (random, counting,
 //!   explicit, with square-wave clocks for sequential circuits).
 //! * [`SimOutcome`] / [`SimStats`] / [`Waveform`] — results, protocol
-//!   statistics and signal traces.
+//!   statistics and signal traces; [`WaveRecorder`] — the net-indexed
+//!   observation map every kernel records its waveforms through.
 //! * [`Simulator`] — the object-safe trait the experiment harness sweeps
 //!   over.
 //!
@@ -49,6 +50,7 @@ mod lp;
 mod oblivious;
 mod outcome;
 mod profile;
+mod recorder;
 mod sequential;
 mod simulator;
 mod stimulus;
@@ -62,6 +64,7 @@ pub use lp::{LpSpec, LpTopology};
 pub use oblivious::ObliviousSimulator;
 pub use outcome::{SimOutcome, SimStats};
 pub use profile::{pre_simulate, pre_simulate_fraction, ActivityProfile};
+pub use recorder::WaveRecorder;
 pub use sequential::{QueueKind, SequentialSimulator};
 pub use simulator::{Observe, Simulator};
 pub use stimulus::Stimulus;

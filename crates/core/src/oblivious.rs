@@ -1,15 +1,15 @@
 //! The oblivious (compiled-mode) kernel.
 
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
 use parsim_event::VirtualTime;
 use parsim_logic::{GateKind, LogicValue};
-use parsim_netlist::Circuit;
+use parsim_netlist::{Circuit, GateId};
 use parsim_trace::{Probe, TraceKind, NO_LP};
 
 use crate::{
-    evaluate_gate, GateRuntime, Observe, SimOutcome, SimStats, Simulator, Stimulus, Waveform,
+    evaluate_gate, GateRuntime, Observe, SimOutcome, SimStats, Simulator, Stimulus, WaveRecorder,
+    Waveform,
 };
 
 /// The §IV *oblivious* algorithm: no event queue at all.
@@ -126,11 +126,7 @@ impl<V: LogicValue> Simulator<V> for ObliviousSimulator<V> {
             (b, u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX))
         });
         let mut stats = SimStats::default();
-        let mut waveforms: BTreeMap<_, Waveform<V>> = circuit
-            .ids()
-            .filter(|&id| self.observe.wants(circuit, id))
-            .map(|id| (id, Waveform::new(V::ZERO)))
-            .collect();
+        let mut waveforms = WaveRecorder::observing(circuit, self.observe, Waveform::new(V::ZERO));
 
         let mut input_events = stimulus.events::<V>(circuit, until);
         // Constants behave like a t = 0 input event.
@@ -145,9 +141,10 @@ impl<V: LogicValue> Simulator<V> for ObliviousSimulator<V> {
         let evaluating: Vec<_> =
             circuit.iter().filter(|(_, g)| !g.kind().is_source()).map(|(id, _)| id).collect();
 
-        // `pending[g]` is the output computed at the previous tick, to be
-        // applied this tick (unit delay).
-        let mut pending: Vec<Option<V>> = vec![None; n];
+        // The outputs the previous tick's evaluation changed — the
+        // publish-on-change list both evaluation paths emit — to be applied
+        // this tick (unit delay). Each gate appears at most once.
+        let mut pending: Vec<(GateId, V)> = Vec::new();
         let mut ph = self.probe.handle();
         if let Some((_, compile_ns)) = &block {
             if ph.enabled() {
@@ -159,13 +156,11 @@ impl<V: LogicValue> Simulator<V> for ObliviousSimulator<V> {
         loop {
             let now = VirtualTime::new(t);
             // Apply last tick's gate outputs.
-            for &id in &evaluating {
-                if let Some(v) = pending[id.index()].take() {
-                    if values[id.index()] != v {
-                        values[id.index()] = v;
-                        if let Some(w) = waveforms.get_mut(&id) {
-                            w.record(now, v);
-                        }
+            for (id, v) in pending.drain(..) {
+                if values[id.index()] != v {
+                    values[id.index()] = v;
+                    if let Some(w) = waveforms.get_mut(id) {
+                        w.record(now, v);
                     }
                 }
             }
@@ -180,7 +175,7 @@ impl<V: LogicValue> Simulator<V> for ObliviousSimulator<V> {
                 }
                 if values[e.net.index()] != e.value {
                     values[e.net.index()] = e.value;
-                    if let Some(w) = waveforms.get_mut(&e.net) {
+                    if let Some(w) = waveforms.get_mut(e.net) {
                         w.record(now, e.value);
                     }
                 }
@@ -197,16 +192,17 @@ impl<V: LogicValue> Simulator<V> for ObliviousSimulator<V> {
                     last_driven: &mut last_driven,
                 };
                 parsim_compile::execute_full(b, &values, slices, &mut |id, v, _delay| {
-                    pending[id.index()] = Some(v);
+                    pending.push((id, v));
                 });
             } else {
                 for &id in &evaluating {
-                    pending[id.index()] = evaluate_gate(
+                    let out = evaluate_gate(
                         circuit,
                         id,
                         &mut |f| values[f.index()],
                         &mut runtime[id.index()],
                     );
+                    pending.extend(out.map(|v| (id, v)));
                 }
             }
             if ph.enabled() {
@@ -215,7 +211,7 @@ impl<V: LogicValue> Simulator<V> for ObliviousSimulator<V> {
             t += 1;
         }
 
-        SimOutcome { final_values: values, waveforms, end_time: until, stats }
+        SimOutcome { final_values: values, waveforms: waveforms.into_map(), end_time: until, stats }
     }
 }
 

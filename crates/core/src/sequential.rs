@@ -1,6 +1,5 @@
 //! The sequential event-driven reference kernel.
 
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
 use parsim_event::{
@@ -11,7 +10,8 @@ use parsim_netlist::{Circuit, GateId};
 use parsim_trace::{Probe, TraceKind};
 
 use crate::{
-    evaluate_gate, GateRuntime, Observe, SimOutcome, SimStats, Simulator, Stimulus, Waveform,
+    evaluate_gate, GateRuntime, Observe, SimOutcome, SimStats, Simulator, Stimulus, WaveRecorder,
+    Waveform,
 };
 
 /// Which pending-event-set implementation the sequential kernel uses.
@@ -124,11 +124,7 @@ impl<V: LogicValue> SequentialSimulator<V> {
         let mut runtime = vec![GateRuntime::<V>::default(); n];
         let mut eval_counts = vec![0u64; n];
         let mut stats = SimStats::default();
-        let mut waveforms: BTreeMap<GateId, Waveform<V>> = circuit
-            .ids()
-            .filter(|&id| self.observe.wants(circuit, id))
-            .map(|id| (id, Waveform::new(V::ZERO)))
-            .collect();
+        let mut waveforms = WaveRecorder::observing(circuit, self.observe, Waveform::new(V::ZERO));
 
         let mut ph = self.probe.handle();
 
@@ -170,7 +166,7 @@ impl<V: LogicValue> SequentialSimulator<V> {
                         values: &mut Vec<V>,
                         runtime: &mut Vec<GateRuntime<V>>,
                         stats: &mut SimStats,
-                        waveforms: &mut BTreeMap<GateId, Waveform<V>>| {
+                        waveforms: &mut WaveRecorder<Waveform<V>>| {
             stamp_counter += 1;
             dirty.clear();
 
@@ -192,7 +188,7 @@ impl<V: LogicValue> SequentialSimulator<V> {
                     continue; // no change: suppressed
                 }
                 values[e.net.index()] = e.value;
-                if let Some(w) = waveforms.get_mut(&e.net) {
+                if let Some(w) = waveforms.get_mut(e.net) {
                     w.record(now, e.value);
                 }
                 for entry in circuit.fanout(e.net) {
@@ -264,7 +260,12 @@ impl<V: LogicValue> SequentialSimulator<V> {
             step(now, false, &mut queue, &mut values, &mut runtime, &mut stats, &mut waveforms);
         }
 
-        let outcome = SimOutcome { final_values: values, waveforms, end_time: until, stats };
+        let outcome = SimOutcome {
+            final_values: values,
+            waveforms: waveforms.into_map(),
+            end_time: until,
+            stats,
+        };
         (outcome, eval_counts)
     }
 }

@@ -20,13 +20,18 @@ pub enum Observe {
 }
 
 impl Observe {
-    /// Returns `true` if the net driven by gate `id` should be recorded.
-    pub fn wants(self, circuit: &Circuit, id: parsim_netlist::GateId) -> bool {
-        match self {
-            Observe::Outputs => circuit.outputs().contains(&id),
-            Observe::AllNets => true,
-            Observe::Nothing => false,
+    /// The recorded nets as a gate-indexed mask: `mask[g]` is `true` if
+    /// the net driven by gate `g` should be recorded. Built in
+    /// `O(gates + outputs)`; kernels take it once per run and never ask
+    /// the circuit's output list about a single net.
+    pub fn mask(self, circuit: &Circuit) -> Vec<bool> {
+        let mut mask = vec![self == Observe::AllNets; circuit.len()];
+        if self == Observe::Outputs {
+            for po in circuit.outputs() {
+                mask[po.index()] = true;
+            }
         }
+        mask
     }
 }
 

@@ -124,14 +124,13 @@ impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
 
         let mut lps: Vec<TwLp<V>> = (0..n_lps)
             .map(|i| {
-                let owned = topo.lps()[i].gates.clone();
                 TwLp::new(
                     circuit,
                     topo,
                     i,
                     StateSaving::Incremental,
                     Cancellation::Aggressive,
-                    owned.into_iter().filter(|&id| self.observe.wants(circuit, id)),
+                    fabric.observed_by(i),
                 )
             })
             .collect();

@@ -22,10 +22,13 @@
 //!
 //! [`TimeWarpSimulator`] runs on the virtual multiprocessor with a
 //! deterministic smallest-clock scheduler; [`ThreadedTimeWarpSimulator`]
-//! runs the identical LP state machine on real threads, where stragglers
-//! and rollbacks arise from genuine cross-thread message races. Both are
-//! differential-tested against the sequential reference: Time Warp commits
-//! exactly the same history, only out of order.
+//! runs the identical LP state machine on real threads in fabric rounds,
+//! where stragglers and rollbacks arise from messages that cross a round
+//! boundary after the receiver has speculated past them — which messages
+//! those are is fixed by the round structure, so its statistics repeat
+//! exactly from run to run. Both are differential-tested against the
+//! sequential reference: Time Warp commits exactly the same history, only
+//! out of order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -197,15 +197,7 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
 
         let mut lps: Vec<TwLp<V>> = (0..n_lps)
             .map(|i| {
-                let owned = topo.lps()[i].gates.clone();
-                TwLp::new(
-                    circuit,
-                    topo,
-                    i,
-                    self.saving,
-                    self.cancellation,
-                    owned.into_iter().filter(|&id| self.observe.wants(circuit, id)),
-                )
+                TwLp::new(circuit, topo, i, self.saving, self.cancellation, fabric.observed_by(i))
             })
             .collect();
 

@@ -30,10 +30,13 @@ const BATCH_BUDGET: usize = 4;
 /// barrier (where it is exact) and drives fossil collection and
 /// termination.
 ///
-/// Committed results are identical to the sequential reference; statistics
-/// (rollback counts, anti-messages) vary run to run with thread timing —
-/// that nondeterminism is intrinsic to asynchronous optimism (§V notes the
-/// performance instability it causes).
+/// Committed results are identical to the sequential reference, and the
+/// statistics (rollback counts, anti-messages, the whole `SimStats`) repeat
+/// exactly from run to run: the fabric delivers in round `r` exactly what
+/// was posted in round `r − 1`, so which stragglers an LP meets is decided
+/// by the round structure, not by thread timing. The instability §V
+/// describes shows as sensitivity to partition, batch budget and stimulus,
+/// not as run-to-run noise.
 #[derive(Debug, Clone)]
 pub struct ThreadedTimeWarpSimulator<V> {
     partition: Partition,
@@ -237,19 +240,10 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
     ) -> TwWorker<V> {
         let circuit = fabric.circuit();
         let topo = fabric.topo();
-        let observe = fabric.observe();
         let mut lps: Vec<TwLp<V>> = fabric
             .my_lps(worker)
             .map(|i| {
-                let owned = topo.lps()[i].gates.clone();
-                TwLp::new(
-                    circuit,
-                    topo,
-                    i,
-                    self.saving,
-                    self.cancellation,
-                    owned.into_iter().filter(|&id| observe.wants(circuit, id)),
-                )
+                TwLp::new(circuit, topo, i, self.saving, self.cancellation, fabric.observed_by(i))
             })
             .collect();
         for (slot, events) in preloads.into_iter().enumerate() {

@@ -12,7 +12,7 @@ use parsim_core::{
 use parsim_event::{Event, VirtualTime};
 use parsim_logic::{GateKind, LogicValue};
 use parsim_machine::{MachineConfig, VirtualMachine};
-use parsim_netlist::Circuit;
+use parsim_netlist::{Circuit, GateId};
 use parsim_partition::Partition;
 use parsim_trace::{Probe, ProbeHandle, TraceKind, NO_LP};
 
@@ -279,7 +279,9 @@ pub struct Fabric<'c> {
     topo: LpTopology,
     workers: usize,
     granularity: usize,
-    observe: Observe,
+    /// Which nets get waveforms, as a gate-indexed mask: built once, so no
+    /// worker scans the circuit's output list per owned gate.
+    observed: Vec<bool>,
     compiled: Option<CompiledPlan>,
     /// Per-ring mesh capacity, sized from the topology's worst-case
     /// cross-worker fan-out so a fully active round fits the lock-free
@@ -311,7 +313,15 @@ impl<'c> Fabric<'c> {
         let coarse: Vec<usize> = circuit.ids().map(|id| partition.block_of(id)).collect();
         let topo = LpTopology::with_granularity(circuit, &coarse, workers, granularity);
         let ring_capacity = Self::fanout_ring_capacity(circuit, &topo, workers, granularity);
-        Fabric { circuit, topo, workers, granularity, observe, compiled: None, ring_capacity }
+        Fabric {
+            circuit,
+            topo,
+            workers,
+            granularity,
+            observed: observe.mask(circuit),
+            compiled: None,
+            ring_capacity,
+        }
     }
 
     /// Sizes the mailbox rings from the compiled topology: for each
@@ -437,9 +447,10 @@ impl<'c> Fabric<'c> {
         self.granularity
     }
 
-    /// Which nets get waveforms.
-    pub fn observe(&self) -> Observe {
-        self.observe
+    /// LP `lp`'s observed nets — its owned gates that get a waveform — in
+    /// the shape [`LpCore::new`](crate::LpCore::new) takes.
+    pub fn observed_by(&self, lp: usize) -> impl Iterator<Item = GateId> + '_ {
+        self.topo.lps()[lp].gates.iter().copied().filter(|id| self.observed[id.index()])
     }
 
     /// The LPs owned by `worker`, ascending.

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use parsim_core::{evaluate_gate, GateRuntime, LpTopology, Waveform};
+use parsim_core::{evaluate_gate, GateRuntime, LpTopology, WaveRecorder, Waveform};
 use parsim_event::{Event, VirtualTime};
 use parsim_logic::LogicValue;
 use parsim_netlist::{Circuit, GateId};
@@ -71,7 +71,7 @@ impl<V: LogicValue> GateStateSoa<V> {
 pub struct LpCore<V> {
     values: Vec<V>,
     soa: GateStateSoa<V>,
-    waveforms: BTreeMap<GateId, Waveform<V>>,
+    waveforms: WaveRecorder<Waveform<V>>,
     dirty: Vec<GateId>,
     stamp: Vec<u64>,
     stamp_counter: u64,
@@ -85,7 +85,7 @@ impl<V: LogicValue> LpCore<V> {
         LpCore {
             values: vec![V::ZERO; n],
             soa: GateStateSoa::new(n),
-            waveforms: observed.map(|id| (id, Waveform::new(V::ZERO))).collect(),
+            waveforms: WaveRecorder::new(n, observed, Waveform::new(V::ZERO)),
             dirty: Vec::new(),
             stamp: vec![u64::MAX; n],
             stamp_counter: 0,
@@ -120,7 +120,7 @@ impl<V: LogicValue> LpCore<V> {
             return None;
         }
         self.values[e.net.index()] = e.value;
-        if let Some(w) = self.waveforms.get_mut(&e.net) {
+        if let Some(w) = self.waveforms.get_mut(e.net) {
             w.record(now, e.value);
         }
         Some(old)
@@ -223,12 +223,12 @@ impl<V: LogicValue> LpCore<V> {
 
     /// Waveforms of this LP's observed nets (for result collection).
     pub fn take_waveforms(&mut self) -> BTreeMap<GateId, Waveform<V>> {
-        std::mem::take(&mut self.waveforms)
+        std::mem::take(&mut self.waveforms).into_map()
     }
 
     /// Discards every waveform sample at `t ≥ from` (rollback).
     pub fn truncate_waveforms_from(&mut self, from: VirtualTime) {
-        for w in self.waveforms.values_mut() {
+        for (_, w) in self.waveforms.iter_mut() {
             w.truncate_from(from);
         }
     }

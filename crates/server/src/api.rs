@@ -39,7 +39,7 @@ impl KernelKind {
 }
 
 /// How the job's circuit is supplied.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NetlistSpec {
     /// Inline ISCAS-style BENCH text.
     Bench(String),

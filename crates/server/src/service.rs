@@ -14,7 +14,9 @@
 //! every outcome — including budget truncation and worker death — ending
 //! in a terminal `done` or `error` event rather than a hang.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, VecDeque};
+use std::hash::BuildHasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -69,6 +71,12 @@ struct Prepared {
     partition: Partition,
 }
 
+/// How many prepared circuits the service keeps. A stream of distinct
+/// netlists evicts oldest-first instead of growing the memo (and the
+/// process) without bound; repeat submissions of the last few dozen
+/// circuits still hit.
+const PREPARED_CAP: usize = 64;
+
 #[derive(Debug, Default, Clone, Copy)]
 struct JobCounters {
     completed: u64,
@@ -85,7 +93,13 @@ pub struct SimService {
     store: ArtifactStore,
     ledger: QuotaLedger,
     slots: RunSlots,
-    prepared: Mutex<HashMap<(String, usize), Arc<Prepared>>>,
+    /// The prepared-circuit memo, oldest first, at most [`PREPARED_CAP`]
+    /// entries, keyed by `memo_keys`' hash of (netlist spec, workers) — the
+    /// key never holds the netlist text.
+    prepared: Mutex<VecDeque<(u64, Arc<Prepared>)>>,
+    /// Randomly keyed per service, so a tenant cannot craft a netlist that
+    /// collides with another tenant's entry.
+    memo_keys: RandomState,
     next_job: AtomicU64,
     counters: Mutex<JobCounters>,
 }
@@ -101,7 +115,8 @@ impl SimService {
             store,
             ledger: QuotaLedger::new(),
             slots,
-            prepared: Mutex::new(HashMap::new()),
+            prepared: Mutex::new(VecDeque::new()),
+            memo_keys: RandomState::new(),
             next_job: AtomicU64::new(0),
             counters: Mutex::new(JobCounters::default()),
         }
@@ -205,12 +220,13 @@ impl SimService {
     }
 
     fn prepare(&self, req: &JobRequest) -> Result<Arc<Prepared>, String> {
-        let key = (netlist_key(&req.netlist), req.workers);
-        if let Some(p) = lock_recover(&self.prepared).get(&key) {
+        let key = self.memo_keys.hash_one((&req.netlist, req.workers));
+        if let Some((_, p)) = lock_recover(&self.prepared).iter().find(|(k, _)| *k == key) {
             return Ok(Arc::clone(p));
         }
         // Built outside the lock: two racing first-submitters may both
-        // build, which is benign — last insert wins and both are valid.
+        // build, which is benign — both entries are valid and the first
+        // one answers later lookups.
         let circuit = build_circuit(&req.netlist)?;
         if req.workers > circuit.len() {
             return Err(format!(
@@ -222,7 +238,11 @@ impl SimService {
         let weights = GateWeights::uniform(circuit.len());
         let partition = ConePartitioner.partition(&circuit, req.workers, &weights);
         let p = Arc::new(Prepared { circuit, partition });
-        lock_recover(&self.prepared).insert(key, Arc::clone(&p));
+        let mut memo = lock_recover(&self.prepared);
+        if memo.len() == PREPARED_CAP {
+            memo.pop_front();
+        }
+        memo.push_back((key, Arc::clone(&p)));
         Ok(p)
     }
 
@@ -290,14 +310,6 @@ impl SimService {
     }
 }
 
-/// Stable cache key text for a netlist spec.
-fn netlist_key(spec: &NetlistSpec) -> String {
-    match spec {
-        NetlistSpec::Bench(text) => format!("bench:{text}"),
-        NetlistSpec::Generate { kind, size } => format!("generate:{kind}:{size}"),
-    }
-}
-
 fn build_circuit(spec: &NetlistSpec) -> Result<Circuit, String> {
     match spec {
         NetlistSpec::Bench(text) => bench::parse("job", text, DelayModel::Unit)
@@ -327,5 +339,55 @@ fn classify(e: &SimError) -> &'static str {
         SimError::DeliveryFault { .. } => "delivery-fault",
         SimError::LockPoisoned { .. } => "lock-poisoned",
         _ => "sim-error",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(netlist: NetlistSpec) -> JobRequest {
+        JobRequest {
+            tenant: "acme".into(),
+            netlist,
+            kernel: KernelKind::Sync,
+            workers: 2,
+            until: 10,
+            seed: 1,
+            interval: 5,
+            observe: ObserveSpec::Outputs,
+            budget: parsim_core::RunBudget::UNLIMITED,
+            fault_kill: None,
+        }
+    }
+
+    /// A distinct two-gate netlist per `i`.
+    fn bench_text(i: usize) -> NetlistSpec {
+        NetlistSpec::Bench(format!(
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y{i})\nn{i} = NAND(a, b)\ny{i} = NOT(n{i})\n"
+        ))
+    }
+
+    #[test]
+    fn prepared_memo_is_capped_oldest_out_and_repeats_still_hit() {
+        let service = SimService::new(ServiceConfig::new(std::env::temp_dir().join("unused")));
+        let warm = request(NetlistSpec::Generate { kind: "ripple_adder".into(), size: 4 });
+        let first = service.prepare(&warm).expect("valid generator");
+        assert!(Arc::ptr_eq(&first, &service.prepare(&warm).unwrap()), "a repeat hits");
+        let mut other_workers = warm.clone();
+        other_workers.workers = 3;
+        assert!(!Arc::ptr_eq(&first, &service.prepare(&other_workers).unwrap()));
+
+        // A stream of cap + 2 cold netlists: the memo stops at the cap, the
+        // oldest entries (the warm ones above) are gone, the newest stays.
+        let cold: Vec<JobRequest> = (0..PREPARED_CAP + 2).map(|i| request(bench_text(i))).collect();
+        let built: Vec<_> = cold.iter().map(|r| service.prepare(r).expect("valid bench")).collect();
+        assert_eq!(lock_recover(&service.prepared).len(), PREPARED_CAP);
+        let newest = cold.len() - 1;
+        assert!(Arc::ptr_eq(&built[newest], &service.prepare(&cold[newest]).unwrap()));
+        assert!(Arc::ptr_eq(&built[2], &service.prepare(&cold[2]).unwrap()), "oldest survivor");
+        assert!(!Arc::ptr_eq(&built[1], &service.prepare(&cold[1]).unwrap()), "evicted: rebuilt");
+        assert!(!Arc::ptr_eq(&first, &service.prepare(&warm).unwrap()), "evicted: rebuilt");
+        assert_eq!(lock_recover(&service.prepared).len(), PREPARED_CAP);
     }
 }

@@ -215,9 +215,7 @@ impl<V: LogicValue> SyncProtocol<V> for BarrierProtocol {
     ) -> SyncWorker<V> {
         let circuit = fabric.circuit();
         let owned = fabric.topo().lps()[worker].gates.clone();
-        let observe = fabric.observe();
-        let core =
-            LpCore::new(circuit, owned.iter().copied().filter(|&id| observe.wants(circuit, id)));
+        let core = LpCore::new(circuit, fabric.observed_by(worker));
         let mut queue = BinaryHeapQueue::new();
         let mut stats = SimStats::default();
         for e in preloads.into_iter().flatten() {

@@ -70,7 +70,7 @@ pub mod prelude {
         evaluate_gate, fault, parse_vcd_changes, pre_simulate, write_vcd, ActivityProfile,
         BudgetExhausted, CycleSimulator, GateRuntime, LpTopology, ObliviousSimulator, Observe,
         QueueKind, RunBudget, SequentialSimulator, SimError, SimOutcome, SimStats, Simulator,
-        Stimulus, Waveform, WorkerDiagnostic,
+        Stimulus, WaveRecorder, Waveform, WorkerDiagnostic,
     };
     pub use parsim_event::{
         BinaryHeapQueue, CalendarQueue, Event, EventQueue, Message, PairingHeapQueue, VirtualTime,
