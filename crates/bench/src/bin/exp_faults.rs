@@ -17,12 +17,15 @@
 use std::time::Instant;
 
 use parsim_bench::Table;
+use parsim_conservative::ThreadedConservativeSimulator;
 use parsim_core::{Observe, SimError, SimOutcome, Stimulus};
 use parsim_event::VirtualTime;
 use parsim_logic::Bit;
 use parsim_netlist::{generate, Circuit, DelayModel};
+use parsim_optimistic::ThreadedTimeWarpSimulator;
 use parsim_partition::{GateWeights, Partition, Partitioner, RoundRobinPartitioner};
-use parsim_runtime::FaultPlan;
+use parsim_runtime::{FabricKernel, FaultPlan, SyncProtocol, Threads};
+use parsim_sync::ThreadedSyncSimulator;
 use parsim_trace::{Probe, TraceKind};
 
 const WORKERS: usize = 4;
@@ -31,50 +34,35 @@ const SEEDS: [u64; 4] = [0xA1, 0xB2, 0xC3, 0xD4];
 
 type RunFn<'a> = Box<dyn Fn(Option<FaultPlan>, &Probe) -> Result<SimOutcome<Bit>, SimError> + 'a>;
 
+/// One threaded kernel as a campaign runner: all nets observed, the given
+/// probe attached, and the plan (if any) injected.
+fn runner<'a, P: SyncProtocol<Bit> + Clone + 'a>(
+    kernel: FabricKernel<P, Threads, Bit>,
+    c: &'a Circuit,
+    stim: &'a Stimulus,
+    until: VirtualTime,
+) -> RunFn<'a> {
+    let kernel = kernel.with_observe(Observe::AllNets);
+    Box::new(move |plan, probe| {
+        let mut k = kernel.clone().with_probe(probe.clone());
+        if let Some(plan) = plan {
+            k = k.with_faults(plan);
+        }
+        k.try_run(c, stim, until)
+    })
+}
+
 fn kernels<'a>(
     c: &'a Circuit,
-    part: &'a Partition,
+    part: &Partition,
     stim: &'a Stimulus,
     until: VirtualTime,
 ) -> Vec<(&'static str, RunFn<'a>)> {
+    let part = || part.clone();
     vec![
-        (
-            "threaded-sync",
-            Box::new(move |plan, probe: &Probe| {
-                let mut k = parsim_sync::ThreadedSyncSimulator::<Bit>::new(part.clone())
-                    .with_observe(Observe::AllNets)
-                    .with_probe(probe.clone());
-                if let Some(plan) = plan {
-                    k = k.with_faults(plan);
-                }
-                k.try_run(c, stim, until)
-            }) as RunFn<'a>,
-        ),
-        (
-            "threaded-cmb",
-            Box::new(move |plan, probe: &Probe| {
-                let mut k =
-                    parsim_conservative::ThreadedConservativeSimulator::<Bit>::new(part.clone())
-                        .with_observe(Observe::AllNets)
-                        .with_probe(probe.clone());
-                if let Some(plan) = plan {
-                    k = k.with_faults(plan);
-                }
-                k.try_run(c, stim, until)
-            }) as RunFn<'a>,
-        ),
-        (
-            "threaded-timewarp",
-            Box::new(move |plan, probe: &Probe| {
-                let mut k = parsim_optimistic::ThreadedTimeWarpSimulator::<Bit>::new(part.clone())
-                    .with_observe(Observe::AllNets)
-                    .with_probe(probe.clone());
-                if let Some(plan) = plan {
-                    k = k.with_faults(plan);
-                }
-                k.try_run(c, stim, until)
-            }) as RunFn<'a>,
-        ),
+        ("threaded-sync", runner(ThreadedSyncSimulator::new(part()), c, stim, until)),
+        ("threaded-cmb", runner(ThreadedConservativeSimulator::new(part()), c, stim, until)),
+        ("threaded-timewarp", runner(ThreadedTimeWarpSimulator::new(part()), c, stim, until)),
     ]
 }
 

@@ -9,7 +9,7 @@
 //! ```
 
 use parsim_bench::{f2, Table};
-use parsim_conservative::ConservativeSimulator;
+use parsim_conservative::{ConservativeSettings, ConservativeSimulator};
 use parsim_core::{Observe, Simulator, Stimulus};
 use parsim_event::VirtualTime;
 use parsim_logic::Bit;

@@ -17,7 +17,7 @@
 //! to `<dir>/exp_nullmsg.perfetto.json`.
 
 use parsim_bench::{f2, Table};
-use parsim_conservative::{ConservativeSimulator, DeadlockStrategy};
+use parsim_conservative::{ConservativeSettings, ConservativeSimulator, DeadlockStrategy};
 use parsim_core::{Observe, Simulator, Stimulus};
 use parsim_event::VirtualTime;
 use parsim_logic::Bit;

@@ -23,7 +23,8 @@
 //! | `exp_mailbox` | E15 | mailbox transport: lock-free SPSC ring mesh vs mutexed slots across message rates |
 //! | `exp_server` | E16 | simulation service under load: jobs/sec and p50/p99 latency vs concurrent client count |
 //!
-//! Criterion micro-benchmarks live in `benches/`.
+//! Micro-level timings (event queues, gate evaluation, partitioning) are
+//! per-layer rows of the repo's `benchmark/` crate.
 //!
 //! This crate's library part holds the shared plumbing: the standard
 //! circuit ladder, kernel construction by discipline, and a fixed-width
@@ -40,7 +41,7 @@ use parsim_netlist::{generate, Circuit, DelayModel};
 use parsim_partition::{ConePartitioner, GateWeights, Partition, Partitioner};
 use parsim_trace::json_string;
 
-pub use parsim_conservative::{ConservativeSimulator, DeadlockStrategy};
+pub use parsim_conservative::{ConservativeSettings, ConservativeSimulator, DeadlockStrategy};
 pub use parsim_optimistic::{Cancellation, StateSaving, TimeWarpSimulator};
 pub use parsim_sync::SyncSimulator;
 

@@ -28,10 +28,15 @@
 //! the sequential reference.
 //!
 //! One protocol (`CmbProtocol`, a `parsim_runtime::SyncProtocol`), two
-//! drivers: [`ConservativeSimulator`] steps it on the virtual multiprocessor
-//! (the fabric's modeled driver; modeled speedups for Figure 1), and
-//! [`ThreadedConservativeSimulator`] runs the same protocol object on the
-//! fabric's worker threads and mailbox mesh.
+//! drivers, one kernel type ([`FabricKernel`]): [`ConservativeSimulator`]
+//! steps it on the virtual multiprocessor (the fabric's modeled driver;
+//! modeled speedups for Figure 1), and [`ThreadedConservativeSimulator`]
+//! runs the same protocol object on the fabric's worker threads and mailbox
+//! mesh. Both take the family settings from [`ConservativeSettings`]. A
+//! probe on either sees per-channel event and null-message sends (`lp` =
+//! source LP, `arg` = destination LP — the axes of the null-ratio
+//! analysis), batched gate evaluations per activation, and a `GvtAdvance`
+//! per deadlock recovery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,6 +47,34 @@ mod threaded;
 
 pub use modeled::ConservativeSimulator;
 pub use threaded::ThreadedConservativeSimulator;
+
+use parsim_runtime::FabricKernel;
+use threaded::CmbProtocol;
+
+/// The conservative family's settings, on both of its kernels. Defaults:
+/// [`DeadlockStrategy::NullMessages`], one LP per partition block.
+pub trait ConservativeSettings: Sized {
+    /// Selects the deadlock discipline.
+    fn with_strategy(self, strategy: DeadlockStrategy) -> Self;
+
+    /// Splits every block into `factor` LPs (experiment E7: LP granularity).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is zero.
+    fn with_granularity(self, factor: usize) -> Self;
+}
+
+impl<D, V> ConservativeSettings for FabricKernel<CmbProtocol, D, V> {
+    fn with_strategy(self, strategy: DeadlockStrategy) -> Self {
+        self.map_protocol(|p| p.strategy = strategy)
+    }
+
+    fn with_granularity(self, factor: usize) -> Self {
+        assert!(factor >= 1, "granularity factor must be at least 1");
+        self.map_protocol(|p| p.granularity = factor)
+    }
+}
 
 /// How the kernel deals with the input-waiting-rule deadlock (§IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

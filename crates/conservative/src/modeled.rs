@@ -1,29 +1,20 @@
 //! The modeled conservative kernel.
 
-use std::marker::PhantomData;
-
-use parsim_core::{Observe, SimOutcome, Simulator, Stimulus};
-use parsim_event::VirtualTime;
-use parsim_logic::LogicValue;
-use parsim_machine::MachineConfig;
-use parsim_netlist::Circuit;
-use parsim_partition::Partition;
-use parsim_runtime::Fabric;
-use parsim_trace::Probe;
+use parsim_runtime::{FabricKernel, Machine};
 
 use crate::threaded::CmbProtocol;
-use crate::DeadlockStrategy;
 
 /// The Chandy–Misra–Bryant kernel on the virtual multiprocessor: the
 /// protocol [`ThreadedConservativeSimulator`](crate::ThreadedConservativeSimulator)
 /// runs on threads, stepped by the fabric's modeled driver
-/// ([`Fabric::run_modeled`]) instead.
+/// ([`Fabric::run_modeled`](parsim_runtime::Fabric::run_modeled)) instead.
 ///
 /// LPs are partition blocks, optionally subdivided with
-/// [`with_granularity`](Self::with_granularity) (experiment E7). Activations
-/// proceed in deterministic rounds; every protocol action — event and null
-/// message sends/receives, evaluations, queue operations, deadlock-recovery
-/// markers — is charged to the owning processor's clock.
+/// [`with_granularity`](crate::ConservativeSettings::with_granularity)
+/// (experiment E7). Activations proceed in deterministic rounds; every
+/// protocol action — event and null message sends/receives, evaluations,
+/// queue operations, deadlock-recovery markers — is charged to the owning
+/// processor's clock.
 ///
 /// # Examples
 ///
@@ -45,104 +36,33 @@ use crate::DeadlockStrategy;
 /// assert_eq!(out.divergence_from(&oracle), None);
 /// assert!(out.stats.null_messages > 0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct ConservativeSimulator<V> {
-    partition: Partition,
-    machine: MachineConfig,
-    strategy: DeadlockStrategy,
-    granularity: usize,
-    observe: Observe,
-    probe: Probe,
-    _values: PhantomData<V>,
-}
-
-impl<V: LogicValue> ConservativeSimulator<V> {
-    /// Creates the kernel with one LP per partition block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partition's block count differs from the machine's
-    /// processor count.
-    pub fn new(partition: Partition, machine: MachineConfig) -> Self {
-        assert_eq!(
-            partition.blocks(),
-            machine.processors,
-            "conservative kernel needs one partition block per processor"
-        );
-        ConservativeSimulator {
-            partition,
-            machine,
-            strategy: DeadlockStrategy::NullMessages,
-            granularity: 1,
-            observe: Observe::Outputs,
-            probe: Probe::disabled(),
-            _values: PhantomData,
-        }
-    }
-
-    /// Attaches a trace probe. The virtual machine records charge and idle
-    /// spans; the protocol adds per-channel event and null-message sends
-    /// (`lp` = source LP, `arg` = destination LP — the axes of the
-    /// null-ratio analysis), batched gate evaluations per activation, and a
-    /// `GvtAdvance` per processor per deadlock recovery.
-    pub fn with_probe(mut self, probe: Probe) -> Self {
-        self.probe = probe;
-        self
-    }
-
-    /// Selects the deadlock discipline.
-    pub fn with_strategy(mut self, strategy: DeadlockStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Splits every block into `factor` LPs (experiment E7: LP granularity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    pub fn with_granularity(mut self, factor: usize) -> Self {
-        assert!(factor >= 1, "granularity factor must be at least 1");
-        self.granularity = factor;
-        self
-    }
-
-    /// Selects which nets to record waveforms for.
-    pub fn with_observe(mut self, observe: Observe) -> Self {
-        self.observe = observe;
-        self
-    }
-}
-
-impl<V: LogicValue> Simulator<V> for ConservativeSimulator<V> {
-    fn name(&self) -> String {
-        let strategy = match self.strategy {
-            DeadlockStrategy::NullMessages => "null-msg",
-            DeadlockStrategy::DetectAndRecover => "deadlock-recovery",
-        };
-        format!("conservative-{strategy}(P={})", self.machine.processors)
-    }
-
-    fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
-        // Interpreted on purpose: the modeled kernels are the differential
-        // reference the compiled paths are checked against.
-        Fabric::new(circuit, &self.partition, self.granularity, self.observe).run_modeled(
-            stimulus,
-            until,
-            &self.probe,
-            &CmbProtocol { strategy: self.strategy },
-            self.machine,
-        )
-    }
-}
+///
+/// Budgets, compiled execution and `try_run` belong to the threaded driver:
+///
+/// ```compile_fail,E0599
+/// # let k: parsim_conservative::ConservativeSimulator<parsim_logic::Bit> = todo!();
+/// k.with_budget(parsim_core::RunBudget::UNLIMITED);
+/// ```
+/// ```compile_fail,E0599
+/// # let k: parsim_conservative::ConservativeSimulator<parsim_logic::Bit> = todo!();
+/// k.with_compiled();
+/// ```
+/// ```compile_fail,E0599
+/// # let k: parsim_conservative::ConservativeSimulator<parsim_logic::Bit> = todo!();
+/// k.try_run(todo!(), todo!(), todo!());
+/// ```
+pub type ConservativeSimulator<V> = FabricKernel<CmbProtocol, Machine, V>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsim_core::SequentialSimulator;
-    use parsim_logic::{Bit, Logic4};
-    use parsim_netlist::{bench, generate, DelayModel};
-    use parsim_partition::{FiducciaMattheyses, GateWeights, Partitioner};
+    use crate::{ConservativeSettings, DeadlockStrategy};
+    use parsim_core::{Observe, SequentialSimulator, Simulator, Stimulus};
+    use parsim_event::VirtualTime;
+    use parsim_logic::{Bit, Logic4, LogicValue};
+    use parsim_machine::MachineConfig;
+    use parsim_netlist::{bench, generate, Circuit, DelayModel};
+    use parsim_partition::{FiducciaMattheyses, GateWeights, Partition, Partitioner};
 
     fn partition(c: &Circuit, p: usize) -> Partition {
         FiducciaMattheyses::default().partition(c, p, &GateWeights::uniform(c.len()))

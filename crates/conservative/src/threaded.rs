@@ -1,17 +1,13 @@
-//! The threaded conservative kernel, as a protocol on the shared fabric.
+//! The conservative protocol, and its kernel on the fabric's threads.
 
-use std::marker::PhantomData;
-
-use parsim_core::{Observe, RunBudget, SimError, SimOutcome, SimStats, Simulator, Stimulus};
+use parsim_core::SimStats;
 use parsim_event::{Event, VirtualTime};
 use parsim_logic::LogicValue;
-use parsim_netlist::{Circuit, Delay};
-use parsim_partition::Partition;
+use parsim_netlist::Delay;
 use parsim_runtime::{
-    CompiledMode, DecideCx, Decision, Fabric, FaultPlan, RoundCx, RunOptions, SyncProtocol,
-    WorkerOutput,
+    DecideCx, Decision, Fabric, FabricKernel, RoundCx, SyncProtocol, Threads, WorkerOutput,
 };
-use parsim_trace::{Probe, TraceKind, NO_LP};
+use parsim_trace::{TraceKind, NO_LP};
 
 use crate::lp_state::{LpState, Outgoing};
 use crate::DeadlockStrategy;
@@ -25,144 +21,16 @@ use crate::DeadlockStrategy;
 /// between rounds; the fabric's round structure provides the global
 /// quiescence test (termination and, in
 /// [`DeadlockStrategy::DetectAndRecover`] mode, deadlock detection — the
-/// circulating-marker outcome computed centrally).
+/// circulating-marker outcome computed centrally). The family settings
+/// come from [`ConservativeSettings`](crate::ConservativeSettings).
 ///
 /// Logical results are bit-identical to the modeled kernel and the
 /// sequential reference.
-#[derive(Debug, Clone)]
-pub struct ThreadedConservativeSimulator<V> {
-    partition: Partition,
-    strategy: DeadlockStrategy,
-    granularity: usize,
-    observe: Observe,
-    probe: Probe,
-    options: RunOptions,
-    compiled: CompiledMode,
-    _values: PhantomData<V>,
-}
-
-impl<V: LogicValue> ThreadedConservativeSimulator<V> {
-    /// Creates the kernel; one thread per partition block.
-    pub fn new(partition: Partition) -> Self {
-        ThreadedConservativeSimulator {
-            partition,
-            strategy: DeadlockStrategy::NullMessages,
-            granularity: 1,
-            observe: Observe::Outputs,
-            probe: Probe::disabled(),
-            options: RunOptions::default(),
-            compiled: CompiledMode::Off,
-            _values: PhantomData,
-        }
-    }
-
-    /// Switches gate evaluation to compiled bytecode: each LP's gate block
-    /// is lowered once, up front, and activations run their dirty batches
-    /// through the dispatch-free executors. Results are bit-identical to
-    /// the interpreted default.
-    pub fn with_compiled(mut self) -> Self {
-        self.compiled = CompiledMode::InMemory;
-        self
-    }
-
-    /// Compiled evaluation through the on-disk artifact store rooted at
-    /// `dir`: a warm cache skips compilation entirely.
-    pub fn with_compiled_cache(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.compiled = CompiledMode::Cached(dir.into());
-        self
-    }
-
-    /// Attaches a trace probe. Workers record on per-thread handles with a
-    /// wall-clock-nanosecond timeline: per-channel event and null-message
-    /// sends (`lp` = source LP, `arg` = destination LP), batched gate
-    /// evaluations per activation, barrier-wait spans, and a `GvtAdvance`
-    /// per deadlock recovery.
-    pub fn with_probe(mut self, probe: Probe) -> Self {
-        self.probe = probe;
-        self
-    }
-
-    /// Selects the deadlock discipline.
-    pub fn with_strategy(mut self, strategy: DeadlockStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Splits every block into `factor` LPs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    pub fn with_granularity(mut self, factor: usize) -> Self {
-        assert!(factor >= 1, "granularity factor must be at least 1");
-        self.granularity = factor;
-        self
-    }
-
-    /// Selects which nets to record waveforms for.
-    pub fn with_observe(mut self, observe: Observe) -> Self {
-        self.observe = observe;
-        self
-    }
-
-    /// Bounds the run (rounds, events, wall clock); an exhausted budget
-    /// truncates gracefully instead of erroring.
-    pub fn with_budget(mut self, budget: RunBudget) -> Self {
-        self.options.budget = budget;
-        self
-    }
-
-    /// Attaches a fault-injection plan for [`try_run`](Self::try_run).
-    /// Batch faults are addressed per channel: a plan names the
-    /// `(sender, receiver)` worker pair and the batch sequence number
-    /// *on that channel* (sequences are per-channel counters, matching
-    /// the mesh's one-SPSC-ring-per-pair transport).
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.options.faults = Some(plan);
-        self
-    }
-
-    /// Bounds every barrier wait: a worker that stops participating
-    /// without panicking (a hang, not a crash) fails the run with
-    /// [`SimError::BarrierTimeout`] naming the stalled workers, instead of
-    /// blocking its peers forever.
-    pub fn with_barrier_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.options.barrier_timeout = Some(timeout);
-        self
-    }
-
-    /// Runs the kernel, returning a structured [`SimError`] instead of
-    /// panicking when a worker fails or the protocol aborts.
-    pub fn try_run(
-        &self,
-        circuit: &Circuit,
-        stimulus: &Stimulus,
-        until: VirtualTime,
-    ) -> Result<SimOutcome<V>, SimError> {
-        let fabric = self.compiled.apply(Fabric::new(
-            circuit,
-            &self.partition,
-            self.granularity,
-            self.observe,
-        ));
-        let protocol = CmbProtocol { strategy: self.strategy };
-        fabric.run(stimulus, until, &self.probe, &protocol, &self.options)
-    }
-}
-
-impl<V: LogicValue> Simulator<V> for ThreadedConservativeSimulator<V> {
-    fn name(&self) -> String {
-        format!("threaded-conservative(P={})", self.partition.blocks())
-    }
-
-    fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
-        self.try_run(circuit, stimulus, until).unwrap_or_else(|e| panic!("{e}"))
-    }
-}
+pub type ThreadedConservativeSimulator<V> = FabricKernel<CmbProtocol, Threads, V>;
 
 /// A routed message: destination LP, source LP, payload.
 #[derive(Clone)]
-pub(crate) enum Wire<V> {
+pub enum Wire<V> {
     Event(usize, Event<V>),
     Null { dst: usize, src: usize, time: VirtualTime },
 }
@@ -182,12 +50,21 @@ impl<V> Wire<V> {
 /// [`SyncProtocol::SUPERSTEP`]): LPs run asynchronously, a message is taken
 /// when it has arrived, and the only global agreement ever paid for is the
 /// circulating marker of a deadlock recovery.
-pub(crate) struct CmbProtocol {
+#[derive(Debug, Clone, Copy)]
+pub struct CmbProtocol {
     pub(crate) strategy: DeadlockStrategy,
+    /// LPs per partition block (experiment E7).
+    pub(crate) granularity: usize,
+}
+
+impl Default for CmbProtocol {
+    fn default() -> Self {
+        CmbProtocol { strategy: DeadlockStrategy::NullMessages, granularity: 1 }
+    }
 }
 
 /// Per-worker state: this worker's LPs (ascending slot order).
-pub(crate) struct CmbWorker<V> {
+pub struct CmbWorker<V> {
     lps: Vec<LpState<V>>,
     /// Per LP slot, the inbox indices addressed to it this round.
     mail: Vec<Vec<u32>>,
@@ -196,7 +73,7 @@ pub(crate) struct CmbWorker<V> {
 
 /// Round report: did this worker send or work, is it drained, and where is
 /// its earliest pending event (for deadlock recovery).
-pub(crate) struct CmbReport {
+pub struct CmbReport {
     sent: bool,
     worked: bool,
     done: bool,
@@ -208,7 +85,7 @@ pub(crate) struct CmbReport {
 
 /// Coordinator verdict for the next round.
 #[derive(Clone)]
-pub(crate) enum CmbVerdict {
+pub enum CmbVerdict {
     /// Keep simulating.
     Run,
     /// Deadlock was detected: advance every channel clock to this time
@@ -407,14 +284,27 @@ impl<V: LogicValue> SyncProtocol<V> for CmbProtocol {
         }
         WorkerOutput { owned_values, waveforms, stats: state.stats }
     }
+
+    fn granularity(&self) -> usize {
+        self.granularity
+    }
+
+    fn label(&self, modeled: bool) -> &'static str {
+        match (modeled, self.strategy) {
+            (false, _) => "threaded-conservative",
+            (true, DeadlockStrategy::NullMessages) => "conservative-null-msg",
+            (true, DeadlockStrategy::DetectAndRecover) => "conservative-deadlock-recovery",
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsim_core::SequentialSimulator;
+    use crate::ConservativeSettings;
+    use parsim_core::{Observe, SequentialSimulator, Simulator, Stimulus};
     use parsim_logic::{Bit, Logic4};
-    use parsim_netlist::{bench, generate, DelayModel};
+    use parsim_netlist::{bench, generate, Circuit, DelayModel};
     use parsim_partition::{FiducciaMattheyses, GateWeights, Partitioner};
 
     fn check_equivalent<V: LogicValue>(

@@ -4,7 +4,9 @@
 //! debug-asserts them; these tests drive enough randomized traffic to make
 //! that meaningful).
 
-use parsim_conservative::{ConservativeSimulator, DeadlockStrategy, ThreadedConservativeSimulator};
+use parsim_conservative::{
+    ConservativeSettings, ConservativeSimulator, DeadlockStrategy, ThreadedConservativeSimulator,
+};
 use parsim_core::{Observe, SequentialSimulator, SimOutcome, Simulator, Stimulus};
 use parsim_event::VirtualTime;
 use parsim_logic::Logic4;

@@ -18,7 +18,7 @@ use crate::{
 ///
 /// All three drain identically (deterministic `(time, net, sequence)`
 /// ordering), so this is purely a performance choice — see the
-/// `event_queue` criterion benchmark.
+/// `event.*_ns_per_op` rows of the repo's `benchmark/` crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// `std::collections::BinaryHeap` (the default).

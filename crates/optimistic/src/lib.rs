@@ -22,7 +22,9 @@
 //!
 //! [`TimeWarpSimulator`] runs on the virtual multiprocessor with a
 //! deterministic smallest-clock scheduler; [`ThreadedTimeWarpSimulator`]
-//! runs the identical LP state machine on real threads in fabric rounds,
+//! — one protocol (`TwProtocol`) on the threaded driver of the one kernel
+//! type, [`FabricKernel`], with the family settings of [`TimeWarpSettings`]
+//! — runs the identical LP state machine on real threads in fabric rounds,
 //! where stragglers and rollbacks arise from messages that cross a round
 //! boundary after the receiver has speculated past them — which messages
 //! those are is fixed by the round structure, so its statistics repeat
@@ -41,6 +43,43 @@ mod threaded;
 pub use btb::BtbSimulator;
 pub use modeled::TimeWarpSimulator;
 pub use threaded::ThreadedTimeWarpSimulator;
+
+use parsim_runtime::{FabricKernel, Threads};
+use threaded::TwProtocol;
+
+/// The Time Warp family's settings on [`ThreadedTimeWarpSimulator`].
+/// Defaults: [`StateSaving::Incremental`], [`Cancellation::Lazy`], one LP
+/// per partition block. ([`TimeWarpSimulator`] has the same setters as
+/// inherent methods.)
+pub trait TimeWarpSettings: Sized {
+    /// Selects the state-saving discipline.
+    fn with_state_saving(self, saving: StateSaving) -> Self;
+
+    /// Selects the cancellation discipline.
+    fn with_cancellation(self, cancellation: Cancellation) -> Self;
+
+    /// Splits every block into `factor` LPs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is zero.
+    fn with_granularity(self, factor: usize) -> Self;
+}
+
+impl<V> TimeWarpSettings for FabricKernel<TwProtocol, Threads, V> {
+    fn with_state_saving(self, saving: StateSaving) -> Self {
+        self.map_protocol(|p| p.saving = saving)
+    }
+
+    fn with_cancellation(self, cancellation: Cancellation) -> Self {
+        self.map_protocol(|p| p.cancellation = cancellation)
+    }
+
+    fn with_granularity(self, factor: usize) -> Self {
+        assert!(factor >= 1, "granularity factor must be at least 1");
+        self.map_protocol(|p| p.granularity = factor)
+    }
+}
 
 /// State-saving discipline (§IV/§V).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

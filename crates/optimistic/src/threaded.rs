@@ -1,18 +1,14 @@
-//! The threaded Time Warp kernel, as a protocol on the shared fabric.
+//! The Time Warp protocol on the shared fabric, and its threaded kernel.
 
 use std::collections::BTreeMap;
-use std::marker::PhantomData;
 
-use parsim_core::{Observe, RunBudget, SimError, SimOutcome, SimStats, Simulator, Stimulus};
+use parsim_core::SimStats;
 use parsim_event::{Event, VirtualTime};
 use parsim_logic::LogicValue;
-use parsim_netlist::Circuit;
-use parsim_partition::Partition;
 use parsim_runtime::{
-    CompiledMode, DecideCx, Decision, Fabric, FaultPlan, RoundCx, RunOptions, SyncProtocol,
-    WorkerOutput,
+    DecideCx, Decision, Fabric, FabricKernel, RoundCx, SyncProtocol, Threads, WorkerOutput,
 };
-use parsim_trace::{Probe, ProbeHandle, TraceKind, NO_LP};
+use parsim_trace::{ProbeHandle, TraceKind, NO_LP};
 
 use crate::lp::{TwIncoming, TwLp, TwOutgoing, TwWork};
 use crate::{Cancellation, StateSaving};
@@ -37,160 +33,46 @@ const BATCH_BUDGET: usize = 4;
 /// by the round structure, not by thread timing. The instability §V
 /// describes shows as sensitivity to partition, batch budget and stimulus,
 /// not as run-to-run noise.
-#[derive(Debug, Clone)]
-pub struct ThreadedTimeWarpSimulator<V> {
-    partition: Partition,
-    saving: StateSaving,
-    cancellation: Cancellation,
-    granularity: usize,
-    observe: Observe,
-    probe: Probe,
-    options: RunOptions,
-    compiled: CompiledMode,
-    _values: PhantomData<V>,
-}
-
-impl<V: LogicValue> ThreadedTimeWarpSimulator<V> {
-    /// Creates the kernel; one thread per partition block.
-    pub fn new(partition: Partition) -> Self {
-        ThreadedTimeWarpSimulator {
-            partition,
-            saving: StateSaving::Incremental,
-            cancellation: Cancellation::Lazy,
-            granularity: 1,
-            observe: Observe::Outputs,
-            probe: Probe::disabled(),
-            options: RunOptions::default(),
-            compiled: CompiledMode::Off,
-            _values: PhantomData,
-        }
-    }
-
-    /// Switches gate evaluation to compiled bytecode: each LP's gate block
-    /// is lowered once, up front, and speculative batches run through the
-    /// dispatch-free executors (state saving and rollback are untouched).
-    /// Committed results are bit-identical to the interpreted default.
-    pub fn with_compiled(mut self) -> Self {
-        self.compiled = CompiledMode::InMemory;
-        self
-    }
-
-    /// Compiled evaluation through the on-disk artifact store rooted at
-    /// `dir`: a warm cache skips compilation entirely.
-    pub fn with_compiled_cache(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.compiled = CompiledMode::Cached(dir.into());
-        self
-    }
-
-    /// Attaches a trace probe. Workers record wall-clock `BarrierWait`
-    /// spans, rollbacks (`arg` = events undone), state saves, batched gate
-    /// evaluations, event/anti-message sends (`lp` = source LP, `arg` =
-    /// destination LP) and one `GvtAdvance` per round (processor 0).
-    pub fn with_probe(mut self, probe: Probe) -> Self {
-        self.probe = probe;
-        self
-    }
-
-    /// Selects the state-saving discipline.
-    pub fn with_state_saving(mut self, saving: StateSaving) -> Self {
-        self.saving = saving;
-        self
-    }
-
-    /// Selects the cancellation discipline.
-    pub fn with_cancellation(mut self, cancellation: Cancellation) -> Self {
-        self.cancellation = cancellation;
-        self
-    }
-
-    /// Splits every block into `factor` LPs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    pub fn with_granularity(mut self, factor: usize) -> Self {
-        assert!(factor >= 1, "granularity factor must be at least 1");
-        self.granularity = factor;
-        self
-    }
-
-    /// Selects which nets to record waveforms for.
-    pub fn with_observe(mut self, observe: Observe) -> Self {
-        self.observe = observe;
-        self
-    }
-
-    /// Bounds the run (rounds, events, wall clock); an exhausted budget
-    /// truncates gracefully instead of erroring.
-    pub fn with_budget(mut self, budget: RunBudget) -> Self {
-        self.options.budget = budget;
-        self
-    }
-
-    /// Attaches a fault-injection plan for [`try_run`](Self::try_run).
-    /// Batch faults are addressed per channel: a plan names the
-    /// `(sender, receiver)` worker pair and the batch sequence number
-    /// *on that channel* (sequences are per-channel counters, matching
-    /// the mesh's one-SPSC-ring-per-pair transport).
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.options.faults = Some(plan);
-        self
-    }
-
-    /// Bounds every barrier wait: a worker that stops participating
-    /// without panicking (a hang, not a crash) fails the run with
-    /// [`SimError::BarrierTimeout`] naming the stalled workers, instead of
-    /// blocking its peers forever.
-    pub fn with_barrier_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.options.barrier_timeout = Some(timeout);
-        self
-    }
-
-    /// Runs the kernel, returning a structured [`SimError`] instead of
-    /// panicking when a worker fails or the protocol aborts.
-    pub fn try_run(
-        &self,
-        circuit: &Circuit,
-        stimulus: &Stimulus,
-        until: VirtualTime,
-    ) -> Result<SimOutcome<V>, SimError> {
-        let fabric = self.compiled.apply(Fabric::new(
-            circuit,
-            &self.partition,
-            self.granularity,
-            self.observe,
-        ));
-        let protocol = TwProtocol { saving: self.saving, cancellation: self.cancellation };
-        fabric.run(stimulus, until, &self.probe, &protocol, &self.options)
-    }
-}
-
-impl<V: LogicValue> Simulator<V> for ThreadedTimeWarpSimulator<V> {
-    fn name(&self) -> String {
-        format!("threaded-time-warp(P={})", self.partition.blocks())
-    }
-
-    fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
-        self.try_run(circuit, stimulus, until).unwrap_or_else(|e| panic!("{e}"))
-    }
-}
+///
+/// The family settings come from [`TimeWarpSettings`](crate::TimeWarpSettings).
+/// A probe sees rollbacks (`arg` = events undone), state saves, batched
+/// gate evaluations, event/anti-message sends (`lp` = source LP, `arg` =
+/// destination LP) and one `GvtAdvance` per round (processor 0).
+pub type ThreadedTimeWarpSimulator<V> = FabricKernel<TwProtocol, Threads, V>;
 
 /// A routed message: destination LP, payload.
 #[derive(Clone)]
-enum Wire<V> {
+pub enum Wire<V> {
     Event(usize, Event<V>),
     Anti(usize, Event<V>),
 }
 
 /// The optimistic discipline: speculate freely between rounds; the
 /// coordinator computes the exact GVT at the barrier.
-struct TwProtocol {
-    saving: StateSaving,
-    cancellation: Cancellation,
+///
+/// Runs on the threaded driver only: stepping Time Warp in the modeled
+/// driver's rounds would change which rollbacks happen, so its modeled
+/// kernel is the clock-ordered [`TimeWarpSimulator`](crate::TimeWarpSimulator).
+#[derive(Debug, Clone, Copy)]
+pub struct TwProtocol {
+    pub(crate) saving: StateSaving,
+    pub(crate) cancellation: Cancellation,
+    /// LPs per partition block.
+    pub(crate) granularity: usize,
+}
+
+impl Default for TwProtocol {
+    fn default() -> Self {
+        TwProtocol {
+            saving: StateSaving::Incremental,
+            cancellation: Cancellation::Lazy,
+            granularity: 1,
+        }
+    }
 }
 
 /// Per-worker state: this worker's LPs plus accumulated work counters.
-struct TwWorker<V> {
+pub struct TwWorker<V> {
     lps: Vec<TwLp<V>>,
     total: TwWork,
     stats: SimStats,
@@ -200,7 +82,7 @@ struct TwWorker<V> {
 /// Round report: quiescence flags plus this worker's GVT component (its
 /// LPs' next unprocessed work and the earliest message sent this round, so
 /// the global minimum lower-bounds everything still in flight).
-struct TwReport {
+pub struct TwReport {
     sent: bool,
     done: bool,
     gvt: Option<VirtualTime>,
@@ -424,15 +306,26 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
         stats.gvt_rounds = state.gvt_rounds;
         WorkerOutput { owned_values, waveforms, stats }
     }
+
+    fn granularity(&self) -> usize {
+        self.granularity
+    }
+
+    fn label(&self, _modeled: bool) -> &'static str {
+        "threaded-time-warp"
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsim_core::SequentialSimulator;
+    use crate::TimeWarpSettings;
+    use parsim_core::{Observe, SequentialSimulator, Simulator, Stimulus};
     use parsim_logic::{Bit, Logic4};
-    use parsim_netlist::{bench, generate, DelayModel};
-    use parsim_partition::{FiducciaMattheyses, GateWeights, Partitioner, RoundRobinPartitioner};
+    use parsim_netlist::{bench, generate, Circuit, DelayModel};
+    use parsim_partition::{
+        FiducciaMattheyses, GateWeights, Partition, Partitioner, RoundRobinPartitioner,
+    };
 
     fn check_equivalent<V: LogicValue>(
         sim: &ThreadedTimeWarpSimulator<V>,

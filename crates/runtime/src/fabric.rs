@@ -44,26 +44,6 @@ pub struct RunOptions {
     pub barrier_timeout: Option<Duration>,
 }
 
-impl RunOptions {
-    /// Sets the run budget.
-    pub fn with_budget(mut self, budget: RunBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Attaches a fault-injection plan.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Sets the barrier hang guard.
-    pub fn with_barrier_timeout(mut self, timeout: Duration) -> Self {
-        self.barrier_timeout = Some(timeout);
-        self
-    }
-}
-
 /// The coordinator's broadcast slot. Unlike [`Decision`], `Fail` carries no
 /// payload: the error itself lives in the run's `fatal` slot (or the
 /// failure log), and *every* worker leaves without contributing results —
@@ -221,33 +201,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
             Ok(s) => (*s).to_string(),
             Err(_) => "non-string panic payload".to_string(),
         },
-    }
-}
-
-/// How a kernel obtains compiled bytecode for its fabric, if at all. The
-/// kernels expose this through `with_compiled` / `with_compiled_cache`
-/// builders; [`CompiledMode::apply`] translates the choice into the
-/// matching [`Fabric`] builder call.
-#[derive(Debug, Clone, Default)]
-pub enum CompiledMode {
-    /// Interpreted evaluation (the default).
-    #[default]
-    Off,
-    /// Compile to in-memory bytecode at fabric construction.
-    InMemory,
-    /// Compile through the on-disk artifact store rooted at this
-    /// directory (cache hits skip compilation).
-    Cached(std::path::PathBuf),
-}
-
-impl CompiledMode {
-    /// Applies the mode to a freshly built fabric.
-    pub fn apply<'c>(&self, fabric: Fabric<'c>) -> Fabric<'c> {
-        match self {
-            CompiledMode::Off => fabric,
-            CompiledMode::InMemory => fabric.with_compiled(),
-            CompiledMode::Cached(dir) => fabric.with_compiled_cache(dir),
-        }
     }
 }
 

@@ -16,6 +16,10 @@
 //!   drives the round/barrier loop to completion.
 //! - [`SyncProtocol`] — the plug point: per-worker state, the message
 //!   type, one round of local work, and the coordinator's decision.
+//! - [`FabricKernel`] — the one kernel type users configure: a protocol
+//!   value (carrying its family's settings) plus partition, observation,
+//!   probe and a driver — [`Threads`] ([`Fabric::run`]) or [`Machine`]
+//!   ([`Fabric::run_modeled`]). The family crates name it through aliases.
 //! - [`MailboxMesh`] / [`Outbox`] — batched inter-worker delivery with
 //!   FIFO-per-channel ordering over one lock-free bounded SPSC ring per
 //!   (sender, receiver) pair; overflow spills losslessly to a mutexed
@@ -27,9 +31,10 @@
 //! - [`run_workers`] — the scoped worker pool itself, also used directly
 //!   by the bit-parallel kernel (`parsim-bitsim`) to shard wide levels.
 //!
-//! The synchronous, conservative and Time Warp threaded kernels in
-//! `parsim-sync`, `parsim-conservative` and `parsim-optimistic` are
-//! `SyncProtocol` implementations on this fabric.
+//! The synchronous, conservative and Time Warp kernels in `parsim-sync`,
+//! `parsim-conservative` and `parsim-optimistic` are `SyncProtocol`
+//! implementations on this fabric, and their public kernel names are
+//! `FabricKernel` aliases.
 //!
 //! # Failure model
 //!
@@ -52,6 +57,7 @@
 mod barrier;
 mod fabric;
 mod fault;
+mod kernel;
 mod mailbox;
 mod poison;
 mod pool;
@@ -61,11 +67,12 @@ mod state;
 pub mod sync;
 
 pub use barrier::{BarrierError, RoundBarrier};
-pub use fabric::{CompiledMode, Fabric, RunOptions};
+pub use fabric::{Fabric, RunOptions};
+pub use fault::{FaultPlan, FaultSpec};
+pub use kernel::{FabricKernel, Machine, Threads};
+pub use mailbox::{burst_capacity, MailboxMesh, Mesh, MutexedMesh, Outbox, DEFAULT_BATCH_LIMIT};
 // Re-exported so the kernels can consume compiled blocks without a direct
 // `parsim-compile` dependency edge.
-pub use fault::{FaultPlan, FaultSpec};
-pub use mailbox::{burst_capacity, MailboxMesh, Mesh, MutexedMesh, Outbox, DEFAULT_BATCH_LIMIT};
 pub use parsim_compile::{ArtifactStore, CacheOutcome, CompiledBlock};
 pub use poison::lock_recover;
 pub use pool::{global_pool, run_workers, WorkerPool};

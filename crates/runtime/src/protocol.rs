@@ -383,4 +383,17 @@ pub trait SyncProtocol<V: LogicValue>: Sync {
 
     /// Tears a worker's state down into the merged-result contribution.
     fn finish(&self, fabric: &Fabric<'_>, worker: usize, state: Self::Worker) -> WorkerOutput<V>;
+
+    /// LPs per partition block in the fabric a
+    /// [`FabricKernel`](crate::FabricKernel) builds for this protocol.
+    fn granularity(&self) -> usize {
+        1
+    }
+
+    /// The family label in a [`FabricKernel`](crate::FabricKernel)'s
+    /// `Simulator::name` (`"{label}(P={blocks})"`), on the modeled driver
+    /// or on threads.
+    fn label(&self, _modeled: bool) -> &'static str {
+        "fabric"
+    }
 }

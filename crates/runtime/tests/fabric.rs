@@ -451,9 +451,11 @@ fn stalled_worker_is_named_on_either_side_of_the_barrier_spin_budget() {
                 VirtualTime::new(100),
                 &Probe::disabled(),
                 &TokenRing { sending_rounds: 20 },
-                &RunOptions::default()
-                    .with_faults(FaultPlan::new().with_stall(2, stall_round))
-                    .with_barrier_timeout(timeout),
+                &RunOptions {
+                    faults: Some(FaultPlan::new().with_stall(2, stall_round)),
+                    barrier_timeout: Some(timeout),
+                    ..RunOptions::default()
+                },
             )
             .expect_err("a stalled worker must time the run out");
         match err {

@@ -29,6 +29,12 @@ use crate::service::SimService;
 /// client error, not a server OOM.
 const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
+/// Largest accepted message head (start line plus headers), on both sides
+/// of the wire. The socket timeout never fires while bytes keep arriving,
+/// so without this bound a peer streaming one endless header line grows a
+/// buffer forever.
+const MAX_HEAD_BYTES: u64 = 64 * 1024;
+
 /// Per-connection socket timeout: a silent peer gets dropped instead of
 /// pinning a connection thread.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(60);
@@ -110,8 +116,8 @@ fn handle_connection(stream: TcpStream, service: &SimService) {
     let mut writer = io::BufWriter::new(writer);
     match read_request(&mut reader) {
         Ok(req) => route(&req, service, &mut writer),
-        Err(e) => {
-            let _ = write_simple(&mut writer, 400, "text/plain", &format!("bad request: {e}\n"));
+        Err((status, e)) => {
+            let _ = write_simple(&mut writer, status, "text/plain", &format!("bad request: {e}\n"));
         }
     }
     let _ = writer.flush();
@@ -123,32 +129,61 @@ struct Request {
     body: String,
 }
 
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, String> {
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| e.to_string())?;
-    let mut parts = line.split_whitespace();
-    let method = parts.next().ok_or("empty request line")?.to_owned();
-    let path = parts.next().ok_or("missing path")?.to_owned();
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| e.to_string())?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
+/// A message head: the start line and the `name: value` header fields.
+struct Head {
+    start: String,
+    fields: Vec<(String, String)>,
+}
+
+impl Head {
+    /// The last value of header `name` (case-insensitive), trimmed.
+    fn field(&self, name: &str) -> Option<&str> {
+        self.fields.iter().rev().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| &**v)
+    }
+}
+
+/// Reads a message head through at most [`MAX_HEAD_BYTES`]; the error
+/// carries the status to answer with (431 when the head does not fit).
+fn read_head(reader: &mut impl BufRead) -> Result<Head, (u16, String)> {
+    let mut head = reader.take(MAX_HEAD_BYTES);
+    let mut next_line = || {
+        let mut line = String::new();
+        let read = head.read_line(&mut line);
+        if head.limit() == 0 && !line.ends_with('\n') {
+            return Err((431, format!("message head exceeds {MAX_HEAD_BYTES} bytes")));
         }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| "unparseable content-length")?;
-            }
+        read.map_err(|e| (400, e.to_string()))?;
+        Ok(line.trim_end().to_owned())
+    };
+    let start = next_line()?;
+    let mut fields = Vec::new();
+    loop {
+        let line = next_line()?;
+        if line.is_empty() {
+            return Ok(Head { start, fields });
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            fields.push((name.to_owned(), value.trim().to_owned()));
         }
     }
+}
+
+/// Parses one request; the error carries the status to answer with.
+fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, (u16, String)> {
+    let head = read_head(reader)?;
+    let mut parts = head.start.split_whitespace();
+    let method = parts.next().ok_or((400, "empty request line".into()))?.to_owned();
+    let path = parts.next().ok_or((400, "missing path".into()))?.to_owned();
+    let content_length: usize = match head.field("content-length") {
+        Some(v) => v.parse().map_err(|_| (400, "unparseable content-length".into()))?,
+        None => 0,
+    };
     if content_length > MAX_BODY_BYTES {
-        return Err(format!("body of {content_length} bytes exceeds limit"));
+        return Err((400, format!("body of {content_length} bytes exceeds limit")));
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(|e| e.to_string())?;
-    let body = String::from_utf8(body).map_err(|_| "body is not UTF-8")?;
+    reader.read_exact(&mut body).map_err(|e| (400, e.to_string()))?;
+    let body = String::from_utf8(body).map_err(|_| (400, "body is not UTF-8".into()))?;
     Ok(Request { method, path, body })
 }
 
@@ -210,6 +245,7 @@ fn write_simple(out: &mut impl Write, status: u16, ctype: &str, body: &str) -> i
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     write!(
@@ -266,43 +302,25 @@ pub mod client {
         stream.flush()?;
 
         let mut reader = BufReader::new(stream);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line)?;
-        let status: u16 = status_line
+        let head = read_head(&mut reader).map_err(|(_, e)| io::Error::other(e))?;
+        let status: u16 = head
+            .start
             .split_whitespace()
             .nth(1)
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| io::Error::other(format!("bad status line `{status_line}`")))?;
-        let mut chunked = false;
-        let mut content_length: Option<usize> = None;
-        loop {
-            let mut header = String::new();
-            reader.read_line(&mut header)?;
-            let header = header.trim_end();
-            if header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                if name.eq_ignore_ascii_case("transfer-encoding")
-                    && value.trim().eq_ignore_ascii_case("chunked")
-                {
-                    chunked = true;
-                } else if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().ok();
-                }
-            }
-        }
-        let payload = if chunked {
-            read_chunked(&mut reader)?
-        } else if let Some(len) = content_length {
-            let mut buf = vec![0u8; len];
-            reader.read_exact(&mut buf)?;
-            String::from_utf8(buf).map_err(|_| io::Error::other("body is not UTF-8"))?
-        } else {
-            let mut buf = String::new();
-            reader.read_to_string(&mut buf)?;
-            buf
-        };
+            .ok_or_else(|| io::Error::other(format!("bad status line `{}`", head.start)))?;
+        let payload =
+            if head.field("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
+                read_chunked(&mut reader)?
+            } else if let Some(len) = head.field("content-length").and_then(|v| v.parse().ok()) {
+                let mut buf = vec![0u8; len];
+                reader.read_exact(&mut buf)?;
+                String::from_utf8(buf).map_err(|_| io::Error::other("body is not UTF-8"))?
+            } else {
+                let mut buf = String::new();
+                reader.read_to_string(&mut buf)?;
+                buf
+            };
         Ok((status, payload))
     }
 

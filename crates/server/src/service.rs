@@ -21,12 +21,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use parsim_conservative::ThreadedConservativeSimulator;
 use parsim_core::{Observe, SimError, SimOutcome, Stimulus};
 use parsim_event::VirtualTime;
 use parsim_logic::{GateKind, Logic4};
 use parsim_netlist::{bench, generate, Circuit, DelayModel};
+use parsim_optimistic::ThreadedTimeWarpSimulator;
 use parsim_partition::{ConePartitioner, GateWeights, Partition, Partitioner as _};
-use parsim_runtime::{lock_recover, ArtifactStore, FaultPlan};
+use parsim_runtime::{lock_recover, ArtifactStore, FabricKernel, FaultPlan, SyncProtocol, Threads};
+use parsim_sync::ThreadedSyncSimulator;
 use parsim_trace::ChunkWriter;
 
 use crate::api::{JobEvent, JobRequest, KernelKind, NetlistSpec, ObserveSpec};
@@ -251,40 +254,40 @@ impl SimService {
         req: &JobRequest,
         prep: &Prepared,
     ) -> Result<SimOutcome<Logic4>, SimError> {
-        let stimulus = Stimulus::random(req.seed, req.interval);
-        let until = VirtualTime::new(req.until);
-        let budget = self.cfg.quotas.clamp(req.budget);
+        let part = prep.partition.clone();
+        match req.kernel {
+            KernelKind::Sync => self.run_on(ThreadedSyncSimulator::new(part), req, prep),
+            KernelKind::Conservative => {
+                self.run_on(ThreadedConservativeSimulator::new(part), req, prep)
+            }
+            KernelKind::TimeWarp => self.run_on(ThreadedTimeWarpSimulator::new(part), req, prep),
+        }
+    }
+
+    /// Configures any threaded kernel the same way and runs the job on it.
+    fn run_on<P: SyncProtocol<Logic4>>(
+        &self,
+        kernel: FabricKernel<P, Threads, Logic4>,
+        req: &JobRequest,
+        prep: &Prepared,
+    ) -> Result<SimOutcome<Logic4>, SimError> {
         let observe = match req.observe {
             ObserveSpec::Outputs => Observe::Outputs,
             ObserveSpec::AllNets => Observe::AllNets,
             ObserveSpec::Nothing => Observe::Nothing,
         };
-        let faults = req.fault_kill.map(|(w, r)| FaultPlan::new().with_kill(w, r));
-        // The three kernels share a builder surface but are distinct
-        // types; configure each through the same macro so they cannot
-        // drift apart.
-        macro_rules! run {
-            ($kernel:ty) => {{
-                let mut k = <$kernel>::new(prep.partition.clone())
-                    .with_compiled_cache(self.store.dir())
-                    .with_observe(observe)
-                    .with_budget(budget);
-                if let Some(t) = self.cfg.barrier_timeout {
-                    k = k.with_barrier_timeout(t);
-                }
-                if let Some(plan) = faults {
-                    k = k.with_faults(plan);
-                }
-                k.try_run(&prep.circuit, &stimulus, until)
-            }};
+        let mut k = kernel
+            .with_compiled_cache(self.store.dir())
+            .with_observe(observe)
+            .with_budget(self.cfg.quotas.clamp(req.budget));
+        if let Some(t) = self.cfg.barrier_timeout {
+            k = k.with_barrier_timeout(t);
         }
-        match req.kernel {
-            KernelKind::Sync => run!(parsim_sync::ThreadedSyncSimulator<Logic4>),
-            KernelKind::Conservative => {
-                run!(parsim_conservative::ThreadedConservativeSimulator<Logic4>)
-            }
-            KernelKind::TimeWarp => run!(parsim_optimistic::ThreadedTimeWarpSimulator<Logic4>),
+        if let Some((w, r)) = req.fault_kill {
+            k = k.with_faults(FaultPlan::new().with_kill(w, r));
         }
+        let stimulus = Stimulus::random(req.seed, req.interval);
+        k.try_run(&prep.circuit, &stimulus, VirtualTime::new(req.until))
     }
 
     /// Streams the waveform dump as validated chunk frames: a CSV header

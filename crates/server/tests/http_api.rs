@@ -1,7 +1,10 @@
 //! Wire-level integration: real TCP connections against a bound server.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use parsim_server::api::JobEvent;
 use parsim_server::http::{client, Server};
@@ -46,6 +49,33 @@ fn health_metrics_and_unknown_routes() {
 
     let (status, _) = client::get(server.addr(), "/nope").unwrap();
     assert_eq!(status, 404);
+    server.shutdown();
+}
+
+#[test]
+fn oversized_request_head_is_refused_and_the_server_stays_up() {
+    let (server, _service) = start("head");
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // One 1 MiB header line and no end in sight: the server must answer at
+    // its head limit instead of buffering the line.
+    let flood = thread::spawn(move || {
+        let mut head = b"GET /healthz HTTP/1.1\r\nX-Flood: ".to_vec();
+        head.resize(head.len() + (1 << 20), b'a');
+        // The server hangs up mid-stream, so this write may fail.
+        let _ = writer.write_all(&head);
+    });
+    let mut status_line = String::new();
+    BufReader::new(&stream).read_line(&mut status_line).expect("a response, not a hang");
+    assert!(
+        status_line.starts_with("HTTP/1.1 431 Request Header Fields Too Large"),
+        "{status_line}"
+    );
+    flood.join().unwrap();
+
+    let (status, body) = client::get(server.addr(), "/healthz").unwrap();
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
     server.shutdown();
 }
 

@@ -8,7 +8,7 @@
 //! (Chamberlain, DAC '95 §IV).
 //!
 //! One protocol (`BarrierProtocol`, a `parsim_runtime::SyncProtocol`), two
-//! drivers:
+//! drivers, one kernel type ([`FabricKernel`](parsim_runtime::FabricKernel)):
 //!
 //! * [`SyncSimulator`] — the *modeled* kernel: the fabric's deterministic
 //!   single-threaded driver steps the protocol while charging every action
@@ -18,6 +18,10 @@
 //!   worker threads, mailbox mesh and round barrier; used for wall-clock
 //!   measurements on real multiprocessors and as a second correctness
 //!   witness.
+//!
+//! Both names are aliases of the one kernel type, so they share its
+//! builder (`with_observe`, `with_probe`, `partition`); the threaded one
+//! adds the driver's run options. The family has no settings of its own.
 //!
 //! Both produce logical results identical to the sequential reference — the
 //! differential tests at the bottom of this crate enforce it.

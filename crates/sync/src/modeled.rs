@@ -1,107 +1,51 @@
 //! The modeled synchronous kernel.
 
-use std::marker::PhantomData;
-
-use parsim_core::{Observe, SimOutcome, Simulator, Stimulus};
-use parsim_event::VirtualTime;
-use parsim_logic::LogicValue;
-use parsim_machine::MachineConfig;
-use parsim_netlist::Circuit;
-use parsim_partition::Partition;
-use parsim_runtime::Fabric;
-use parsim_trace::Probe;
+use parsim_runtime::{FabricKernel, Machine};
 
 use crate::threaded::BarrierProtocol;
 
 /// The synchronous global-clock kernel on the virtual multiprocessor: the
 /// protocol [`ThreadedSyncSimulator`](crate::ThreadedSyncSimulator) runs on
 /// threads, stepped by the fabric's modeled driver
-/// ([`Fabric::run_modeled`]) instead.
+/// ([`Fabric::run_modeled`](parsim_runtime::Fabric::run_modeled)) instead.
 ///
 /// Each superstep: every processor retrieves its events at the common
 /// simulated time, applies them, evaluates its affected gates, distributes
 /// output events (paying message costs for cross-block fanout), and then all
 /// processors barrier to agree on the next event time. Modeled time advances
-/// per the [`MachineConfig`] price list; logical results are bit-identical
-/// to the sequential reference.
+/// per the [`MachineConfig`](parsim_machine::MachineConfig) price list;
+/// logical results are bit-identical to the sequential reference.
 ///
-/// See the crate docs for an example.
-#[derive(Debug, Clone)]
-pub struct SyncSimulator<V> {
-    partition: Partition,
-    machine: MachineConfig,
-    observe: Observe,
-    probe: Probe,
-    _values: PhantomData<V>,
-}
-
-impl<V: LogicValue> SyncSimulator<V> {
-    /// Creates the kernel over a partition, one block per processor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partition's block count differs from the machine's
-    /// processor count.
-    pub fn new(partition: Partition, machine: MachineConfig) -> Self {
-        assert_eq!(
-            partition.blocks(),
-            machine.processors,
-            "synchronous kernel needs one partition block per processor"
-        );
-        SyncSimulator {
-            partition,
-            machine,
-            observe: Observe::Outputs,
-            probe: Probe::disabled(),
-            _values: PhantomData,
-        }
-    }
-
-    /// Selects which nets to record waveforms for.
-    pub fn with_observe(mut self, observe: Observe) -> Self {
-        self.observe = observe;
-        self
-    }
-
-    /// Attaches a trace probe. The virtual machine records charge, idle and
-    /// barrier-wait spans on the modeled cost-unit timeline; the protocol
-    /// adds dequeues, gate evaluations and cross-block message sends at the
-    /// same timeline positions.
-    pub fn with_probe(mut self, probe: Probe) -> Self {
-        self.probe = probe;
-        self
-    }
-
-    /// The partition driving gate placement.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-}
-
-impl<V: LogicValue> Simulator<V> for SyncSimulator<V> {
-    fn name(&self) -> String {
-        format!("synchronous(P={})", self.machine.processors)
-    }
-
-    fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
-        // Interpreted on purpose: the modeled kernels are the differential
-        // reference the compiled paths are checked against.
-        Fabric::new(circuit, &self.partition, 1, self.observe).run_modeled(
-            stimulus,
-            until,
-            &self.probe,
-            &BarrierProtocol,
-            self.machine,
-        )
-    }
-}
+/// See the crate docs for an example. Budgets, compiled execution and
+/// `try_run` belong to the threaded driver; the family has no granularity:
+///
+/// ```compile_fail,E0599
+/// # let k: parsim_sync::SyncSimulator<parsim_logic::Bit> = todo!();
+/// k.with_budget(parsim_core::RunBudget::UNLIMITED);
+/// ```
+/// ```compile_fail,E0599
+/// # let k: parsim_sync::SyncSimulator<parsim_logic::Bit> = todo!();
+/// k.with_compiled();
+/// ```
+/// ```compile_fail,E0599
+/// # let k: parsim_sync::SyncSimulator<parsim_logic::Bit> = todo!();
+/// k.try_run(todo!(), todo!(), todo!());
+/// ```
+/// ```compile_fail,E0599
+/// # let k: parsim_sync::SyncSimulator<parsim_logic::Bit> = todo!();
+/// k.with_granularity(2);
+/// ```
+pub type SyncSimulator<V> = FabricKernel<BarrierProtocol, Machine, V>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsim_core::SequentialSimulator;
-    use parsim_logic::{Bit, Logic4};
-    use parsim_netlist::{bench, generate, DelayModel};
+    use parsim_core::{Observe, SequentialSimulator, Simulator, Stimulus};
+    use parsim_event::VirtualTime;
+    use parsim_logic::{Bit, Logic4, LogicValue};
+    use parsim_machine::MachineConfig;
+    use parsim_netlist::{bench, generate, Circuit, DelayModel};
+    use parsim_partition::Partition;
     use parsim_partition::{ConePartitioner, GateWeights, Partitioner, RoundRobinPartitioner};
 
     fn partition(c: &Circuit, p: usize) -> Partition {

@@ -1,19 +1,13 @@
-//! The threaded synchronous kernel, as a protocol on the shared fabric.
+//! The synchronous protocol, and its kernel on the fabric's threads.
 
-use std::marker::PhantomData;
-
-use parsim_core::{
-    LpTopology, Observe, RunBudget, SimError, SimOutcome, SimStats, Simulator, Stimulus,
-};
+use parsim_core::{LpTopology, SimStats};
 use parsim_event::{BinaryHeapQueue, Event, EventQueue, VirtualTime};
 use parsim_logic::LogicValue;
 use parsim_netlist::{Delay, GateId};
-use parsim_partition::Partition;
 use parsim_runtime::{
-    CompiledMode, DecideCx, Decision, Fabric, FaultPlan, LpCore, RoundCx, RunOptions, SyncProtocol,
-    WorkerOutput,
+    DecideCx, Decision, Fabric, FabricKernel, LpCore, RoundCx, SyncProtocol, Threads, WorkerOutput,
 };
-use parsim_trace::{Probe, TraceKind};
+use parsim_trace::TraceKind;
 
 /// The synchronous kernel on real threads.
 ///
@@ -27,116 +21,13 @@ use parsim_trace::{Probe, TraceKind};
 /// Logical results are bit-identical to
 /// [`SyncSimulator`](crate::SyncSimulator) and the sequential reference.
 ///
-/// On a single-core host this kernel demonstrates correctness, not speedup;
-/// wall-clock numbers are only meaningful on real multiprocessors (the
-/// modeled kernel exists precisely because this host has one core).
-#[derive(Debug, Clone)]
-pub struct ThreadedSyncSimulator<V> {
-    partition: Partition,
-    observe: Observe,
-    probe: Probe,
-    options: RunOptions,
-    compiled: CompiledMode,
-    _values: PhantomData<V>,
-}
-
-impl<V: LogicValue> ThreadedSyncSimulator<V> {
-    /// Creates the kernel; one thread per partition block.
-    pub fn new(partition: Partition) -> Self {
-        ThreadedSyncSimulator {
-            partition,
-            observe: Observe::Outputs,
-            probe: Probe::disabled(),
-            options: RunOptions::default(),
-            compiled: CompiledMode::Off,
-            _values: PhantomData,
-        }
-    }
-
-    /// Switches gate evaluation to compiled bytecode: each worker's gate
-    /// block is lowered once, up front, and the per-round dirty batch runs
-    /// through the dispatch-free executors. Results are bit-identical to
-    /// the interpreted default.
-    pub fn with_compiled(mut self) -> Self {
-        self.compiled = CompiledMode::InMemory;
-        self
-    }
-
-    /// Compiled evaluation through the on-disk artifact store rooted at
-    /// `dir`: a warm cache skips compilation entirely.
-    pub fn with_compiled_cache(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.compiled = CompiledMode::Cached(dir.into());
-        self
-    }
-
-    /// Selects which nets to record waveforms for.
-    pub fn with_observe(mut self, observe: Observe) -> Self {
-        self.observe = observe;
-        self
-    }
-
-    /// Attaches a trace probe. Each worker thread records on its own handle
-    /// with host wall-clock nanoseconds as the timeline: measured
-    /// barrier-wait spans, gate evaluations, queue operations and
-    /// cross-block sends.
-    pub fn with_probe(mut self, probe: Probe) -> Self {
-        self.probe = probe;
-        self
-    }
-
-    /// Bounds the run (rounds, events, wall clock); an exhausted budget
-    /// truncates gracefully instead of erroring.
-    pub fn with_budget(mut self, budget: RunBudget) -> Self {
-        self.options.budget = budget;
-        self
-    }
-
-    /// Attaches a fault-injection plan for [`try_run`](Self::try_run).
-    /// Batch faults are addressed per channel: a plan names the
-    /// `(sender, receiver)` worker pair and the batch sequence number
-    /// *on that channel* (sequences are per-channel counters, matching
-    /// the mesh's one-SPSC-ring-per-pair transport).
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.options.faults = Some(plan);
-        self
-    }
-
-    /// Bounds every barrier wait: a worker that stops participating
-    /// without panicking (a hang, not a crash) fails the run with
-    /// [`SimError::BarrierTimeout`] naming the stalled workers, instead of
-    /// blocking its peers forever.
-    pub fn with_barrier_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.options.barrier_timeout = Some(timeout);
-        self
-    }
-
-    /// Runs the kernel, returning a structured [`SimError`] instead of
-    /// panicking when a worker fails or the protocol aborts.
-    pub fn try_run(
-        &self,
-        circuit: &parsim_netlist::Circuit,
-        stimulus: &Stimulus,
-        until: VirtualTime,
-    ) -> Result<SimOutcome<V>, SimError> {
-        let fabric = self.compiled.apply(Fabric::new(circuit, &self.partition, 1, self.observe));
-        fabric.run(stimulus, until, &self.probe, &BarrierProtocol, &self.options)
-    }
-}
-
-impl<V: LogicValue> Simulator<V> for ThreadedSyncSimulator<V> {
-    fn name(&self) -> String {
-        format!("threaded-synchronous(P={})", self.partition.blocks())
-    }
-
-    fn run(
-        &self,
-        circuit: &parsim_netlist::Circuit,
-        stimulus: &Stimulus,
-        until: VirtualTime,
-    ) -> SimOutcome<V> {
-        self.try_run(circuit, stimulus, until).unwrap_or_else(|e| panic!("{e}"))
-    }
-}
+/// The synchronous family has no settings of its own (one LP per block):
+///
+/// ```compile_fail,E0599
+/// # let k: parsim_sync::ThreadedSyncSimulator<parsim_logic::Bit> = todo!();
+/// k.with_granularity(2);
+/// ```
+pub type ThreadedSyncSimulator<V> = FabricKernel<BarrierProtocol, Threads, V>;
 
 /// Routes one freshly scheduled output event: local queue for the
 /// driver's own block, mailbox sends for remote destinations. Shared
@@ -184,10 +75,11 @@ fn route_event<V: LogicValue>(
 }
 
 /// The synchronous discipline: every worker steps at the same global time.
-pub(crate) struct BarrierProtocol;
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BarrierProtocol;
 
 /// Per-worker state: one LP (= partition block) with a private event queue.
-pub(crate) struct SyncWorker<V> {
+pub struct SyncWorker<V> {
     owned: Vec<GateId>,
     core: LpCore<V>,
     queue: BinaryHeapQueue<V>,
@@ -373,12 +265,20 @@ impl<V: LogicValue> SyncProtocol<V> for BarrierProtocol {
             stats: state.stats,
         }
     }
+
+    fn label(&self, modeled: bool) -> &'static str {
+        if modeled {
+            "synchronous"
+        } else {
+            "threaded-synchronous"
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsim_core::SequentialSimulator;
+    use parsim_core::{Observe, SequentialSimulator, Simulator, Stimulus};
     use parsim_logic::{Bit, Logic4};
     use parsim_netlist::{bench, generate, Circuit, DelayModel};
     use parsim_partition::{FiducciaMattheyses, GateWeights, Partitioner};

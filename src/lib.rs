@@ -64,7 +64,8 @@ pub mod prelude {
         simulate_faults_packed, BitSimulator, PackedBit, PackedLogic4, PackedStimulus, PackedValue,
     };
     pub use parsim_conservative::{
-        ConservativeSimulator, DeadlockStrategy, ThreadedConservativeSimulator,
+        ConservativeSettings, ConservativeSimulator, DeadlockStrategy,
+        ThreadedConservativeSimulator,
     };
     pub use parsim_core::{
         evaluate_gate, fault, parse_vcd_changes, pre_simulate, write_vcd, ActivityProfile,
@@ -85,8 +86,8 @@ pub mod prelude {
         Levelization, NetlistError,
     };
     pub use parsim_optimistic::{
-        BtbSimulator, Cancellation, StateSaving, ThreadedTimeWarpSimulator, TimeWarpSimulator,
-        Window,
+        BtbSimulator, Cancellation, StateSaving, ThreadedTimeWarpSimulator, TimeWarpSettings,
+        TimeWarpSimulator, Window,
     };
     pub use parsim_partition::{
         all_partitioners, AnnealingPartitioner, ConePartitioner, ContiguousPartitioner,
@@ -95,7 +96,7 @@ pub mod prelude {
         StringPartitioner,
     };
     pub use parsim_runtime::{
-        ArtifactStore, CacheOutcome, CompiledBlock, CompiledMode, Decision, Fabric, FaultPlan,
+        ArtifactStore, CacheOutcome, CompiledBlock, Decision, Fabric, FabricKernel, FaultPlan,
         FaultSpec, RunOptions, SyncProtocol,
     };
     pub use parsim_sync::{SyncSimulator, ThreadedSyncSimulator};

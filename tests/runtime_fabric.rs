@@ -107,6 +107,35 @@ fn explicitly_empty_partition_blocks_are_harmless() {
     check_all_threaded(&c, &Stimulus::counting(25), 400, &part);
 }
 
+/// `Simulator::name` labels the rows of `results/exp_threaded.json` and
+/// `exp_compile.json`; every kernel alias keeps its string byte for byte.
+#[test]
+fn kernel_names_are_pinned() {
+    let c = bench::c17();
+    let part = ConePartitioner.partition(&c, 2, &GateWeights::uniform(c.len()));
+    let m = MachineConfig::shared_memory(2);
+    let recover = DeadlockStrategy::DetectAndRecover;
+    let names = [
+        SyncSimulator::<Logic4>::new(part.clone(), m).name(),
+        ConservativeSimulator::<Logic4>::new(part.clone(), m).name(),
+        ConservativeSimulator::<Logic4>::new(part.clone(), m).with_strategy(recover).name(),
+        ThreadedSyncSimulator::<Logic4>::new(part.clone()).name(),
+        ThreadedConservativeSimulator::<Logic4>::new(part.clone()).with_strategy(recover).name(),
+        ThreadedTimeWarpSimulator::<Logic4>::new(part).name(),
+    ];
+    assert_eq!(
+        names,
+        [
+            "synchronous(P=2)",
+            "conservative-null-msg(P=2)",
+            "conservative-deadlock-recovery(P=2)",
+            "threaded-synchronous(P=2)",
+            "threaded-conservative(P=2)",
+            "threaded-time-warp(P=2)",
+        ]
+    );
+}
+
 #[test]
 fn zero_event_stimulus_terminates_cleanly() {
     // A quiet stimulus with no clock contributes nothing beyond the initial
