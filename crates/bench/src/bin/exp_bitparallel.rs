@@ -11,11 +11,11 @@
 //! independent input vectors into the bit positions of a machine word and
 //! every word-wide gate operation simulates 64 machines at once. This
 //! experiment quantifies that claim on the standard random-DAG ladder:
-//! wall-clock time to push 64 patterns through the packed kernel
-//! (1, 2 and 4 threads) vs. 64 back-to-back runs of the scalar oblivious
-//! and event-driven sequential kernels. `speedup` is against the scalar
-//! oblivious baseline (the like-for-like comparison: same evaluate-
-//! everything discipline, scalar words).
+//! wall-clock time to push 64 patterns through the packed kernel vs. 64
+//! back-to-back runs of the scalar oblivious and event-driven sequential
+//! kernels. `speedup` is against the scalar oblivious baseline (the
+//! like-for-like comparison: same evaluate-everything discipline, scalar
+//! words).
 
 use std::time::Instant;
 
@@ -53,7 +53,6 @@ fn main() {
         "circuit",
         "gates",
         "kernel",
-        "threads",
         "patterns",
         "wall_ms",
         "patterns_per_s",
@@ -65,12 +64,11 @@ fn main() {
             (0..LANES as u64).map(|k| Stimulus::random(0xB1 + k, 12).with_clock(7)).collect(),
         );
 
-        let mut row = |kernel: &str, threads: usize, ns: u64, baseline_ns: Option<u64>| {
+        let mut row = |kernel: &str, ns: u64, baseline_ns: Option<u64>| {
             table.row(&[
                 c.name().to_string(),
                 c.len().to_string(),
                 kernel.to_string(),
-                threads.to_string(),
                 LANES.to_string(),
                 format!("{:.2}", ns as f64 / 1e6),
                 format!("{:.1}", LANES as f64 / (ns as f64 / 1e9)),
@@ -87,7 +85,7 @@ fn main() {
                 assert!(out.stats.gate_evaluations > 0);
             }
         });
-        row(&oblivious.name(), 1, baseline_ns, None);
+        row(&oblivious.name(), baseline_ns, None);
 
         // The event-driven sequential kernel, 64 runs back to back.
         let sequential = SequentialSimulator::<Bit>::new().with_observe(Observe::Nothing);
@@ -97,19 +95,15 @@ fn main() {
                 assert!(out.stats.events_processed > 0);
             }
         });
-        row(&sequential.name(), 1, seq_ns, Some(baseline_ns));
+        row(&sequential.name(), seq_ns, Some(baseline_ns));
 
         // The packed kernel: all 64 patterns in one pass.
-        for threads in [1usize, 2, 4] {
-            let packed = BitSimulator::<PackedBit>::new()
-                .with_observe(Observe::Nothing)
-                .with_threads(threads);
-            let ns = wall_ns(|| {
-                let out = packed.run(c, &stim, until);
-                assert!(out.stats.gate_evaluations > 0);
-            });
-            row(&packed.name(), threads, ns, Some(baseline_ns));
-        }
+        let packed = BitSimulator::<PackedBit>::new().with_observe(Observe::Nothing);
+        let ns = wall_ns(|| {
+            let out = packed.run(c, &stim, until);
+            assert!(out.stats.gate_evaluations > 0);
+        });
+        row(&packed.name(), ns, Some(baseline_ns));
     }
     table.finish("exp_bitparallel");
 }

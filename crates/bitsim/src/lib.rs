@@ -18,8 +18,8 @@
 //!   once per run after the unit-delay check.
 //! - [`BitSimulator`]: the §IV oblivious discipline over packed words —
 //!   every gate evaluated every tick, double-buffered unit-delay
-//!   semantics, optionally sharding each schedule section across the
-//!   `parsim-runtime` worker pool.
+//!   semantics, in one single-threaded loop (more cores run independent
+//!   packed passes, never shards of one).
 //! - [`PackedStimulus`] / [`PackedOutcome`]: transposing 64 scalar
 //!   [`Stimulus`](parsim_core::Stimulus) streams into packed events and
 //!   projecting per-lane scalar [`SimOutcome`](parsim_core::SimOutcome)s
@@ -30,9 +30,9 @@
 //! # Determinism contract
 //!
 //! Lane `k` of a packed run is **bit-identical** to a scalar run driven by
-//! stimulus lane `k` alone — final values and waveforms, against both the
-//! scalar kernels and the threaded packed kernel. The differential suite
-//! (`tests/bitsim.rs`) holds the crate to this contract.
+//! stimulus lane `k` alone — final values and waveforms, against the
+//! scalar kernels. The differential suite (`tests/bitsim.rs`) holds the
+//! crate to this contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

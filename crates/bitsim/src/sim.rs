@@ -1,15 +1,11 @@
 //! The bit-parallel compiled oblivious kernel.
 
 use std::marker::PhantomData;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, RwLock};
 
 use parsim_core::{Observe, SimStats, WaveRecorder};
 use parsim_event::VirtualTime;
 use parsim_logic::{GateKind, LogicValue};
 use parsim_netlist::{Circuit, GateId};
-use parsim_runtime::{lock_recover, RoundBarrier};
 use parsim_trace::{Probe, ProbeHandle, TraceKind, NO_LP};
 
 use crate::compile::{assert_unit_delays, CompiledBlock, CompiledOp};
@@ -30,13 +26,6 @@ use crate::stimulus::{PackedEvent, PackedOutcome, PackedStimulus, PackedWaveform
 /// bit-identical to a scalar run driven by stimulus lane `k` alone**
 /// (waveforms included); the differential suite compares packed runs
 /// against 64 [`SequentialSimulator`] runs.
-///
-/// Wide schedules can optionally be sharded across threads
-/// ([`with_threads`](BitSimulator::with_threads)): each section's ops are
-/// chunked over the `parsim-runtime` worker pool, workers evaluate their
-/// chunks against a frozen value snapshot, and worker 0 folds the results
-/// into the next buffer and publishes it exactly as the inline loop does —
-/// the threaded run is bit-identical to the single-threaded one.
 ///
 /// [`ObliviousSimulator`]: parsim_core::ObliviousSimulator
 /// [`SequentialSimulator`]: parsim_core::SequentialSimulator
@@ -75,19 +64,13 @@ use crate::stimulus::{PackedEvent, PackedOutcome, PackedStimulus, PackedWaveform
 pub struct BitSimulator<P> {
     observe: Observe,
     probe: Probe,
-    threads: usize,
     _values: PhantomData<P>,
 }
 
 impl<P: PackedValue> BitSimulator<P> {
-    /// Creates the kernel (single-threaded, observing primary outputs).
+    /// Creates the kernel (observing primary outputs).
     pub fn new() -> Self {
-        BitSimulator {
-            observe: Observe::Outputs,
-            probe: Probe::disabled(),
-            threads: 1,
-            _values: PhantomData,
-        }
+        BitSimulator { observe: Observe::Outputs, probe: Probe::disabled(), _values: PhantomData }
     }
 
     /// Selects which nets to record waveforms for.
@@ -98,34 +81,16 @@ impl<P: PackedValue> BitSimulator<P> {
 
     /// Attaches a trace probe. The kernel records one batched `GateEval`
     /// per tick (`arg` = packed word evaluations), a `Dequeue` per applied
-    /// packed input event, and — per tick, per schedule section, per
-    /// worker — a `Charge` span (`lp` = section index, `arg` = span
-    /// nanoseconds) for the worker's share of the section.
+    /// packed input event, and — per tick, per schedule section — a
+    /// `Charge` span (`lp` = section index, `arg` = span nanoseconds).
     pub fn with_probe(mut self, probe: Probe) -> Self {
         self.probe = probe;
         self
     }
 
-    /// Shards each section's ops across `threads` workers on the
-    /// `parsim-runtime` pool. `1` (the default) evaluates inline. The
-    /// result is bit-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "thread count must be at least 1");
-        self.threads = threads;
-        self
-    }
-
     /// The kernel's display name.
     pub fn name(&self) -> String {
-        if self.threads > 1 {
-            format!("bitsim[{}x{}]", LANES, self.threads)
-        } else {
-            format!("bitsim[{LANES}]")
-        }
+        format!("bitsim[{LANES}]")
     }
 
     /// Runs all lanes of `stimulus` to `until` (inclusive of events stamped
@@ -185,7 +150,7 @@ impl<P: PackedValue> BitSimulator<P> {
         events.sort_by_key(|e| (e.time, e.net.index()));
         assert_unit_delays(circuit);
         let cc = CompiledBlock::compile(circuit);
-        let apply = ApplyPhase {
+        let mut apply = ApplyPhase {
             events,
             forces: forces.to_vec(),
             sources: circuit.ids().filter(|&id| circuit.kind(id).is_source()).collect(),
@@ -198,169 +163,30 @@ impl<P: PackedValue> BitSimulator<P> {
             next_input: 0,
             stats: SimStats::default(),
         };
-        let (final_values, apply) = if self.threads > 1 {
-            self.run_sharded(cc, apply, until)
-        } else {
-            self.run_inline(&cc, apply, until)
-        };
-        PackedOutcome {
-            final_values,
-            waveforms: apply.waveforms.into_map(),
-            end_time: until,
-            stats: apply.stats,
-            lanes,
-        }
-    }
-
-    /// The single-threaded hot loop.
-    fn run_inline(
-        &self,
-        cc: &CompiledBlock,
-        mut apply: ApplyPhase<P>,
-        until: VirtualTime,
-    ) -> (Vec<P>, ApplyPhase<P>) {
         let mut values = vec![P::ALL_ZERO; cc.nets()];
-        let mut seq = SeqState::new(cc);
-        let share = shares(cc, 1).pop().expect("one worker, one share");
+        let mut seq = SeqState::new(&cc);
         let mut ph = self.probe.handle();
-
+        let evals = cc.ops().len() as u64;
         let mut t = 0u64;
         loop {
             apply.tick(VirtualTime::new(t), &mut values, &mut ph);
             if t >= until.ticks() {
                 break;
             }
-            let evals = eval_share(cc, &share, &values, &mut apply.next, &mut seq, &mut ph, t);
+            eval_tick(&cc, &values, &mut apply.next, &mut seq, &mut ph, t);
             apply.stats.gate_evaluations += evals;
             if ph.enabled() {
                 ph.emit(t, t, 0, NO_LP, TraceKind::GateEval, evals);
             }
             t += 1;
         }
-        (values, apply)
-    }
-
-    /// The section-sharded loop: `threads` workers on the **persistent**
-    /// runtime pool ([`parsim_runtime::global_pool`]) evaluate disjoint
-    /// chunks of every section against a frozen snapshot of the tick's
-    /// values; worker 0 folds all results into the next buffer and runs
-    /// the same apply phase, so the outcome is bit-identical to
-    /// [`run_inline`]. Repeated sharded runs (a bench sweep, a fault
-    /// campaign) reuse the pool's threads instead of spawning a fresh set
-    /// per run.
-    fn run_sharded(
-        &self,
-        cc: CompiledBlock,
-        apply: ApplyPhase<P>,
-        until: VirtualTime,
-    ) -> (Vec<P>, ApplyPhase<P>) {
-        let workers = self.threads;
-        let n = cc.nets();
-
-        // Each worker owns a full-width pending buffer plus the sequential
-        // state of its ops (globally indexed; only owned slots are used).
-        struct Shard<P> {
-            pending: Vec<P>,
-            seq: SeqState<P>,
+        PackedOutcome {
+            final_values: values,
+            waveforms: apply.waveforms.into_map(),
+            end_time: until,
+            stats: apply.stats,
+            lanes,
         }
-        // Everything the workers touch, owned (`'static`) and shared via
-        // `Arc` — persistent pool threads outlive this call's borrows.
-        struct Shared<P: PackedValue> {
-            shares: Vec<Share>,
-            cc: CompiledBlock,
-            values: RwLock<Vec<P>>,
-            shards: Vec<Mutex<Shard<P>>>,
-            /// Worker 0 owns the apply phase for the whole run.
-            apply: Mutex<Option<ApplyPhase<P>>>,
-            barrier: RoundBarrier,
-            stop: AtomicBool,
-            until: VirtualTime,
-            probe: Probe,
-        }
-        let shards: Vec<Mutex<Shard<P>>> = (0..workers)
-            .map(|_| Mutex::new(Shard { pending: vec![P::ALL_ZERO; n], seq: SeqState::new(&cc) }))
-            .collect();
-        let shared = std::sync::Arc::new(Shared {
-            shares: shares(&cc, workers),
-            cc,
-            values: RwLock::new(vec![P::ALL_ZERO; n]),
-            shards,
-            apply: Mutex::new(Some(apply)),
-            barrier: RoundBarrier::new(workers),
-            stop: AtomicBool::new(false),
-            until,
-            probe: self.probe.clone(),
-        });
-
-        // A worker that unwinds mid-round would leave its peers blocked on
-        // the round barrier forever; abort the barrier on the way out so
-        // they fail fast (and the original panic propagates) instead.
-        struct AbortOnUnwind<'a>(&'a RoundBarrier);
-        impl Drop for AbortOnUnwind<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.abort();
-                }
-            }
-        }
-
-        let worker_shared = std::sync::Arc::clone(&shared);
-        let mut results = parsim_runtime::global_pool().run_static(workers, move |w| {
-            let sh = &*worker_shared;
-            let _abort_guard = AbortOnUnwind(&sh.barrier);
-            let mut ph = sh.probe.handle();
-            let mut state = if w == 0 {
-                Some(lock_recover(&sh.apply).take().expect("apply state"))
-            } else {
-                None
-            };
-            let mut evals = 0u64;
-            let mut t = 0u64;
-            loop {
-                // Round phase 1 — apply: worker 0 folds every worker's
-                // pending buffer into the next values and publishes them.
-                if w == 0 {
-                    let st = state.as_mut().expect("worker 0 owns the apply state");
-                    let mut vals = sh.values.write().expect("values lock");
-                    for (shard, share) in sh.shards.iter().zip(&sh.shares) {
-                        let shard = lock_recover(shard);
-                        for op in share.chunks.iter().flat_map(|c| &sh.cc.ops()[c.ops.clone()]) {
-                            st.next[op.gate.index()] = shard.pending[op.gate.index()];
-                        }
-                    }
-                    st.tick(VirtualTime::new(t), &mut vals, &mut ph);
-                    if t >= sh.until.ticks() {
-                        sh.stop.store(true, Ordering::Release);
-                    }
-                }
-                // Round phase 2 — everyone sees the applied values.
-                ph.barrier_span(w as u32, t, || sh.barrier.wait(None))
-                    .expect("barrier aborted: a peer worker failed");
-                if sh.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                {
-                    let vals = sh.values.read().expect("values lock");
-                    let mut shard = lock_recover(&sh.shards[w]);
-                    let Shard { pending, seq } = &mut *shard;
-                    evals += eval_share(&sh.cc, &sh.shares[w], &vals, pending, seq, &mut ph, t);
-                }
-                // Round phase 3 — eval done, shard locks released.
-                ph.barrier_span(w as u32, t, || sh.barrier.wait(None))
-                    .expect("barrier aborted: a peer worker failed");
-                t += 1;
-            }
-            (state, evals)
-        });
-
-        let mut st = results
-            .iter_mut()
-            .find_map(|(s, _)| s.take())
-            .expect("worker 0 returns the apply state");
-        st.stats.gate_evaluations += results.iter().map(|&(_, e)| e).sum::<u64>();
-        st.stats.barriers = until.ticks() + 1;
-        let values = shared.values.read().expect("values lock").clone();
-        (values, st)
     }
 }
 
@@ -397,8 +223,7 @@ fn lanes_mask(lanes: usize) -> u64 {
 }
 
 /// Everything that happens between two evaluations: the buffer evaluation
-/// fills, the observed waveforms, and the input and force streams. One
-/// owner per run — the inline loop, or worker 0 of a sharded run.
+/// fills, the observed waveforms, and the input and force streams.
 struct ApplyPhase<P> {
     /// Sorted by `(time, net)`.
     events: Vec<PackedEvent<P>>,
@@ -494,71 +319,30 @@ impl<P: PackedValue> SeqState<P> {
     }
 }
 
-/// One worker's part of one schedule section: a contiguous op range, cut
-/// into its same-kind runs.
-#[derive(Debug, Clone)]
-struct Chunk {
-    section: usize,
-    ops: Range<usize>,
-    runs: Vec<(GateKind, Range<usize>)>,
-}
-
-/// One worker's part of the schedule.
-#[derive(Debug, Clone)]
-struct Share {
-    worker: usize,
-    chunks: Vec<Chunk>,
-}
-
-/// Chunks every section contiguously across `workers` shares.
-fn shares(cc: &CompiledBlock, workers: usize) -> Vec<Share> {
-    let mut shares: Vec<Share> =
-        (0..workers).map(|worker| Share { worker, chunks: Vec::new() }).collect();
-    for (section, range) in cc.levels().iter().enumerate() {
-        let len = range.len();
-        for share in &mut shares {
-            let lo = range.start + len * share.worker / workers;
-            let hi = range.start + len * (share.worker + 1) / workers;
-            if lo < hi {
-                let runs = cc
-                    .runs()
-                    .iter()
-                    .map(|(kind, r)| (*kind, r.start.max(lo)..r.end.min(hi)))
-                    .filter(|(_, r)| !r.is_empty())
-                    .collect();
-                share.chunks.push(Chunk { section, ops: lo..hi, runs });
-            }
-        }
-    }
-    shares
-}
-
-/// Evaluates one worker's share of tick `t` against the tick's frozen
-/// `values`, writing each op's output to `out[gate]`, with a `Charge` span
-/// per section. Returns the number of ops evaluated.
-fn eval_share<P: PackedValue>(
+/// Evaluates tick `t` against the tick's frozen `values`, writing each
+/// op's output to `out[gate]`, section by section with a `Charge` span
+/// (`lp` = section index) per section.
+fn eval_tick<P: PackedValue>(
     cc: &CompiledBlock,
-    share: &Share,
     values: &[P],
     out: &mut [P],
     seq: &mut SeqState<P>,
     ph: &mut ProbeHandle,
     t: u64,
-) -> u64 {
-    let mut evals = 0u64;
-    for chunk in &share.chunks {
+) {
+    // Kind runs never cross a section boundary, so each section takes the
+    // next runs up to its end.
+    let mut runs = cc.runs().iter().peekable();
+    for (section, range) in cc.levels().iter().enumerate() {
         let span_start = if ph.enabled() { ph.now_ns() } else { 0 };
-        for (kind, run) in &chunk.runs {
+        while let Some((kind, run)) = runs.next_if(|(_, r)| r.end <= range.end) {
             eval_run(cc, *kind, &cc.ops()[run.clone()], values, out, seq);
         }
-        evals += chunk.ops.len() as u64;
         if ph.enabled() {
             let dur = ph.now_ns() - span_start;
-            let (worker, section) = (share.worker as u32, chunk.section as u32);
-            ph.emit(span_start, t, worker, section, TraceKind::Charge, dur);
+            ph.emit(span_start, t, 0, section as u32, TraceKind::Charge, dur);
         }
     }
-    evals
 }
 
 /// One same-kind run: match once, then a tight per-op loop.
@@ -666,38 +450,13 @@ mod tests {
         differential::<PackedLogic4>(&c, &stim, 180);
     }
 
-    #[test]
-    fn threaded_run_is_bit_identical() {
-        let c = generate::random_dag(&generate::RandomDagConfig {
-            gates: 220,
-            seq_fraction: 0.15,
-            seed: 3,
-            ..Default::default()
-        });
-        let stim = PackedStimulus::new(
-            (0..LANES as u64).map(|k| Stimulus::random(k + 3, 8).with_clock(5)).collect(),
-        );
-        let until = VirtualTime::new(150);
-        let one = BitSimulator::<PackedLogic4>::new()
-            .with_observe(Observe::AllNets)
-            .run(&c, &stim, until);
-        for threads in [2, 4] {
-            let sharded = BitSimulator::<PackedLogic4>::new()
-                .with_observe(Observe::AllNets)
-                .with_threads(threads)
-                .run(&c, &stim, until);
-            assert_eq!(sharded.final_values, one.final_values, "{threads} threads");
-            assert_eq!(sharded.waveforms, one.waveforms, "{threads} threads");
-        }
-    }
-
     /// The deep-DAG contract of the swap-not-scan loop: on a circuit with
     /// hundreds of levels (two schedule sections all the same), observing
-    /// primary outputs only and forcing three of them, the inline run, the
-    /// 2- and 4-thread sharded runs and 64 scalar runs of the rewired
-    /// circuits agree — and every worker still charges every section.
+    /// primary outputs only and forcing three of them, the packed run and
+    /// 64 scalar runs of the rewired circuits agree — and every section is
+    /// charged exactly once per tick.
     #[test]
-    fn deep_dag_inline_sharded_and_scalar_runs_agree_with_forced_outputs() {
+    fn deep_dag_inline_and_scalar_runs_agree_with_forced_outputs() {
         use parsim_core::fault::{inject, StuckAtFault};
         use parsim_netlist::Levelization;
 
@@ -737,31 +496,20 @@ mod tests {
             f.value.set_lane(k, Logic4::from_bool(fault.value));
         }
 
-        let run = |threads: usize| {
-            let probe = Probe::enabled();
-            let out = BitSimulator::<PackedLogic4>::new()
-                .with_threads(threads)
-                .with_probe(probe.clone())
-                .run_events_forced(&c, stim.events(&c, until), LANES, until, &forces);
-            // One `Charge` span per tick, per section, per worker.
-            let mut charges = std::collections::BTreeMap::new();
-            for r in probe.take_trace().records().iter().filter(|r| r.kind == TraceKind::Charge) {
-                *charges.entry((r.processor, r.lp)).or_insert(0u64) += 1;
-            }
-            let want: std::collections::BTreeMap<(u32, u32), u64> = (0..threads as u32)
-                .flat_map(|w| (0..sections as u32).map(move |s| ((w, s), until.ticks())))
-                .collect();
-            assert_eq!(charges, want, "{threads} threads");
-            assert_eq!(out.stats.gate_evaluations, until.ticks() * ops);
-            out
-        };
-        let inline = run(1);
-        assert_eq!(inline.waveforms.len(), outputs.len(), "primary outputs only");
-        for threads in [2, 4] {
-            let sharded = run(threads);
-            assert_eq!(sharded.final_values, inline.final_values, "{threads} threads");
-            assert_eq!(sharded.waveforms, inline.waveforms, "{threads} threads");
+        let probe = Probe::enabled();
+        let inline = BitSimulator::<PackedLogic4>::new()
+            .with_probe(probe.clone())
+            .run_events_forced(&c, stim.events(&c, until), LANES, until, &forces);
+        // One `Charge` span per tick, per section.
+        let mut charges = std::collections::BTreeMap::new();
+        for r in probe.take_trace().records().iter().filter(|r| r.kind == TraceKind::Charge) {
+            *charges.entry((r.processor, r.lp)).or_insert(0u64) += 1;
         }
+        let want: std::collections::BTreeMap<(u32, u32), u64> =
+            (0..sections as u32).map(|s| ((0, s), until.ticks())).collect();
+        assert_eq!(charges, want);
+        assert_eq!(inline.stats.gate_evaluations, until.ticks() * ops);
+        assert_eq!(inline.waveforms.len(), outputs.len(), "primary outputs only");
 
         let free = BitSimulator::<PackedLogic4>::new().run(&c, &stim, until);
         for &(k, fault) in &faults {

@@ -89,8 +89,7 @@ pub(crate) fn kind_from_code(code: u8) -> Option<GateKind> {
 /// section — an executor dispatches a dozen times per sweep however deep
 /// the circuit is — and never cross the section boundary.
 /// [`levels`](Self::levels) exposes the section ranges (sequential section
-/// first, when non-empty) — the unit of work for thread sharding and trace
-/// spans.
+/// first, when non-empty) — the unit of trace spans.
 ///
 /// Evaluation-order note: the schedule is *not* topological, and need not
 /// be. Both executors may evaluate ops in any order within a tick/batch
@@ -203,9 +202,9 @@ impl CompiledBlock {
         &self.ops
     }
 
-    /// Section index ranges over [`ops`](Self::ops) — the unit of sharding
-    /// and of `Charge` spans: the sequential section first, then the
-    /// combinational one; an empty section has no range, so at most two.
+    /// Section index ranges over [`ops`](Self::ops) — the unit of `Charge`
+    /// spans: the sequential section first, then the combinational one; an
+    /// empty section has no range, so at most two.
     pub fn levels(&self) -> &[Range<usize>] {
         &self.levels
     }

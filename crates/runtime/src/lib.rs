@@ -28,8 +28,8 @@
 //! - [`LpCore`] — flat struct-of-arrays per-LP gate state (net values,
 //!   sequential gate state, waveforms, dirty marking) shared by every
 //!   discipline's LP state machine.
-//! - [`run_workers`] — the scoped worker pool itself, also used directly
-//!   by the bit-parallel kernel (`parsim-bitsim`) to shard wide levels.
+//! - [`run_workers`] — the scoped worker pool itself: the workspace's one
+//!   way to start simulation threads.
 //!
 //! The synchronous, conservative and Time Warp kernels in `parsim-sync`,
 //! `parsim-conservative` and `parsim-optimistic` are `SyncProtocol`
@@ -75,7 +75,7 @@ pub use mailbox::{burst_capacity, MailboxMesh, Mesh, MutexedMesh, Outbox, DEFAUL
 // `parsim-compile` dependency edge.
 pub use parsim_compile::{ArtifactStore, CacheOutcome, CompiledBlock};
 pub use poison::lock_recover;
-pub use pool::{global_pool, run_workers, WorkerPool};
+pub use pool::run_workers;
 pub use protocol::{DecideCx, Decision, RoundCx, SyncProtocol, WorkerOutput};
 pub use spsc::{DEFAULT_RING_CAPACITY, MAX_RING_CAPACITY};
 pub use state::{GateStateSoa, LpCore};

@@ -4,6 +4,10 @@
 //!
 //! Numbers are `f64`, which is exact for every integer the protocol
 //! carries (tick counts, budgets, ids all stay far below 2^53).
+//!
+//! The parser recurses once per nesting level, so nesting is bounded by
+//! [`MAX_DEPTH`]: a request body of a few kilobytes of `[` must be an
+//! error, not a stack overflow on the connection thread.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -112,9 +116,14 @@ pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// The deepest array/object nesting [`parse`] accepts. The job protocol
+/// nests three deep.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON document; trailing non-whitespace is an error, and so is
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -127,9 +136,16 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// A parse error naming the current byte offset.
+    fn error(&self, what: &str) -> String {
+        format!("{what} at byte {}", self.pos)
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -145,7 +161,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
+            Err(self.error(&format!("expected `{}`", b as char)))
         }
     }
 
@@ -154,7 +170,7 @@ impl Parser<'_> {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(format!("bad literal at byte {}", self.pos))
+            Err(self.error("bad literal"))
         }
     }
 
@@ -164,11 +180,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.pos)),
+            _ => Err(self.error("unexpected input")),
         }
+    }
+
+    /// Parses one array or object, one level deeper than the caller.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -177,14 +204,14 @@ impl Parser<'_> {
         loop {
             let rest = &self.bytes[self.pos..];
             let Some(&b) = rest.first() else {
-                return Err("unterminated string".into());
+                return Err(self.error("unterminated string"));
             };
             self.pos += 1;
             match b {
                 b'"' => return Ok(s),
                 b'\\' => {
                     let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
+                        return Err(self.error("unterminated escape"));
                     };
                     self.pos += 1;
                     match esc {
@@ -197,12 +224,12 @@ impl Parser<'_> {
                         b'b' => s.push('\u{8}'),
                         b'f' => s.push('\u{c}'),
                         b'u' => {
-                            let hex = self
+                            let code = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| self.error("bad \\u escape"))?;
                             self.pos += 4;
                             // Surrogate pairs are not needed by this protocol;
                             // map them to the replacement character.
@@ -216,8 +243,11 @@ impl Parser<'_> {
                     let start = self.pos - 1;
                     let len = utf8_len(b);
                     let end = start + len;
-                    let chunk = self.bytes.get(start..end).ok_or("truncated UTF-8")?;
-                    let chunk = std::str::from_utf8(chunk).map_err(|e| e.to_string())?;
+                    let chunk = self
+                        .bytes
+                        .get(start..end)
+                        .and_then(|chunk| std::str::from_utf8(chunk).ok())
+                        .ok_or_else(|| format!("bad UTF-8 at byte {start}"))?;
                     s.push_str(chunk);
                     self.pos = end;
                 }
@@ -234,8 +264,11 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number `{text}`"))
+        // The scanned bytes are ASCII, so the UTF-8 check cannot fail.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| format!("bad number `{text}` at byte {start}"))
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -256,7 +289,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+                _ => return Err(self.error("expected `,` or `]`")),
             }
         }
     }
@@ -284,7 +317,7 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Obj(map));
                 }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+                _ => return Err(self.error("expected `,` or `}`")),
             }
         }
     }
@@ -327,6 +360,23 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\" 1}", "nul", "12..3", "\"open", "{} extra"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nest = |depth: usize, open: &str, close: &str, inner: &str| {
+            format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest(MAX_DEPTH, "[", "]", "1")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH, "{\"a\":", "}", "1")).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1, "[", "]", "1")).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"));
+        // Far past the bound, where unbounded recursion overflows a 2 MiB
+        // thread stack.
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let err = parse(&"{\"k\":".repeat(100_000)).unwrap_err();
+        assert!(err.contains(&format!("at byte {}", 5 * MAX_DEPTH)), "{err}");
     }
 
     #[test]

@@ -313,20 +313,32 @@ impl SimService {
     }
 }
 
+/// The largest generator size parameter a job may ask for: a
+/// `ripple_adder` of this many bits is ~29 k gates, the largest circuit a
+/// `generate` request can build.
+const GENERATOR_SIZE_CAP: usize = 4096;
+
+/// The largest `mesh` side: the mesh builds `side²` cells, so the side gets
+/// its own bound (16 384 cells) to stay under the `ripple_adder` cap.
+const MESH_SIDE_CAP: usize = 128;
+
 fn build_circuit(spec: &NetlistSpec) -> Result<Circuit, String> {
     match spec {
         NetlistSpec::Bench(text) => bench::parse("job", text, DelayModel::Unit)
             .map_err(|e| format!("bench parse error: {e}")),
         NetlistSpec::Generate { kind, size } => {
             let size = *size;
-            if size == 0 || size > 4096 {
-                return Err(format!("generator size {size} out of range 1..=4096"));
+            if size == 0 || size > GENERATOR_SIZE_CAP {
+                return Err(format!("generator size {size} out of range 1..={GENERATOR_SIZE_CAP}"));
             }
             match kind.as_str() {
                 "ripple_adder" => Ok(generate::ripple_adder(size, DelayModel::Unit)),
                 "lfsr" => Ok(generate::lfsr(size.max(2), DelayModel::Unit)),
                 "counter" => Ok(generate::counter(size, DelayModel::Unit)),
                 "tree" => Ok(generate::tree(GateKind::Xor, size.max(2), DelayModel::Unit)),
+                "mesh" if size > MESH_SIDE_CAP => {
+                    Err(format!("mesh side {size} out of range 1..={MESH_SIDE_CAP}"))
+                }
                 "mesh" => Ok(generate::mesh(size, size, DelayModel::Unit)),
                 other => Err(format!("unknown generator `{other}`")),
             }
@@ -392,5 +404,25 @@ mod tests {
         assert!(!Arc::ptr_eq(&built[1], &service.prepare(&cold[1]).unwrap()), "evicted: rebuilt");
         assert!(!Arc::ptr_eq(&first, &service.prepare(&warm).unwrap()), "evicted: rebuilt");
         assert_eq!(lock_recover(&service.prepared).len(), PREPARED_CAP);
+    }
+
+    #[test]
+    fn generated_circuits_stay_under_the_ripple_adder_cap() {
+        let service = SimService::new(ServiceConfig::new(std::env::temp_dir().join("unused")));
+        let generated = |kind: &str, size: usize| {
+            service.prepare(&request(NetlistSpec::Generate { kind: kind.into(), size }))
+        };
+        let largest =
+            generated("ripple_adder", GENERATOR_SIZE_CAP).expect("at the cap").circuit.len();
+        let mesh = generated("mesh", MESH_SIDE_CAP).expect("at the mesh cap").circuit.len();
+        assert!(mesh <= largest, "{mesh}-gate mesh vs {largest}-gate adder");
+        // A side one past the cap, and the old 16.7 M-gate request, are
+        // refused before anything is built, naming the limit.
+        for side in [MESH_SIDE_CAP + 1, GENERATOR_SIZE_CAP] {
+            let err = generated("mesh", side).expect_err("over the mesh cap");
+            assert!(err.contains(&format!("1..={MESH_SIDE_CAP}")), "{err}");
+        }
+        let err = generated("ripple_adder", GENERATOR_SIZE_CAP + 1).expect_err("over the cap");
+        assert!(err.contains(&format!("1..={GENERATOR_SIZE_CAP}")), "{err}");
     }
 }

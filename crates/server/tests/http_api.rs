@@ -80,6 +80,24 @@ fn oversized_request_head_is_refused_and_the_server_stays_up() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_bad_request_and_the_server_stays_up() {
+    let (server, _service) = start("nesting");
+    // 100 KB of `[`: parsed by unbounded recursion, this overflows the
+    // connection thread's stack and aborts the whole process.
+    let events = client::submit_job(server.addr(), &"[".repeat(100 * 1024)).unwrap();
+    match &events[..] {
+        [JobEvent::Error { code, message }] => {
+            assert_eq!(code, "bad-request");
+            assert!(message.contains("at byte"), "{message}");
+        }
+        other => panic!("expected one bad-request error, got {other:?}"),
+    }
+    let (status, body) = client::get(server.addr(), "/healthz").unwrap();
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    server.shutdown();
+}
+
+#[test]
 fn submit_stream_complete_over_tcp() {
     let (server, service) = start("submit");
     let events = client::submit_job(server.addr(), &adder_body("acme")).unwrap();

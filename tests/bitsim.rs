@@ -1,7 +1,7 @@
 //! The bit-parallel kernel's determinism contract, end to end: lane `k` of
 //! one packed run is bit-identical to scalar run `k` — against the
-//! sequential reference, across value systems, with X-seeded lanes, under
-//! thread sharding, and through the fault-campaign fast path.
+//! sequential reference, across value systems, with X-seeded lanes, and
+//! through the fault-campaign fast path.
 
 use parsim::bitsim::{PackedEvent, LANES};
 use parsim::core::fault;
@@ -9,13 +9,8 @@ use parsim::prelude::*;
 
 /// One packed run vs. `lanes` scalar `SequentialSimulator` runs: every
 /// lane's projected outcome must be divergence-free against its scalar
-/// twin, for every thread count given.
-fn lanes_vs_scalar<P: PackedValue>(
-    circuit: &Circuit,
-    stim: &PackedStimulus,
-    until: u64,
-    threads: &[usize],
-) {
+/// twin.
+fn lanes_vs_scalar<P: PackedValue>(circuit: &Circuit, stim: &PackedStimulus, until: u64) {
     let until = VirtualTime::new(until);
     let scalar: Vec<SimOutcome<P::Scalar>> = (0..stim.lanes())
         .map(|k| {
@@ -31,17 +26,10 @@ fn lanes_vs_scalar<P: PackedValue>(
         "vacuous test on {}: no events at all",
         circuit.name()
     );
-    for &t in threads {
-        let sim = BitSimulator::<P>::new().with_observe(Observe::AllNets).with_threads(t);
-        let packed = sim.run(circuit, stim, until);
-        for (k, reference) in scalar.iter().enumerate() {
-            if let Some(d) = packed.lane_outcome(k).divergence_from(reference) {
-                panic!(
-                    "{} lane {k} diverged from sequential on {}: {d}",
-                    sim.name(),
-                    circuit.name()
-                );
-            }
+    let packed = BitSimulator::<P>::new().with_observe(Observe::AllNets).run(circuit, stim, until);
+    for (k, reference) in scalar.iter().enumerate() {
+        if let Some(d) = packed.lane_outcome(k).divergence_from(reference) {
+            panic!("lane {k} diverged from sequential on {}: {d}", circuit.name());
         }
     }
 }
@@ -65,16 +53,16 @@ fn full_width_stimulus(seed: u64, interval: u64, clock: Option<u64>) -> PackedSt
 fn c17_64_lanes_both_value_systems() {
     let c = bench::c17();
     let stim = full_width_stimulus(1, 7, None);
-    lanes_vs_scalar::<PackedBit>(&c, &stim, 200, &[1]);
-    lanes_vs_scalar::<PackedLogic4>(&c, &stim, 200, &[1]);
+    lanes_vs_scalar::<PackedBit>(&c, &stim, 200);
+    lanes_vs_scalar::<PackedLogic4>(&c, &stim, 200);
 }
 
 #[test]
 fn s27ish_64_lanes_both_value_systems() {
     let c = bench::s27ish();
     let stim = full_width_stimulus(40, 11, Some(6));
-    lanes_vs_scalar::<PackedBit>(&c, &stim, 300, &[1]);
-    lanes_vs_scalar::<PackedLogic4>(&c, &stim, 300, &[1]);
+    lanes_vs_scalar::<PackedBit>(&c, &stim, 300);
+    lanes_vs_scalar::<PackedLogic4>(&c, &stim, 300);
 }
 
 #[test]
@@ -87,21 +75,9 @@ fn random_dags_64_lanes() {
             ..Default::default()
         });
         let stim = full_width_stimulus(seed * 100, 9, Some(5));
-        lanes_vs_scalar::<PackedLogic4>(&c, &stim, 250, &[1]);
+        lanes_vs_scalar::<PackedBit>(&c, &stim, 250);
+        lanes_vs_scalar::<PackedLogic4>(&c, &stim, 250);
     }
-}
-
-#[test]
-fn thread_sharding_preserves_every_lane() {
-    let c = generate::random_dag(&generate::RandomDagConfig {
-        gates: 500,
-        seq_fraction: 0.1,
-        seed: 8,
-        ..Default::default()
-    });
-    let stim = full_width_stimulus(17, 8, Some(4));
-    lanes_vs_scalar::<PackedBit>(&c, &stim, 200, &[1, 2, 4]);
-    lanes_vs_scalar::<PackedLogic4>(&c, &stim, 200, &[4]);
 }
 
 #[test]
