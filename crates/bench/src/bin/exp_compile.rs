@@ -1,7 +1,7 @@
 //! **E14 Compiled vs. interpreted execution** — wall-clock cost of the
-//! same simulation run through the generic `evaluate_gate` interpreter
-//! and through `parsim-compile` bytecode, plus the artifact cache's
-//! cold/warm split.
+//! same oblivious simulation run through the generic `evaluate_gate`
+//! interpreter and through `parsim-compile` bytecode, plus the threaded
+//! synchronous kernel's artifact cache cold/warm split.
 //!
 //! ```sh
 //! PARSIM_BENCH_JSON=results cargo run --release -p parsim-bench --bin exp_compile
@@ -14,7 +14,10 @@
 //! `cache` column shows the artifact store at work — `miss` rows pay
 //! compile + serialize, `hit` rows deserialize a `.parsimc` artifact and
 //! skip compilation entirely. `speedup` is against the same kernel's
-//! interpreted row.
+//! interpreted row; the threaded kernel always runs bytecode, so its cache
+//! rows are against its in-memory `compiled` row. (Its interpreted row is
+//! retired with the interpreted LP walk; EXPERIMENTS.md E14 keeps the last
+//! measurements.)
 
 use std::time::Instant;
 
@@ -106,22 +109,14 @@ fn main() {
         });
         row(&obl_c.name(), "compiled", "-", obl_c_ns, Some(obl_ns));
 
-        // Threaded synchronous kernel: dirty-batch interpreter vs. bytecode,
-        // then the cached bytecode path cold (miss) and warm (hit).
+        // Threaded synchronous kernel: bytecode compiled in memory, then the
+        // cached bytecode path cold (miss) and warm (hit).
         let sync =
             ThreadedSyncSimulator::<Logic4>::new(partition.clone()).with_observe(Observe::Nothing);
         let sync_ns = wall_ns(|| {
             assert!(sync.run(c, &stim, until).stats.gate_evaluations > 0);
         });
-        row(&sync.name(), "interpreted", "-", sync_ns, None);
-
-        let sync_c = ThreadedSyncSimulator::<Logic4>::new(partition.clone())
-            .with_observe(Observe::Nothing)
-            .with_compiled();
-        let sync_c_ns = wall_ns(|| {
-            assert!(sync_c.run(c, &stim, until).stats.gate_evaluations > 0);
-        });
-        row(&sync_c.name(), "compiled", "-", sync_c_ns, Some(sync_ns));
+        row(&sync.name(), "compiled", "-", sync_ns, None);
 
         // Timed runs stay probe-free (a recording probe taxes every
         // barrier round); the hit/miss labels are established by the

@@ -9,9 +9,10 @@
 //! a single home.
 //!
 //! Every load failure — missing file, short file, bad magic, unknown
-//! version, checksum mismatch, inconsistent array bounds — degrades to
-//! "cache miss": the caller recompiles and overwrites the entry. A
-//! corrupt cache can cost time, never correctness.
+//! version, checksum mismatch, inconsistent array bounds, or blocks that
+//! are not exactly what the compiler lowers the circuit to — degrades to
+//! "cache miss": the caller recompiles and overwrites the entry. A corrupt
+//! cache can cost time, never correctness.
 
 use std::fs;
 use std::io;
@@ -22,7 +23,7 @@ use std::sync::Arc;
 
 use parsim_netlist::{Circuit, Fnv1a, GateId};
 
-use crate::block::{kind_code, kind_from_code, CompiledBlock, Op};
+use crate::block::{kind_code, kind_from_code, CompiledBlock, Op, NO_SEQ_SLOT};
 use crate::compile_blocks;
 
 /// Bytecode format version; bump on any layout or semantics change (kind
@@ -166,11 +167,31 @@ impl ArtifactStore {
         self.dir.join(format!("{key:016x}.parsimc"))
     }
 
-    /// Loads and validates the artifact for `key`; `None` on any miss
-    /// (absent, corrupt, version skew, or a key mismatch inside the file).
+    /// Loads the artifact for `key`, checking its framing and structure
+    /// only; `None` on any miss (absent, corrupt, version skew, or a key
+    /// mismatch inside the file). Without the circuit it cannot tell a
+    /// well-formed forgery from the real artifact, and it trusts the
+    /// circuit size the file declares: it is for inspecting and timing the
+    /// store, while [`load_or_compile`](Self::load_or_compile), what every
+    /// kernel uses, validates against the circuit.
     pub fn load(&self, key: u64) -> Option<Vec<CompiledBlock>> {
         let bytes = fs::read(self.path_of(key)).ok()?;
-        let (stored_key, blocks) = deserialize_blocks(&bytes)?;
+        let (stored_key, raw) = parse(&bytes)?;
+        (stored_key == key).then(|| raw.into_iter().map(RawBlock::assemble).collect())
+    }
+
+    /// Loads the artifact for `key` and accepts it only if it holds exactly
+    /// the blocks [`compile_blocks`] would produce for `circuit` under
+    /// `lp_of`.
+    fn load_for(
+        &self,
+        key: u64,
+        circuit: &Circuit,
+        lp_of: &[usize],
+        n_lps: usize,
+    ) -> Option<Vec<CompiledBlock>> {
+        let bytes = fs::read(self.path_of(key)).ok()?;
+        let (stored_key, blocks) = deserialize_blocks(&bytes, circuit, lp_of, n_lps)?;
         (stored_key == key).then_some(blocks)
     }
 
@@ -197,7 +218,10 @@ impl ArtifactStore {
 
     /// The cache-or-compile front door: returns the per-LP blocks for
     /// `circuit` under `lp_of`, loading a valid cached artifact when one
-    /// exists and compiling (then populating the store) otherwise. Store
+    /// exists and compiling (then populating the store) otherwise. An
+    /// artifact is valid only if it holds exactly the blocks compilation
+    /// would produce — a checksum-valid file whose ops disagree with the
+    /// circuit is corrupt, recompiled and overwritten. Store
     /// I/O errors are swallowed — the compiled blocks are correct either
     /// way; the cache is an optimization, not a dependency.
     ///
@@ -215,12 +239,12 @@ impl ArtifactStore {
     ) -> (Vec<CompiledBlock>, CacheOutcome) {
         let key = Self::cache_key(circuit, lp_of, n_lps);
         let existed = self.path_of(key).exists();
-        if let Some(blocks) = self.load(key) {
+        if let Some(blocks) = self.load_for(key, circuit, lp_of, n_lps) {
             self.metrics.count(CacheOutcome::Hit);
             return (blocks, CacheOutcome::Hit);
         }
         let blocks = compile_blocks(circuit, lp_of, n_lps);
-        let outcome = if self.load(key).is_some() {
+        let outcome = if self.load_for(key, circuit, lp_of, n_lps).is_some() {
             // A concurrent writer published a valid artifact while we
             // compiled: adopt it (skip our own store so we never overwrite
             // a fresher format or bump the file's mtime for nothing).
@@ -319,11 +343,67 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Parses and validates an artifact: magic, version, checksum, and every
-/// structural bound (op/fanin/level indices). Returns the stored key and
-/// the blocks with their derived structures rebuilt; `None` on any
-/// violation.
-pub fn deserialize_blocks(bytes: &[u8]) -> Option<(u64, Vec<CompiledBlock>)> {
+/// One block's serialized core arrays, framed and bounds-checked but not
+/// yet compared with any circuit, and not yet assembled: the `op_of` table
+/// [`CompiledBlock::assemble`] builds is `nets` entries long, so `nets`
+/// must be trusted (or checked) first.
+struct RawBlock {
+    nets: usize,
+    seq_ops: usize,
+    ops: Vec<Op>,
+    fanins: Vec<GateId>,
+    levels: Vec<Range<usize>>,
+}
+
+impl RawBlock {
+    fn assemble(self) -> CompiledBlock {
+        CompiledBlock::assemble(self.ops, self.fanins, self.levels, self.seq_ops, self.nets)
+    }
+
+    /// `true` when this block is exactly what [`compile_blocks`] lowers LP
+    /// `lp`'s share of `circuit` to: the sequential section then the
+    /// combinational one, each in (kind code, gate) order, every op naming
+    /// a gate `lp` owns with that gate's kind, delay and fanin list, the
+    /// fanin array laid out in op order and the section ranges exact.
+    fn is_lowering_of(&self, circuit: &Circuit, lp_of: &[usize], lp: usize) -> bool {
+        if self.nets != circuit.len() {
+            return false;
+        }
+        let mut fanin_at = 0usize;
+        let mut prev: Option<(u8, GateId)> = None;
+        for (i, op) in self.ops.iter().enumerate() {
+            let g = op.gate;
+            let sequential = i < self.seq_ops;
+            if i == self.seq_ops {
+                prev = None;
+            }
+            let order = (kind_code(op.kind), g);
+            let fanin = circuit.fanin(g);
+            let ok = lp_of[g.index()] == lp
+                && op.kind == circuit.kind(g)
+                && op.kind.is_sequential() == sequential
+                && u64::from(op.delay) == circuit.delay(g).ticks()
+                && op.seq_slot == if sequential { i as u32 } else { NO_SEQ_SLOT }
+                && prev.is_none_or(|p| p < order)
+                && op.fanin_start as usize == fanin_at
+                && self.fanins.get(fanin_at..fanin_at + fanin.len()) == Some(fanin)
+                && op.fanin_len as usize == fanin.len();
+            if !ok {
+                return false;
+            }
+            prev = Some(order);
+            fanin_at += fanin.len();
+        }
+        let sections = [0..self.seq_ops, self.seq_ops..self.ops.len()];
+        fanin_at == self.fanins.len()
+            && self.levels.iter().eq(sections.iter().filter(|r| !r.is_empty()))
+    }
+}
+
+/// Parses an artifact: magic, version, checksum, and every structural
+/// bound (op/fanin/level indices). Returns the stored key and the blocks'
+/// core arrays; `None` on any violation.
+fn parse(bytes: &[u8]) -> Option<(u64, Vec<RawBlock>)> {
     if bytes.len() < MAGIC.len() + 4 + 8 + 4 + 8 {
         return None;
     }
@@ -387,12 +467,35 @@ pub fn deserialize_blocks(bytes: &[u8]) -> Option<(u64, Vec<CompiledBlock>)> {
         if prev_end != n_ops || seq_ops > n_ops || n_levels > 2 {
             return None;
         }
-        blocks.push(CompiledBlock::assemble(ops, fanins, levels, seq_ops, nets));
+        blocks.push(RawBlock { nets, seq_ops, ops, fanins, levels });
     }
     if r.pos != payload.len() {
         return None;
     }
     Some((key, blocks))
+}
+
+/// Parses an artifact and validates it against the circuit it claims to
+/// hold: magic, version, checksum, structure, and then that it holds
+/// exactly `n_lps` blocks and each is what [`compile_blocks`] lowers its
+/// LP to (every op's kind, delay, fanin list and owner, every non-source
+/// gate once, the declared circuit size checked before any table is sized
+/// from it). Returns the stored key and the blocks with their derived
+/// structures rebuilt; `None` on any violation.
+pub fn deserialize_blocks(
+    bytes: &[u8],
+    circuit: &Circuit,
+    lp_of: &[usize],
+    n_lps: usize,
+) -> Option<(u64, Vec<CompiledBlock>)> {
+    let (key, raw) = parse(bytes)?;
+    let scheduled: usize = raw.iter().map(|b| b.ops.len()).sum();
+    let non_source = circuit.iter().filter(|(_, g)| !g.kind().is_source()).count();
+    let valid = raw.len() == n_lps
+        && lp_of.len() == circuit.len()
+        && scheduled == non_source
+        && raw.iter().enumerate().all(|(lp, b)| b.is_lowering_of(circuit, lp_of, lp));
+    valid.then(|| (key, raw.into_iter().map(RawBlock::assemble).collect()))
 }
 
 #[cfg(test)]
@@ -417,7 +520,8 @@ mod tests {
         let (c, lp_of, blocks) = zoo_blocks();
         let key = ArtifactStore::cache_key(&c, &lp_of, 4);
         let bytes = serialize_blocks(key, &blocks);
-        let (stored_key, loaded) = deserialize_blocks(&bytes).expect("valid artifact");
+        let (stored_key, loaded) =
+            deserialize_blocks(&bytes, &c, &lp_of, 4).expect("valid artifact");
         assert_eq!(stored_key, key);
         assert_eq!(loaded, blocks, "derived structures rebuilt identically");
     }
@@ -438,7 +542,7 @@ mod tests {
             bytes
         };
         assert_eq!(restamp(FORMAT_VERSION), current);
-        assert!(deserialize_blocks(&restamp(FORMAT_VERSION - 1)).is_none());
+        assert!(deserialize_blocks(&restamp(FORMAT_VERSION - 1), &c, &lp_of, 4).is_none());
     }
 
     #[test]
@@ -451,11 +555,17 @@ mod tests {
         for pos in (0..bytes.len()).step_by(37).chain([bytes.len() - 1]) {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x5A;
-            assert!(deserialize_blocks(&corrupt).is_none(), "corruption at byte {pos} accepted");
+            assert!(
+                deserialize_blocks(&corrupt, &c, &lp_of, 4).is_none(),
+                "corruption at byte {pos} accepted"
+            );
         }
         // Truncation at any point must fail too.
         for cut in [0, 7, bytes.len() / 2, bytes.len() - 1] {
-            assert!(deserialize_blocks(&bytes[..cut]).is_none(), "truncation at {cut} accepted");
+            assert!(
+                deserialize_blocks(&bytes[..cut], &c, &lp_of, 4).is_none(),
+                "truncation at {cut} accepted"
+            );
         }
     }
 

@@ -50,9 +50,9 @@ pub fn execute_full<V: LogicValue, F: FnMut(GateId, V, u32)>(
 /// construction, though results are order-independent), dispatching once
 /// per consecutive same-kind run.
 ///
-/// This is the event-driven backend: the compiled replacement for the
-/// interpreted `LpCore` evaluation walk. `dirty` must contain only gates
-/// owned by `block`.
+/// This is the event-driven backend, and the one evaluator under every
+/// fabric kernel's LPs (`LpCore::evaluate_batch`). `dirty` must contain
+/// only gates owned by `block`.
 ///
 /// # Panics
 ///

@@ -17,16 +17,16 @@
 //! * **oblivious packed** — `parsim-bitsim` runs the same schedule with
 //!   64-lane packed words,
 //! * **event-driven** — [`execute_sparse`] evaluates only the dirty gates
-//!   of a timestamp batch, in ascending gate order, exactly reproducing
-//!   the interpreted kernels' evaluation semantics (the synchronous,
-//!   conservative and Time Warp kernels all route their hot loop through
-//!   it).
+//!   of a timestamp batch, exactly reproducing `evaluate_gate`'s semantics:
+//!   the only gate evaluator under every synchronous, conservative and
+//!   Time Warp kernel, threaded or modeled.
 //!
 //! Compiled circuits are cacheable artifacts: [`ArtifactStore`] keys a
 //! serialized block set by a stable netlist + partition content hash
-//! (versioned header, checksummed payload, corrupt entries silently fall
-//! back to recompilation), so repeated runs of the same circuit skip
-//! compilation entirely.
+//! (versioned header, checksummed payload, blocks checked against the
+//! circuit on load; corrupt or forged entries silently fall back to
+//! recompilation), so repeated runs of the same circuit skip compilation
+//! entirely.
 //!
 //! # Examples
 //!

@@ -36,7 +36,8 @@
 //! probe on either sees per-channel event and null-message sends (`lp` =
 //! source LP, `arg` = destination LP — the axes of the null-ratio
 //! analysis), batched gate evaluations per activation, and a `GvtAdvance`
-//! per deadlock recovery.
+//! per deadlock recovery. On either driver an LP evaluates each timestamp
+//! batch through its compiled bytecode (`parsim-compile`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

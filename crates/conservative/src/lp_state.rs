@@ -36,36 +36,6 @@ pub(crate) struct ActivationWork {
     pub events_scheduled: u64,
 }
 
-/// Routes one freshly scheduled output event: local queue if this LP is
-/// among the destinations (or has no local fanout at all), `out` for
-/// remote LPs. Shared verbatim by the interpreted and compiled evaluation
-/// paths so they cannot drift apart.
-fn route_output<V: LogicValue>(
-    topo: &LpTopology,
-    my_index: usize,
-    e: Event<V>,
-    queue: &mut BinaryHeapQueue<V>,
-    work: &mut ActivationWork,
-    out: &mut impl FnMut(Outgoing<V>),
-) {
-    work.events_scheduled += 1;
-    let mut to_self = false;
-    for &dst in topo.destinations(e.net) {
-        if dst == my_index {
-            to_self = true;
-            queue.push(e);
-        } else {
-            out(Outgoing::Event { dst, event: e });
-        }
-    }
-    // A driver whose own LP is not among the destinations (no local
-    // fanout) still tracks its output value locally for final-value
-    // reporting.
-    if !to_self {
-        queue.push(e);
-    }
-}
-
 /// The state of one conservative logical process: the kernel-independent
 /// [`LpCore`] (net values, gate state, waveforms, dirty marking) plus the
 /// Chandy–Misra–Bryant protocol layer — event queue, channel clocks and
@@ -162,17 +132,16 @@ impl<V: LogicValue> LpState<V> {
     }
 
     /// Runs the LP: processes every safe timestamp (`< safe_time`, `≤
-    /// until`), emitting outgoing messages through `out`. Returns the work
-    /// performed (for cost accounting). When `compiled` carries this LP's
-    /// bytecode, gate evaluation runs dispatch-free through it instead of
-    /// the interpreted walk (bit-identical results).
+    /// until`), evaluating through `block` (this LP's bytecode) and
+    /// emitting outgoing messages through `out`. Returns the work performed
+    /// (for cost accounting).
     pub(crate) fn activate(
         &mut self,
         circuit: &Circuit,
         topo: &LpTopology,
         until: VirtualTime,
         send_nulls: bool,
-        compiled: Option<&CompiledBlock>,
+        block: &CompiledBlock,
         out: &mut impl FnMut(Outgoing<V>),
     ) -> ActivationWork {
         let mut work = ActivationWork::default();
@@ -188,7 +157,7 @@ impl<V: LogicValue> LpState<V> {
             };
             let initial = !self.did_initial;
             self.did_initial = true;
-            self.step(circuit, topo, now, initial, compiled, &mut work, out);
+            self.step(circuit, topo, now, initial, block, &mut work, out);
         }
         self.frontier = safe.min(until + Delay::UNIT);
 
@@ -219,7 +188,7 @@ impl<V: LogicValue> LpState<V> {
         topo: &LpTopology,
         now: VirtualTime,
         initial: bool,
-        compiled: Option<&CompiledBlock>,
+        block: &CompiledBlock,
         work: &mut ActivationWork,
         out: &mut impl FnMut(Outgoing<V>),
     ) {
@@ -238,27 +207,32 @@ impl<V: LogicValue> LpState<V> {
             self.core.mark_owned_non_source(circuit, &topo.lps()[self.index].gates);
         }
 
-        // Phase 2: evaluate once each; transmit boundary events at
-        // scheduling time. The compiled path runs the dirty batch through
-        // the LP's bytecode (one dispatch per same-kind run); both paths
-        // route through `route_output`, so they cannot drift apart, and
-        // both are order-insensitive (the queue orders by time and net).
+        // Phase 2: evaluate the dirty batch through the LP's bytecode (one
+        // dispatch per same-kind run); transmit boundary events at
+        // scheduling time. The queue orders by time and net, so emission
+        // order is immaterial.
         let dirty = self.core.take_dirty_sorted();
         work.evaluations += dirty.len() as u64;
-        if let Some(block) = compiled {
-            let LpState { core, queue, .. } = self;
-            core.evaluate_compiled(block, &dirty, &mut |id, v, delay| {
-                let e = Event::new(now + Delay::new(u64::from(delay)), id, v);
-                route_output(topo, my_index, e, queue, work, out);
-            });
-        } else {
-            for &id in &dirty {
-                if let Some(v) = self.core.evaluate(circuit, id) {
-                    let e = Event::new(now + circuit.delay(id), id, v);
-                    route_output(topo, my_index, e, &mut self.queue, work, out);
+        let LpState { core, queue, .. } = self;
+        core.evaluate_batch(block, &dirty, &mut |id, v, delay| {
+            let e = Event::new(now + Delay::new(u64::from(delay)), id, v);
+            work.events_scheduled += 1;
+            let mut to_self = false;
+            for &dst in topo.destinations(e.net) {
+                if dst == my_index {
+                    to_self = true;
+                    queue.push(e);
+                } else {
+                    out(Outgoing::Event { dst, event: e });
                 }
             }
-        }
+            // A driver whose own LP is not among the destinations (no local
+            // fanout) still tracks its output value locally for final-value
+            // reporting.
+            if !to_self {
+                queue.push(e);
+            }
+        });
         self.core.recycle_dirty(dirty);
     }
 

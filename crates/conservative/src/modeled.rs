@@ -37,7 +37,7 @@ use crate::threaded::CmbProtocol;
 /// assert!(out.stats.null_messages > 0);
 /// ```
 ///
-/// Budgets, compiled execution and `try_run` belong to the threaded driver:
+/// Budgets, the artifact cache and `try_run` belong to the threaded driver:
 ///
 /// ```compile_fail,E0599
 /// # let k: parsim_conservative::ConservativeSimulator<parsim_logic::Bit> = todo!();
@@ -45,7 +45,7 @@ use crate::threaded::CmbProtocol;
 /// ```
 /// ```compile_fail,E0599
 /// # let k: parsim_conservative::ConservativeSimulator<parsim_logic::Bit> = todo!();
-/// k.with_compiled();
+/// k.with_compiled_cache("target/parsimc");
 /// ```
 /// ```compile_fail,E0599
 /// # let k: parsim_conservative::ConservativeSimulator<parsim_logic::Bit> = todo!();

@@ -25,7 +25,15 @@ use crate::DeadlockStrategy;
 /// come from [`ConservativeSettings`](crate::ConservativeSettings).
 ///
 /// Logical results are bit-identical to the modeled kernel and the
-/// sequential reference.
+/// sequential reference. Every LP evaluates through its compiled bytecode
+/// (in memory, or from
+/// [`with_compiled_cache`](parsim_runtime::FabricKernel::with_compiled_cache)),
+/// so there is no evaluator to choose:
+///
+/// ```compile_fail,E0599
+/// # let k: parsim_conservative::ThreadedConservativeSimulator<parsim_logic::Bit> = todo!();
+/// k.with_compiled();
+/// ```
 pub type ThreadedConservativeSimulator<V> = FabricKernel<CmbProtocol, Threads, V>;
 
 /// A routed message: destination LP, source LP, payload.
@@ -304,6 +312,7 @@ mod tests {
     use crate::ConservativeSettings;
     use parsim_core::{Observe, SequentialSimulator, Simulator, Stimulus};
     use parsim_logic::{Bit, Logic4};
+    use parsim_machine::MachineConfig;
     use parsim_netlist::{bench, generate, Circuit, DelayModel};
     use parsim_partition::{FiducciaMattheyses, GateWeights, Partitioner};
 
@@ -382,6 +391,9 @@ mod tests {
 
     #[test]
     fn compiled_execution_is_bit_identical() {
+        // Both drivers evaluate every dirty batch through the LPs'
+        // bytecode: at granularity 2 they commit the sequential history and
+        // evaluate exactly the same batches.
         let c = generate::random_dag(&generate::RandomDagConfig {
             gates: 220,
             seq_fraction: 0.15,
@@ -392,17 +404,24 @@ mod tests {
         let stim = Stimulus::random(11, 10).with_clock(6);
         let part = FiducciaMattheyses::default().partition(&c, 3, &GateWeights::uniform(c.len()));
         let until = VirtualTime::new(250);
-        let interpreted = ThreadedConservativeSimulator::<Logic4>::new(part.clone())
+        let seq = SequentialSimulator::<Logic4>::new()
             .with_observe(Observe::AllNets)
             .run(&c, &stim, until);
-        let compiled = ThreadedConservativeSimulator::<Logic4>::new(part)
-            .with_compiled()
+        let threaded = ThreadedConservativeSimulator::<Logic4>::new(part.clone())
             .with_granularity(2)
             .with_observe(Observe::AllNets)
             .run(&c, &stim, until);
-        if let Some(d) = compiled.divergence_from(&interpreted) {
-            panic!("compiled conservative kernel diverged: {d}");
+        let modeled =
+            crate::ConservativeSimulator::<Logic4>::new(part, MachineConfig::shared_memory(3))
+                .with_granularity(2)
+                .with_observe(Observe::AllNets)
+                .run(&c, &stim, until);
+        for (driver, out) in [("threaded", &threaded), ("modeled", &modeled)] {
+            if let Some(d) = out.divergence_from(&seq) {
+                panic!("{driver} conservative kernel diverged: {d}");
+            }
         }
+        assert_eq!(threaded.stats.gate_evaluations, modeled.stats.gate_evaluations);
     }
 
     #[test]

@@ -114,7 +114,8 @@ impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
 
     fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
         // The fabric is used for what every driver shares — the LP
-        // decomposition and the preload routing — not for its round loop.
+        // decomposition, the preload routing and the LPs' compiled blocks
+        // (compiled in memory on first use) — not for its round loop.
         let fabric = Fabric::new(circuit, &self.partition, self.granularity, self.observe);
         let topo = fabric.topo();
         let n_lps = topo.lps().len();
@@ -182,7 +183,7 @@ impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
                         circuit,
                         topo,
                         until,
-                        None,
+                        fabric.compiled_block(lp_idx),
                         &mut work,
                         &mut |out| match out {
                             TwOutgoing::Event { dst, event } => {
@@ -237,15 +238,19 @@ impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
             }
 
             // Phase 5: commit (fossil-collect) behind the horizon and stage
-            // the surviving messages for delivery.
-            let gvt = horizon.unwrap_or(VirtualTime::INFINITY);
+            // the surviving messages for delivery. An LP that spent its
+            // cycle budget short of the horizon has unprocessed events below
+            // it, so the commit point is also bounded by every LP's next
+            // unprocessed time.
+            let gvt = lps
+                .iter()
+                .filter_map(TwLp::next_time)
+                .chain(horizon)
+                .min()
+                .unwrap_or(until + parsim_netlist::Delay::UNIT);
             stats.gvt_rounds += 1;
             for lp in lps.iter_mut() {
-                if gvt.is_infinite() {
-                    let _ = lp.fossil_collect(until + parsim_netlist::Delay::UNIT);
-                } else {
-                    let _ = lp.fossil_collect(gvt);
-                }
+                let _ = lp.fossil_collect(gvt);
             }
             inbox = buffer.into_iter().map(|(src_lp, dst, e)| (proc_of(src_lp), dst, e)).collect();
 
@@ -312,6 +317,14 @@ mod tests {
         check_equivalent::<Bit>(&bench::c17(), &Stimulus::random(7, 8), 200, 3);
         let c = generate::ripple_adder(10, DelayModel::PerKind);
         check_equivalent::<Logic4>(&c, &Stimulus::counting(25), 500, 4);
+    }
+
+    #[test]
+    fn a_single_lp_commits_only_what_it_processed() {
+        // One LP buffers no sends, so no breath has a horizon, and c17's
+        // run needs more batches than one breath's budget: the commit point
+        // must stop at the LP's next unprocessed event.
+        check_equivalent::<Bit>(&bench::c17(), &Stimulus::random(11, 9), 250, 1);
     }
 
     #[test]

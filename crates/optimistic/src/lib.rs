@@ -28,9 +28,10 @@
 //! where stragglers and rollbacks arise from messages that cross a round
 //! boundary after the receiver has speculated past them — which messages
 //! those are is fixed by the round structure, so its statistics repeat
-//! exactly from run to run. Both are differential-tested against the
-//! sequential reference: Time Warp commits exactly the same history, only
-//! out of order.
+//! exactly from run to run. Both, and [`BtbSimulator`], evaluate every
+//! batch through the LP's compiled bytecode (`parsim-compile`), and all are
+//! differential-tested against the sequential reference: Time Warp commits
+//! exactly the same history, only out of order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

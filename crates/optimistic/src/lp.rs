@@ -87,42 +87,6 @@ impl TwWork {
     }
 }
 
-/// Records one freshly scheduled output event: self-delivery into the
-/// local event set, transmission (or lazy-cancellation regeneration) for
-/// remote destinations. Shared verbatim by the interpreted and compiled
-/// evaluation paths so they cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-fn record_output<V: LogicValue>(
-    topo: &LpTopology,
-    my_index: usize,
-    e: Event<V>,
-    events: &mut BTreeMap<VirtualTime, Vec<Event<V>>>,
-    pending_cancel: &mut Vec<(VirtualTime, usize, Event<V>)>,
-    sent: &mut Vec<(usize, Event<V>)>,
-    scheduled: &mut Vec<Event<V>>,
-    work: &mut TwWork,
-    out: &mut impl FnMut(TwOutgoing<V>),
-) {
-    work.events_scheduled += 1;
-    // Self-delivery into the local event set (also covers final-value
-    // tracking for nets with no local fanout).
-    events.entry(e.time).or_default().push(e);
-    scheduled.push(e);
-    for &dst in topo.destinations(e.net) {
-        if dst == my_index {
-            continue;
-        }
-        // Lazy cancellation: an identical rolled-back message is still
-        // valid at the receiver — regenerate silently.
-        if let Some(pos) = pending_cancel.iter().position(|(_, d, pe)| *d == dst && *pe == e) {
-            pending_cancel.remove(pos);
-        } else {
-            out(TwOutgoing::Event { dst, event: e });
-        }
-        sent.push((dst, e));
-    }
-}
-
 /// Full-copy snapshot of LP state after a batch.
 #[derive(Debug, Clone)]
 struct Snapshot<V> {
@@ -304,16 +268,15 @@ impl<V: LogicValue> TwLp<V> {
         self.flush_lazy(work, out);
     }
 
-    /// Optimistically processes the next batch (if any at `≤ limit`).
-    /// Returns `false` if there was nothing to do. When `compiled` carries
-    /// this LP's bytecode, gate evaluation runs dispatch-free through it
-    /// instead of the interpreted walk (bit-identical results).
+    /// Optimistically processes the next batch (if any at `≤ limit`),
+    /// evaluating through `block` (this LP's bytecode). Returns `false` if
+    /// there was nothing to do.
     pub(crate) fn process_next(
         &mut self,
         circuit: &Circuit,
         topo: &LpTopology,
         limit: VirtualTime,
-        compiled: Option<&CompiledBlock>,
+        block: &CompiledBlock,
         work: &mut TwWork,
         out: &mut impl FnMut(TwOutgoing<V>),
     ) -> bool {
@@ -342,12 +305,11 @@ impl<V: LogicValue> TwLp<V> {
             self.core.mark_owned_non_source(circuit, &topo.lps()[self.index].gates);
         }
 
-        // Phase 2: evaluate each affected gate once. Incremental saving
+        // Phase 2: evaluate each affected gate once, through the LP's
+        // bytecode (one dispatch per same-kind run). Incremental saving
         // snapshots every dirty gate's sequential state up front — gates
         // only ever mutate their own state, so pre-batch and
-        // pre-evaluation snapshots are identical. The compiled path then
-        // runs the whole batch through the LP's bytecode (one dispatch
-        // per same-kind run); both paths record through `record_output`.
+        // pre-evaluation snapshots are identical.
         let dirty = self.core.take_dirty_sorted();
         work.evaluations += dirty.len() as u64;
         if self.saving == StateSaving::Incremental {
@@ -357,40 +319,30 @@ impl<V: LogicValue> TwLp<V> {
         }
         let mut sent: Vec<(usize, Event<V>)> = Vec::new();
         let mut scheduled: Vec<Event<V>> = Vec::new();
-        if let Some(block) = compiled {
-            let TwLp { core, events, pending_cancel, .. } = self;
-            core.evaluate_compiled(block, &dirty, &mut |id, v, delay| {
-                let e = Event::new(now + Delay::new(u64::from(delay)), id, v);
-                record_output(
-                    topo,
-                    my_index,
-                    e,
-                    events,
-                    pending_cancel,
-                    &mut sent,
-                    &mut scheduled,
-                    work,
-                    out,
-                );
-            });
-        } else {
-            for &id in &dirty {
-                if let Some(v) = self.core.evaluate(circuit, id) {
-                    let e = Event::new(now + circuit.delay(id), id, v);
-                    record_output(
-                        topo,
-                        my_index,
-                        e,
-                        &mut self.events,
-                        &mut self.pending_cancel,
-                        &mut sent,
-                        &mut scheduled,
-                        work,
-                        out,
-                    );
+        let TwLp { core, events, pending_cancel, .. } = self;
+        core.evaluate_batch(block, &dirty, &mut |id, v, delay| {
+            let e = Event::new(now + Delay::new(u64::from(delay)), id, v);
+            work.events_scheduled += 1;
+            // Self-delivery into the local event set (also covers
+            // final-value tracking for nets with no local fanout).
+            events.entry(e.time).or_default().push(e);
+            scheduled.push(e);
+            for &dst in topo.destinations(e.net) {
+                if dst == my_index {
+                    continue;
                 }
+                // Lazy cancellation: an identical rolled-back message is
+                // still valid at the receiver — regenerate silently.
+                if let Some(pos) =
+                    pending_cancel.iter().position(|(_, d, pe)| *d == dst && *pe == e)
+                {
+                    pending_cancel.remove(pos);
+                } else {
+                    out(TwOutgoing::Event { dst, event: e });
+                }
+                sent.push((dst, e));
             }
-        }
+        });
         let evals = dirty.len() as u64;
         self.core.recycle_dirty(dirty);
 

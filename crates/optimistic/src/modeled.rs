@@ -184,7 +184,8 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
 
     fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
         // The fabric is used for what every driver shares — the LP
-        // decomposition and the preload routing — not for its round loop.
+        // decomposition, the preload routing and the LPs' compiled blocks
+        // (compiled in memory on first use) — not for its round loop.
         let fabric = Fabric::new(circuit, &self.partition, self.granularity, self.observe);
         let topo = fabric.topo();
         let n_lps = topo.lps().len();
@@ -364,10 +365,9 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
                                 sends.push((dst, TwMsg::Anti(event)));
                             }
                         };
-                        // The modeled driver stays interpreted: it is the
-                        // differential reference for the compiled paths.
+                        let block = fabric.compiled_block(lp_idx);
                         let processed = lps[lp_idx]
-                            .process_next(circuit, topo, limit, None, &mut work, collect);
+                            .process_next(circuit, topo, limit, block, &mut work, collect);
                         debug_assert!(processed, "candidate had work");
                     }
                     batches_since_gvt += 1;

@@ -38,6 +38,14 @@ const BATCH_BUDGET: usize = 4;
 /// A probe sees rollbacks (`arg` = events undone), state saves, batched
 /// gate evaluations, event/anti-message sends (`lp` = source LP, `arg` =
 /// destination LP) and one `GvtAdvance` per round (processor 0).
+///
+/// Every LP evaluates through its compiled bytecode (state saving and
+/// rollback are untouched by it), so there is no evaluator to choose:
+///
+/// ```compile_fail,E0599
+/// # let k: parsim_optimistic::ThreadedTimeWarpSimulator<parsim_logic::Bit> = todo!();
+/// k.with_compiled();
+/// ```
 pub type ThreadedTimeWarpSimulator<V> = FabricKernel<TwProtocol, Threads, V>;
 
 /// A routed message: destination LP, payload.
@@ -361,7 +369,7 @@ mod tests {
 
     #[test]
     fn compiled_execution_matches_sequential() {
-        // Compiled bytecode under genuine rollback pressure, both saving
+        // Bytecode under genuine rollback pressure, both saving
         // disciplines: committed results must stay bit-identical to the
         // sequential reference.
         let c = generate::random_dag(&generate::RandomDagConfig {
@@ -375,8 +383,7 @@ mod tests {
         for saving in [StateSaving::Incremental, StateSaving::Copy] {
             check_equivalent(
                 &ThreadedTimeWarpSimulator::<Logic4>::new(partition(&c, 3))
-                    .with_state_saving(saving)
-                    .with_compiled(),
+                    .with_state_saving(saving),
                 &c,
                 &stim,
                 250,

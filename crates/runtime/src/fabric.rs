@@ -1,6 +1,6 @@
 //! The shared threaded LP execution fabric.
 
-use crate::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
+use crate::sync::{Arc, AtomicBool, AtomicU64, Mutex, OnceLock, Ordering};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -204,8 +204,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The compiled-bytecode attachment of a fabric: one [`CompiledBlock`]
-/// per LP plus the provenance of how the blocks were obtained.
+/// A fabric's compiled bytecode: one [`CompiledBlock`] per LP plus the
+/// provenance of how the blocks were obtained.
 #[derive(Debug)]
 struct CompiledPlan {
     blocks: Vec<CompiledBlock>,
@@ -235,7 +235,10 @@ pub struct Fabric<'c> {
     /// Which nets get waveforms, as a gate-indexed mask: built once, so no
     /// worker scans the circuit's output list per owned gate.
     observed: Vec<bool>,
-    compiled: Option<CompiledPlan>,
+    /// Filled exactly once, before the first round: by
+    /// [`Fabric::with_compiled_cache`], or else by compiling in memory on
+    /// first use.
+    compiled: OnceLock<CompiledPlan>,
     /// Per-ring mesh capacity, sized from the topology's worst-case
     /// cross-worker fan-out so a fully active round fits the lock-free
     /// rings instead of the mutexed spill (the E15 ≥-capacity regression).
@@ -243,13 +246,16 @@ pub struct Fabric<'c> {
 }
 
 impl<'c> Fabric<'c> {
-    /// Compiles a fabric: one worker per partition block, each block split
+    /// Builds a fabric: one worker per partition block, each block split
     /// into `granularity` LPs (LP `l` runs on worker `l / granularity`).
+    /// Nothing is compiled here; the LPs' bytecode is attached before the
+    /// first round.
     ///
     /// # Panics
     ///
     /// Panics if the partition does not cover the circuit, any gate delay
-    /// is zero, or `granularity` is zero.
+    /// is zero or above `u32::MAX` (the bytecode's delay field), or
+    /// `granularity` is zero.
     pub fn new(
         circuit: &'c Circuit,
         partition: &Partition,
@@ -260,6 +266,10 @@ impl<'c> Fabric<'c> {
         assert!(
             circuit.min_gate_delay().ticks() >= 1,
             "simulation kernels require nonzero gate delays"
+        );
+        assert!(
+            circuit.max_gate_delay().ticks() <= u64::from(u32::MAX),
+            "gate delay overflows the op encoding"
         );
         assert!(granularity >= 1, "granularity factor must be at least 1");
         let workers = partition.blocks();
@@ -272,7 +282,7 @@ impl<'c> Fabric<'c> {
             workers,
             granularity,
             observed: observe.mask(circuit),
-            compiled: None,
+            compiled: OnceLock::new(),
             ring_capacity,
         }
     }
@@ -320,31 +330,12 @@ impl<'c> Fabric<'c> {
         self.circuit.ids().map(|id| self.topo.lp_of(id)).collect()
     }
 
-    /// Lowers every LP's gate block to compiled bytecode (`parsim-compile`),
-    /// enabling the dispatch-free execution path in protocols that consult
-    /// [`Fabric::compiled_block`]. Compilation happens here, once, before
-    /// any worker starts; results are bit-identical to the interpreted
-    /// walk.
-    pub fn with_compiled(mut self) -> Self {
-        let start = Instant::now();
-        let lp_of = self.lp_assignment();
-        let blocks = compile_blocks(self.circuit, &lp_of, self.topo.lps().len());
-        self.compiled = Some(CompiledPlan {
-            blocks,
-            outcome: CacheOutcome::MissCompiled,
-            compile_ns: start.elapsed().as_nanos() as u64,
-            artifact_bytes: 0,
-        });
-        self
-    }
-
-    /// Like [`Fabric::with_compiled`], but through the on-disk
-    /// [`ArtifactStore`] rooted at `dir`: a valid cached artifact for this
-    /// circuit + LP assignment skips compilation entirely; a miss (or a
-    /// corrupt entry) compiles and repopulates the store. The outcome is
-    /// reported via [`Fabric::cache_outcome`] and traced as a
-    /// [`TraceKind::CacheHit`] instant on hits.
-    pub fn with_compiled_cache(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
+    /// Obtains the LPs' compiled blocks through the on-disk
+    /// [`ArtifactStore`] rooted at `dir` instead of compiling them in
+    /// memory: a valid cached artifact for this circuit + LP assignment
+    /// skips compilation entirely; a miss (or a corrupt entry) compiles and
+    /// repopulates the store.
+    pub fn with_compiled_cache(self, dir: impl Into<std::path::PathBuf>) -> Self {
         let start = Instant::now();
         let store = ArtifactStore::new(dir);
         let lp_of = self.lp_assignment();
@@ -352,31 +343,34 @@ impl<'c> Fabric<'c> {
         let (blocks, outcome) = store.load_or_compile(self.circuit, &lp_of, n_lps);
         let key = ArtifactStore::cache_key(self.circuit, &lp_of, n_lps);
         let artifact_bytes = std::fs::metadata(store.path_of(key)).map_or(0, |m| m.len());
-        self.compiled = Some(CompiledPlan {
+        let plan = CompiledPlan {
             blocks,
             outcome,
             compile_ns: start.elapsed().as_nanos() as u64,
             artifact_bytes,
-        });
-        self
+        };
+        Fabric { compiled: OnceLock::from(plan), ..self }
     }
 
-    /// LP `lp`'s compiled bytecode, when compiled execution is enabled.
-    pub fn compiled_block(&self, lp: usize) -> Option<&CompiledBlock> {
-        self.compiled.as_ref().map(|p| &p.blocks[lp])
+    /// The compiled blocks, compiled in memory on first use unless
+    /// [`Fabric::with_compiled_cache`] loaded them.
+    fn plan(&self) -> &CompiledPlan {
+        self.compiled.get_or_init(|| {
+            let start = Instant::now();
+            let blocks = compile_blocks(self.circuit, &self.lp_assignment(), self.topo.lps().len());
+            CompiledPlan {
+                blocks,
+                outcome: CacheOutcome::MissCompiled,
+                compile_ns: start.elapsed().as_nanos() as u64,
+                artifact_bytes: 0,
+            }
+        })
     }
 
-    /// How the compiled blocks were obtained (cache hit / miss / corrupt
-    /// recompile), when compiled execution is enabled.
-    pub fn cache_outcome(&self) -> Option<CacheOutcome> {
-        self.compiled.as_ref().map(|p| p.outcome)
-    }
-
-    /// Wall-clock nanoseconds spent obtaining the compiled blocks
-    /// (compilation, or artifact load on a cache hit), when compiled
-    /// execution is enabled.
-    pub fn compile_ns(&self) -> Option<u64> {
-        self.compiled.as_ref().map(|p| p.compile_ns)
+    /// LP `lp`'s compiled bytecode: every protocol evaluates its dirty
+    /// batches through it.
+    pub fn compiled_block(&self, lp: usize) -> &CompiledBlock {
+        &self.plan().blocks[lp]
     }
 
     /// The circuit this fabric simulates.
@@ -452,7 +446,10 @@ impl<'c> Fabric<'c> {
     }
 
     /// Runs `protocol` to completion on the worker pool and merges the
-    /// per-worker outputs, under the given [`RunOptions`].
+    /// per-worker outputs, under the given [`RunOptions`]. The LPs' compiled
+    /// blocks are attached before any worker starts and traced as one
+    /// [`TraceKind::Compile`] span (plus a [`TraceKind::CacheHit`] instant
+    /// when [`Fabric::with_compiled_cache`] hit).
     ///
     /// `stats.barriers` of the merged outcome reports the number of
     /// synchronization rounds executed (each round crosses the barrier
@@ -486,14 +483,14 @@ impl<'c> Fabric<'c> {
         V: LogicValue,
         P: SyncProtocol<V>,
     {
-        if let Some(plan) = &self.compiled {
-            let mut ph = probe.handle();
-            if ph.enabled() {
-                let t = ph.now_ns();
-                ph.emit(t, 0, 0, NO_LP, TraceKind::Compile, plan.compile_ns);
-                if plan.outcome.is_hit() {
-                    ph.emit(t, 0, 0, NO_LP, TraceKind::CacheHit, plan.artifact_bytes);
-                }
+        // Attach the blocks before any worker starts.
+        let plan = self.plan();
+        let mut ph = probe.handle();
+        if ph.enabled() {
+            let t = ph.now_ns();
+            ph.emit(t, 0, 0, NO_LP, TraceKind::Compile, plan.compile_ns);
+            if plan.outcome.is_hit() {
+                ph.emit(t, 0, 0, NO_LP, TraceKind::CacheHit, plan.artifact_bytes);
             }
         }
         let preloads: Vec<Mutex<Vec<Event<V>>>> =

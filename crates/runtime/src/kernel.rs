@@ -14,47 +14,23 @@ use parsim_trace::Probe;
 
 use crate::{Fabric, FaultPlan, RunOptions, SyncProtocol};
 
-/// How a threaded kernel obtains compiled bytecode for its fabric, if at all.
-#[derive(Debug, Clone, Default)]
-enum CompiledMode {
-    /// Interpreted evaluation (the default).
-    #[default]
-    Off,
-    /// Compile to in-memory bytecode at fabric construction.
-    InMemory,
-    /// Compile through the on-disk artifact store rooted at this
-    /// directory (cache hits skip compilation).
-    Cached(PathBuf),
-}
-
-impl CompiledMode {
-    /// Applies the mode to a freshly built fabric.
-    fn apply<'c>(&self, fabric: Fabric<'c>) -> Fabric<'c> {
-        match self {
-            CompiledMode::Off => fabric,
-            CompiledMode::InMemory => fabric.with_compiled(),
-            CompiledMode::Cached(dir) => fabric.with_compiled_cache(dir),
-        }
-    }
-}
-
 /// The threaded driver: one worker thread per partition block, the
 /// lock-free mailbox mesh and the round barrier ([`Fabric::run`]), with
-/// the run's [`RunOptions`] and compiled-execution choice.
+/// the run's [`RunOptions`] and, optionally, the artifact store the
+/// compiled blocks are loaded from.
 ///
 /// On a single-core host a threaded kernel demonstrates correctness, not
 /// speedup; wall-clock numbers are only meaningful on real multiprocessors.
 #[derive(Debug, Clone, Default)]
 pub struct Threads {
     options: RunOptions,
-    compiled: CompiledMode,
+    /// Root of the on-disk artifact store; `None` compiles in memory.
+    cache: Option<PathBuf>,
 }
 
 /// The modeled driver: the fabric's deterministic single-threaded driver
 /// steps the protocol and charges every action to a virtual multiprocessor
-/// with this price list ([`Fabric::run_modeled`]). Always interpreted: the
-/// modeled kernels are the differential reference the compiled paths are
-/// checked against.
+/// with this price list ([`Fabric::run_modeled`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Machine(MachineConfig);
 
@@ -65,8 +41,9 @@ pub struct Machine(MachineConfig);
 /// Every synchronous and conservative kernel, and threaded Time Warp, is
 /// this one type under a family alias (`SyncSimulator`,
 /// `ThreadedSyncSimulator`, …); the family crates add their setters through
-/// one extension trait each. Logical results are bit-identical to the
-/// sequential reference on either driver.
+/// one extension trait each. On either driver every LP evaluates its dirty
+/// batches through its compiled bytecode block, and logical results are
+/// bit-identical to the sequential reference.
 #[derive(Debug, Clone)]
 pub struct FabricKernel<P, D, V> {
     protocol: P,
@@ -130,19 +107,11 @@ impl<P: Default, V> FabricKernel<P, Threads, V> {
 }
 
 impl<P, V> FabricKernel<P, Threads, V> {
-    /// Switches gate evaluation to compiled bytecode: each LP's gate block
-    /// is lowered once, up front, and every dirty batch runs through the
-    /// dispatch-free executors (Time Warp's state saving and rollback are
-    /// untouched). Results are bit-identical to the interpreted default.
-    pub fn with_compiled(mut self) -> Self {
-        self.driver.compiled = CompiledMode::InMemory;
-        self
-    }
-
-    /// Compiled evaluation through the on-disk artifact store rooted at
-    /// `dir`: a warm cache skips compilation entirely.
+    /// Obtains the LPs' compiled blocks through the on-disk artifact store
+    /// rooted at `dir` instead of compiling them in memory: a warm cache
+    /// skips compilation entirely.
     pub fn with_compiled_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.driver.compiled = CompiledMode::Cached(dir.into());
+        self.driver.cache = Some(dir.into());
         self
     }
 
@@ -184,15 +153,12 @@ impl<P, V> FabricKernel<P, Threads, V> {
         P: SyncProtocol<V>,
         V: LogicValue,
     {
-        let fabric =
+        let mut fabric =
             Fabric::new(circuit, &self.partition, self.protocol.granularity(), self.observe);
-        self.driver.compiled.apply(fabric).run(
-            stimulus,
-            until,
-            &self.probe,
-            &self.protocol,
-            &self.driver.options,
-        )
+        if let Some(dir) = &self.driver.cache {
+            fabric = fabric.with_compiled_cache(dir);
+        }
+        fabric.run(stimulus, until, &self.probe, &self.protocol, &self.driver.options)
     }
 }
 

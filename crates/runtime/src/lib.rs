@@ -27,7 +27,9 @@
 //!   alive behind the same [`Mesh`] trait as the E15 benchmark baseline).
 //! - [`LpCore`] — flat struct-of-arrays per-LP gate state (net values,
 //!   sequential gate state, waveforms, dirty marking) shared by every
-//!   discipline's LP state machine.
+//!   discipline's LP state machine, and the one gate evaluator below the
+//!   fabric: each dirty batch runs through the LP's [`CompiledBlock`]
+//!   ([`Fabric::compiled_block`]) on either driver.
 //! - [`run_workers`] — the scoped worker pool itself: the workspace's one
 //!   way to start simulation threads.
 //!

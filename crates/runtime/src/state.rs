@@ -7,11 +7,13 @@
 //! (`BTreeMap<GateId, GateRuntime>` and ad-hoc stamp vectors); [`LpCore`]
 //! centralizes them with the gate state in struct-of-arrays layout
 //! ([`GateStateSoa`]) — three flat value arrays instead of a pointer-chasing
-//! map, indexed directly by gate id.
+//! map, indexed directly by gate id. It also holds the one gate evaluator
+//! below the fabric: [`LpCore::evaluate_batch`] runs a dirty batch through
+//! the LP's compiled bytecode.
 
 use std::collections::BTreeMap;
 
-use parsim_core::{evaluate_gate, GateRuntime, LpTopology, WaveRecorder, Waveform};
+use parsim_core::{GateRuntime, LpTopology, WaveRecorder, Waveform};
 use parsim_event::{Event, VirtualTime};
 use parsim_logic::LogicValue;
 use parsim_netlist::{Circuit, GateId};
@@ -98,12 +100,6 @@ impl<V: LogicValue> LpCore<V> {
         self.values[id.index()]
     }
 
-    /// Reads a net value by raw index (the hot path of gate evaluation).
-    #[inline]
-    pub fn value_at(&self, index: usize) -> V {
-        self.values[index]
-    }
-
     /// Writes a net value without touching waveforms (rollback restore).
     #[inline]
     pub fn set_value_raw(&mut self, id: GateId, v: V) {
@@ -138,27 +134,14 @@ impl<V: LogicValue> LpCore<V> {
         self.soa.store(id, rt);
     }
 
-    /// Evaluates gate `id` against the local net values under the
-    /// workspace-wide semantics, updating its sequential state in place.
-    /// `Some(v)` means "schedule `v` at `now + delay(id)`".
-    #[inline]
-    pub fn evaluate(&mut self, circuit: &Circuit, id: GateId) -> Option<V> {
-        let mut rt = self.soa.load(id);
-        let values = &self.values;
-        let out = evaluate_gate(circuit, id, &mut |f| values[f.index()], &mut rt);
-        self.soa.store(id, rt);
-        out
-    }
-
     /// Evaluates exactly the gates of `dirty` through `block`'s compiled
-    /// bytecode instead of the interpreted [`Self::evaluate`] walk,
-    /// updating sequential state in place. `emit(gate, value, delay)` is
-    /// called for each gate whose output changed — "schedule `value` at
-    /// `now + delay`". Bit-identical to calling [`Self::evaluate`] on each
-    /// dirty gate in order; the inner loops dispatch once per same-kind
-    /// run instead of once per gate.
+    /// bytecode against the local net values, updating sequential state in
+    /// place. `emit(gate, value, delay)` is called for each gate whose
+    /// output changed — "schedule `value` at `now + delay`". The executor
+    /// dispatches once per same-kind run, and its semantics are the
+    /// workspace-wide `evaluate_gate` contract.
     #[inline]
-    pub fn evaluate_compiled<F: FnMut(GateId, V, u32)>(
+    pub fn evaluate_batch<F: FnMut(GateId, V, u32)>(
         &mut self,
         block: &parsim_compile::CompiledBlock,
         dirty: &[GateId],

@@ -13,7 +13,7 @@
 #[cfg(not(loom))]
 pub use std::sync::{
     atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering},
-    Arc, Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult,
+    Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, WaitTimeoutResult,
 };
 
 #[cfg(not(loom))]
@@ -95,6 +95,11 @@ pub use loom::sync::{
     atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering},
     Arc, Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult,
 };
+
+/// Loom has no `OnceLock`. The fabric's one (its compiled blocks) is
+/// filled before any worker starts, so it has no interleaving to model.
+#[cfg(loom)]
+pub use std::sync::OnceLock;
 
 #[cfg(loom)]
 pub use loom::thread;

@@ -23,8 +23,10 @@
 //! builder (`with_observe`, `with_probe`, `partition`); the threaded one
 //! adds the driver's run options. The family has no settings of its own.
 //!
-//! Both produce logical results identical to the sequential reference — the
-//! differential tests at the bottom of this crate enforce it.
+//! On either driver each worker evaluates its dirty batch through its LP's
+//! compiled bytecode (`parsim-compile`), and both produce logical results
+//! identical to the sequential reference — the differential tests at the
+//! bottom of this crate enforce it.
 //!
 //! # Examples
 //!

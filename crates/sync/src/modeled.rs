@@ -16,7 +16,7 @@ use crate::threaded::BarrierProtocol;
 /// per the [`MachineConfig`](parsim_machine::MachineConfig) price list;
 /// logical results are bit-identical to the sequential reference.
 ///
-/// See the crate docs for an example. Budgets, compiled execution and
+/// See the crate docs for an example. Budgets, the artifact cache and
 /// `try_run` belong to the threaded driver; the family has no granularity:
 ///
 /// ```compile_fail,E0599
@@ -25,7 +25,7 @@ use crate::threaded::BarrierProtocol;
 /// ```
 /// ```compile_fail,E0599
 /// # let k: parsim_sync::SyncSimulator<parsim_logic::Bit> = todo!();
-/// k.with_compiled();
+/// k.with_compiled_cache("target/parsimc");
 /// ```
 /// ```compile_fail,E0599
 /// # let k: parsim_sync::SyncSimulator<parsim_logic::Bit> = todo!();

@@ -1,6 +1,6 @@
 //! The synchronous protocol, and its kernel on the fabric's threads.
 
-use parsim_core::{LpTopology, SimStats};
+use parsim_core::SimStats;
 use parsim_event::{BinaryHeapQueue, Event, EventQueue, VirtualTime};
 use parsim_logic::LogicValue;
 use parsim_netlist::{Delay, GateId};
@@ -21,58 +21,19 @@ use parsim_trace::TraceKind;
 /// Logical results are bit-identical to
 /// [`SyncSimulator`](crate::SyncSimulator) and the sequential reference.
 ///
-/// The synchronous family has no settings of its own (one LP per block):
+/// The synchronous family has no settings of its own (one LP per block),
+/// and every LP evaluates through its compiled bytecode, so there is no
+/// evaluator to choose either:
 ///
 /// ```compile_fail,E0599
 /// # let k: parsim_sync::ThreadedSyncSimulator<parsim_logic::Bit> = todo!();
 /// k.with_granularity(2);
 /// ```
+/// ```compile_fail,E0599
+/// # let k: parsim_sync::ThreadedSyncSimulator<parsim_logic::Bit> = todo!();
+/// k.with_compiled();
+/// ```
 pub type ThreadedSyncSimulator<V> = FabricKernel<BarrierProtocol, Threads, V>;
-
-/// Routes one freshly scheduled output event: local queue for the
-/// driver's own block, mailbox sends for remote destinations. Shared
-/// verbatim by the interpreted and compiled evaluation paths so they
-/// cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-fn route_event<V: LogicValue>(
-    topo: &LpTopology,
-    me: usize,
-    now: VirtualTime,
-    e: Event<V>,
-    queue: &mut BinaryHeapQueue<V>,
-    stats: &mut SimStats,
-    sent_min: &mut Option<VirtualTime>,
-    cx: &mut RoundCx<'_, '_, Event<V>>,
-) {
-    stats.events_scheduled += 1;
-    let mut to_self = false;
-    for &dst in topo.destinations(e.net) {
-        if dst == me {
-            to_self = true;
-            queue.push(e);
-        } else {
-            stats.messages_sent += 1;
-            if cx.probe.enabled() {
-                let t = cx.now();
-                cx.probe.emit(
-                    t,
-                    now.ticks(),
-                    me as u32,
-                    e.net.index() as u32,
-                    TraceKind::MessageSend,
-                    dst as u64,
-                );
-            }
-            *sent_min = Some(sent_min.map_or(e.time, |m| m.min(e.time)));
-            cx.send_lp(dst, e);
-        }
-    }
-    // A driver whose own block is not among the destinations still
-    // tracks its output value locally.
-    if !to_self {
-        queue.push(e);
-    }
-}
 
 /// The synchronous discipline: every worker steps at the same global time.
 #[derive(Debug, Clone, Copy, Default)]
@@ -170,60 +131,46 @@ impl<V: LogicValue> SyncProtocol<V> for BarrierProtocol {
             state.first = false;
         }
 
-        // Phase 2: evaluate the dirty batch and distribute. The compiled
-        // path runs it through the LP's bytecode (one dispatch per
-        // same-kind run); the interpreted path walks gate by gate. Both
-        // produce identical results: the event queue orders by
-        // (time, net), so within-batch emission order is immaterial.
+        // Phase 2: evaluate the dirty batch through the LP's bytecode (one
+        // dispatch per same-kind run) and distribute: local queue for the
+        // driver's own block, mailbox sends for remote destinations. The
+        // queue orders by (time, net), so emission order is immaterial.
         let mut sent_min: Option<VirtualTime> = None;
         let dirty = state.core.take_dirty_sorted();
         let scheduled_before = state.stats.events_scheduled;
         state.stats.gate_evaluations += dirty.len() as u64;
-        if let Some(block) = fabric.compiled_block(me) {
-            if cx.probe.enabled() && !dirty.is_empty() {
-                let t = cx.now();
-                cx.probe.emit(
-                    t,
-                    now.ticks(),
-                    me as u32,
-                    me as u32,
-                    TraceKind::GateEval,
-                    dirty.len() as u64,
-                );
-            }
-            let SyncWorker { core, queue, stats, .. } = state;
-            core.evaluate_compiled(block, &dirty, &mut |id, v, delay| {
-                let e = Event::new(now + Delay::new(u64::from(delay)), id, v);
-                route_event(topo, me, now, e, queue, stats, &mut sent_min, cx);
-            });
-        } else {
-            for &id in &dirty {
-                if cx.probe.enabled() {
-                    let t = cx.now();
-                    cx.probe.emit(
-                        t,
-                        now.ticks(),
-                        me as u32,
-                        id.index() as u32,
-                        TraceKind::GateEval,
-                        1,
-                    );
-                }
-                if let Some(v) = state.core.evaluate(circuit, id) {
-                    let e = Event::new(now + circuit.delay(id), id, v);
-                    route_event(
-                        topo,
-                        me,
-                        now,
-                        e,
-                        &mut state.queue,
-                        &mut state.stats,
-                        &mut sent_min,
-                        cx,
-                    );
-                }
-            }
+        if cx.probe.enabled() && !dirty.is_empty() {
+            let t = cx.now();
+            let batch = dirty.len() as u64;
+            cx.probe.emit(t, now.ticks(), me as u32, me as u32, TraceKind::GateEval, batch);
         }
+        let SyncWorker { core, queue, stats, .. } = state;
+        core.evaluate_batch(fabric.compiled_block(me), &dirty, &mut |id, v, delay| {
+            let e = Event::new(now + Delay::new(u64::from(delay)), id, v);
+            stats.events_scheduled += 1;
+            let mut to_self = false;
+            for &dst in topo.destinations(e.net) {
+                if dst == me {
+                    to_self = true;
+                    queue.push(e);
+                } else {
+                    stats.messages_sent += 1;
+                    if cx.probe.enabled() {
+                        let t = cx.now();
+                        let net = e.net.index() as u32;
+                        let arg = dst as u64;
+                        cx.probe.emit(t, now.ticks(), me as u32, net, TraceKind::MessageSend, arg);
+                    }
+                    sent_min = Some(sent_min.map_or(e.time, |m| m.min(e.time)));
+                    cx.send_lp(dst, e);
+                }
+            }
+            // A driver whose own block is not among the destinations still
+            // tracks its output value locally.
+            if !to_self {
+                queue.push(e);
+            }
+        });
         // Each scheduled event costs one local enqueue (the driver's own
         // block always keeps a copy); remote copies were paid as sends.
         cx.charge(popped, dirty.len() as u64, state.stats.events_scheduled - scheduled_before);
@@ -280,6 +227,7 @@ mod tests {
     use super::*;
     use parsim_core::{Observe, SequentialSimulator, Simulator, Stimulus};
     use parsim_logic::{Bit, Logic4};
+    use parsim_machine::MachineConfig;
     use parsim_netlist::{bench, generate, Circuit, DelayModel};
     use parsim_partition::{FiducciaMattheyses, GateWeights, Partitioner};
 
@@ -335,6 +283,9 @@ mod tests {
 
     #[test]
     fn compiled_execution_is_bit_identical() {
+        // Both drivers evaluate every dirty batch through the LPs'
+        // bytecode: on multi-delay Logic4 DAGs they commit the sequential
+        // history and evaluate exactly the same batches.
         for seed in 0..2 {
             let c = generate::random_dag(&generate::RandomDagConfig {
                 gates: 250,
@@ -347,16 +298,22 @@ mod tests {
             let part =
                 FiducciaMattheyses::default().partition(&c, 3, &GateWeights::uniform(c.len()));
             let until = VirtualTime::new(250);
-            let interpreted = ThreadedSyncSimulator::<Logic4>::new(part.clone())
+            let seq = SequentialSimulator::<Logic4>::new()
                 .with_observe(Observe::AllNets)
                 .run(&c, &stim, until);
-            let compiled = ThreadedSyncSimulator::<Logic4>::new(part)
-                .with_compiled()
+            let threaded = ThreadedSyncSimulator::<Logic4>::new(part.clone())
                 .with_observe(Observe::AllNets)
                 .run(&c, &stim, until);
-            if let Some(d) = compiled.divergence_from(&interpreted) {
-                panic!("compiled sync kernel diverged (seed {seed}): {d}");
+            let modeled =
+                crate::SyncSimulator::<Logic4>::new(part, MachineConfig::shared_memory(3))
+                    .with_observe(Observe::AllNets)
+                    .run(&c, &stim, until);
+            for (driver, out) in [("threaded", &threaded), ("modeled", &modeled)] {
+                if let Some(d) = out.divergence_from(&seq) {
+                    panic!("{driver} sync kernel diverged (seed {seed}): {d}");
+                }
             }
+            assert_eq!(threaded.stats.gate_evaluations, modeled.stats.gate_evaluations);
         }
     }
 }

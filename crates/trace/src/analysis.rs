@@ -157,7 +157,9 @@ pub fn load_summary(trace: &Trace) -> Option<LoadSummary> {
 }
 
 /// Gate-evaluation totals per LP, sorted hottest-first — the per-LP
-/// utilization view (LP = gate for the reference kernels).
+/// utilization view. The sequential reference records one evaluation per
+/// gate (LP = gate); every fabric kernel records one per dirty batch, with
+/// the batch size as `arg` (LP = the logical process).
 ///
 /// Records batched under [`crate::NO_LP`] (e.g. the oblivious kernel's
 /// per-tick aggregate) carry no per-LP information and are skipped.

@@ -173,7 +173,8 @@ pub enum StreamError {
         /// The offending frame's sequence number.
         seq: u64,
     },
-    /// A frame's `records` does not match its payload's line count.
+    /// A frame's `records` does not match its payload's line count, or
+    /// its payload ends mid-line.
     RecordCountMismatch {
         /// The offending frame's sequence number.
         seq: u64,
@@ -211,8 +212,8 @@ impl fmt::Display for StreamError {
 impl std::error::Error for StreamError {}
 
 /// Receiver side: validates a complete frame sequence (gapless from 0,
-/// checksums, record counts, exactly one trailing `last`) and returns the
-/// concatenated text.
+/// checksums, whole lines and their counts, exactly one trailing `last`)
+/// and returns the concatenated text.
 pub fn reassemble(frames: &[ChunkFrame]) -> Result<String, StreamError> {
     match frames.last() {
         None => return Err(StreamError::Unterminated),
@@ -231,7 +232,11 @@ pub fn reassemble(frames: &[ChunkFrame]) -> Result<String, StreamError> {
         if fnv1a(frame.payload.as_bytes()) != frame.checksum {
             return Err(StreamError::ChecksumMismatch { seq: frame.seq });
         }
-        if frame.payload.lines().count() as u64 != frame.records {
+        // Whole lines only: a non-empty payload ends its last line, and
+        // `records` counts exactly the line ends.
+        let complete = frame.payload.is_empty() || frame.payload.ends_with('\n');
+        let lines = frame.payload.bytes().filter(|&b| b == b'\n').count() as u64;
+        if !complete || lines != frame.records {
             return Err(StreamError::RecordCountMismatch { seq: frame.seq });
         }
         text.push_str(&frame.payload);
@@ -301,6 +306,25 @@ mod tests {
         let mut early_last = frames;
         early_last[0].last = true;
         assert_eq!(reassemble(&early_last), Err(StreamError::MisplacedLast { seq: 0 }));
+    }
+
+    #[test]
+    fn a_frame_that_ends_mid_line_is_refused() {
+        // Each frame's checksum is valid and claims one record, yet the
+        // first ends mid-line: concatenated, two claimed records would
+        // arrive as one torn line.
+        let frame = |seq, payload: &str, last| ChunkFrame {
+            seq,
+            records: 1,
+            checksum: fnv1a(payload.as_bytes()),
+            last,
+            payload: payload.to_owned(),
+        };
+        let torn = [frame(0, "a", false), frame(1, "b\n", true)];
+        assert_eq!(reassemble(&torn), Err(StreamError::RecordCountMismatch { seq: 0 }));
+        // Counting line ends, not `lines()`: a blank line is a record.
+        let blank = [frame(0, "\n", true)];
+        assert_eq!(reassemble(&blank), Ok("\n".to_owned()));
     }
 
     #[test]

@@ -1,94 +1,71 @@
-//! The compiled-execution differential suite: every kernel that can run
-//! `parsim-compile` bytecode must commit a history **bit-identical** to
-//! its interpreted self — across value systems, thread counts, and the
-//! artifact cache's cold/warm/corrupt paths.
+//! The compiled-execution differential suite. Every fabric kernel —
+//! synchronous, conservative, Time Warp and breathing time buckets, on
+//! threads and on the virtual machine — evaluates its dirty batches through
+//! `parsim-compile` bytecode, and must commit a history **bit-identical** to
+//! the sequential reference: across value systems, multi-delay circuits,
+//! block counts, and the artifact cache's cold, warm, corrupt and forged
+//! paths.
 //!
 //! The compiler is one subsystem with many backends (event-driven dirty
-//! batches in the threaded kernels, full sweeps in the oblivious and
+//! batches under every fabric kernel, full sweeps in the oblivious and
 //! bit-parallel kernels); this suite is the contract that none of them
-//! drifts from the `evaluate_gate` reference semantics.
+//! drifts from the `evaluate_gate` semantics the sequential reference
+//! interprets.
 
+use std::collections::BTreeMap;
+
+use parsim::compile::{compile_blocks, serialize_blocks};
+use parsim::netlist::Fnv1a;
 use parsim::prelude::*;
 
-/// An interpreted kernel, its compiled twin, and whether the kernel's
-/// evaluation count is deterministic (Time Warp's speculative work varies
-/// with thread timing, so only its *committed* history can be compared).
-type KernelPair<V> = (Box<dyn Simulator<V>>, Box<dyn Simulator<V>>, bool);
-
-/// Interpreted/compiled pairs of every compiled-capable threaded kernel
-/// over `partition`.
-fn kernel_pairs<V: LogicValue>(partition: &Partition) -> Vec<KernelPair<V>> {
+/// Every fabric kernel over `partition`, on both drivers, tagged with its
+/// protocol family.
+fn fabric_kernels<V: LogicValue>(
+    partition: &Partition,
+) -> Vec<(&'static str, Box<dyn Simulator<V>>)> {
+    let machine = MachineConfig::shared_memory(partition.blocks());
+    let p = || partition.clone();
     vec![
-        (
-            Box::new(ThreadedSyncSimulator::new(partition.clone()).with_observe(Observe::AllNets)),
-            Box::new(
-                ThreadedSyncSimulator::new(partition.clone())
-                    .with_compiled()
-                    .with_observe(Observe::AllNets),
-            ),
-            true,
-        ),
-        (
-            Box::new(
-                ThreadedConservativeSimulator::new(partition.clone())
-                    .with_observe(Observe::AllNets),
-            ),
-            Box::new(
-                ThreadedConservativeSimulator::new(partition.clone())
-                    .with_compiled()
-                    .with_observe(Observe::AllNets),
-            ),
-            true,
-        ),
-        (
-            Box::new(
-                ThreadedTimeWarpSimulator::new(partition.clone()).with_observe(Observe::AllNets),
-            ),
-            Box::new(
-                ThreadedTimeWarpSimulator::new(partition.clone())
-                    .with_compiled()
-                    .with_observe(Observe::AllNets),
-            ),
-            false,
-        ),
+        ("sync", Box::new(ThreadedSyncSimulator::new(p()).with_observe(Observe::AllNets))),
+        ("sync", Box::new(SyncSimulator::new(p(), machine).with_observe(Observe::AllNets))),
+        ("cmb", Box::new(ThreadedConservativeSimulator::new(p()).with_observe(Observe::AllNets))),
+        ("cmb", Box::new(ConservativeSimulator::new(p(), machine).with_observe(Observe::AllNets))),
+        ("tw", Box::new(ThreadedTimeWarpSimulator::new(p()).with_observe(Observe::AllNets))),
+        ("tw", Box::new(TimeWarpSimulator::new(p(), machine).with_observe(Observe::AllNets))),
+        ("btb", Box::new(BtbSimulator::new(p(), machine).with_observe(Observe::AllNets))),
     ]
 }
 
-/// Runs every interpreted/compiled pair on `threads` ∈ {1, 2, 4} blocks
-/// and demands bit-identical outcomes (waveforms and final values, via
-/// the shared sequential reference).
+/// Runs every fabric kernel on 1, 2 and 4 blocks and demands the sequential
+/// reference's history (waveforms and final values). The synchronous and
+/// conservative protocols evaluate the same batches on either driver, so
+/// their threaded and modeled evaluation counts must agree too; Time
+/// Warp's speculative work depends on the schedule, so only its committed
+/// history is compared.
 fn cross_check<V: LogicValue>(circuit: &Circuit, stimulus: &Stimulus, until: u64) {
     let until = VirtualTime::new(until);
     let reference = SequentialSimulator::<V>::new()
         .with_observe(Observe::AllNets)
         .run(circuit, stimulus, until);
     assert!(reference.stats.events_processed > 0, "vacuous test on {}", circuit.name());
-    for threads in [1usize, 2, 4] {
+    for blocks in [1usize, 2, 4] {
         let weights = GateWeights::uniform(circuit.len());
-        let partition = FiducciaMattheyses::default().partition(circuit, threads, &weights);
-        for (interpreted, compiled, deterministic_evals) in kernel_pairs::<V>(&partition) {
-            let a = interpreted.run(circuit, stimulus, until);
-            let b = compiled.run(circuit, stimulus, until);
-            if let Some(d) = a.divergence_from(&reference) {
-                panic!(
-                    "{} diverged on {} ({threads} threads): {d}",
-                    interpreted.name(),
-                    circuit.name()
-                );
+        let partition = FiducciaMattheyses::default().partition(circuit, blocks, &weights);
+        let mut evals: BTreeMap<&str, u64> = BTreeMap::new();
+        for (family, kernel) in fabric_kernels::<V>(&partition) {
+            let out = kernel.run(circuit, stimulus, until);
+            if let Some(d) = out.divergence_from(&reference) {
+                panic!("{} diverged on {} ({blocks} blocks): {d}", kernel.name(), circuit.name());
             }
-            if let Some(d) = b.divergence_from(&reference) {
-                panic!(
-                    "compiled {} diverged on {} ({threads} threads): {d}",
-                    compiled.name(),
-                    circuit.name()
-                );
-            }
-            if deterministic_evals {
+            if matches!(family, "sync" | "cmb") {
+                let first = *evals.entry(family).or_insert(out.stats.gate_evaluations);
                 assert_eq!(
-                    a.stats.gate_evaluations,
-                    b.stats.gate_evaluations,
-                    "{}: compiled path must evaluate exactly the interpreted batches",
-                    compiled.name()
+                    out.stats.gate_evaluations,
+                    first,
+                    "{} on {} ({blocks} blocks): threaded and modeled drivers evaluate \
+                     different batches",
+                    kernel.name(),
+                    circuit.name()
                 );
             }
         }
@@ -96,7 +73,7 @@ fn cross_check<V: LogicValue>(circuit: &Circuit, stimulus: &Stimulus, until: u64
 }
 
 #[test]
-fn compiled_matches_interpreted_both_value_systems_multi_delay() {
+fn every_fabric_kernel_matches_sequential_both_value_systems_multi_delay() {
     for seed in 0..2 {
         let c = generate::random_dag(&generate::RandomDagConfig {
             gates: 260,
@@ -113,7 +90,7 @@ fn compiled_matches_interpreted_both_value_systems_multi_delay() {
 }
 
 #[test]
-fn compiled_matches_interpreted_on_benchmarks() {
+fn every_fabric_kernel_matches_sequential_on_benchmarks() {
     cross_check::<Logic4>(&bench::c17(), &Stimulus::random(11, 9), 250);
     cross_check::<Logic4>(&bench::s27ish(), &Stimulus::random(5, 14).with_clock(8), 350);
 }
@@ -159,6 +136,15 @@ impl Drop for CacheDir {
 
 fn trace_kinds(probe: &Probe) -> Vec<TraceKind> {
     probe.take_trace().records().iter().map(|r| r.kind).collect()
+}
+
+/// Re-stamps an artifact's trailing FNV-1a checksum after an edit, so only
+/// the structural and semantic checks can refuse it.
+fn restamp(bytes: &mut [u8]) {
+    let payload = bytes.len() - 8;
+    let mut h = Fnv1a::new();
+    h.write(&bytes[..payload]);
+    bytes[payload..].copy_from_slice(&h.finish().to_le_bytes());
 }
 
 #[test]
@@ -238,4 +224,53 @@ fn artifact_store_outcomes_cover_cold_warm_corrupt() {
     assert_eq!(outcome, CacheOutcome::RecompiledCorrupt);
     assert_eq!(outcome.label(), "recompiled_corrupt");
     assert_eq!(healed, blocks);
+}
+
+#[test]
+fn forged_artifact_at_the_right_key_is_recompiled_not_trusted() {
+    // A checksum-valid artifact whose first op is a NAND with no fanin:
+    // every index is in bounds, so only a check against the circuit can
+    // tell it from the real thing. Trusted, it turns the gate into a
+    // constant and the run diverges.
+    let cache = CacheDir::new("forged");
+    let c = bench::c17();
+    let lp_of = vec![0usize; c.len()];
+    let key = ArtifactStore::cache_key(&c, &lp_of, 1);
+    let honest = compile_blocks(&c, &lp_of, 1);
+    let mut forged = serialize_blocks(key, &honest);
+    // File header (magic, version, key, block count: 24 bytes), block
+    // header (nets, four counts: 24 bytes), then the first op: gate, kind,
+    // delay, seq_slot, fanin_start, fanin_len.
+    let fanin_len = 24 + 24 + 4 + 1 + 4 + 4 + 4;
+    assert_eq!(c.kind(honest[0].ops()[0].gate), GateKind::Nand);
+    forged[fanin_len..fanin_len + 4].copy_from_slice(&0u32.to_le_bytes());
+    restamp(&mut forged);
+    let store = ArtifactStore::new(&cache.0);
+    std::fs::create_dir_all(&cache.0).expect("create the store");
+    let plant = || std::fs::write(store.path_of(key), &forged).expect("plant the forgery");
+
+    plant();
+    let (blocks, outcome) = store.load_or_compile(&c, &lp_of, 1);
+    assert_eq!(outcome, CacheOutcome::RecompiledCorrupt, "a forged artifact is corrupt");
+    assert_eq!(blocks, honest);
+
+    // Through a kernel: the run recompiles, commits the sequential history
+    // and heals the store in place.
+    plant();
+    let stim = Stimulus::random(11, 9);
+    let until = VirtualTime::new(250);
+    let reference =
+        SequentialSimulator::<Logic4>::new().with_observe(Observe::AllNets).run(&c, &stim, until);
+    let probe = Probe::enabled();
+    let partition = Partition::new(1, vec![0; c.len()]).expect("one block");
+    let out = ThreadedSyncSimulator::<Logic4>::new(partition)
+        .with_compiled_cache(&cache.0)
+        .with_observe(Observe::AllNets)
+        .with_probe(probe.clone())
+        .run(&c, &stim, until);
+    assert_eq!(out.divergence_from(&reference), None, "the forgery must not reach the kernel");
+    assert!(!trace_kinds(&probe).contains(&TraceKind::CacheHit), "a forgery is not a hit");
+    let (healed, outcome) = store.load_or_compile(&c, &lp_of, 1);
+    assert_eq!(outcome, CacheOutcome::Hit, "the store was healed");
+    assert_eq!(healed, honest);
 }
