@@ -1,6 +1,6 @@
-//! **Threaded-kernel throughput** — wall-clock events/second of the three
-//! real-thread kernels (synchronous, conservative, Time Warp) on the
-//! standard generated-circuit ladder.
+//! **Threaded-kernel throughput** — wall-clock events/second of the four
+//! real-thread kernels (synchronous, conservative, Time Warp, breathing
+//! time buckets) on the standard generated-circuit ladder.
 //!
 //! ```sh
 //! PARSIM_BENCH_JSON=results cargo run --release -p parsim-bench --bin exp_threaded
@@ -75,6 +75,10 @@ fn main() {
                 ),
                 Box::new(
                     parsim_optimistic::ThreadedTimeWarpSimulator::<Bit>::new(part.clone())
+                        .with_observe(Observe::Nothing),
+                ),
+                Box::new(
+                    parsim_optimistic::ThreadedBtbSimulator::<Bit>::new(part.clone())
                         .with_observe(Observe::Nothing),
                 ),
             ];

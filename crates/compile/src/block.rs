@@ -96,8 +96,7 @@ pub(crate) fn kind_from_code(code: u8) -> Option<GateKind> {
 /// because every gate reads *net values* (updated by event application,
 /// never during evaluation) and writes only its own state and output, and
 /// each gate appears at most once per batch — the workspace-wide
-/// once-per-timestamp contract. A zero-delay, rank-ordered backend
-/// (`CycleSimulator`) levelizes the circuit itself.
+/// once-per-timestamp contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledBlock {
     ops: Vec<Op>,

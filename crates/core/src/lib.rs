@@ -14,8 +14,6 @@
 //!   [`pre_simulate`] (§III pre-simulation load profiling).
 //! * [`ObliviousSimulator`] — the §IV "oblivious" algorithm: no event queue,
 //!   every gate evaluated at every tick.
-//! * [`CycleSimulator`] — zero-delay, rank-ordered cycle-based simulation
-//!   (the compiled-mode style used when per-gate timing is irrelevant).
 //! * [`Stimulus`] — deterministic test-vector sources (random, counting,
 //!   explicit, with square-wave clocks for sequential circuits).
 //! * [`SimOutcome`] / [`SimStats`] / [`Waveform`] — results, protocol
@@ -42,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cycle;
 mod error;
 mod eval;
 pub mod fault;
@@ -57,7 +54,6 @@ mod stimulus;
 mod vcd;
 mod waveform;
 
-pub use cycle::CycleSimulator;
 pub use error::{BudgetExhausted, RunBudget, SimError, WorkerDiagnostic};
 pub use eval::{evaluate_gate, GateRuntime};
 pub use lp::{LpSpec, LpTopology};

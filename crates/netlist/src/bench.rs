@@ -19,6 +19,7 @@
 //! and [`write()`] emits it. The classic `c17` circuit ships embedded via
 //! [`c17`].
 
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt::{self, Display, Write as _};
 
@@ -136,6 +137,12 @@ impl From<NetlistError> for BenchParseError {
 
 /// Parses `.bench` text into a circuit, assigning delays from `delays`.
 ///
+/// Nets are numbered in the order they are defined (an `INPUT` line, a
+/// gate's left-hand side, or the implicit clock at the first `DFF(d)`), so
+/// [`write()`]'s output — one definition per net, in id order — parses back
+/// to the identical circuit, [`netlist_hash`](Circuit::netlist_hash)
+/// included.
+///
 /// # Errors
 ///
 /// Returns [`BenchParseError`] on malformed lines, unknown gate functions,
@@ -159,28 +166,14 @@ impl From<NetlistError> for BenchParseError {
 /// ```
 pub fn parse(name: &str, text: &str, delays: DelayModel) -> Result<Circuit, BenchParseError> {
     let mut b = CircuitBuilder::new(name);
-    let mut ids: std::collections::HashMap<String, GateId> = std::collections::HashMap::new();
-    // Line of each net's first appearance, for locating undefined nets.
-    let mut first_ref: std::collections::HashMap<GateId, usize> = std::collections::HashMap::new();
-    let mut outputs: Vec<(String, usize)> = Vec::new();
-    let mut implicit_clock: Option<GateId> = None;
-
-    // `declare` a net the first time we see its name, in whatever role.
-    fn lookup(
-        b: &mut CircuitBuilder,
-        ids: &mut std::collections::HashMap<String, GateId>,
-        first_ref: &mut std::collections::HashMap<GateId, usize>,
-        name: &str,
-        line: usize,
-    ) -> GateId {
-        if let Some(&id) = ids.get(name) {
-            return id;
-        }
-        let id = b.declare(name);
-        ids.insert(name.to_owned(), id);
-        first_ref.insert(id, line);
-        id
-    }
+    let mut ids: HashMap<&str, GateId> = HashMap::new();
+    // Every operand name at its first reference, in order: the undefined
+    // one reported is the earliest.
+    let mut refs: Vec<(&str, usize)> = Vec::new();
+    let mut referenced: HashSet<&str> = HashSet::new();
+    // Gates whose operands resolve once every net is defined.
+    let mut gates: Vec<(GateId, GateKind, Vec<&str>)> = Vec::new();
+    let mut outputs: Vec<(&str, usize)> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
@@ -200,15 +193,16 @@ pub fn parse(name: &str, text: &str, delays: DelayModel) -> Result<Circuit, Benc
         };
 
         if let Some(arg) = strip_call(stripped, "INPUT") {
-            let id = lookup(&mut b, &mut ids, &mut first_ref, arg, line);
-            if b.is_defined(id) {
+            if ids.contains_key(arg) {
                 return Err(BenchParseError::DuplicateDefinition { line, name: arg.to_owned() });
             }
+            let id = b.declare(arg);
+            ids.insert(arg, id);
             b.define(id, GateKind::Input, [], delays.delay_for(GateKind::Input, id.index()));
             continue;
         }
         if let Some(arg) = strip_call(stripped, "OUTPUT") {
-            outputs.push((arg.to_owned(), line));
+            outputs.push((arg, line));
             continue;
         }
 
@@ -230,24 +224,30 @@ pub fn parse(name: &str, text: &str, delays: DelayModel) -> Result<Circuit, Benc
         let kind: GateKind = func
             .parse()
             .map_err(|_| BenchParseError::UnknownGate { line, name: func.to_owned() })?;
-        let mut fanin: Vec<GateId> = Vec::new();
-        for arg in args_text.split(',') {
-            let arg = arg.trim();
-            if arg.is_empty() {
-                return Err(syntax(args_text.trim()));
+        // `CONST0()` / `CONST1()` take no operands.
+        let mut fanin: Vec<&str> = Vec::new();
+        if !args_text.trim().is_empty() {
+            for arg in args_text.split(',') {
+                let arg = arg.trim();
+                if arg.is_empty() {
+                    return Err(syntax(args_text.trim()));
+                }
+                if referenced.insert(arg) {
+                    refs.push((arg, line));
+                }
+                fanin.push(arg);
             }
-            fanin.push(lookup(&mut b, &mut ids, &mut first_ref, arg, line));
         }
         // ISCAS-89 writes `DFF(d)`; synthesize the implicit clock pin.
+        // It is an input like any other, delay included, so writing it as
+        // one round-trips.
         if kind == GateKind::Dff && fanin.len() == 1 {
-            let clk = *implicit_clock.get_or_insert_with(|| {
-                let id = lookup(&mut b, &mut ids, &mut first_ref, IMPLICIT_CLOCK, line);
-                if !b.is_defined(id) {
-                    b.define(id, GateKind::Input, [], crate::Delay::ZERO);
-                }
-                id
-            });
-            fanin.insert(0, clk);
+            if !ids.contains_key(IMPLICIT_CLOCK) {
+                let id = b.declare(IMPLICIT_CLOCK);
+                ids.insert(IMPLICIT_CLOCK, id);
+                b.define(id, GateKind::Input, [], delays.delay_for(GateKind::Input, id.index()));
+            }
+            fanin.insert(0, IMPLICIT_CLOCK);
         }
         if !kind.accepts_inputs(fanin.len()) {
             return Err(BenchParseError::BadArity {
@@ -256,27 +256,31 @@ pub fn parse(name: &str, text: &str, delays: DelayModel) -> Result<Circuit, Benc
                 got: fanin.len(),
             });
         }
-        let id = lookup(&mut b, &mut ids, &mut first_ref, lhs, line);
-        if b.is_defined(id) {
+        if ids.contains_key(lhs) {
             return Err(BenchParseError::DuplicateDefinition { line, name: lhs.to_owned() });
         }
-        b.define(id, kind, fanin, delays.delay_for(kind, id.index()));
+        let id = b.declare(lhs);
+        ids.insert(lhs, id);
+        gates.push((id, kind, fanin));
     }
 
-    for (name, line) in outputs {
-        let id =
-            *ids.get(&name).ok_or(BenchParseError::UndefinedNet { line, name: name.clone() })?;
-        b.output(name, id);
+    // An output naming a net nothing defines or references is reported at
+    // its own line; a referenced net that is never defined at the line of
+    // its first reference.
+    for &(name, line) in &outputs {
+        if !ids.contains_key(name) && !referenced.contains(name) {
+            return Err(BenchParseError::UndefinedNet { line, name: name.to_owned() });
+        }
     }
-
-    // A net that was referenced but never given a definition: report it at
-    // the line of its first appearance (pick the earliest for determinism).
-    if let Some((name, &id)) =
-        ids.iter().filter(|&(_, &id)| !b.is_defined(id)).min_by_key(|&(_, &id)| first_ref[&id])
-    {
-        return Err(BenchParseError::UndefinedNet { line: first_ref[&id], name: name.clone() });
+    if let Some(&(name, line)) = refs.iter().find(|(name, _)| !ids.contains_key(name)) {
+        return Err(BenchParseError::UndefinedNet { line, name: name.to_owned() });
     }
-
+    for (name, _) in outputs {
+        b.output(name, ids[name]);
+    }
+    for (id, kind, fanin) in gates {
+        b.define(id, kind, fanin.iter().map(|f| ids[f]), delays.delay_for(kind, id.index()));
+    }
     Ok(b.finish()?)
 }
 
@@ -286,21 +290,22 @@ fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
     Some(inner.trim())
 }
 
-/// Writes a circuit as `.bench` text.
+/// Writes a circuit as `.bench` text: its outputs, then one definition per
+/// net in id order, which [`parse`] numbers back to the same ids.
 ///
-/// Unnamed gates are given synthetic `gN` names. Flip-flops whose clock pin
-/// is the [`IMPLICIT_CLOCK`] input are written in the single-input ISCAS-89
-/// form, so circuits parsed from ISCAS files round-trip.
+/// Unnamed gates are given synthetic `gN` names. Flip-flops clocked by an
+/// [`IMPLICIT_CLOCK`] input defined before them are written in the
+/// single-input ISCAS-89 form.
 ///
 /// # Examples
 ///
 /// ```
 /// use parsim_netlist::{bench, DelayModel};
 ///
-/// let c = bench::c17();
+/// let c = bench::s27ish();
 /// let text = bench::write(&c);
-/// let reparsed = bench::parse("c17", &text, DelayModel::Unit)?;
-/// assert_eq!(reparsed.len(), c.len());
+/// let reparsed = bench::parse("s27ish", &text, DelayModel::Unit)?;
+/// assert_eq!(reparsed.netlist_hash(), c.netlist_hash());
 /// # Ok::<(), bench::BenchParseError>(())
 /// ```
 pub fn write(circuit: &Circuit) -> String {
@@ -312,22 +317,23 @@ pub fn write(circuit: &Circuit) -> String {
             None => format!("g{}", id.index()),
         }
     };
-    let implicit_clk = circuit.find(IMPLICIT_CLOCK);
-    for &pi in circuit.inputs() {
-        let _ = writeln!(out, "INPUT({})", name_of(pi));
-    }
+    let implicit_clk =
+        circuit.find(IMPLICIT_CLOCK).filter(|&clk| circuit.kind(clk) == GateKind::Input);
     for &po in circuit.outputs() {
         let _ = writeln!(out, "OUTPUT({})", name_of(po));
     }
     for (id, g) in circuit.iter() {
-        if g.kind().is_source() && g.kind() != GateKind::Const0 && g.kind() != GateKind::Const1 {
+        if g.kind() == GateKind::Input {
+            let _ = writeln!(out, "INPUT({})", name_of(id));
             continue;
         }
-        let mut fanin: Vec<GateId> = g.fanin().to_vec();
-        if g.kind() == GateKind::Dff && fanin.first().copied() == implicit_clk {
-            fanin.remove(0);
+        let mut fanin = g.fanin();
+        if g.kind() == GateKind::Dff
+            && implicit_clk.is_some_and(|clk| fanin.first() == Some(&clk) && clk < id)
+        {
+            fanin = &fanin[1..];
         }
-        let args: Vec<String> = fanin.into_iter().map(name_of).collect();
+        let args: Vec<String> = fanin.iter().map(|&f| name_of(f)).collect();
         let _ = writeln!(out, "{} = {}({})", name_of(id), g.kind(), args.join(", "));
     }
     out

@@ -1,21 +1,17 @@
-//! Breathing Time Buckets — the §VI synchronous/optimistic hybrid.
+//! Breathing Time Buckets — the §VI synchronous/optimistic hybrid — as one
+//! protocol on both fabric drivers.
 
-#![allow(clippy::needless_range_loop)] // index-parallel arrays: indices are the clearer idiom here
-use std::collections::BTreeMap;
-use std::marker::PhantomData;
-
-use parsim_core::{Observe, SimOutcome, SimStats, Simulator, Stimulus, Waveform};
 use parsim_event::{Event, VirtualTime};
 use parsim_logic::LogicValue;
-use parsim_machine::{MachineConfig, VirtualMachine};
-use parsim_netlist::{Circuit, GateId};
-use parsim_partition::Partition;
-use parsim_runtime::Fabric;
+use parsim_runtime::{
+    DecideCx, Decision, Fabric, FabricKernel, Machine, RoundCx, SyncProtocol, Threads, WorkerOutput,
+};
 
 use crate::lp::{TwLp, TwOutgoing, TwWork};
+use crate::threaded::TwWorker;
 use crate::{Cancellation, StateSaving};
 
-/// Batches each LP may process per breathing cycle.
+/// Batches each LP may process per breath.
 const CYCLE_BUDGET: usize = 64;
 
 /// Steinman's *Breathing Time Buckets* (SPEEDES), the §VI direction: "the
@@ -23,20 +19,26 @@ const CYCLE_BUDGET: usize = 64;
 /// found in asynchronous algorithms, with an attempt to avoid the
 /// performance instabilities found in the asynchronous algorithms."
 ///
-/// Each global cycle ("breath"):
+/// One breath is two fabric rounds, each ending in the round barrier:
 ///
-/// 1. LPs process their pending events **optimistically**, but outgoing
-///    messages are *buffered*, never released;
-/// 2. the **event horizon** — the minimum timestamp of any buffered
-///    message — is computed at a barrier;
-/// 3. work beyond the horizon is rolled back *locally* (the cancelled
-///    messages were never delivered, so no anti-messages cross LPs — the
-///    instability mechanism of Time Warp is structurally absent);
-/// 4. everything before the horizon is committed, and the surviving
-///    messages are exchanged.
+/// 1. *speculate*: LPs apply the last exchange's messages, then process
+///    their pending events **optimistically** with every send *held*;
+/// 2. the barrier's `decide` reduces the **event horizon** — the earliest
+///    held send — and the **commit point**, the smaller of the horizon and
+///    every LP's next unprocessed time;
+/// 3. *exchange*: every LP rolls back its work at or beyond the horizon
+///    *locally* (the cancelled messages were never released, so no
+///    anti-messages cross LPs — the instability mechanism of Time Warp is
+///    structurally absent), commits behind the commit point and releases
+///    the sends of the batches it committed, and only those;
+/// 4. the exchange's barrier delivers them before the next speculation,
+///    never behind their receiver's LVT.
 ///
 /// Risk-free optimism: the speculation is local, the commitment is global
-/// and monotone. Results are bit-identical to the sequential reference.
+/// and monotone. The one setting is the LP granularity
+/// ([`BtbSettings`](crate::BtbSettings)); DESIGN.md, "Breathing time
+/// buckets", has the measured alternatives. Results are bit-identical to
+/// the sequential reference.
 ///
 /// # Examples
 ///
@@ -58,258 +60,228 @@ const CYCLE_BUDGET: usize = 64;
 /// assert_eq!(out.divergence_from(&oracle), None);
 /// assert_eq!(out.stats.anti_messages, 0); // risk-free: nothing to cancel
 /// ```
-#[derive(Debug, Clone)]
-pub struct BtbSimulator<V> {
-    partition: Partition,
-    machine: MachineConfig,
-    granularity: usize,
-    observe: Observe,
-    _values: PhantomData<V>,
+pub type BtbSimulator<V> = FabricKernel<BtbProtocol, Machine, V>;
+
+/// Breathing time buckets on real threads: the protocol object of
+/// [`BtbSimulator`] on the fabric's worker threads, mailbox mesh and round
+/// barrier. Its rounds, messages, evaluations and rollbacks equal the
+/// modeled kernel's.
+pub type ThreadedBtbSimulator<V> = FabricKernel<BtbProtocol, Threads, V>;
+
+/// The breathing discipline: speculate with held sends, agree on the event
+/// horizon at the barrier, roll back past it, release what committed.
+#[derive(Debug, Clone, Copy)]
+pub struct BtbProtocol {
+    /// LPs per partition block.
+    pub(crate) granularity: usize,
 }
 
-impl<V: LogicValue> BtbSimulator<V> {
-    /// Creates the kernel with one LP per partition block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partition's block count differs from the machine's
-    /// processor count.
-    pub fn new(partition: Partition, machine: MachineConfig) -> Self {
-        assert_eq!(
-            partition.blocks(),
-            machine.processors,
-            "breathing-time-buckets kernel needs one partition block per processor"
-        );
-        BtbSimulator {
-            partition,
-            machine,
-            granularity: 1,
-            observe: Observe::Outputs,
-            _values: PhantomData,
-        }
-    }
-
-    /// Splits every block into `factor` LPs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    pub fn with_granularity(mut self, factor: usize) -> Self {
-        assert!(factor >= 1, "granularity factor must be at least 1");
-        self.granularity = factor;
-        self
-    }
-
-    /// Selects which nets to record waveforms for.
-    pub fn with_observe(mut self, observe: Observe) -> Self {
-        self.observe = observe;
-        self
+impl Default for BtbProtocol {
+    fn default() -> Self {
+        BtbProtocol { granularity: 1 }
     }
 }
 
-impl<V: LogicValue> Simulator<V> for BtbSimulator<V> {
-    fn name(&self) -> String {
-        format!("breathing-time-buckets(P={})", self.machine.processors)
+/// What the barrier decided after a speculation round.
+#[derive(Debug, Clone, Copy)]
+pub struct Breath {
+    /// The earliest send still held: every batch at or beyond it is rolled
+    /// back.
+    horizon: VirtualTime,
+    /// Everything strictly below it is final, and its sends are released.
+    commit: VirtualTime,
+}
+
+/// A speculation round's report: this worker's share of the breath.
+pub struct BtbReport {
+    /// The earliest send this worker holds (infinite: none).
+    horizon: VirtualTime,
+    /// The earliest unprocessed time of this worker's LPs.
+    next: Option<VirtualTime>,
+}
+
+impl<V: LogicValue> SyncProtocol<V> for BtbProtocol {
+    /// Both rounds of a breath end in a barrier: the one that computes the
+    /// horizon and the one that completes the exchange.
+    const SUPERSTEP: bool = true;
+
+    /// Destination LP, event.
+    type Msg = (usize, Event<V>);
+    type Worker = TwWorker<V>;
+    /// `None` from an exchange round.
+    type Report = Option<BtbReport>;
+    /// `None`: speculate. `Some`: roll back, commit and release.
+    type Verdict = Option<Breath>;
+
+    fn worker(
+        &self,
+        fabric: &Fabric<'_>,
+        worker: usize,
+        preloads: Vec<Vec<Event<V>>>,
+    ) -> TwWorker<V> {
+        TwWorker::new(fabric, worker, preloads, StateSaving::Incremental, Cancellation::Aggressive)
     }
 
-    fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
-        // The fabric is used for what every driver shares — the LP
-        // decomposition, the preload routing and the LPs' compiled blocks
-        // (compiled in memory on first use) — not for its round loop.
-        let fabric = Fabric::new(circuit, &self.partition, self.granularity, self.observe);
-        let topo = fabric.topo();
-        let n_lps = topo.lps().len();
-        let proc_of = |lp: usize| lp / self.granularity;
-        let mut vm = VirtualMachine::new(self.machine);
-        let mut stats = SimStats::default();
+    fn first_verdict(&self) -> Option<Breath> {
+        None
+    }
 
-        let mut lps: Vec<TwLp<V>> = (0..n_lps)
-            .map(|i| {
-                TwLp::new(
-                    circuit,
-                    topo,
-                    i,
-                    StateSaving::Incremental,
-                    Cancellation::Aggressive,
-                    fabric.observed_by(i),
-                )
-            })
-            .collect();
-
-        for (lp, events) in lps.iter_mut().zip(fabric.preloads::<V>(stimulus, until)) {
-            for e in events {
-                lp.preload(e);
-            }
-        }
-
-        let mut total = TwWork::default();
-        // Messages committed by previous breaths, awaiting delivery.
-        let mut inbox: Vec<(usize, usize, Event<V>)> = Vec::new(); // (src_proc, dst, event)
-
-        loop {
-            // Phase 1: deliver last breath's committed messages. These are
-            // all at or beyond the previous horizon, so no rollback occurs.
-            for (src_proc, dst, e) in inbox.drain(..) {
-                let p = proc_of(dst);
-                let ready = vm.send(src_proc, p);
-                stats.messages_sent += 1;
-                vm.receive(p, ready);
-                let mut work = TwWork::default();
-                lps[dst].receive_event(e, &mut work, &mut |_| {
-                    unreachable!("committed deliveries cannot trigger cancellation")
-                });
-                debug_assert_eq!(work.rollbacks, 0, "committed deliveries cannot roll back");
-            }
-
-            // Phase 2: optimistic local processing with buffered sends.
-            // The running horizon estimate (minimum buffered send time so
-            // far) prunes speculation: a batch at or beyond it is certain
-            // to be rolled back this breath, because the final horizon can
-            // only be lower still. This is the "breathing" in breathing
-            // time buckets — processing naturally stops at the event
-            // horizon instead of burning a fixed budget.
-            let mut buffer: Vec<(usize, usize, Event<V>)> = Vec::new(); // (src_lp, dst, event)
-            let mut horizon_estimate = VirtualTime::INFINITY;
-            let mut processed_any = false;
-            for lp_idx in 0..n_lps {
-                let p = proc_of(lp_idx);
-                for _ in 0..CYCLE_BUDGET {
-                    match lps[lp_idx].next_time() {
-                        Some(t) if t <= until && t < horizon_estimate => {}
-                        _ => break,
+    fn round(
+        &self,
+        fabric: &Fabric<'_>,
+        state: &mut TwWorker<V>,
+        verdict: &Option<Breath>,
+        cx: &mut RoundCx<'_, '_, (usize, Event<V>)>,
+    ) -> Option<BtbReport> {
+        let TwWorker { lps, total, stats, gvt_rounds } = state;
+        let mut round = TwWork::default();
+        let report = match verdict {
+            // Exchange: undo past the horizon (the cancelled sends were
+            // never released, so nothing leaves the node), commit behind the
+            // commit point and release the committed batches' sends.
+            Some(breath) => {
+                *gvt_rounds += 1;
+                for lp in lps.iter_mut() {
+                    lp.rollback_to_before(breath.horizon, &mut round, &mut |_| {});
+                    for (dst, e) in lp.fossil_collect(breath.commit) {
+                        stats.messages_sent += 1;
+                        cx.send_lp(dst, (dst, e));
                     }
-                    let mut work = TwWork::default();
-                    let processed = lps[lp_idx].process_next(
-                        circuit,
-                        topo,
-                        until,
-                        fabric.compiled_block(lp_idx),
-                        &mut work,
-                        &mut |out| match out {
-                            TwOutgoing::Event { dst, event } => {
-                                horizon_estimate = horizon_estimate.min(event.time);
-                                buffer.push((lp_idx, dst, event));
-                            }
-                            TwOutgoing::Anti { .. } => {
-                                unreachable!("no rollback during forward processing")
-                            }
-                        },
-                    );
-                    debug_assert!(processed, "next_time was checked above");
-                    charge(&mut vm, p, &work, &self.machine);
-                    total.accumulate(&work);
-                    processed_any = true;
-                    stats.state_saves += 1;
                 }
+                None
             }
-
-            // Phase 3: the event horizon, at a barrier.
-            vm.barrier();
-            stats.barriers += 1;
-            let horizon: Option<VirtualTime> = buffer.iter().map(|&(_, _, e)| e.time).min();
-
-            // Phase 4: local rollback of everything at or beyond the
-            // horizon; cancelled sends are annihilated inside the buffer
-            // (they were never delivered — no anti-messages on the wire).
-            if let Some(h) = horizon {
-                for lp_idx in 0..n_lps {
-                    let p = proc_of(lp_idx);
+            None => {
+                // The exchange's releases. None lands behind its receiver's
+                // LVT: the horizon covered it.
+                for (dst, e) in cx.inbox.drain(..) {
                     let mut work = TwWork::default();
-                    let mut cancelled: Vec<(usize, Event<V>)> = Vec::new();
-                    lps[lp_idx].rollback_to_before(h, &mut work, &mut |out| match out {
-                        TwOutgoing::Anti { dst, event } => cancelled.push((dst, event)),
-                        TwOutgoing::Event { .. } => {
-                            unreachable!("rollback emits only cancellations")
+                    lps[fabric.slot_of(dst)].receive_event(e, &mut work, &mut |_| {});
+                    debug_assert_eq!(work.rollbacks, 0, "a released send rolled back its receiver");
+                }
+                // Speculate with held sends. This worker's horizon estimate
+                // is its earliest held send; the breath's horizon can only be
+                // lower, so a batch at or beyond the estimate is certain to
+                // roll back and is not processed — the "breathing":
+                // processing stops at the horizon, not at the budget.
+                let mut horizon = lps
+                    .iter()
+                    .filter_map(TwLp::earliest_send)
+                    .min()
+                    .unwrap_or(VirtualTime::INFINITY);
+                let (circuit, topo, until) = (fabric.circuit(), fabric.topo(), cx.until);
+                for lp in lps.iter_mut() {
+                    let block = fabric.compiled_block(lp.index);
+                    for _ in 0..CYCLE_BUDGET {
+                        match lp.next_time() {
+                            Some(t) if t <= until && t < horizon => {}
+                            _ => break,
                         }
-                    });
-                    for (dst, e) in cancelled {
-                        let pos = buffer
-                            .iter()
-                            .position(|&(src, d, be)| src == lp_idx && d == dst && be == e)
-                            .expect("cancelled send is still buffered");
-                        buffer.swap_remove(pos);
+                        lp.process_next(circuit, topo, until, block, &mut round, &mut |out| {
+                            if let TwOutgoing::Event { event, .. } = out {
+                                horizon = horizon.min(event.time);
+                            }
+                        });
                     }
-                    // Local cancellation is cheap: charge rollback cost but
-                    // no message traffic (the anti-message count in `work`
-                    // is discarded — nothing left the node).
-                    charge(&mut vm, p, &work, &self.machine);
-                    total.accumulate(&work);
                 }
+                Some(BtbReport { horizon, next: lps.iter().filter_map(TwLp::next_time).min() })
             }
-
-            // Phase 5: commit (fossil-collect) behind the horizon and stage
-            // the surviving messages for delivery. An LP that spent its
-            // cycle budget short of the horizon has unprocessed events below
-            // it, so the commit point is also bounded by every LP's next
-            // unprocessed time.
-            let gvt = lps
-                .iter()
-                .filter_map(TwLp::next_time)
-                .chain(horizon)
-                .min()
-                .unwrap_or(until + parsim_netlist::Delay::UNIT);
-            stats.gvt_rounds += 1;
-            for lp in lps.iter_mut() {
-                let _ = lp.fossil_collect(gvt);
-            }
-            inbox = buffer.into_iter().map(|(src_lp, dst, e)| (proc_of(src_lp), dst, e)).collect();
-
-            if inbox.is_empty() && !processed_any {
-                break;
-            }
-        }
-
-        let mut final_values = vec![V::ZERO; circuit.len()];
-        let mut waveforms: BTreeMap<GateId, Waveform<V>> = BTreeMap::new();
-        for lp in &lps {
-            for (id, v) in lp.owned_values(topo) {
-                final_values[id.index()] = v;
-            }
-        }
-        for lp in &mut lps {
-            waveforms.extend(lp.take_waveforms());
-        }
-
-        total.write_stats(&mut stats);
-        stats.anti_messages = 0; // structurally: cancellations never leave the node
-        stats.modeled_makespan = vm.makespan();
-        stats.modeled_work = total.committed_cost(&self.machine);
-        SimOutcome { final_values, waveforms, end_time: until, stats }
+        };
+        total.accumulate(&round);
+        cx.charge(round.events_processed, round.evaluations, round.events_scheduled);
+        cx.charge_with(|m| {
+            // Priced while the price list is at hand: the committed work
+            // so far, what one processor would have been charged.
+            stats.modeled_work = total.committed_cost(m);
+            round.rollbacks * m.rollback_cost + round.state_slots_saved * m.incremental_save_cost
+        });
+        report
     }
-}
 
-fn charge(vm: &mut VirtualMachine, p: usize, w: &TwWork, cfg: &MachineConfig) {
-    vm.charge(
-        p,
-        w.events_processed * cfg.event_cost
-            + w.evaluations * cfg.eval_cost
-            + w.events_scheduled * cfg.event_cost
-            + w.rollbacks * cfg.rollback_cost
-            + w.state_slots_saved * cfg.incremental_save_cost,
-    );
+    fn decide(
+        &self,
+        _fabric: &Fabric<'_>,
+        reports: &mut [Option<Option<BtbReport>>],
+        cx: &mut DecideCx<'_>,
+    ) -> Decision<Option<Breath>> {
+        if reports.iter().flatten().any(Option::is_none) {
+            // The exchange is complete: speculate on what it delivered.
+            return Decision::Continue(None);
+        }
+        let speculated = || reports.iter().flatten().flatten();
+        let horizon = speculated().map(|r| r.horizon).min().unwrap_or(VirtualTime::INFINITY);
+        let next = speculated().filter_map(|r| r.next).min();
+        if horizon.is_infinite() && next.is_none_or(|t| t > cx.until) {
+            return Decision::Stop;
+        }
+        let commit = next.map_or(horizon, |t| t.min(horizon));
+        cx.note_frontier(commit);
+        Decision::Continue(Some(Breath { horizon, commit }))
+    }
+
+    fn finish(&self, fabric: &Fabric<'_>, _worker: usize, state: TwWorker<V>) -> WorkerOutput<V> {
+        let mut out = state.finish(fabric);
+        out.stats.anti_messages = 0; // structurally: cancellations never leave the node
+        out
+    }
+
+    fn granularity(&self) -> usize {
+        self.granularity
+    }
+
+    fn label(&self, modeled: bool) -> &'static str {
+        if modeled {
+            "breathing-time-buckets"
+        } else {
+            "threaded-breathing-time-buckets"
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsim_core::SequentialSimulator;
+    use crate::BtbSettings;
+    use parsim_core::{Observe, SequentialSimulator, Simulator, Stimulus};
     use parsim_logic::{Bit, Logic4};
-    use parsim_netlist::{bench, generate, DelayModel};
-    use parsim_partition::{FiducciaMattheyses, GateWeights, Partitioner};
+    use parsim_machine::MachineConfig;
+    use parsim_netlist::{bench, generate, Circuit, DelayModel, GateId};
+    use parsim_partition::{FiducciaMattheyses, GateWeights, Partition, Partitioner};
+
+    /// Both drivers over `part`, with every net observed.
+    fn both_drivers<V: LogicValue>(
+        part: Partition,
+        granularity: usize,
+    ) -> [Box<dyn Simulator<V>>; 2] {
+        let machine = MachineConfig::shared_memory(part.blocks());
+        [
+            Box::new(
+                BtbSimulator::<V>::new(part.clone(), machine)
+                    .with_granularity(granularity)
+                    .with_observe(Observe::AllNets),
+            ),
+            Box::new(
+                ThreadedBtbSimulator::<V>::new(part)
+                    .with_granularity(granularity)
+                    .with_observe(Observe::AllNets),
+            ),
+        ]
+    }
+
+    fn check_partition<V: LogicValue>(c: &Circuit, stim: &Stimulus, until: u64, part: Partition) {
+        let until = VirtualTime::new(until);
+        let seq =
+            SequentialSimulator::<V>::new().with_observe(Observe::AllNets).run(c, stim, until);
+        for sim in both_drivers::<V>(part, 1) {
+            let out = sim.run(c, stim, until);
+            if let Some(d) = out.divergence_from(&seq) {
+                panic!("{} diverged on {}: {d}", sim.name(), c.name());
+            }
+        }
+    }
 
     fn check_equivalent<V: LogicValue>(c: &Circuit, stim: &Stimulus, until: u64, p: usize) {
         let part = FiducciaMattheyses::default().partition(c, p, &GateWeights::uniform(c.len()));
-        let btb = BtbSimulator::<V>::new(part, MachineConfig::shared_memory(p))
-            .with_observe(Observe::AllNets)
-            .run(c, stim, VirtualTime::new(until));
-        let seq = SequentialSimulator::<V>::new().with_observe(Observe::AllNets).run(
-            c,
-            stim,
-            VirtualTime::new(until),
-        );
-        if let Some(d) = btb.divergence_from(&seq) {
-            panic!("breathing-time-buckets diverged on {}: {d}", c.name());
-        }
+        check_partition::<V>(c, stim, until, part);
     }
 
     #[test]
@@ -321,10 +293,33 @@ mod tests {
 
     #[test]
     fn a_single_lp_commits_only_what_it_processed() {
-        // One LP buffers no sends, so no breath has a horizon, and c17's
-        // run needs more batches than one breath's budget: the commit point
+        // One LP holds no sends, so no breath has a horizon, and c17's run
+        // needs more batches than one breath's budget: the commit point
         // must stop at the LP's next unprocessed event.
         check_equivalent::<Bit>(&bench::c17(), &Stimulus::random(11, 9), 250, 1);
+    }
+
+    #[test]
+    fn only_committed_batches_release_their_sends() {
+        // Block 0 spends its breath budget on the 70-buffer chain around
+        // t = 65, far below block 1's t = 100 batch, whose send to block 2
+        // is therefore not yet committed. Releasing it anyway, and then
+        // rolling its batch back when the chain reaches `g`, cancels a send
+        // that has already left the node.
+        let mut text = String::from("INPUT(x)\nINPUT(y)\nOUTPUT(z)\nb1 = BUFF(x)\n");
+        for i in 2..=70 {
+            text.push_str(&format!("b{i} = BUFF(b{})\n", i - 1));
+        }
+        text.push_str("g = XOR(b70, y)\nz = BUFF(g)\n");
+        let c = bench::parse("chain70", &text, DelayModel::Unit).expect("valid netlist");
+        let block = |id: GateId| match c.gate(id).name() {
+            Some("y" | "g") => 1,
+            Some("z") => 2,
+            _ => 0,
+        };
+        let part = Partition::new(3, c.ids().map(block).collect()).expect("three blocks");
+        let stim = Stimulus::replay(vec![(1, "x".into(), true), (100, "y".into(), true)]);
+        check_partition::<Bit>(&c, &stim, 300, part);
     }
 
     #[test]
@@ -353,13 +348,14 @@ mod tests {
     fn no_anti_messages_ever() {
         let c = generate::mesh(10, 10, DelayModel::Unit);
         let part = FiducciaMattheyses::default().partition(&c, 4, &GateWeights::uniform(c.len()));
-        let out = BtbSimulator::<Bit>::new(part, MachineConfig::shared_memory(4)).run(
-            &c,
-            &Stimulus::random(3, 14),
-            VirtualTime::new(400),
-        );
-        assert_eq!(out.stats.anti_messages, 0);
-        assert!(out.stats.barriers > 0, "breaths are barrier-synchronized");
+        let [modeled, threaded] = both_drivers::<Bit>(part, 1);
+        for sim in [&modeled, &threaded] {
+            let out = sim.run(&c, &Stimulus::random(3, 14), VirtualTime::new(400));
+            assert_eq!(out.stats.anti_messages, 0);
+            assert!(out.stats.rollbacks > 0, "the cell must exercise local rollback");
+            assert!(out.stats.barriers > 0, "breaths are barrier-synchronized");
+        }
+        let out = modeled.run(&c, &Stimulus::random(3, 14), VirtualTime::new(400));
         assert!(out.stats.modeled_speedup().is_some());
     }
 
@@ -367,15 +363,12 @@ mod tests {
     fn granularity_preserves_results() {
         let c = generate::mesh(8, 8, DelayModel::Unit);
         let part = FiducciaMattheyses::default().partition(&c, 4, &GateWeights::uniform(c.len()));
-        let base = SequentialSimulator::<Bit>::new().with_observe(Observe::AllNets).run(
-            &c,
-            &Stimulus::random(8, 15),
-            VirtualTime::new(250),
-        );
-        let out = BtbSimulator::<Bit>::new(part, MachineConfig::shared_memory(4))
-            .with_granularity(4)
-            .with_observe(Observe::AllNets)
-            .run(&c, &Stimulus::random(8, 15), VirtualTime::new(250));
-        assert_eq!(out.divergence_from(&base), None);
+        let until = VirtualTime::new(250);
+        let stim = Stimulus::random(8, 15);
+        let base =
+            SequentialSimulator::<Bit>::new().with_observe(Observe::AllNets).run(&c, &stim, until);
+        for sim in both_drivers::<Bit>(part, 4) {
+            assert_eq!(sim.run(&c, &stim, until).divergence_from(&base), None, "{}", sim.name());
+        }
     }
 }

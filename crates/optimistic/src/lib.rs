@@ -28,10 +28,17 @@
 //! where stragglers and rollbacks arise from messages that cross a round
 //! boundary after the receiver has speculated past them — which messages
 //! those are is fixed by the round structure, so its statistics repeat
-//! exactly from run to run. Both, and [`BtbSimulator`], evaluate every
-//! batch through the LP's compiled bytecode (`parsim-compile`), and all are
-//! differential-tested against the sequential reference: Time Warp commits
-//! exactly the same history, only out of order.
+//! exactly from run to run.
+//!
+//! The §VI hybrid, breathing time buckets, is one superstep protocol over
+//! the same LP state machine on both fabric drivers ([`BtbSimulator`],
+//! [`ThreadedBtbSimulator`], setting: [`BtbSettings`]). A breath is two
+//! rounds: speculate with held sends and agree on the event horizon; roll
+//! back past it locally and release what committed.
+//!
+//! Every kernel here evaluates each batch through the LP's compiled
+//! bytecode (`parsim-compile`) and commits the sequential reference's
+//! history, only out of order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,10 +48,11 @@ mod lp;
 mod modeled;
 mod threaded;
 
-pub use btb::BtbSimulator;
+pub use btb::{BtbSimulator, ThreadedBtbSimulator};
 pub use modeled::TimeWarpSimulator;
 pub use threaded::ThreadedTimeWarpSimulator;
 
+use btb::BtbProtocol;
 use parsim_runtime::{FabricKernel, Threads};
 use threaded::TwProtocol;
 
@@ -76,6 +84,31 @@ impl<V> TimeWarpSettings for FabricKernel<TwProtocol, Threads, V> {
         self.map_protocol(|p| p.cancellation = cancellation)
     }
 
+    fn with_granularity(self, factor: usize) -> Self {
+        assert!(factor >= 1, "granularity factor must be at least 1");
+        self.map_protocol(|p| p.granularity = factor)
+    }
+}
+
+/// The breathing-time-buckets setting, on both of its kernels: the LP
+/// granularity (default one LP per block). State saving and cancellation
+/// are fixed:
+///
+/// ```compile_fail,E0599
+/// # use parsim_optimistic::{Cancellation, TimeWarpSettings};
+/// # let k: parsim_optimistic::ThreadedBtbSimulator<parsim_logic::Bit> = todo!();
+/// k.with_cancellation(Cancellation::Lazy);
+/// ```
+pub trait BtbSettings: Sized {
+    /// Splits every block into `factor` LPs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is zero.
+    fn with_granularity(self, factor: usize) -> Self;
+}
+
+impl<D, V> BtbSettings for FabricKernel<BtbProtocol, D, V> {
     fn with_granularity(self, factor: usize) -> Self {
         assert!(factor >= 1, "granularity factor must be at least 1");
         self.map_protocol(|p| p.granularity = factor)

@@ -475,15 +475,20 @@ impl<V: LogicValue> TwLp<V> {
         }
     }
 
-    /// Global-virtual-time contribution: the earliest timestamp this LP
-    /// could still affect (its next unprocessed work).
-    pub(crate) fn gvt_component(&self) -> Option<VirtualTime> {
-        self.next_time()
+    /// The earliest send of any batch still in the history: under
+    /// breathing time buckets, the earliest send this LP holds.
+    pub(crate) fn earliest_send(&self) -> Option<VirtualTime> {
+        self.outputs.iter().flatten().map(|&(_, e)| e.time).min()
     }
 
-    /// Fossil collection: discards history strictly older than `gvt`.
-    /// Returns the number of events committed (irreversible) by this call.
-    pub(crate) fn fossil_collect(&mut self, gvt: VirtualTime) -> u64 {
+    /// Fossil collection: discards history strictly older than `gvt` and
+    /// returns the discarded batches' sends. Under incremental saving those
+    /// are exactly the sends of every batch below `gvt` — what breathing
+    /// time buckets releases once `gvt` is its commit point.
+    pub(crate) fn fossil_collect(
+        &mut self,
+        gvt: VirtualTime,
+    ) -> impl Iterator<Item = (usize, Event<V>)> + '_ {
         // Batches with time < gvt can never be rolled back. Copy mode keeps
         // the newest pre-GVT batch as the restoration base (its snapshot is
         // what a rollback to exactly `gvt` restores); incremental mode needs
@@ -502,24 +507,12 @@ impl<V: LogicValue> TwLp<V> {
             }
         }
         self.batches.drain(..drop_to);
-        self.outputs.drain(..drop_to);
         self.self_sends.drain(..drop_to);
         self.batch_evals.drain(..drop_to);
 
         // Committed events can be dropped.
-        let mut committed = 0u64;
-        let dead: Vec<VirtualTime> = self
-            .events
-            .range(..gvt)
-            .map(|(&t, b)| {
-                committed += b.len() as u64;
-                t
-            })
-            .collect();
-        for t in dead {
-            self.events.remove(&t);
-        }
-        committed
+        self.events = self.events.split_off(&gvt);
+        self.outputs.drain(..drop_to).flatten()
     }
 
     /// Waveforms of this LP's observed nets (drained).

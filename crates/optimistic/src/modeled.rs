@@ -384,7 +384,7 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
             if need_gvt || !acted {
                 let gvt = lps
                     .iter()
-                    .filter_map(TwLp::gvt_component)
+                    .filter_map(TwLp::next_time)
                     .chain(inboxes.iter().flat_map(|q| q.iter().map(|(_, _, m)| m.event_time())))
                     .min();
                 stats.gvt_rounds += 1;

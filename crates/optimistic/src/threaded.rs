@@ -80,11 +80,49 @@ impl Default for TwProtocol {
 }
 
 /// Per-worker state: this worker's LPs plus accumulated work counters.
+/// Shared with the breathing-time-buckets protocol.
 pub struct TwWorker<V> {
-    lps: Vec<TwLp<V>>,
-    total: TwWork,
-    stats: SimStats,
-    gvt_rounds: u64,
+    pub(crate) lps: Vec<TwLp<V>>,
+    pub(crate) total: TwWork,
+    pub(crate) stats: SimStats,
+    pub(crate) gvt_rounds: u64,
+}
+
+impl<V: LogicValue> TwWorker<V> {
+    /// Builds worker `worker`'s LPs and preloads them.
+    pub(crate) fn new(
+        fabric: &Fabric<'_>,
+        worker: usize,
+        preloads: Vec<Vec<Event<V>>>,
+        saving: StateSaving,
+        cancellation: Cancellation,
+    ) -> Self {
+        let (circuit, topo) = (fabric.circuit(), fabric.topo());
+        let mut lps: Vec<TwLp<V>> = fabric
+            .my_lps(worker)
+            .map(|i| TwLp::new(circuit, topo, i, saving, cancellation, fabric.observed_by(i)))
+            .collect();
+        for (lp, events) in lps.iter_mut().zip(preloads) {
+            for e in events {
+                lp.preload(e);
+            }
+        }
+        TwWorker { lps, total: TwWork::default(), stats: SimStats::default(), gvt_rounds: 0 }
+    }
+
+    /// Tears the worker down into its share of the merged result.
+    pub(crate) fn finish(mut self, fabric: &Fabric<'_>) -> WorkerOutput<V> {
+        let mut owned_values = Vec::new();
+        let mut waveforms = BTreeMap::new();
+        for lp in &mut self.lps {
+            owned_values.extend(lp.owned_values(fabric.topo()));
+            waveforms.extend(lp.take_waveforms());
+        }
+        let mut stats = self.stats;
+        self.total.write_stats(&mut stats);
+        stats.gvt_rounds = self.gvt_rounds;
+        WorkerOutput { owned_values, waveforms, stats }
+    }
 }
 
 /// Round report: quiescence flags plus this worker's GVT component (its
@@ -128,20 +166,7 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
         worker: usize,
         preloads: Vec<Vec<Event<V>>>,
     ) -> TwWorker<V> {
-        let circuit = fabric.circuit();
-        let topo = fabric.topo();
-        let mut lps: Vec<TwLp<V>> = fabric
-            .my_lps(worker)
-            .map(|i| {
-                TwLp::new(circuit, topo, i, self.saving, self.cancellation, fabric.observed_by(i))
-            })
-            .collect();
-        for (slot, events) in preloads.into_iter().enumerate() {
-            for e in events {
-                lps[slot].preload(e);
-            }
-        }
-        TwWorker { lps, total: TwWork::default(), stats: SimStats::default(), gvt_rounds: 0 }
+        TwWorker::new(fabric, worker, preloads, self.saving, self.cancellation)
     }
 
     fn first_verdict(&self) -> VirtualTime {
@@ -255,7 +280,7 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
             }
         }
 
-        let local = lps.iter().filter_map(TwLp::gvt_component).min();
+        let local = lps.iter().filter_map(TwLp::next_time).min();
         cx.charge(total.events_processed - processed_before, 0, 0);
         if let Some(t) = local {
             cx.note_progress(me * granularity, t);
@@ -297,22 +322,8 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
         }
     }
 
-    fn finish(
-        &self,
-        fabric: &Fabric<'_>,
-        _worker: usize,
-        mut state: TwWorker<V>,
-    ) -> WorkerOutput<V> {
-        let mut owned_values = Vec::new();
-        let mut waveforms = BTreeMap::new();
-        for lp in &mut state.lps {
-            owned_values.extend(lp.owned_values(fabric.topo()));
-            waveforms.extend(lp.take_waveforms());
-        }
-        let mut stats = state.stats;
-        state.total.write_stats(&mut stats);
-        stats.gvt_rounds = state.gvt_rounds;
-        WorkerOutput { owned_values, waveforms, stats }
+    fn finish(&self, fabric: &Fabric<'_>, _worker: usize, state: TwWorker<V>) -> WorkerOutput<V> {
+        state.finish(fabric)
     }
 
     fn granularity(&self) -> usize {

@@ -8,7 +8,9 @@ use parsim_logic::Logic4;
 use parsim_machine::MachineConfig;
 use parsim_netlist::generate::{random_dag, RandomDagConfig};
 use parsim_netlist::{Circuit, DelayModel};
-use parsim_optimistic::{BtbSimulator, Cancellation, StateSaving, TimeWarpSimulator};
+use parsim_optimistic::{
+    BtbSettings, BtbSimulator, Cancellation, StateSaving, ThreadedBtbSimulator, TimeWarpSimulator,
+};
 use parsim_partition::{ContiguousPartitioner, GateWeights, Partition, Partitioner};
 use proptest::prelude::*;
 
@@ -104,18 +106,28 @@ proptest! {
     }
 
     /// Breathing time buckets never emits an anti-message and still commits
-    /// the oracle history at every granularity.
+    /// the oracle history at every granularity, on both drivers.
     #[test]
     fn btb_is_correct_and_risk_free(s in any_scenario(), granularity in 1usize..4) {
-        let out = BtbSimulator::<Logic4>::new(
-            partition(&s),
-            MachineConfig::shared_memory(s.processors),
-        )
-        .with_granularity(granularity)
-        .with_observe(Observe::AllNets)
-        .run(&s.circuit, &s.stimulus, s.until);
-        prop_assert_eq!(out.stats.anti_messages, 0);
-        prop_assert_eq!(out.divergence_from(&oracle(&s)), None);
+        let machine = MachineConfig::shared_memory(s.processors);
+        let kernels: [Box<dyn Simulator<Logic4>>; 2] = [
+            Box::new(
+                BtbSimulator::new(partition(&s), machine)
+                    .with_granularity(granularity)
+                    .with_observe(Observe::AllNets),
+            ),
+            Box::new(
+                ThreadedBtbSimulator::new(partition(&s))
+                    .with_granularity(granularity)
+                    .with_observe(Observe::AllNets),
+            ),
+        ];
+        let reference = oracle(&s);
+        for kernel in kernels {
+            let out = kernel.run(&s.circuit, &s.stimulus, s.until);
+            prop_assert_eq!(out.stats.anti_messages, 0);
+            prop_assert_eq!(out.divergence_from(&reference), None);
+        }
     }
 
     /// Time Warp efficiency accounting is coherent: committed ≤ executed,

@@ -630,7 +630,8 @@ impl<'c> Fabric<'c> {
     /// [`SyncProtocol::SUPERSTEP`] convention. `modeled_makespan` is the
     /// largest clock, `modeled_work` what one processor would be charged
     /// for the same evaluations and queue operations (each event scheduled
-    /// once and retrieved once), `barriers` the machine barriers charged.
+    /// once and retrieved once) unless the protocol's stats carry their own,
+    /// and `barriers` the machine barriers charged.
     ///
     /// # Panics
     ///
@@ -726,8 +727,10 @@ impl<'c> Fabric<'c> {
         let ModeledRun { vm, evaluated, scheduled, .. } = modeled;
         outcome.stats.barriers = vm.stats().barriers;
         outcome.stats.modeled_makespan = vm.makespan();
-        outcome.stats.modeled_work =
-            evaluated * machine.eval_cost + 2 * (initial + scheduled) * machine.event_cost;
+        if outcome.stats.modeled_work == 0 {
+            outcome.stats.modeled_work =
+                evaluated * machine.eval_cost + 2 * (initial + scheduled) * machine.event_cost;
+        }
         outcome
     }
 

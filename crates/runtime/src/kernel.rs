@@ -38,12 +38,11 @@ pub struct Machine(MachineConfig);
 /// family's settings) on driver `D` — [`Threads`] or [`Machine`] — over
 /// values `V`.
 ///
-/// Every synchronous and conservative kernel, and threaded Time Warp, is
-/// this one type under a family alias (`SyncSimulator`,
-/// `ThreadedSyncSimulator`, …); the family crates add their setters through
-/// one extension trait each. On either driver every LP evaluates its dirty
-/// batches through its compiled bytecode block, and logical results are
-/// bit-identical to the sequential reference.
+/// Every synchronous, conservative and breathing-time-buckets kernel, and
+/// threaded Time Warp, is this one type under a family alias; each family
+/// adds its setters through one extension trait. On either driver every LP
+/// evaluates its dirty batches through its compiled bytecode block, and
+/// logical results are bit-identical to the sequential reference.
 #[derive(Debug, Clone)]
 pub struct FabricKernel<P, D, V> {
     protocol: P,
@@ -90,7 +89,7 @@ impl<P, D, V> FabricKernel<P, D, V> {
     }
 
     /// Adjusts the protocol's settings in place: what the family crates'
-    /// setter traits (`ConservativeSettings`, `TimeWarpSettings`) are
+    /// setter traits (`ConservativeSettings`, `TimeWarpSettings`, …) are
     /// written with. A protocol's fields are private to its crate, so this
     /// reaches no setting those traits do not.
     pub fn map_protocol(mut self, f: impl FnOnce(&mut P)) -> Self {

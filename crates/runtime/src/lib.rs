@@ -33,10 +33,10 @@
 //! - [`run_workers`] — the scoped worker pool itself: the workspace's one
 //!   way to start simulation threads.
 //!
-//! The synchronous, conservative and Time Warp kernels in `parsim-sync`,
-//! `parsim-conservative` and `parsim-optimistic` are `SyncProtocol`
-//! implementations on this fabric, and their public kernel names are
-//! `FabricKernel` aliases.
+//! The synchronous, conservative, Time Warp and breathing-time-buckets
+//! kernels in `parsim-sync`, `parsim-conservative` and `parsim-optimistic`
+//! are `SyncProtocol` implementations on this fabric, and their public
+//! kernel names (modeled Time Warp's aside) are `FabricKernel` aliases.
 //!
 //! # Failure model
 //!

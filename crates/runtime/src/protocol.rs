@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use parsim_core::{SimStats, Waveform};
 use parsim_event::VirtualTime;
 use parsim_logic::LogicValue;
-use parsim_machine::VirtualMachine;
+use parsim_machine::{MachineConfig, VirtualMachine};
 use parsim_netlist::GateId;
 use parsim_trace::ProbeHandle;
 
@@ -240,6 +240,15 @@ impl<M> RoundCx<'_, '_, M> {
             m.vm.charge(self.worker, cost);
             m.evaluated += evaluated;
             m.scheduled += scheduled;
+        }
+    }
+
+    /// Charges this modeled processor `price(machine)` cost units for work
+    /// [`charge`](Self::charge) has no price for (rollbacks, state saves).
+    /// Not one-processor work; free on threads, where `price` never runs.
+    pub fn charge_with(&mut self, price: impl FnOnce(&MachineConfig) -> u64) {
+        if let Some(m) = &mut self.modeled {
+            m.vm.charge(self.worker, price(m.vm.config()));
         }
     }
 }

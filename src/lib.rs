@@ -69,9 +69,9 @@ pub mod prelude {
     };
     pub use parsim_core::{
         evaluate_gate, fault, parse_vcd_changes, pre_simulate, write_vcd, ActivityProfile,
-        BudgetExhausted, CycleSimulator, GateRuntime, LpTopology, ObliviousSimulator, Observe,
-        QueueKind, RunBudget, SequentialSimulator, SimError, SimOutcome, SimStats, Simulator,
-        Stimulus, WaveRecorder, Waveform, WorkerDiagnostic,
+        BudgetExhausted, GateRuntime, LpTopology, ObliviousSimulator, Observe, QueueKind,
+        RunBudget, SequentialSimulator, SimError, SimOutcome, SimStats, Simulator, Stimulus,
+        WaveRecorder, Waveform, WorkerDiagnostic,
     };
     pub use parsim_event::{
         BinaryHeapQueue, CalendarQueue, Event, EventQueue, Message, PairingHeapQueue, VirtualTime,
@@ -86,8 +86,8 @@ pub mod prelude {
         Levelization, NetlistError,
     };
     pub use parsim_optimistic::{
-        BtbSimulator, Cancellation, StateSaving, ThreadedTimeWarpSimulator, TimeWarpSettings,
-        TimeWarpSimulator, Window,
+        BtbSettings, BtbSimulator, Cancellation, StateSaving, ThreadedBtbSimulator,
+        ThreadedTimeWarpSimulator, TimeWarpSettings, TimeWarpSimulator, Window,
     };
     pub use parsim_partition::{
         all_partitioners, AnnealingPartitioner, ConePartitioner, ContiguousPartitioner,

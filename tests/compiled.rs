@@ -32,15 +32,16 @@ fn fabric_kernels<V: LogicValue>(
         ("cmb", Box::new(ConservativeSimulator::new(p(), machine).with_observe(Observe::AllNets))),
         ("tw", Box::new(ThreadedTimeWarpSimulator::new(p()).with_observe(Observe::AllNets))),
         ("tw", Box::new(TimeWarpSimulator::new(p(), machine).with_observe(Observe::AllNets))),
+        ("btb", Box::new(ThreadedBtbSimulator::new(p()).with_observe(Observe::AllNets))),
         ("btb", Box::new(BtbSimulator::new(p(), machine).with_observe(Observe::AllNets))),
     ]
 }
 
 /// Runs every fabric kernel on 1, 2 and 4 blocks and demands the sequential
-/// reference's history (waveforms and final values). The synchronous and
-/// conservative protocols evaluate the same batches on either driver, so
-/// their threaded and modeled evaluation counts must agree too; Time
-/// Warp's speculative work depends on the schedule, so only its committed
+/// reference's history (waveforms and final values). The synchronous,
+/// conservative and breathing protocols evaluate the same batches on either
+/// driver, so their threaded and modeled evaluation counts must agree too;
+/// Time Warp's two drivers run different schedulers, so only its committed
 /// history is compared.
 fn cross_check<V: LogicValue>(circuit: &Circuit, stimulus: &Stimulus, until: u64) {
     let until = VirtualTime::new(until);
@@ -57,7 +58,7 @@ fn cross_check<V: LogicValue>(circuit: &Circuit, stimulus: &Stimulus, until: u64
             if let Some(d) = out.divergence_from(&reference) {
                 panic!("{} diverged on {} ({blocks} blocks): {d}", kernel.name(), circuit.name());
             }
-            if matches!(family, "sync" | "cmb") {
+            if matches!(family, "sync" | "cmb" | "btb") {
                 let first = *evals.entry(family).or_insert(out.stats.gate_evaluations);
                 assert_eq!(
                     out.stats.gate_evaluations,

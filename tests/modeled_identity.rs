@@ -3,7 +3,9 @@
 //! captured at commit 9d674b8). The kernels now run the fabric's protocol
 //! objects under the modeled driver; every Figure-1 number is a function of
 //! the statistics pinned here, so a port that moves none of them moved no
-//! table either.
+//! table either. The threaded conservative and breathing-time-buckets
+//! kernels are held to the modeled driver's counters, and the threaded
+//! kernels to their own from run to run.
 
 use parsim::prelude::*;
 
@@ -240,6 +242,61 @@ fn threaded_statistics_repeat_exactly() {
     for run in 2..=20 {
         assert_eq!(cmb.run(&circuit, &stimulus, until).stats, first, "conservative, run {run}");
         assert_eq!(tw.run(&circuit, &stimulus, until).stats, tw_first, "time warp, run {run}");
+    }
+}
+
+/// What the breathing protocol counts, driver-independent because each
+/// breath is one sealed round: `barriers` (rounds), `messages_sent`,
+/// `gate_evaluations`, `rollbacks`, `events_rolled_back`.
+fn btb_counters(s: &SimStats) -> [u64; 5] {
+    [s.barriers, s.messages_sent, s.gate_evaluations, s.rollbacks, s.events_rolled_back]
+}
+
+/// Threaded breathing time buckets is the modeled kernel on real threads:
+/// the same horizon, the same rollbacks, the same releases, breath for
+/// breath — P = 1 included, where no send is ever held.
+#[test]
+fn threaded_btb_counts_what_the_modeled_kernel_counts() {
+    let stimulus = Stimulus::random(15, 9).with_clock(5);
+    let until = VirtualTime::new(120);
+    let circuit = cmb_subject(DelayModel::Uniform { min: 1, max: 5, seed: 15 });
+    let weights = GateWeights::uniform(circuit.len());
+    let mut rolled_back = false;
+    for workers in [1, 2, 3, 4] {
+        let part = FiducciaMattheyses::default().partition(&circuit, workers, &weights);
+        for granularity in [1, 2] {
+            let modeled =
+                BtbSimulator::<Logic4>::new(part.clone(), MachineConfig::shared_memory(workers))
+                    .with_granularity(granularity)
+                    .run(&circuit, &stimulus, until);
+            let threaded = ThreadedBtbSimulator::<Logic4>::new(part.clone())
+                .with_granularity(granularity)
+                .run(&circuit, &stimulus, until);
+            assert_eq!(
+                btb_counters(&threaded.stats),
+                btb_counters(&modeled.stats),
+                "P{workers}/g{granularity}: threaded vs modeled"
+            );
+            assert_eq!(threaded.stats.anti_messages, 0);
+            rolled_back |= modeled.stats.rollbacks > 0;
+        }
+    }
+    assert!(rolled_back, "the cells must exercise local rollback");
+}
+
+/// Run-to-run: threaded breathing time buckets repeats every statistic.
+#[test]
+fn threaded_btb_statistics_repeat_exactly() {
+    let circuit = cmb_subject(DelayModel::Uniform { min: 1, max: 5, seed: 15 });
+    let stimulus = Stimulus::random(15, 9).with_clock(5);
+    let until = VirtualTime::new(120);
+    let weights = GateWeights::uniform(circuit.len());
+    let part = FiducciaMattheyses::default().partition(&circuit, 4, &weights);
+    let btb = ThreadedBtbSimulator::<Logic4>::new(part).with_granularity(2);
+    let first = btb.run(&circuit, &stimulus, until).stats;
+    assert!(first.messages_sent > 0, "the cell must release messages");
+    for run in 2..=20 {
+        assert_eq!(btb.run(&circuit, &stimulus, until).stats, first, "run {run}");
     }
 }
 

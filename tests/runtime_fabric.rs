@@ -46,6 +46,7 @@ fn threaded_kernels(partition: &Partition) -> Vec<Box<dyn Simulator<Logic4>>> {
                 .with_observe(Observe::AllNets),
         ),
         Box::new(ThreadedTimeWarpSimulator::new(partition.clone()).with_observe(Observe::AllNets)),
+        Box::new(ThreadedBtbSimulator::new(partition.clone()).with_observe(Observe::AllNets)),
     ]
 }
 
@@ -121,7 +122,9 @@ fn kernel_names_are_pinned() {
         ConservativeSimulator::<Logic4>::new(part.clone(), m).with_strategy(recover).name(),
         ThreadedSyncSimulator::<Logic4>::new(part.clone()).name(),
         ThreadedConservativeSimulator::<Logic4>::new(part.clone()).with_strategy(recover).name(),
-        ThreadedTimeWarpSimulator::<Logic4>::new(part).name(),
+        ThreadedTimeWarpSimulator::<Logic4>::new(part.clone()).name(),
+        BtbSimulator::<Logic4>::new(part.clone(), m).name(),
+        ThreadedBtbSimulator::<Logic4>::new(part).name(),
     ];
     assert_eq!(
         names,
@@ -132,6 +135,8 @@ fn kernel_names_are_pinned() {
             "threaded-synchronous(P=2)",
             "threaded-conservative(P=2)",
             "threaded-time-warp(P=2)",
+            "breathing-time-buckets(P=2)",
+            "threaded-breathing-time-buckets(P=2)",
         ]
     );
 }
