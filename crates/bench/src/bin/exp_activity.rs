@@ -11,18 +11,11 @@
 //! clock** (median of three runs) rather than the virtual machine: the
 //! event queue's true cost against the oblivious kernel's flat sweep.
 
-use parsim_bench::Table;
+use parsim_bench::{timed, Table};
 use parsim_core::{ObliviousSimulator, Observe, SequentialSimulator, Simulator, Stimulus};
 use parsim_event::VirtualTime;
 use parsim_logic::Bit;
 use parsim_netlist::{generate, DelayModel};
-use std::time::{Duration, Instant};
-
-fn median3(mut f: impl FnMut() -> Duration) -> Duration {
-    let mut samples = [f(), f(), f()];
-    samples.sort();
-    samples[1]
-}
 
 fn main() {
     let circuit = generate::random_dag(&generate::RandomDagConfig {
@@ -59,16 +52,8 @@ fn main() {
         let evd = evd_sim.run(&circuit, &stimulus, until);
         let obl = obl_sim.run(&circuit, &stimulus, until);
         assert_eq!(evd.divergence_from(&obl), None, "kernels must agree regardless of activity");
-        let evd_time = median3(|| {
-            let t = Instant::now();
-            std::hint::black_box(evd_sim.run(&circuit, &stimulus, until));
-            t.elapsed()
-        });
-        let obl_time = median3(|| {
-            let t = Instant::now();
-            std::hint::black_box(obl_sim.run(&circuit, &stimulus, until));
-            t.elapsed()
-        });
+        let evd_time = timed(3, || evd_sim.run(&circuit, &stimulus, until)).0[1];
+        let obl_time = timed(3, || obl_sim.run(&circuit, &stimulus, until)).0[1];
         let evaluating = circuit.len() as f64;
         let activity = evd.stats.gate_evaluations as f64 / (evaluating * until.ticks() as f64);
         table.row(&[

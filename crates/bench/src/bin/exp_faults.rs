@@ -2,7 +2,7 @@
 //! fabric under randomized delivery faults and deliberate lock poisoning.
 //!
 //! ```sh
-//! PARSIM_BENCH_JSON=results cargo run --release -p parsim-bench --bin exp_faults
+//! cargo run --release -p parsim-bench --bin exp_faults > results/exp_faults.txt
 //! ```
 //!
 //! For each seed a randomized [`FaultPlan`] (delays, drops, duplicates and

@@ -15,7 +15,7 @@
 //! workstation cluster (expensive barriers) the synchronous collapse is
 //! dramatic.
 
-use parsim_bench::{f2, measure, Discipline, Table};
+use parsim_bench::{f2, Discipline, Table};
 use parsim_core::Stimulus;
 use parsim_event::VirtualTime;
 use parsim_machine::MachineConfig;
@@ -74,13 +74,13 @@ fn main() {
                     continue; // keep the table narrow: cons shown for SM only
                 }
                 let kernel = d.kernel(partition.clone(), machine);
-                let m = measure(kernel.as_ref(), &circuit, &stimulus, until);
+                let s = kernel.run(&circuit, &stimulus, until).stats;
                 if first {
                     // Distinct event times ≈ barriers of the synchronous kernel.
-                    cells.push(m.outcome.stats.barriers.to_string());
+                    cells.push(s.barriers.to_string());
                     first = false;
                 }
-                cells.push(f2(m.speedup));
+                cells.push(f2(s.modeled_speedup().unwrap_or(0.0)));
             }
         }
         table.row(&cells);

@@ -13,8 +13,8 @@
 //!
 //! The smallest-lookahead null-message run is additionally traced with a
 //! [`parsim_trace::Probe`]: the per-channel null breakdown is printed after
-//! the table, and setting `PARSIM_TRACE_OUT=<dir>` writes its Perfetto JSON
-//! to `<dir>/exp_nullmsg.perfetto.json`.
+//! the table. (`examples/trace_report` exports such a trace as Perfetto
+//! JSON.)
 
 use parsim_bench::{f2, Table};
 use parsim_conservative::{ConservativeSettings, ConservativeSimulator, DeadlockStrategy};
@@ -24,7 +24,7 @@ use parsim_logic::Bit;
 use parsim_machine::MachineConfig;
 use parsim_netlist::{generate, Delay, DelayModel};
 use parsim_partition::{ContiguousPartitioner, GateWeights, Partitioner};
-use parsim_trace::{analysis, to_perfetto_json, Probe};
+use parsim_trace::{analysis, Probe};
 
 fn main() {
     let processors = 8;
@@ -63,14 +63,12 @@ fn main() {
             }
             let total = out.stats.null_messages + out.stats.messages_sent;
             let label = match strategy {
-                DeadlockStrategy::NullMessages => "null-msg",
-                DeadlockStrategy::DetectAndRecover => {
-                    format!("recovery({})", out.stats.gvt_rounds).leak()
-                }
+                DeadlockStrategy::NullMessages => "null-msg".to_string(),
+                DeadlockStrategy::DetectAndRecover => format!("recovery({})", out.stats.gvt_rounds),
             };
             table.row(&[
                 lookahead.to_string(),
-                label.to_string(),
+                label,
                 out.stats.null_messages.to_string(),
                 out.stats.messages_sent.to_string(),
                 f2(out.stats.null_messages as f64 / total.max(1) as f64 * 100.0) + "%",
@@ -91,13 +89,6 @@ fn main() {
         );
         for ((src, dst), (n, e)) in nulls.worst_channels().into_iter().take(5) {
             println!("  channel LP{src} -> LP{dst}: {n} nulls, {e} events");
-        }
-        if let Ok(dir) = std::env::var("PARSIM_TRACE_OUT") {
-            let path = std::path::Path::new(&dir).join("exp_nullmsg.perfetto.json");
-            match std::fs::write(&path, to_perfetto_json(&trace)) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
         }
     }
 

@@ -10,7 +10,7 @@
 //! translates into better synchronous *and* conservative speedups; random
 //! scatter maximizes communication.
 
-use parsim_bench::{f2, measure, Discipline, Table};
+use parsim_bench::{f2, Discipline, Table};
 use parsim_core::Stimulus;
 use parsim_event::VirtualTime;
 use parsim_machine::MachineConfig;
@@ -55,8 +55,8 @@ fn main() {
             ];
             for d in Discipline::all() {
                 let kernel = d.kernel(partition.clone(), machine);
-                let m = measure(kernel.as_ref(), &circuit, &stimulus, until);
-                cells.push(f2(m.speedup));
+                let s = kernel.run(&circuit, &stimulus, until).stats;
+                cells.push(f2(s.modeled_speedup().unwrap_or(0.0)));
             }
             table.row(&cells);
         }

@@ -18,18 +18,14 @@ use parsim_core::{pre_simulate, Observe, Simulator, Stimulus};
 use parsim_event::VirtualTime;
 use parsim_logic::{Bit, GateKind};
 use parsim_machine::MachineConfig;
-use parsim_netlist::{generate, CircuitBuilder, Delay, DelayModel};
+use parsim_netlist::{CircuitBuilder, Delay};
 use parsim_partition::{ContiguousPartitioner, FiducciaMattheyses, GateWeights, Partitioner};
 use parsim_sync::SyncSimulator;
 
 /// A counter plus a block of rarely-active decode logic off the high bits:
 /// structurally large, dynamically almost idle.
 fn skewed_circuit(bits: usize, decode: usize) -> parsim_netlist::Circuit {
-    let counter = generate::counter(bits, DelayModel::Unit);
-    // Rebuild with extra decode trees on the top bits.
     let mut b = CircuitBuilder::new(format!("skewed_{bits}_{decode}"));
-    let text = parsim_netlist::bench::write(&counter);
-    drop(text); // (kept simple: rebuild structurally below)
     let clk = b.input("clk");
     let q: Vec<_> = (0..bits).map(|i| b.declare(format!("q{i}"))).collect();
     let mut all_lower = b.constant(true);

@@ -9,7 +9,7 @@
 //! and rollback overheads catch up — substantially better than conservative
 //! at every P.
 
-use parsim_bench::{default_partition, f2, measure, Discipline, Table};
+use parsim_bench::{default_partition, f2, Discipline, Table};
 use parsim_core::Stimulus;
 use parsim_event::VirtualTime;
 use parsim_machine::MachineConfig;
@@ -39,10 +39,10 @@ fn main() {
         let mut rollbacks = 0;
         for d in [Discipline::Optimistic, Discipline::Conservative, Discipline::Synchronous] {
             let kernel = d.kernel(partition.clone(), machine);
-            let m = measure(kernel.as_ref(), &circuit, &stimulus, until);
-            cells.push(f2(m.speedup));
+            let s = kernel.run(&circuit, &stimulus, until).stats;
+            cells.push(f2(s.modeled_speedup().unwrap_or(0.0)));
             if d == Discipline::Optimistic {
-                rollbacks = m.outcome.stats.rollbacks;
+                rollbacks = s.rollbacks;
             }
         }
         cells.push(rollbacks.to_string());

@@ -3,7 +3,7 @@
 //! multi-tenant server.
 //!
 //! ```sh
-//! PARSIM_BENCH_JSON=results cargo run --release -p parsim-bench --bin exp_server
+//! cargo run --release -p parsim-bench --bin exp_server > results/exp_server.txt
 //! ```
 //!
 //! One in-process [`Server`] (4 run slots, shared artifact store) serves

@@ -12,7 +12,7 @@
 //!   improve with circuit size;
 //! * optimistic shows the widest spread.
 
-use parsim_bench::{circuit_ladder, default_partition, f2, measure, Discipline, Table};
+use parsim_bench::{circuit_ladder, default_partition, f2, Discipline, Table};
 use parsim_core::Stimulus;
 use parsim_event::VirtualTime;
 use parsim_machine::MachineConfig;
@@ -41,9 +41,8 @@ fn main() {
         let mut efficiency = 0.0;
         for d in Discipline::all() {
             let kernel = d.kernel(partition.clone(), machine);
-            let m = measure(kernel.as_ref(), &circuit, &stimulus, until);
-            cells.push(f2(m.speedup));
-            let s = &m.outcome.stats;
+            let s = kernel.run(&circuit, &stimulus, until).stats;
+            cells.push(f2(s.modeled_speedup().unwrap_or(0.0)));
             if d == Discipline::Conservative {
                 null_ratio =
                     s.null_messages as f64 / (s.null_messages + s.messages_sent).max(1) as f64;

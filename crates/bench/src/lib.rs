@@ -19,22 +19,27 @@
 //! | `exp_threaded` | E11 | wall-clock throughput of the threaded kernels on the runtime fabric |
 //! | `exp_bitparallel` | E12 | §II bit parallelism: packed 64-lane throughput vs scalar kernels |
 //! | `exp_faults` | E13 | fault-injection campaign: recovery transparency and fail-fast overhead |
-//! | `exp_compile` | E14 | compiled bytecode vs interpreted execution; artifact-cache cold/warm split |
-//! | `exp_mailbox` | E15 | mailbox transport: lock-free SPSC ring mesh vs mutexed slots across message rates |
 //! | `exp_server` | E16 | simulation service under load: jobs/sec and p50/p99 latency vs concurrent client count |
 //!
-//! Micro-level timings (event queues, gate evaluation, partitioning) are
-//! per-layer rows of the repo's `benchmark/` crate.
+//! E14 (interpreted vs bytecode evaluation) and E15 (mutexed mesh vs SPSC
+//! ring) are decided ablations: EXPERIMENTS.md keeps their final tables,
+//! and the per-layer rows of the repo's `benchmark/` crate time the same
+//! code on every run, as they do the micro-level timings (event queues,
+//! gate evaluation, partitioning).
 //!
-//! This crate's library part holds the shared plumbing: the standard
-//! circuit ladder, kernel construction by discipline, and a fixed-width
-//! table printer (stdout) with CSV mirroring.
+//! A binary's committed result is its stdout, saved as
+//! `results/<name>.txt`; `tests/results_current.rs` fails when a table no
+//! longer matches what its binary prints. This crate's library part holds
+//! the shared plumbing: the standard circuit ladder, kernel construction by
+//! discipline, a wall-clock timer, and a fixed-width table printer that
+//! mirrors every row into CSV and JSON blocks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use parsim_core::{Observe, SimOutcome, Simulator, Stimulus};
-use parsim_event::VirtualTime;
+use std::time::{Duration, Instant};
+
+use parsim_core::{Observe, Simulator};
 use parsim_logic::Bit;
 use parsim_machine::MachineConfig;
 use parsim_netlist::{generate, Circuit, DelayModel};
@@ -52,7 +57,8 @@ pub enum Discipline {
     Synchronous,
     /// Chandy–Misra–Bryant with null messages.
     Conservative,
-    /// Time Warp (incremental state saving, aggressive cancellation).
+    /// Time Warp with the kernel's defaults: incremental state saving, lazy
+    /// cancellation.
     Optimistic,
 }
 
@@ -105,30 +111,22 @@ impl Discipline {
     }
 }
 
-/// A measurement row: one kernel run reduced to the numbers the tables
-/// report.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Modeled speedup (`modeled_work / modeled_makespan`).
-    pub speedup: f64,
-    /// The raw outcome (for protocol diagnostics).
-    pub outcome: SimOutcome<Bit>,
+/// One rung of the standard ladder: a random DAG with realistic
+/// fanout/locality, a 10 % sequential fraction and one primary input per 16
+/// gates (8 to 256).
+pub fn ladder_dag(gates: usize, delays: DelayModel, seed: u64) -> Circuit {
+    generate::random_dag(&generate::RandomDagConfig {
+        gates,
+        inputs: (gates / 16).clamp(8, 256),
+        seq_fraction: 0.10,
+        delays,
+        seed,
+        ..Default::default()
+    })
 }
 
-/// Runs a kernel and reduces the outcome.
-pub fn measure(
-    kernel: &dyn Simulator<Bit>,
-    circuit: &Circuit,
-    stimulus: &Stimulus,
-    until: VirtualTime,
-) -> Measurement {
-    let outcome = kernel.run(circuit, stimulus, until);
-    Measurement { speedup: outcome.stats.modeled_speedup().unwrap_or(0.0), outcome }
-}
-
-/// The standard circuit ladder for size sweeps: random DAGs with realistic
-/// fanout/locality and a 10 % sequential fraction, from `min_gates` up to
-/// `max_gates` (quadrupling each step).
+/// The standard circuit ladder for size sweeps: unit-delay [`ladder_dag`]s
+/// from `min_gates` up to `max_gates`, quadrupling each step.
 pub fn circuit_ladder(min_gates: usize, max_gates: usize) -> Vec<Circuit> {
     let mut sizes = Vec::new();
     let mut g = min_gates;
@@ -136,19 +134,26 @@ pub fn circuit_ladder(min_gates: usize, max_gates: usize) -> Vec<Circuit> {
         sizes.push(g);
         g *= 4;
     }
-    sizes
-        .into_iter()
-        .map(|gates| {
-            generate::random_dag(&generate::RandomDagConfig {
-                gates,
-                inputs: (gates / 16).clamp(8, 256),
-                seq_fraction: 0.10,
-                delays: DelayModel::Unit,
-                seed: 0xF1F1,
-                ..Default::default()
-            })
-        })
-        .collect()
+    sizes.into_iter().map(|gates| ladder_dag(gates, DelayModel::Unit, 0xF1F1)).collect()
+}
+
+/// Runs `f` `reps` times and returns the wall time of every run, sorted
+/// ascending (`[0]` is the best run, `[reps / 2]` the median), with the last
+/// run's result.
+///
+/// # Panics
+///
+/// Panics if `reps` is zero.
+pub fn timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (Vec<Duration>, T) {
+    let mut walls = Vec::with_capacity(reps);
+    let mut last = None;
+    for _ in 0..reps {
+        let start = Instant::now();
+        last = Some(std::hint::black_box(f()));
+        walls.push(start.elapsed());
+    }
+    walls.sort();
+    (walls, last.expect("timed needs at least one run"))
 }
 
 /// The default partition used by the cross-discipline experiments: fanin
@@ -228,30 +233,20 @@ impl Table {
         out
     }
 
-    /// Emits the CSV and JSON mirrors, fenced for easy extraction. When the
-    /// `PARSIM_BENCH_JSON` environment variable names a directory, the JSON
-    /// document is additionally written to `<dir>/<name>.json`.
+    /// Prints the CSV and JSON mirrors, fenced for easy extraction.
     pub fn finish(self, name: &str) {
         println!("\n--- csv:{name} ---");
         print!("{}", self.csv);
         println!("--- end csv ---");
-        let json = self.to_json(name);
         println!("--- json:{name} ---");
-        print!("{json}");
+        print!("{}", self.to_json(name));
         println!("--- end json ---");
-        if let Ok(dir) = std::env::var("PARSIM_BENCH_JSON") {
-            let path = std::path::Path::new(&dir).join(format!("{name}.json"));
-            match std::fs::write(&path, &json) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("could not write {}: {e}", path.display()),
-            }
-        }
     }
 }
 
 /// Provenance of one benchmark invocation, stamped into every emitted JSON
-/// document so a `results/exp_*.json` file is attributable to the exact
-/// code, toolchain and machine shape that produced it.
+/// block so a `results/<name>.txt` file is attributable to the exact code,
+/// toolchain and machine shape that produced it.
 #[derive(Debug, Clone)]
 pub struct RunMeta {
     /// `git rev-parse HEAD` of the working tree, or `"unknown"` outside a
@@ -313,6 +308,8 @@ pub fn f2(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parsim_core::Stimulus;
+    use parsim_event::VirtualTime;
 
     #[test]
     fn ladder_quadruples() {
@@ -320,6 +317,17 @@ mod tests {
         assert_eq!(ladder.len(), 3);
         assert!(ladder[0].len() >= 256);
         assert!(ladder[2].len() >= 4 * ladder[1].len() / 2);
+    }
+
+    #[test]
+    fn timed_sorts_samples_and_keeps_the_last_result() {
+        let mut runs = 0;
+        let (walls, last) = timed(3, || {
+            runs += 1;
+            runs
+        });
+        assert_eq!((walls.len(), last), (3, 3));
+        assert!(walls.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -354,8 +362,8 @@ mod tests {
         let stim = Stimulus::random(1, 10);
         for d in Discipline::all() {
             let kernel = d.kernel(default_partition(&c, 2), MachineConfig::shared_memory(2));
-            let m = measure(kernel.as_ref(), &c, &stim, VirtualTime::new(100));
-            assert!(m.speedup >= 0.0, "{}", d.label());
+            let out = kernel.run(&c, &stim, VirtualTime::new(100));
+            assert!(out.stats.modeled_speedup().is_some(), "{}", d.label());
         }
     }
 }

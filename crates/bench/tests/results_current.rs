@@ -5,8 +5,11 @@
 //! number now fails here until the table — and the verdict EXPERIMENTS.md
 //! draws from it — is regenerated on purpose.
 //!
-//! Release only: the binaries take about two minutes optimized and far
-//! longer in a debug build.
+//! Every binary's table is guarded, the wall-clock ones included: their
+//! timing columns are skipped, the logical columns beside them pinned.
+//!
+//! Release only: the binaries take about a minute optimized and far longer
+//! in a debug build.
 
 use std::process::Command;
 
@@ -68,18 +71,22 @@ fn check(name: &str, exe: &str, skip: &[&str]) {
     }
 }
 
-macro_rules! paper_tables {
-    ($($name:ident $(without [$($skip:literal),*])?;)*) => {$(
-        #[test]
-        #[cfg_attr(debug_assertions, ignore = "release only: runs the experiment binary")]
-        fn $name() {
-            let skip: &[&str] = &[$($($skip),*)?];
-            check(stringify!($name), env!(concat!("CARGO_BIN_EXE_", stringify!($name))), skip);
-        }
-    )*};
+macro_rules! tables {
+    ($($name:ident $(without [$($skip:literal),*])?;)*) => {
+        /// Every binary the guard runs.
+        const GUARDED: &[&str] = &[$(stringify!($name)),*];
+        $(
+            #[test]
+            #[cfg_attr(debug_assertions, ignore = "release only: runs the experiment binary")]
+            fn $name() {
+                let skip: &[&str] = &[$($($skip),*)?];
+                check(stringify!($name), env!(concat!("CARGO_BIN_EXE_", stringify!($name))), skip);
+            }
+        )*
+    };
 }
 
-paper_tables! {
+tables! {
     fig1_speedup;
     exp_scaling;
     exp_partitioning;
@@ -87,11 +94,33 @@ paper_tables! {
     exp_cancellation;
     exp_state_saving;
     // E6 times two sequential kernels on the host: its millisecond columns
-    // (and the winner they imply) are the only cells of any paper table
-    // that are not a pure function of the code.
+    // (and the winner they imply) are not a pure function of the code.
     exp_activity without ["evd ms", "obl ms", "winner"];
     exp_granularity_lp;
     exp_presim;
     exp_barrier;
     exp_nullmsg;
+    // The four tables below time real threads, sockets or packed sweeps on
+    // the host; only their timing columns are skipped.
+    exp_threaded without ["wall_ms", "kev_per_s"];
+    exp_bitparallel without ["wall_ms", "patterns_per_s", "speedup_vs_oblivious"];
+    exp_faults without ["wall_ms"];
+    exp_server without ["jobs_per_s", "p50_ms", "p99_ms"];
+}
+
+/// A new binary cannot dodge the guard: every `src/bin/<name>.rs` needs a
+/// committed `results/<name>.txt` and an entry above.
+#[test]
+fn every_binary_is_guarded() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let bins = std::fs::read_dir(format!("{root}/src/bin")).expect("src/bin is readable");
+    let names = bins
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .map(|p| p.file_stem().expect("file name").to_string_lossy().into_owned());
+    for name in names {
+        assert!(GUARDED.contains(&name.as_str()), "src/bin/{name}.rs has no guard entry");
+        let table = format!("{root}/../../results/{name}.txt");
+        assert!(std::path::Path::new(&table).is_file(), "src/bin/{name}.rs has no {table}");
+    }
 }

@@ -16,9 +16,9 @@
 //! of the counters themselves. Bursts beyond
 //! a ring's capacity overflow into that ring's mutexed spill vector
 //! (counted, traced as `ring_spill`, never lost). The previous
-//! mutex-per-mailbox transport survives as [`MutexedMesh`], the measured
-//! baseline for `exp_mailbox` and the second implementation behind the
-//! [`Mesh`] test harness.
+//! mutex-per-mailbox transport survives as [`MutexedMesh`], the baseline
+//! the repo benchmark's `runtime.mutexed_*` rows time against the ring and
+//! the second implementation behind the [`Mesh`] test harness.
 //!
 //! Ordering guarantee: messages from worker *A* to worker *B* are observed
 //! by *B* in exactly the order *A* sent them (FIFO per channel). Batches
@@ -73,8 +73,8 @@ pub fn burst_capacity(burst: usize) -> usize {
 
 /// The transport contract shared by [`MailboxMesh`] (SPSC rings) and
 /// [`MutexedMesh`] (the mutex-per-mailbox baseline): batched posts with
-/// FIFO-per-channel ordering. One test harness and the `exp_mailbox`
-/// bench run against both implementations through this trait.
+/// FIFO-per-channel ordering. One test harness and the repo benchmark's
+/// mesh rows run against both implementations through this trait.
 ///
 /// `post` requires the caller to be the *only* thread posting as `src` at
 /// any instant (the fabric guarantees this: `src` is the worker's own
@@ -400,10 +400,10 @@ impl<M: Clone + Send> Mesh<M> for MailboxMesh<M> {
 }
 
 /// The pre-ring transport: one `Mutex<Vec<M>>` mailbox per worker, one
-/// lock acquisition per posted batch. Kept as the measured baseline for
-/// the `exp_mailbox` bench and as the second implementation behind the
-/// [`Mesh`] test harness; the fabric itself always runs on
-/// [`MailboxMesh`]. No fault-injection layer.
+/// lock acquisition per posted batch. Kept as the baseline the repo
+/// benchmark's `runtime.mutexed_*` rows time and as the second
+/// implementation behind the [`Mesh`] test harness; the fabric itself
+/// always runs on [`MailboxMesh`]. No fault-injection layer.
 ///
 /// Locks are poison-tolerant exactly as the old mesh's were: a peer that
 /// panicked while posting never cascades into `expect("mailbox lock")`
@@ -587,6 +587,53 @@ mod tests {
     #[test]
     fn fifo_per_channel_on_the_mutexed_baseline() {
         fifo_per_channel(&MutexedMesh::new(4));
+    }
+
+    /// The fabric's round pattern without the simulation: every worker
+    /// posts to every worker (itself included), crosses a barrier, then
+    /// drains while faster peers may already be posting the next round.
+    /// Each message carries its sender and per-channel sequence, so every
+    /// consumer checks FIFO and exactly-once as it drains. 8-slot rings:
+    /// the 40-message rounds spill on every channel.
+    #[test]
+    fn all_to_all_rounds_deliver_fifo_exactly_once() {
+        const WORKERS: usize = 4;
+        const ROUNDS: u64 = 50;
+        for (rate, grain) in [(3u64, 1usize), (40, 1), (40, 16)] {
+            let mesh = MailboxMesh::<u64>::with_ring_capacity(WORKERS, 8);
+            let barrier = crate::RoundBarrier::new(WORKERS);
+            std::thread::scope(|scope| {
+                for w in 0..WORKERS {
+                    let (mesh, barrier) = (&mesh, &barrier);
+                    scope.spawn(move || {
+                        let (mut batch, mut inbox) = (Vec::new(), Vec::new());
+                        let mut expect = [0u64; WORKERS];
+                        for round in 0..ROUNDS {
+                            for dst in 0..WORKERS {
+                                for k in 0..rate {
+                                    batch.push(((w as u64) << 32) | (round * rate + k));
+                                    if batch.len() == grain {
+                                        mesh.post(w, dst, &mut batch);
+                                    }
+                                }
+                                mesh.post(w, dst, &mut batch);
+                            }
+                            barrier.wait(None).expect("test barrier");
+                            mesh.drain_into(w, &mut inbox);
+                            for msg in inbox.drain(..) {
+                                let (src, seq) = ((msg >> 32) as usize, msg & 0xFFFF_FFFF);
+                                assert_eq!(seq, expect[src], "channel {src}->{w} broke FIFO");
+                                expect[src] += 1;
+                            }
+                        }
+                        assert_eq!(expect, [rate * ROUNDS; WORKERS], "worker {w} lost messages");
+                    });
+                }
+            });
+            if rate > 8 {
+                assert!(mesh.spill_events() > 0, "rate {rate} on 8-slot rings must spill");
+            }
+        }
     }
 
     #[test]

@@ -108,8 +108,9 @@ fn explicitly_empty_partition_blocks_are_harmless() {
     check_all_threaded(&c, &Stimulus::counting(25), 400, &part);
 }
 
-/// `Simulator::name` labels the rows of `results/exp_threaded.json` and
-/// `exp_compile.json`; every kernel alias keeps its string byte for byte.
+/// `Simulator::name` labels the rows of `results/exp_threaded.txt`, which
+/// the bench drift guard pins; every kernel alias keeps its string byte for
+/// byte.
 #[test]
 fn kernel_names_are_pinned() {
     let c = bench::c17();
