@@ -1,10 +1,8 @@
 //! Fanin-cone partitioning.
 
-use std::collections::VecDeque;
-
 use parsim_netlist::{Circuit, GateId};
 
-use crate::{GateWeights, Partition, Partitioner};
+use crate::{least_loaded, GateWeights, Partition, Partitioner};
 
 /// Fanin-cone partitioning (Smith, Underwood and Mercer).
 ///
@@ -18,31 +16,19 @@ use crate::{GateWeights, Partition, Partitioner};
 /// Outputs are visited in increasing cone-size order so small cones don't
 /// get swallowed by a giant first cone; gates shared between cones go to
 /// whichever cone claims them first.
+///
+/// The full cone sizes that fix this order come from one pass over the
+/// whole circuit, not one walk per output. Cones cross flip-flops, so the
+/// fanin graph is first condensed to its strongly connected components
+/// (iterative Tarjan). One bit per output, 64 outputs to a word and up to
+/// 16 words at a time, then flows from the outputs toward the inputs
+/// through the condensed DAG; a cone's size is the sum of the member
+/// counts of the components its bit reaches, accumulated for 64 outputs at
+/// once in bit-sliced counters. The pass costs
+/// O((gates + edges) · ⌈outputs / 64⌉) word operations and
+/// O(components × 16) words of memory.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConePartitioner;
-
-impl ConePartitioner {
-    /// Collects the still-unassigned fanin cone of `root`, breadth-first.
-    fn cone(circuit: &Circuit, root: GateId, assignment: &[Option<usize>]) -> Vec<GateId> {
-        let mut seen = vec![false; circuit.len()];
-        let mut cone = Vec::new();
-        let mut frontier = VecDeque::new();
-        if assignment[root.index()].is_none() {
-            frontier.push_back(root);
-            seen[root.index()] = true;
-        }
-        while let Some(id) = frontier.pop_front() {
-            cone.push(id);
-            for &f in circuit.fanin(id) {
-                if !seen[f.index()] && assignment[f.index()].is_none() {
-                    seen[f.index()] = true;
-                    frontier.push_back(f);
-                }
-            }
-        }
-        cone
-    }
-}
 
 impl Partitioner for ConePartitioner {
     fn name(&self) -> &'static str {
@@ -56,47 +42,216 @@ impl Partitioner for ConePartitioner {
         let n = circuit.len();
         let mut assignment: Vec<Option<usize>> = vec![None; n];
         let mut loads = vec![0.0f64; blocks];
+        let mut queue = Vec::with_capacity(n);
+
+        // Collects the still-unassigned fanin cone of `root` breadth-first
+        // onto the least-loaded block. The block is chosen before the walk,
+        // so the assignment itself marks the gates already queued.
+        let mut claim = |root: GateId| {
+            if assignment[root.index()].is_some() {
+                return;
+            }
+            let best = least_loaded(&loads);
+            assignment[root.index()] = Some(best);
+            queue.clear();
+            queue.push(root);
+            let mut head = 0;
+            while let Some(&id) = queue.get(head) {
+                head += 1;
+                loads[best] += weights.weight(id);
+                for &f in circuit.fanin(id) {
+                    if assignment[f.index()].is_none() {
+                        assignment[f.index()] = Some(best);
+                        queue.push(f);
+                    }
+                }
+            }
+        };
 
         // Order outputs by (full) cone size, smallest first.
-        let empty = vec![None; n];
-        let mut roots: Vec<(usize, GateId)> = circuit
-            .outputs()
-            .iter()
-            .map(|&po| (Self::cone(circuit, po, &empty).len(), po))
-            .collect();
+        let mut roots: Vec<(usize, GateId)> =
+            cone_sizes(circuit).into_iter().zip(circuit.outputs().iter().copied()).collect();
         roots.sort_by_key(|&(size, id)| (size, id));
-
-        let place =
-            |cone: Vec<GateId>, assignment: &mut Vec<Option<usize>>, loads: &mut Vec<f64>| {
-                if cone.is_empty() {
-                    return;
-                }
-                let (best, _) = loads
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("loads are finite"))
-                    .expect("at least one block");
-                for &id in &cone {
-                    assignment[id.index()] = Some(best);
-                    loads[best] += weights.weight(id);
-                }
-            };
-
         for (_, po) in roots {
-            let cone = Self::cone(circuit, po, &assignment);
-            place(cone, &mut assignment, &mut loads);
+            claim(po);
         }
         // Gates feeding no primary output (e.g. dangling or feedback-only
         // logic): place their own cones.
         for id in (0..n).rev().map(GateId::new) {
-            if assignment[id.index()].is_none() {
-                let cone = Self::cone(circuit, id, &assignment);
-                place(cone, &mut assignment, &mut loads);
-            }
+            claim(id);
         }
 
         let assignment = assignment.into_iter().map(|a| a.expect("every gate coned")).collect();
         Partition::new(blocks, assignment).expect("cone assignment is in range")
+    }
+}
+
+/// Words of output bits carried through the condensed DAG at once.
+const BATCH_WORDS: usize = 16;
+
+/// The full fanin-cone size of every primary output, in declaration order.
+fn cone_sizes(circuit: &Circuit) -> Vec<usize> {
+    let dag = Condensation::of(circuit);
+    let comps = dag.size.len();
+    // No cone exceeds the whole circuit, so this many bits hold any size.
+    let planes = (usize::BITS - circuit.len().leading_zeros()) as usize;
+    let mut sizes = Vec::with_capacity(circuit.outputs().len());
+    let mut reach = Vec::new();
+    let mut counters = Vec::new();
+    for batch in circuit.outputs().chunks(64 * BATCH_WORDS) {
+        let words = batch.len().div_ceil(64);
+        reach.clear();
+        reach.resize(comps * words, 0u64);
+        counters.clear();
+        counters.resize(words * planes, 0u64);
+        for (j, po) in batch.iter().enumerate() {
+            reach[dag.comp[po.index()] * words + j / 64] |= 1 << (j % 64);
+        }
+        // Highest component first: every predecessor of a component has
+        // handed on its bits before the component is read.
+        for c in (0..comps).rev() {
+            let mut bits = [0u64; BATCH_WORDS];
+            bits[..words].copy_from_slice(&reach[c * words..(c + 1) * words]);
+            if bits == [0; BATCH_WORDS] {
+                continue;
+            }
+            for &d in dag.fanin(c) {
+                for (r, &b) in reach[d * words..(d + 1) * words].iter_mut().zip(&bits) {
+                    *r |= b;
+                }
+            }
+            for (word, &b) in counters.chunks_exact_mut(planes).zip(&bits) {
+                add_sliced(word, b, dag.size[c]);
+            }
+        }
+        for j in 0..batch.len() {
+            let word = &counters[j / 64 * planes..(j / 64 + 1) * planes];
+            let size: u64 =
+                word.iter().enumerate().map(|(p, &plane)| ((plane >> (j % 64)) & 1) << p).sum();
+            sizes.push(size as usize);
+        }
+    }
+    sizes
+}
+
+/// Adds `amount` to each of the 64 bit-sliced counters that `mask`
+/// selects: bit `j` of `planes[p]` is bit `p` of counter `j`. Each set bit
+/// of `amount` is one ripple-carry pass through the planes above it,
+/// without a data-dependent branch.
+fn add_sliced(planes: &mut [u64], mask: u64, mut amount: usize) {
+    while amount != 0 {
+        let mut carry = mask;
+        for plane in &mut planes[amount.trailing_zeros() as usize..] {
+            let next = *plane & carry;
+            *plane ^= carry;
+            carry = next;
+        }
+        debug_assert_eq!(carry, 0, "a cone outgrew the circuit");
+        amount &= amount - 1;
+    }
+}
+
+/// The fanin graph condensed to its strongly connected components.
+///
+/// Components are numbered in Tarjan's completion order, so every fanin
+/// edge between two components points to a lower number.
+struct Condensation {
+    /// The component of each gate.
+    comp: Vec<usize>,
+    /// The member count of each component.
+    size: Vec<usize>,
+    /// `targets[start[c]..start[c + 1]]`: the distinct other components
+    /// that feed component `c`.
+    start: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Condensation {
+    /// Iterative Tarjan over the fanin edges, so deep circuits cannot
+    /// overflow the stack.
+    fn of(circuit: &Circuit) -> Self {
+        const UNSEEN: usize = usize::MAX;
+        let n = circuit.len();
+        let mut index = vec![UNSEEN; n];
+        let mut low = vec![0; n];
+        // A gate is on Tarjan's stack exactly while it has an index and no
+        // component.
+        let mut comp = vec![UNSEEN; n];
+        let mut stack = Vec::new();
+        // DFS frames: (gate, next fanin pin to follow).
+        let mut frames: Vec<(usize, usize)> = Vec::new();
+        // Gates grouped by component: members[first[c]..first[c + 1]].
+        let mut members = Vec::with_capacity(n);
+        let mut first = vec![0];
+        let mut next = 0;
+        for root in 0..n {
+            if index[root] != UNSEEN {
+                continue;
+            }
+            index[root] = next;
+            low[root] = next;
+            next += 1;
+            stack.push(root);
+            frames.push((root, 0));
+            while let Some(frame) = frames.last_mut() {
+                let (v, pin) = *frame;
+                if let Some(w) = circuit.fanin(GateId::new(v)).get(pin).map(|w| w.index()) {
+                    frame.1 += 1;
+                    if index[w] == UNSEEN {
+                        index[w] = next;
+                        low[w] = next;
+                        next += 1;
+                        stack.push(w);
+                        frames.push((w, 0));
+                    } else if comp[w] == UNSEEN {
+                        low[v] = low[v].min(index[w]);
+                    }
+                    continue;
+                }
+                frames.pop();
+                if let Some(&(u, _)) = frames.last() {
+                    low[u] = low[u].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let c = first.len() - 1;
+                    loop {
+                        let w = stack.pop().expect("v is on the stack");
+                        comp[w] = c;
+                        members.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    first.push(members.len());
+                }
+            }
+        }
+
+        let comps = first.len() - 1;
+        let mut size = Vec::with_capacity(comps);
+        let mut start = Vec::with_capacity(comps + 1);
+        let mut targets = Vec::new();
+        let mut listed = vec![UNSEEN; comps];
+        start.push(0);
+        for c in 0..comps {
+            size.push(first[c + 1] - first[c]);
+            for &g in &members[first[c]..first[c + 1]] {
+                for f in circuit.fanin(GateId::new(g)) {
+                    let d = comp[f.index()];
+                    if d != c && listed[d] != c {
+                        listed[d] = c;
+                        targets.push(d);
+                    }
+                }
+            }
+            start.push(targets.len());
+        }
+        Condensation { comp, size, start, targets }
+    }
+
+    /// The components feeding component `c`.
+    fn fanin(&self, c: usize) -> &[usize] {
+        &self.targets[self.start[c]..self.start[c + 1]]
     }
 }
 
@@ -106,6 +261,44 @@ mod tests {
     use parsim_logic::GateKind;
     use parsim_netlist::generate::{self, random_dag, RandomDagConfig};
     use parsim_netlist::DelayModel;
+
+    /// Size of the full fanin cone of `root`, by a plain breadth-first walk.
+    fn bfs_cone_size(c: &Circuit, root: GateId) -> usize {
+        let mut seen = vec![false; c.len()];
+        let mut frontier = vec![root];
+        seen[root.index()] = true;
+        let mut size = 0;
+        while let Some(id) = frontier.pop() {
+            size += 1;
+            for &f in c.fanin(id) {
+                if !std::mem::replace(&mut seen[f.index()], true) {
+                    frontier.push(f);
+                }
+            }
+        }
+        size
+    }
+
+    #[test]
+    fn sizes_match_bfs_across_batches() {
+        // The decoder's 2 048 outputs fill two batches of 16 words. The
+        // counter's two-gate register loops and the LFSR's and ring's
+        // whole-register loops are components of more than one gate, and
+        // the LFSR's outputs all sit on its one loop.
+        let d = DelayModel::Unit;
+        for c in [
+            generate::decoder(11, d),
+            generate::counter(70, d),
+            generate::lfsr(16, d),
+            generate::ring(9, d),
+        ] {
+            let sizes = cone_sizes(&c);
+            assert_eq!(sizes.len(), c.outputs().len());
+            for (j, (&po, &size)) in c.outputs().iter().zip(&sizes).enumerate().step_by(7) {
+                assert_eq!(size, bfs_cone_size(&c, po), "{} output {j}", c.name());
+            }
+        }
+    }
 
     #[test]
     fn covers_every_gate() {

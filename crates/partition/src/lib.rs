@@ -103,3 +103,13 @@ pub fn all_partitioners(seed: u64) -> Vec<Box<dyn Partitioner>> {
         Box::new(AnnealingPartitioner::new(seed)),
     ]
 }
+
+/// The block with the smallest load; the first such block on a tie.
+pub(crate) fn least_loaded(loads: &[f64]) -> usize {
+    let (best, _) = loads
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.partial_cmp(b.1).expect("loads are finite"))
+        .expect("at least one block");
+    best
+}

@@ -4,7 +4,7 @@ use parsim_netlist::{Circuit, Levelization};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{GateWeights, Partition, Partitioner};
+use crate::{least_loaded, GateWeights, Partition, Partitioner};
 
 fn check_args(circuit: &Circuit, blocks: usize, weights: &GateWeights) {
     assert!(blocks > 0, "partitioner needs at least one block");
@@ -112,11 +112,7 @@ impl Partitioner for LevelPartitioner {
         let mut assignment = vec![0usize; circuit.len()];
         for level in lv.by_level() {
             for id in level {
-                let (best, _) = loads
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("loads are finite"))
-                    .expect("at least one block");
+                let best = least_loaded(&loads);
                 assignment[id.index()] = best;
                 loads[best] += weights.weight(id);
             }

@@ -2,7 +2,7 @@
 
 use parsim_netlist::{Circuit, GateId};
 
-use crate::{GateWeights, Partition, Partitioner};
+use crate::{least_loaded, GateWeights, Partition, Partitioner};
 
 /// The *strings* algorithm of Levendel, Menon and Patel.
 ///
@@ -33,54 +33,37 @@ impl Partitioner for StringPartitioner {
         let mut assignment: Vec<Option<usize>> = vec![None; n];
         let mut loads = vec![0.0f64; blocks];
 
-        let assign_string =
-            |string: &[GateId], assignment: &mut Vec<Option<usize>>, loads: &mut Vec<f64>| {
-                if string.is_empty() {
-                    return;
-                }
-                let (best, _) = loads
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("loads are finite"))
-                    .expect("at least one block");
-                for &id in string {
-                    assignment[id.index()] = Some(best);
-                    loads[best] += weights.weight(id);
-                }
-            };
-
         // Trace a string from each seed: follow the first unassigned fanout
-        // until none remains.
-        let trace = |seed: GateId, assignment: &mut Vec<Option<usize>>, loads: &mut Vec<f64>| {
+        // until none remains. The block is chosen before the walk, so the
+        // assignment itself marks the gates already on the string.
+        let mut trace = |seed: GateId| {
             if assignment[seed.index()].is_some() {
                 return;
             }
-            let mut string = vec![seed];
+            let best = least_loaded(&loads);
             let mut cur = seed;
             loop {
+                assignment[cur.index()] = Some(best);
+                loads[best] += weights.weight(cur);
                 let next = circuit
                     .fanout(cur)
                     .iter()
                     .map(|e| e.gate)
-                    .find(|g| assignment[g.index()].is_none() && !string.contains(g));
+                    .find(|g| assignment[g.index()].is_none());
                 match next {
-                    Some(g) => {
-                        string.push(g);
-                        cur = g;
-                    }
+                    Some(g) => cur = g,
                     None => break,
                 }
             }
-            assign_string(&string, assignment, loads);
         };
 
         for &pi in circuit.inputs() {
-            trace(pi, &mut assignment, &mut loads);
+            trace(pi);
         }
         // Repeat from any still-unassigned gate (constants, feedback-only
         // logic, gates on strings that dead-ended early).
         for id in circuit.ids() {
-            trace(id, &mut assignment, &mut loads);
+            trace(id);
         }
 
         let assignment = assignment.into_iter().map(|a| a.expect("every gate traced")).collect();
