@@ -182,22 +182,22 @@ impl ArtifactStore {
 
     /// Loads the artifact for `key` and accepts it only if it holds exactly
     /// the blocks [`compile_blocks`] would produce for `circuit` under
-    /// `lp_of`.
+    /// `lp_of`. Returns the blocks and the artifact's size in bytes.
     fn load_for(
         &self,
         key: u64,
         circuit: &Circuit,
         lp_of: &[usize],
         n_lps: usize,
-    ) -> Option<Vec<CompiledBlock>> {
+    ) -> Option<(Vec<CompiledBlock>, u64)> {
         let bytes = fs::read(self.path_of(key)).ok()?;
         let (stored_key, blocks) = deserialize_blocks(&bytes, circuit, lp_of, n_lps)?;
-        (stored_key == key).then_some(blocks)
+        (stored_key == key).then_some((blocks, bytes.len() as u64))
     }
 
     /// Serializes `blocks` under `key`, atomically (write to a temporary
     /// sibling, then rename): a crash mid-write can leave a stale temp
-    /// file, never a torn artifact.
+    /// file, never a torn artifact. Returns the artifact's size in bytes.
     ///
     /// The temporary name is unique per writer (pid + process-wide
     /// sequence), so two concurrent jobs storing the same key each write
@@ -205,7 +205,7 @@ impl ArtifactStore {
     /// last rename wins with a complete file either way. The old shared
     /// `.{key}.tmp` name let two writers interleave `fs::write` calls on
     /// one path and publish the resulting splice.
-    pub fn store(&self, key: u64, blocks: &[CompiledBlock]) -> io::Result<()> {
+    pub fn store(&self, key: u64, blocks: &[CompiledBlock]) -> io::Result<u64> {
         fs::create_dir_all(&self.dir)?;
         let bytes = serialize_blocks(key, blocks);
         // relaxed: uniqueness only needs atomicity of the counter itself.
@@ -213,12 +213,14 @@ impl ArtifactStore {
         let tmp = self.dir.join(format!(".{key:016x}.{}.{seq}.tmp", std::process::id()));
         fs::write(&tmp, &bytes)?;
         fs::rename(&tmp, self.path_of(key))?;
-        Ok(())
+        Ok(bytes.len() as u64)
     }
 
     /// The cache-or-compile front door: returns the per-LP blocks for
     /// `circuit` under `lp_of`, loading a valid cached artifact when one
-    /// exists and compiling (then populating the store) otherwise. An
+    /// exists and compiling (then populating the store) otherwise, with how
+    /// the request was satisfied and the size in bytes of the artifact now
+    /// in the store (0 if storing failed). The key is hashed once. An
     /// artifact is valid only if it holds exactly the blocks compilation
     /// would produce — a checksum-valid file whose ops disagree with the
     /// circuit is corrupt, recompiled and overwritten. Store
@@ -236,29 +238,29 @@ impl ArtifactStore {
         circuit: &Circuit,
         lp_of: &[usize],
         n_lps: usize,
-    ) -> (Vec<CompiledBlock>, CacheOutcome) {
+    ) -> (Vec<CompiledBlock>, CacheOutcome, u64) {
         let key = Self::cache_key(circuit, lp_of, n_lps);
         let existed = self.path_of(key).exists();
-        if let Some(blocks) = self.load_for(key, circuit, lp_of, n_lps) {
+        if let Some((blocks, bytes)) = self.load_for(key, circuit, lp_of, n_lps) {
             self.metrics.count(CacheOutcome::Hit);
-            return (blocks, CacheOutcome::Hit);
+            return (blocks, CacheOutcome::Hit, bytes);
         }
         let blocks = compile_blocks(circuit, lp_of, n_lps);
-        let outcome = if self.load_for(key, circuit, lp_of, n_lps).is_some() {
+        let (outcome, bytes) = if let Some((_, bytes)) = self.load_for(key, circuit, lp_of, n_lps) {
             // A concurrent writer published a valid artifact while we
             // compiled: adopt it (skip our own store so we never overwrite
             // a fresher format or bump the file's mtime for nothing).
-            CacheOutcome::RacedAdopted
+            (CacheOutcome::RacedAdopted, bytes)
         } else {
-            let _ = self.store(key, &blocks);
+            let bytes = self.store(key, &blocks).unwrap_or(0);
             if existed {
-                CacheOutcome::RecompiledCorrupt
+                (CacheOutcome::RecompiledCorrupt, bytes)
             } else {
-                CacheOutcome::MissCompiled
+                (CacheOutcome::MissCompiled, bytes)
             }
         };
         self.metrics.count(outcome);
-        (blocks, outcome)
+        (blocks, outcome, bytes)
     }
 
     /// A point-in-time copy of the outcome counters shared by every clone
@@ -576,20 +578,24 @@ mod tests {
         let store = ArtifactStore::new(&dir);
         let (c, lp_of, _) = zoo_blocks();
 
-        let (cold, outcome) = store.load_or_compile(&c, &lp_of, 4);
+        let key = ArtifactStore::cache_key(&c, &lp_of, 4);
+        let on_disk = || fs::metadata(store.path_of(key)).unwrap().len();
+        let (cold, outcome, bytes) = store.load_or_compile(&c, &lp_of, 4);
         assert_eq!(outcome, CacheOutcome::MissCompiled);
-        let (warm, outcome) = store.load_or_compile(&c, &lp_of, 4);
+        assert_eq!(bytes, on_disk(), "a miss reports the artifact it stored");
+        let (warm, outcome, bytes) = store.load_or_compile(&c, &lp_of, 4);
         assert_eq!(outcome, CacheOutcome::Hit);
+        assert_eq!(bytes, on_disk(), "a hit reports the artifact it read");
         assert_eq!(cold, warm, "cache hit returns identical blocks");
 
         // Scribble over the artifact: the next request must detect it,
         // recompile, and heal the entry.
-        let key = ArtifactStore::cache_key(&c, &lp_of, 4);
         fs::write(store.path_of(key), b"definitely not bytecode").unwrap();
-        let (healed, outcome) = store.load_or_compile(&c, &lp_of, 4);
+        let (healed, outcome, bytes) = store.load_or_compile(&c, &lp_of, 4);
         assert_eq!(outcome, CacheOutcome::RecompiledCorrupt);
+        assert_eq!(bytes, on_disk());
         assert_eq!(healed, cold);
-        let (warm2, outcome) = store.load_or_compile(&c, &lp_of, 4);
+        let (warm2, outcome, _) = store.load_or_compile(&c, &lp_of, 4);
         assert_eq!(outcome, CacheOutcome::Hit);
         assert_eq!(warm2, cold);
 
@@ -611,7 +617,7 @@ mod tests {
         let store = ArtifactStore::new(&dir);
         let (c, lp_of, reference) = zoo_blocks();
 
-        let results: Vec<(Vec<CompiledBlock>, CacheOutcome)> = std::thread::scope(|scope| {
+        let results: Vec<(Vec<CompiledBlock>, CacheOutcome, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
                     let store = store.clone();
@@ -622,7 +628,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().expect("writer thread")).collect()
         });
 
-        for (blocks, outcome) in &results {
+        for (blocks, outcome, _) in &results {
             assert_eq!(blocks, &reference, "every racer returns identical blocks");
             assert_ne!(
                 *outcome,
@@ -664,7 +670,7 @@ mod tests {
         // the adoption path itself is the post-compile re-check, which the
         // concurrent stress test above exercises under a real race. Here,
         // assert the ledger's labels and totals stay coherent.
-        let (_, outcome) = store.load_or_compile(&c, &lp_of, 4);
+        let (_, outcome, _) = store.load_or_compile(&c, &lp_of, 4);
         assert_eq!(outcome, CacheOutcome::Hit);
         assert_eq!(outcome.label(), "hit");
         assert_eq!(CacheOutcome::RacedAdopted.label(), "raced_adopted");

@@ -143,7 +143,7 @@ proptest! {
         let store = ArtifactStore::new(&dir.0);
         std::fs::create_dir_all(&dir.0).expect("create the store");
         std::fs::write(store.path_of(key), &bytes).expect("plant the mutant");
-        let (blocks, outcome) = store.load_or_compile(circuit, lp_of, *n_lps);
+        let (blocks, outcome, _) = store.load_or_compile(circuit, lp_of, *n_lps);
         prop_assert_eq!(&blocks, &fresh, "the store returned blocks that are not the compilation");
         let hit = accepted.is_some_and(|(stored, _)| stored == key);
         let expected = if hit { CacheOutcome::Hit } else { CacheOutcome::RecompiledCorrupt };

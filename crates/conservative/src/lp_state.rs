@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use parsim_core::{LpTopology, Waveform};
-use parsim_event::{BinaryHeapQueue, Event, EventQueue, VirtualTime};
+use parsim_event::{BucketQueue, Event, EventQueue, VirtualTime};
 use parsim_logic::LogicValue;
 use parsim_netlist::{Circuit, Delay, GateId};
 use parsim_runtime::{CompiledBlock, LpCore};
@@ -44,7 +44,7 @@ pub(crate) struct ActivationWork {
 pub(crate) struct LpState<V> {
     pub(crate) index: usize,
     core: LpCore<V>,
-    queue: BinaryHeapQueue<V>,
+    queue: BucketQueue<V>,
     /// Channel clocks: `in_clock[i]` is the promise from LP
     /// `in_channels[i]` of this LP's spec (sorted, de-duplicated).
     in_clock: Vec<VirtualTime>,
@@ -67,7 +67,7 @@ impl<V: LogicValue> LpState<V> {
         LpState {
             index,
             core: LpCore::new(circuit, observed),
-            queue: BinaryHeapQueue::new(),
+            queue: BucketQueue::new(),
             in_clock: vec![VirtualTime::ZERO; spec.in_channels.len()],
             last_null: vec![VirtualTime::ZERO; spec.out_channels.len()],
             frontier: VirtualTime::ZERO,

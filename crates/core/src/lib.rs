@@ -61,7 +61,7 @@ pub use oblivious::ObliviousSimulator;
 pub use outcome::{SimOutcome, SimStats};
 pub use profile::{pre_simulate, pre_simulate_fraction, ActivityProfile};
 pub use recorder::WaveRecorder;
-pub use sequential::{QueueKind, SequentialSimulator};
+pub use sequential::SequentialSimulator;
 pub use simulator::{Observe, Simulator};
 pub use stimulus::Stimulus;
 pub use vcd::{parse_vcd_changes, write_vcd};

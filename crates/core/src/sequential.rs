@@ -2,9 +2,7 @@
 
 use std::marker::PhantomData;
 
-use parsim_event::{
-    BinaryHeapQueue, CalendarQueue, Event, EventQueue, PairingHeapQueue, VirtualTime,
-};
+use parsim_event::{BucketQueue, Event, EventQueue, VirtualTime};
 use parsim_logic::{GateKind, LogicValue};
 use parsim_netlist::{Circuit, GateId};
 use parsim_trace::{Probe, TraceKind};
@@ -14,22 +12,6 @@ use crate::{
     Waveform,
 };
 
-/// Which pending-event-set implementation the sequential kernel uses.
-///
-/// All three drain identically (deterministic `(time, net, sequence)`
-/// ordering), so this is purely a performance choice — see the
-/// `event.*_ns_per_op` rows of the repo's `benchmark/` crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// `std::collections::BinaryHeap` (the default).
-    #[default]
-    BinaryHeap,
-    /// Brown calendar queue.
-    Calendar,
-    /// Pairing heap.
-    PairingHeap,
-}
-
 /// The classic single-event-queue, event-driven logic simulator.
 ///
 /// This is the reference ("oracle") kernel: every parallel kernel in the
@@ -38,6 +20,10 @@ pub enum QueueKind {
 /// timestamp, apply them to their nets, then evaluate each affected gate
 /// exactly once (in ascending gate-id order) and schedule output events
 /// `delay` ticks in the future.
+///
+/// Its pending event set is a [`BucketQueue`]: one bucket per timestamp,
+/// sorted by net once when it becomes current, so the `(time, net,
+/// insertion)` pop order costs no per-event sift.
 ///
 /// # Examples
 ///
@@ -58,18 +44,16 @@ pub enum QueueKind {
 #[derive(Debug, Clone)]
 pub struct SequentialSimulator<V> {
     observe: Observe,
-    queue: QueueKind,
     probe: Probe,
     _values: PhantomData<V>,
 }
 
 impl<V: LogicValue> SequentialSimulator<V> {
-    /// Creates the kernel with default settings (binary-heap queue,
-    /// primary-output waveforms).
+    /// Creates the kernel with default settings (primary-output
+    /// waveforms, no probe).
     pub fn new() -> Self {
         SequentialSimulator {
             observe: Observe::Outputs,
-            queue: QueueKind::BinaryHeap,
             probe: Probe::disabled(),
             _values: PhantomData,
         }
@@ -90,18 +74,6 @@ impl<V: LogicValue> SequentialSimulator<V> {
         self
     }
 
-    /// Uses a calendar queue instead of the binary heap (identical results;
-    /// different constants — see the event-queue benchmark).
-    pub fn with_calendar_queue(self) -> Self {
-        self.with_queue(QueueKind::Calendar)
-    }
-
-    /// Selects the pending-event-set implementation.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
-        self
-    }
-
     /// Runs the simulation and additionally returns the per-gate evaluation
     /// counts — the §III *pre-simulation* activity measurement.
     pub fn run_with_activity(
@@ -114,11 +86,7 @@ impl<V: LogicValue> SequentialSimulator<V> {
             circuit.min_gate_delay().ticks() >= 1,
             "simulation kernels require nonzero gate delays (once-per-timestamp invariant)"
         );
-        let mut queue: Box<dyn EventQueue<V>> = match self.queue {
-            QueueKind::BinaryHeap => Box::new(BinaryHeapQueue::new()),
-            QueueKind::Calendar => Box::new(CalendarQueue::new()),
-            QueueKind::PairingHeap => Box::new(PairingHeapQueue::new()),
-        };
+        let mut queue = BucketQueue::new();
         let n = circuit.len();
         let mut values = vec![V::ZERO; n];
         let mut runtime = vec![GateRuntime::<V>::default(); n];
@@ -162,7 +130,7 @@ impl<V: LogicValue> SequentialSimulator<V> {
 
         let mut step = |now: VirtualTime,
                         initial: bool,
-                        queue: &mut Box<dyn EventQueue<V>>,
+                        queue: &mut BucketQueue<V>,
                         values: &mut Vec<V>,
                         runtime: &mut Vec<GateRuntime<V>>,
                         stats: &mut SimStats,
@@ -278,11 +246,7 @@ impl<V: LogicValue> Default for SequentialSimulator<V> {
 
 impl<V: LogicValue> Simulator<V> for SequentialSimulator<V> {
     fn name(&self) -> String {
-        match self.queue {
-            QueueKind::BinaryHeap => "sequential".to_owned(),
-            QueueKind::Calendar => "sequential(calendar)".to_owned(),
-            QueueKind::PairingHeap => "sequential(pairing)".to_owned(),
-        }
+        "sequential".to_owned()
     }
 
     fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
@@ -293,7 +257,7 @@ impl<V: LogicValue> Simulator<V> for SequentialSimulator<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsim_logic::{Bit, Logic4};
+    use parsim_logic::Bit;
     use parsim_netlist::{bench, generate, CircuitBuilder, Delay, DelayModel};
 
     fn run_bits(circuit: &Circuit, stim: &Stimulus, until: u64) -> SimOutcome<Bit> {
@@ -365,24 +329,6 @@ mod tests {
             .map(|(i, b)| b << i)
             .sum();
         assert_eq!(value, 25);
-    }
-
-    #[test]
-    fn queue_variants_are_identical() {
-        let c = generate::random_dag(&Default::default());
-        let stim = Stimulus::random(9, 13);
-        let heap = SequentialSimulator::<Logic4>::new().with_observe(Observe::AllNets).run(
-            &c,
-            &stim,
-            VirtualTime::new(400),
-        );
-        for kind in [QueueKind::Calendar, QueueKind::PairingHeap] {
-            let other = SequentialSimulator::<Logic4>::new()
-                .with_observe(Observe::AllNets)
-                .with_queue(kind)
-                .run(&c, &stim, VirtualTime::new(400));
-            assert_eq!(heap.divergence_from(&other), None, "{kind:?} diverged");
-        }
     }
 
     #[test]

@@ -46,22 +46,6 @@ proptest! {
         prop_assert_eq!(a.divergence_from(&b), None);
     }
 
-    /// The calendar-queue sequential kernel is bit-identical to the
-    /// binary-heap one.
-    #[test]
-    fn queue_choice_is_invisible(cfg in any_dag(), stim in any_stimulus(), until in 20u64..300) {
-        let c = random_dag(&cfg);
-        let until = VirtualTime::new(until);
-        let a = SequentialSimulator::<Bit>::new()
-            .with_observe(Observe::AllNets)
-            .run(&c, &stim, until);
-        let b = SequentialSimulator::<Bit>::new()
-            .with_observe(Observe::AllNets)
-            .with_calendar_queue()
-            .run(&c, &stim, until);
-        prop_assert_eq!(a.divergence_from(&b), None);
-    }
-
     /// Two-valued and four-valued simulation agree on Boolean stimulus:
     /// Logic4 never reports a definite value different from Bit's.
     #[test]

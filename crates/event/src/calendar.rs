@@ -22,6 +22,10 @@ use crate::{Event, EventQueue, VirtualTime};
 /// (minimum key at the back) so a dequeue is a `Vec::pop` — O(1) even when a
 /// resize packs thousands of same-timestamp events into one day.
 ///
+/// No kernel uses it: it is a baseline of the repository benchmark's
+/// `event.*_ns_per_op` rows (EXPERIMENTS.md E19 has its in-kernel A/B
+/// against [`BucketQueue`](crate::BucketQueue)).
+///
 /// # Examples
 ///
 /// ```

@@ -1,4 +1,4 @@
-//! Simulation events, virtual time and event-queue implementations.
+//! Simulation events, virtual time and the pending-event set.
 //!
 //! Discrete-event logic simulation revolves around *time-stamped messages*:
 //! "a change in the output of an LP ... is communicated to the fanout LPs by
@@ -12,24 +12,28 @@
 //! * [`Message`] — the inter-LP protocol envelope (event, anti-event for
 //!   Time Warp cancellation, or null message for conservative deadlock
 //!   avoidance),
-//! * [`EventQueue`] — the pending-event-set abstraction with two
-//!   implementations: a [`BinaryHeapQueue`], a Brown [`CalendarQueue`] and
-//!   a [`PairingHeapQueue`] (the paper's §II notes "event queue management"
-//!   as a major component of simulation cost; the queue benchmark compares
-//!   all three).
+//! * [`EventQueue`] — the pending-event-set contract, and [`BucketQueue`],
+//!   its one implementation under every event-driven kernel (the
+//!   sequential reference, the synchronous workers and the conservative
+//!   LPs). The paper's §II names "event queue management" as a major
+//!   component of simulation cost; the bucket queue pays it with one index
+//!   lookup per pending timestamp instead of a sift per event.
 //!
-//! All queues order events deterministically by `(time, net, insertion
-//! sequence)`, which makes every simulation kernel in the workspace
-//! bit-reproducible.
+//! Every queue pops in `(time, net, insertion sequence)` order, which makes
+//! every simulation kernel in the workspace bit-reproducible.
+//!
+//! [`BinaryHeapQueue`], [`CalendarQueue`] and [`PairingHeapQueue`] honour
+//! the same contract but no kernel uses them: they remain only as the
+//! baselines of the repository benchmark's `event.*_ns_per_op` rows.
 //!
 //! # Examples
 //!
 //! ```
-//! use parsim_event::{BinaryHeapQueue, Event, EventQueue, VirtualTime};
+//! use parsim_event::{BucketQueue, Event, EventQueue, VirtualTime};
 //! use parsim_logic::Bit;
 //! use parsim_netlist::GateId;
 //!
-//! let mut q = BinaryHeapQueue::new();
+//! let mut q = BucketQueue::new();
 //! q.push(Event::new(VirtualTime::new(5), GateId::new(0), Bit::One));
 //! q.push(Event::new(VirtualTime::new(2), GateId::new(1), Bit::Zero));
 //! assert_eq!(q.peek_time(), Some(VirtualTime::new(2)));
@@ -39,12 +43,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bucket;
 mod calendar;
 mod event;
 mod pairing;
 mod queue;
 mod time;
 
+pub use bucket::BucketQueue;
 pub use calendar::CalendarQueue;
 pub use event::{Event, Message};
 pub use pairing::PairingHeapQueue;

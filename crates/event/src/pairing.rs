@@ -28,6 +28,10 @@ const NONE: usize = usize::MAX;
 /// `(time, net, insertion sequence)` key, so it drains identically to the
 /// other queues (differential-tested).
 ///
+/// No kernel uses it: it is a baseline of the repository benchmark's
+/// `event.*_ns_per_op` rows (EXPERIMENTS.md E19 has its in-kernel A/B
+/// against [`BucketQueue`](crate::BucketQueue)).
+///
 /// # Examples
 ///
 /// ```

@@ -1,4 +1,4 @@
-//! The pending-event-set abstraction and the binary-heap implementation.
+//! The pending-event-set contract and the binary-heap baseline.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -10,13 +10,13 @@ use crate::{Event, VirtualTime};
 ///
 /// Ties are broken deterministically by `(net, insertion sequence)`, so any
 /// two implementations drain an identical push sequence in an identical
-/// order — which is what makes whole-simulation differential tests between
-/// queue implementations meaningful.
+/// order. Every kernel holds a [`BucketQueue`](crate::BucketQueue); the
+/// other implementations are benchmark baselines held to the same order.
 ///
 /// # Examples
 ///
 /// ```
-/// use parsim_event::{CalendarQueue, BinaryHeapQueue, Event, EventQueue, VirtualTime};
+/// use parsim_event::{BinaryHeapQueue, BucketQueue, Event, EventQueue, VirtualTime};
 /// use parsim_logic::Bit;
 /// use parsim_netlist::GateId;
 ///
@@ -27,7 +27,7 @@ use crate::{Event, VirtualTime};
 ///     std::iter::from_fn(|| q.pop()).map(|e| e.time.ticks()).collect()
 /// }
 /// assert_eq!(drain(BinaryHeapQueue::new()), vec![1, 3, 9, 9]);
-/// assert_eq!(drain(CalendarQueue::new()), vec![1, 3, 9, 9]);
+/// assert_eq!(drain(BucketQueue::new()), vec![1, 3, 9, 9]);
 /// ```
 pub trait EventQueue<V>: Debug {
     /// Inserts an event.
@@ -87,8 +87,10 @@ impl<V> Ord for Keyed<V> {
 
 /// The classic binary-heap pending event set.
 ///
-/// `O(log n)` push and pop with excellent constants; the baseline against
-/// which [`CalendarQueue`](crate::CalendarQueue) is benchmarked.
+/// `O(log n)` push and pop. No kernel uses it: it is a baseline of the
+/// repository benchmark's `event.*_ns_per_op` rows, beside
+/// [`CalendarQueue`](crate::CalendarQueue) and
+/// [`PairingHeapQueue`](crate::PairingHeapQueue).
 #[derive(Debug)]
 pub struct BinaryHeapQueue<V> {
     heap: BinaryHeap<Keyed<V>>,

@@ -1,7 +1,8 @@
-//! Differential property tests: the two pending-event-set implementations
-//! must behave identically on any workload.
+//! Property tests of the pending-event-set order contract: the bucket queue
+//! every kernel uses against a sort-by-`(time, net, insertion)` reference,
+//! and the benchmark baselines against each other.
 
-use parsim_event::{BinaryHeapQueue, CalendarQueue, Event, EventQueue, VirtualTime};
+use parsim_event::{BinaryHeapQueue, BucketQueue, CalendarQueue, Event, EventQueue, VirtualTime};
 use parsim_logic::{Logic4, LogicValue};
 use parsim_netlist::GateId;
 use proptest::prelude::*;
@@ -21,8 +22,116 @@ fn any_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A bucket-queue workload step. Times are few and nets fewer, so equal
+/// `(time, net)` pairs are common; `Behind` pushes relative to the last
+/// popped time, at it (`back == 0`) or below it. A `Burst` fills one
+/// bucket past the length at which sorts stop using insertion sort, so an
+/// unstable sort would reorder equal nets.
+#[derive(Debug, Clone)]
+enum BucketOp {
+    Push { time: u64, net: usize, value: Logic4 },
+    Burst { time: u64, events: Vec<(usize, Logic4)> },
+    Behind { back: u64, net: usize, value: Logic4 },
+    Pop,
+    Clear,
+}
+
+fn any_bucket_op() -> impl Strategy<Value = BucketOp> {
+    let value = || prop::sample::select(Logic4::all().to_vec());
+    prop_oneof![
+        4 => (0u64..40, 0usize..6, value())
+            .prop_map(|(time, net, value)| BucketOp::Push { time, net, value }),
+        3 => (0u64..3, 0usize..6, value())
+            .prop_map(|(back, net, value)| BucketOp::Behind { back, net, value }),
+        1 => (0u64..40, prop::collection::vec((0usize..6, value()), 24..96))
+            .prop_map(|(time, events)| BucketOp::Burst { time, events }),
+        5 => Just(BucketOp::Pop),
+        1 => Just(BucketOp::Clear),
+    ]
+}
+
+/// The contract, spelled out: pop the pending event with the least
+/// `(time, net, insertion sequence)`.
+#[derive(Debug, Default)]
+struct Reference {
+    pending: Vec<(VirtualTime, usize, u64, Event<Logic4>)>,
+    next_seq: u64,
+}
+
+impl Reference {
+    fn push(&mut self, e: Event<Logic4>) {
+        self.pending.push((e.time, e.net.index(), self.next_seq, e));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<Event<Logic4>> {
+        let least = (0..self.pending.len()).min_by_key(|&i| {
+            let (t, n, seq, _) = self.pending[i];
+            (t, n, seq)
+        })?;
+        Some(self.pending.swap_remove(least).3)
+    }
+
+    fn peek_time(&self) -> Option<VirtualTime> {
+        self.pending.iter().map(|p| p.0).min()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The bucket queue pops exactly the reference's order on any
+    /// interleaving of pushes (ahead of, at and below the time being
+    /// drained), pops and clears, and agrees on `peek_time` and `len`
+    /// after every operation.
+    #[test]
+    fn bucket_queue_matches_reference_order(
+        ops in prop::collection::vec(any_bucket_op(), 1..400),
+    ) {
+        let mut q: BucketQueue<Logic4> = BucketQueue::new();
+        let mut reference = Reference::default();
+        let mut last_popped = 0u64;
+        for op in ops {
+            let pushes = match op {
+                BucketOp::Push { time, net, value } => vec![(time, net, value)],
+                BucketOp::Burst { time, events } => {
+                    events.into_iter().map(|(net, value)| (time, net, value)).collect()
+                }
+                BucketOp::Behind { back, net, value } => {
+                    vec![(last_popped.saturating_sub(back), net, value)]
+                }
+                BucketOp::Pop => {
+                    let popped = q.pop();
+                    prop_assert_eq!(popped, reference.pop());
+                    if let Some(e) = popped {
+                        last_popped = e.time.ticks();
+                    }
+                    Vec::new()
+                }
+                BucketOp::Clear => {
+                    q.clear();
+                    reference.pending.clear();
+                    Vec::new()
+                }
+            };
+            for (time, net, value) in pushes {
+                let e = Event::new(VirtualTime::new(time), GateId::new(net), value);
+                q.push(e);
+                reference.push(e);
+            }
+            prop_assert_eq!(q.len(), reference.pending.len());
+            prop_assert_eq!(q.is_empty(), reference.pending.is_empty());
+            prop_assert_eq!(q.peek_time(), reference.peek_time());
+        }
+        loop {
+            let popped = q.pop();
+            prop_assert_eq!(popped, reference.pop());
+            prop_assert_eq!(q.len(), reference.pending.len());
+            if popped.is_none() {
+                break;
+            }
+        }
+    }
 
     /// Calendar queue and binary heap produce byte-identical pop sequences
     /// for any interleaving of pushes and pops.

@@ -112,15 +112,10 @@ impl GateKind {
         }
     }
 
-    /// Checks whether `n` is a legal fanin count for this gate kind.
-    pub fn accepts_inputs(self, n: usize) -> bool {
-        n >= self.min_inputs() && self.max_inputs().is_none_or(|max| n <= max)
-    }
-}
-
-impl Display for GateKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+    /// The stable upper-case name (`"NAND"`, `"DFF"`, ...): what
+    /// [`Display`] prints and what parsing accepts.
+    pub fn mnemonic(self) -> &'static str {
+        match self {
             GateKind::Input => "INPUT",
             GateKind::Const0 => "CONST0",
             GateKind::Const1 => "CONST1",
@@ -137,8 +132,18 @@ impl Display for GateKind {
             GateKind::Bus => "BUS",
             GateKind::Dff => "DFF",
             GateKind::Latch => "LATCH",
-        };
-        f.write_str(name)
+        }
+    }
+
+    /// Checks whether `n` is a legal fanin count for this gate kind.
+    pub fn accepts_inputs(self, n: usize) -> bool {
+        n >= self.min_inputs() && self.max_inputs().is_none_or(|max| n <= max)
+    }
+}
+
+impl Display for GateKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.mnemonic())
     }
 }
 

@@ -67,9 +67,9 @@ impl Circuit {
         for (id, g) in self.iter() {
             let mut h = Fnv1a::new();
             h.write_u64(id.index() as u64);
-            // Kind via its stable display name, not the enum discriminant:
+            // Kind via its stable mnemonic, not the enum discriminant:
             // reordering the `GateKind` declaration must not move hashes.
-            h.write(g.kind().to_string().as_bytes());
+            h.write(g.kind().mnemonic().as_bytes());
             h.write_u64(g.delay().ticks());
             h.write_u64(g.fanin().len() as u64);
             for &f in g.fanin() {
@@ -111,6 +111,30 @@ mod tests {
     #[test]
     fn c17_golden_value() {
         assert_eq!(bench::c17().netlist_hash(), 0x0201_7cdb_4ddd_f5b5);
+    }
+
+    /// The frozen digest of a circuit holding every gate kind: each kind's
+    /// mnemonic is hashed, so a changed name would move this value.
+    #[test]
+    fn every_kind_golden_value() {
+        let mut b = CircuitBuilder::new("kinds");
+        let i = b.input("i");
+        let j = b.input("j");
+        let zero = b.constant(false);
+        let one = b.constant(true);
+        let mut last = b.gate(GateKind::Buf, [i], Delay::new(1));
+        for &kind in GateKind::all() {
+            let fanin = match kind.min_inputs() {
+                0 => continue,
+                1 => vec![last, j],
+                2 => vec![j, last],
+                _ => vec![zero, last, one],
+            };
+            let fanin = &fanin[..kind.max_inputs().unwrap_or(2).min(fanin.len())];
+            last = b.gate(kind, fanin.iter().copied(), Delay::new(2));
+        }
+        b.output("y", last);
+        assert_eq!(b.finish().unwrap().netlist_hash(), 0xb3e7_b80b_3c4f_1b64);
     }
 
     #[test]

@@ -340,9 +340,7 @@ impl<'c> Fabric<'c> {
         let store = ArtifactStore::new(dir);
         let lp_of = self.lp_assignment();
         let n_lps = self.topo.lps().len();
-        let (blocks, outcome) = store.load_or_compile(self.circuit, &lp_of, n_lps);
-        let key = ArtifactStore::cache_key(self.circuit, &lp_of, n_lps);
-        let artifact_bytes = std::fs::metadata(store.path_of(key)).map_or(0, |m| m.len());
+        let (blocks, outcome, artifact_bytes) = store.load_or_compile(self.circuit, &lp_of, n_lps);
         let plan = CompiledPlan {
             blocks,
             outcome,

@@ -154,7 +154,7 @@ impl SimService {
         // the outcome so clients see cross-tenant reuse.
         let lp_of: Vec<usize> =
             prepared.circuit.ids().map(|id| prepared.partition.block_of(id)).collect();
-        let (_, cache_outcome) =
+        let (_, cache_outcome, _) =
             self.store.load_or_compile(&prepared.circuit, &lp_of, prepared.partition.blocks());
 
         let job_id = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;

@@ -1,7 +1,7 @@
 //! The synchronous protocol, and its kernel on the fabric's threads.
 
 use parsim_core::SimStats;
-use parsim_event::{BinaryHeapQueue, Event, EventQueue, VirtualTime};
+use parsim_event::{BucketQueue, Event, EventQueue, VirtualTime};
 use parsim_logic::LogicValue;
 use parsim_netlist::{Delay, GateId};
 use parsim_runtime::{
@@ -43,7 +43,7 @@ pub struct BarrierProtocol;
 pub struct SyncWorker<V> {
     owned: Vec<GateId>,
     core: LpCore<V>,
-    queue: BinaryHeapQueue<V>,
+    queue: BucketQueue<V>,
     first: bool,
     stats: SimStats,
 }
@@ -69,7 +69,7 @@ impl<V: LogicValue> SyncProtocol<V> for BarrierProtocol {
         let circuit = fabric.circuit();
         let owned = fabric.topo().lps()[worker].gates.clone();
         let core = LpCore::new(circuit, fabric.observed_by(worker));
-        let mut queue = BinaryHeapQueue::new();
+        let mut queue = BucketQueue::new();
         let mut stats = SimStats::default();
         for e in preloads.into_iter().flatten() {
             // A stimulus or constant event is scheduled once, by the

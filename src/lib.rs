@@ -69,12 +69,13 @@ pub mod prelude {
     };
     pub use parsim_core::{
         evaluate_gate, fault, parse_vcd_changes, pre_simulate, write_vcd, ActivityProfile,
-        BudgetExhausted, GateRuntime, LpTopology, ObliviousSimulator, Observe, QueueKind,
-        RunBudget, SequentialSimulator, SimError, SimOutcome, SimStats, Simulator, Stimulus,
-        WaveRecorder, Waveform, WorkerDiagnostic,
+        BudgetExhausted, GateRuntime, LpTopology, ObliviousSimulator, Observe, RunBudget,
+        SequentialSimulator, SimError, SimOutcome, SimStats, Simulator, Stimulus, WaveRecorder,
+        Waveform, WorkerDiagnostic,
     };
     pub use parsim_event::{
-        BinaryHeapQueue, CalendarQueue, Event, EventQueue, Message, PairingHeapQueue, VirtualTime,
+        BinaryHeapQueue, BucketQueue, CalendarQueue, Event, EventQueue, Message, PairingHeapQueue,
+        VirtualTime,
     };
     pub use parsim_lint::{
         check_build, Code, Diagnostic, LintContext, LintPass, LintReport, Linter, Severity,

@@ -212,16 +212,16 @@ fn artifact_store_outcomes_cover_cold_warm_corrupt() {
     let store = ArtifactStore::new(&cache.0);
     let c = bench::c17();
     let lp_of = vec![0usize; c.len()];
-    let (blocks, outcome) = store.load_or_compile(&c, &lp_of, 1);
+    let (blocks, outcome, _) = store.load_or_compile(&c, &lp_of, 1);
     assert_eq!(outcome, CacheOutcome::MissCompiled);
     assert_eq!(outcome.label(), "miss");
-    let (warm, outcome) = store.load_or_compile(&c, &lp_of, 1);
+    let (warm, outcome, _) = store.load_or_compile(&c, &lp_of, 1);
     assert_eq!(outcome, CacheOutcome::Hit);
     assert!(outcome.is_hit());
     assert_eq!(warm, blocks);
     let key = ArtifactStore::cache_key(&c, &lp_of, 1);
     std::fs::write(store.path_of(key), b"garbage").expect("corrupt the entry");
-    let (healed, outcome) = store.load_or_compile(&c, &lp_of, 1);
+    let (healed, outcome, _) = store.load_or_compile(&c, &lp_of, 1);
     assert_eq!(outcome, CacheOutcome::RecompiledCorrupt);
     assert_eq!(outcome.label(), "recompiled_corrupt");
     assert_eq!(healed, blocks);
@@ -251,7 +251,7 @@ fn forged_artifact_at_the_right_key_is_recompiled_not_trusted() {
     let plant = || std::fs::write(store.path_of(key), &forged).expect("plant the forgery");
 
     plant();
-    let (blocks, outcome) = store.load_or_compile(&c, &lp_of, 1);
+    let (blocks, outcome, _) = store.load_or_compile(&c, &lp_of, 1);
     assert_eq!(outcome, CacheOutcome::RecompiledCorrupt, "a forged artifact is corrupt");
     assert_eq!(blocks, honest);
 
@@ -271,7 +271,7 @@ fn forged_artifact_at_the_right_key_is_recompiled_not_trusted() {
         .run(&c, &stim, until);
     assert_eq!(out.divergence_from(&reference), None, "the forgery must not reach the kernel");
     assert!(!trace_kinds(&probe).contains(&TraceKind::CacheHit), "a forgery is not a hit");
-    let (healed, outcome) = store.load_or_compile(&c, &lp_of, 1);
+    let (healed, outcome, _) = store.load_or_compile(&c, &lp_of, 1);
     assert_eq!(outcome, CacheOutcome::Hit, "the store was healed");
     assert_eq!(healed, honest);
 }

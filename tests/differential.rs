@@ -8,11 +8,11 @@
 
 use parsim::prelude::*;
 
-/// Every kernel, parallel ones over the given partition.
+/// Every parallel kernel over the given partition (the sequential
+/// reference is the oracle they are checked against).
 fn all_kernels(partition: &Partition, processors: usize) -> Vec<Box<dyn Simulator<Logic4>>> {
     let machine = MachineConfig::shared_memory(processors);
     vec![
-        Box::new(SequentialSimulator::new().with_observe(Observe::AllNets).with_calendar_queue()),
         Box::new(SyncSimulator::new(partition.clone(), machine).with_observe(Observe::AllNets)),
         Box::new(ThreadedSyncSimulator::new(partition.clone()).with_observe(Observe::AllNets)),
         Box::new(

@@ -1,7 +1,7 @@
 //! Integration tests for the observability subsystem (`parsim-trace`)
-//! through the public facade: event-trace equivalence across pending-event
-//! structures, Perfetto export validity/determinism (golden file), and the
-//! no-op-probe bit-identity guarantee.
+//! through the public facade: the sequential kernel's event trace pinned to
+//! a golden digest, Perfetto export validity/determinism (golden file), and
+//! the no-op-probe bit-identity guarantee.
 
 use parsim::prelude::*;
 use parsim::trace::TraceRecord;
@@ -133,13 +133,6 @@ fn check_json(text: &str) -> Result<usize, String> {
     Ok(values)
 }
 
-/// A canonical sort for comparing traces record-by-record without relying
-/// on tie-breaking order inside one timeline position.
-fn canonical(mut records: Vec<TraceRecord>) -> Vec<TraceRecord> {
-    records.sort_by_key(|r| (r.t, r.kind, r.processor, r.lp, r.vt, r.arg));
-    records
-}
-
 fn test_circuit() -> Circuit {
     generate::random_dag(&generate::RandomDagConfig {
         gates: 120,
@@ -150,32 +143,43 @@ fn test_circuit() -> Circuit {
     })
 }
 
+/// FNV-1a over every record, in the order the trace holds them: the
+/// sequential kernel's records follow its exact dequeue order.
+fn digest(records: &[TraceRecord]) -> u64 {
+    let mut h = parsim::netlist::Fnv1a::new();
+    for r in records {
+        for v in [r.t, r.vt, u64::from(r.processor), u64::from(r.lp), r.arg] {
+            h.write_u64(v);
+        }
+        h.write(format!("{:?}", r.kind).as_bytes());
+    }
+    h.finish()
+}
+
+/// The sequential kernel's event trace on a mixed-delay circuit with
+/// duplicate `(time, net)` events, pinned to what the binary heap, the
+/// calendar queue and the pairing heap all recorded before the bucket
+/// queue replaced them. Every enqueue, dequeue (with its queue depth) and
+/// evaluation is in the digest, so any change to the pop order fails here.
 #[test]
-fn queue_kinds_produce_identical_event_traces() {
+fn sequential_event_trace_matches_golden() {
     let c = test_circuit();
     let stim = Stimulus::random(3, 12).with_clock(7);
-    let until = VirtualTime::new(300);
-
-    let mut traces = Vec::new();
-    for queue in [QueueKind::BinaryHeap, QueueKind::Calendar, QueueKind::PairingHeap] {
-        let probe = Probe::enabled();
-        let out = SequentialSimulator::<Logic4>::new()
-            .with_queue(queue)
-            .with_probe(probe.clone())
-            .run(&c, &stim, until);
-        let trace = probe.take_trace();
-        assert_eq!(trace.dropped(), 0, "{queue:?} dropped records");
-        assert!(trace.count(TraceKind::GateEval) > 0, "{queue:?} recorded nothing");
-        traces.push((queue, out.stats, canonical(trace.records().to_vec())));
-    }
-    let (_, stats0, trace0) = &traces[0];
-    for (queue, stats, trace) in &traces[1..] {
-        assert_eq!(stats, stats0, "{queue:?} stats diverge from BinaryHeap");
-        assert_eq!(trace.len(), trace0.len(), "{queue:?} trace length diverges from BinaryHeap");
-        for (a, b) in trace.iter().zip(trace0) {
-            assert_eq!(a, b, "{queue:?} trace diverges from BinaryHeap");
-        }
-    }
+    let probe = Probe::enabled();
+    let out = SequentialSimulator::<Logic4>::new().with_probe(probe.clone()).run(
+        &c,
+        &stim,
+        VirtualTime::new(300),
+    );
+    let trace = probe.take_trace();
+    assert_eq!(trace.dropped(), 0);
+    let stats = &out.stats;
+    assert_eq!(
+        (stats.events_processed, stats.events_scheduled, stats.gate_evaluations),
+        (3402, 3425, 6419)
+    );
+    assert_eq!(trace.records().len(), 13_246);
+    assert_eq!(digest(trace.records()), 0x08d3_1f85_0cbb_3365);
 }
 
 #[test]
