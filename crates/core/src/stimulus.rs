@@ -200,7 +200,8 @@ impl Stimulus {
                 for &clk in &clocks {
                     events.push(Event::new(VirtualTime::new(t), clk, V::from_bool(level)));
                 }
-                t += half;
+                let Some(next) = t.checked_add(half) else { break };
+                t = next;
             }
         }
 
@@ -217,7 +218,10 @@ impl Stimulus {
             }
             prev = vector;
             step += 1;
-            t += self.interval;
+            // A horizon within one interval of `u64::MAX` ends here rather
+            // than wrapping back to t = 0.
+            let Some(next) = t.checked_add(self.interval) else { break };
+            t = next;
         }
 
         events.sort_by_key(|e| (e.time, e.net.index()));
@@ -318,6 +322,22 @@ mod tests {
         // t=0 all ones, t=10 all zeros, t=20 all ones, t=30 all zeros.
         assert_eq!(events.iter().filter(|e| e.value == Bit::One).count(), 10);
         assert_eq!(events.len(), 20);
+    }
+
+    #[test]
+    fn a_horizon_near_u64_max_ends_instead_of_wrapping() {
+        let c = bench::c17();
+        let until = VirtualTime::new(u64::MAX - 1);
+        let events = Stimulus::counting(1 << 63).events::<Bit>(&c, until);
+        // Vectors at t = 0 and t = 2^63; the next step would wrap to 0.
+        let times: Vec<u64> = events.iter().map(|e| e.time.ticks()).collect();
+        assert_eq!(times, [vec![0; 5], vec![1 << 63]].concat());
+        let clock = generate::lfsr(4, DelayModel::Unit);
+        let edges = Stimulus::quiet(u64::MAX).with_clock(1 << 62).events::<Bit>(&clock, until);
+        let clk = clock.find("clk").unwrap();
+        let edge_times: Vec<u64> =
+            edges.iter().filter(|e| e.net == clk).map(|e| e.time.ticks()).collect();
+        assert_eq!(edge_times, [1 << 62, 2 << 62, 3 << 62]);
     }
 
     #[test]

@@ -172,27 +172,35 @@ impl FromStr for GateKind {
     type Err = ParseGateKindError;
 
     /// Parses the canonical (ISCAS `.bench`-compatible) gate names,
-    /// case-insensitively. `BUF` and `BUFF` are both accepted.
+    /// case-insensitively and without allocating. `BUF`/`BUFF`, `NOT`/`INV`
+    /// and `MUX`/`MUX2` each name one kind.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_uppercase().as_str() {
-            "INPUT" => Ok(GateKind::Input),
-            "CONST0" => Ok(GateKind::Const0),
-            "CONST1" => Ok(GateKind::Const1),
-            "BUF" | "BUFF" => Ok(GateKind::Buf),
-            "NOT" | "INV" => Ok(GateKind::Not),
-            "AND" => Ok(GateKind::And),
-            "NAND" => Ok(GateKind::Nand),
-            "OR" => Ok(GateKind::Or),
-            "NOR" => Ok(GateKind::Nor),
-            "XOR" => Ok(GateKind::Xor),
-            "XNOR" => Ok(GateKind::Xnor),
-            "MUX" | "MUX2" => Ok(GateKind::Mux2),
-            "TRIBUF" => Ok(GateKind::Tribuf),
-            "BUS" => Ok(GateKind::Bus),
-            "DFF" => Ok(GateKind::Dff),
-            "LATCH" => Ok(GateKind::Latch),
-            _ => Err(ParseGateKindError { name: s.to_owned() }),
-        }
+        const NAMES: &[(&str, GateKind)] = &[
+            ("INPUT", GateKind::Input),
+            ("CONST0", GateKind::Const0),
+            ("CONST1", GateKind::Const1),
+            ("BUF", GateKind::Buf),
+            ("BUFF", GateKind::Buf),
+            ("NOT", GateKind::Not),
+            ("INV", GateKind::Not),
+            ("AND", GateKind::And),
+            ("NAND", GateKind::Nand),
+            ("OR", GateKind::Or),
+            ("NOR", GateKind::Nor),
+            ("XOR", GateKind::Xor),
+            ("XNOR", GateKind::Xnor),
+            ("MUX", GateKind::Mux2),
+            ("MUX2", GateKind::Mux2),
+            ("TRIBUF", GateKind::Tribuf),
+            ("BUS", GateKind::Bus),
+            ("DFF", GateKind::Dff),
+            ("LATCH", GateKind::Latch),
+        ];
+        NAMES
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(s))
+            .map(|&(_, kind)| kind)
+            .ok_or_else(|| ParseGateKindError { name: s.to_owned() })
     }
 }
 

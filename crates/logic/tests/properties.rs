@@ -108,3 +108,71 @@ proptest! {
         prop_assert_eq!(a.resolve(b).resolve(c), a.resolve(b.resolve(c)));
     }
 }
+
+/// The allocating parser `GateKind::from_str` replaced, kept as its oracle:
+/// upper-case the whole name, then match it.
+fn gate_kind_by_uppercase(s: &str) -> Result<GateKind, String> {
+    match s.to_ascii_uppercase().as_str() {
+        "INPUT" => Ok(GateKind::Input),
+        "CONST0" => Ok(GateKind::Const0),
+        "CONST1" => Ok(GateKind::Const1),
+        "BUF" | "BUFF" => Ok(GateKind::Buf),
+        "NOT" | "INV" => Ok(GateKind::Not),
+        "AND" => Ok(GateKind::And),
+        "NAND" => Ok(GateKind::Nand),
+        "OR" => Ok(GateKind::Or),
+        "NOR" => Ok(GateKind::Nor),
+        "XOR" => Ok(GateKind::Xor),
+        "XNOR" => Ok(GateKind::Xnor),
+        "MUX" | "MUX2" => Ok(GateKind::Mux2),
+        "TRIBUF" => Ok(GateKind::Tribuf),
+        "BUS" => Ok(GateKind::Bus),
+        "DFF" => Ok(GateKind::Dff),
+        "LATCH" => Ok(GateKind::Latch),
+        _ => Err(s.to_owned()),
+    }
+}
+
+/// Every mnemonic and alias `from_str` accepts.
+const GATE_NAMES: &[&str] = &[
+    "INPUT", "CONST0", "CONST1", "BUF", "BUFF", "NOT", "INV", "AND", "NAND", "OR", "NOR", "XOR",
+    "XNOR", "MUX", "MUX2", "TRIBUF", "BUS", "DFF", "LATCH",
+];
+
+/// `name` with the letters whose bit is set in `mask` lower-cased.
+fn recase(name: &str, mask: u64) -> String {
+    name.chars()
+        .enumerate()
+        .map(|(i, c)| if mask >> (i % 64) & 1 == 1 { c.to_ascii_lowercase() } else { c })
+        .collect()
+}
+
+proptest! {
+    /// Every mnemonic and alias parses in any letter case, to the kind the
+    /// upper-casing parser gave.
+    #[test]
+    fn gate_names_parse_in_any_case(name in prop::sample::select(GATE_NAMES.to_vec()), mask in any::<u64>()) {
+        let text = recase(name, mask);
+        let kind = text.parse::<GateKind>().map_err(|e| e.name().to_owned());
+        prop_assert_eq!(kind, gate_kind_by_uppercase(name));
+    }
+
+    /// On arbitrary text, names included with a letter too many or too few
+    /// and non-ASCII look-alikes, `from_str` agrees with the upper-casing
+    /// parser, and a refusal echoes the original text.
+    #[test]
+    fn gate_kind_parse_matches_the_upper_casing_parser(
+        parts in prop::collection::vec(
+            prop::sample::select(vec![
+                "A", "n", "D", "o", "r", "X", "b", "U", "f", "2", "0", "1", "t", "i", "L",
+                "nand", "Xor", "mux", "BUFF", "İ", "ß", "ı", " ", "",
+            ]),
+            0..5,
+        ),
+        mask in any::<u64>(),
+    ) {
+        let text = recase(&parts.concat(), mask);
+        let ours = text.parse::<GateKind>().map_err(|e| e.name().to_owned());
+        prop_assert_eq!(ours, gate_kind_by_uppercase(&text));
+    }
+}

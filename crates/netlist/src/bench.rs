@@ -19,9 +19,10 @@
 //! and [`write()`] emits it. The classic `c17` circuit ships embedded via
 //! [`c17`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt::{self, Display, Write as _};
+use std::ops::Range;
 
 use parsim_logic::GateKind;
 
@@ -166,14 +167,16 @@ impl From<NetlistError> for BenchParseError {
 /// ```
 pub fn parse(name: &str, text: &str, delays: DelayModel) -> Result<Circuit, BenchParseError> {
     let mut b = CircuitBuilder::new(name);
-    let mut ids: HashMap<&str, GateId> = HashMap::new();
-    // Every operand name at its first reference, in order: the undefined
-    // one reported is the earliest.
-    let mut refs: Vec<(&str, usize)> = Vec::new();
-    let mut referenced: HashSet<&str> = HashSet::new();
-    // Gates whose operands resolve once every net is defined.
-    let mut gates: Vec<(GateId, GateKind, Vec<&str>)> = Vec::new();
-    let mut outputs: Vec<(&str, usize)> = Vec::new();
+    let mut names = Names::sized_for(text);
+    // Every operand net at its first reference, with that line, in order:
+    // the undefined one reported is the earliest.
+    let mut refs: Vec<(usize, usize)> = Vec::new();
+    // Gates whose operands resolve once every net is defined; a gate's
+    // operand nets are its range of `operands`.
+    let mut gates: Vec<(GateId, GateKind, Range<usize>)> = Vec::new();
+    let mut operands: Vec<usize> = Vec::new();
+    let mut outputs: Vec<(usize, usize)> = Vec::new();
+    let mut clock: Option<usize> = None;
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
@@ -193,16 +196,17 @@ pub fn parse(name: &str, text: &str, delays: DelayModel) -> Result<Circuit, Benc
         };
 
         if let Some(arg) = strip_call(stripped, "INPUT") {
-            if ids.contains_key(arg) {
+            let net = names.slot(arg);
+            if names.nets[net].id.is_some() {
                 return Err(BenchParseError::DuplicateDefinition { line, name: arg.to_owned() });
             }
             let id = b.declare(arg);
-            ids.insert(arg, id);
+            names.nets[net].id = Some(id);
             b.define(id, GateKind::Input, [], delays.delay_for(GateKind::Input, id.index()));
             continue;
         }
         if let Some(arg) = strip_call(stripped, "OUTPUT") {
-            outputs.push((arg, line));
+            outputs.push((names.slot(arg), line));
             continue;
         }
 
@@ -225,63 +229,107 @@ pub fn parse(name: &str, text: &str, delays: DelayModel) -> Result<Circuit, Benc
             .parse()
             .map_err(|_| BenchParseError::UnknownGate { line, name: func.to_owned() })?;
         // `CONST0()` / `CONST1()` take no operands.
-        let mut fanin: Vec<&str> = Vec::new();
+        let start = operands.len();
         if !args_text.trim().is_empty() {
             for arg in args_text.split(',') {
                 let arg = arg.trim();
                 if arg.is_empty() {
                     return Err(syntax(args_text.trim()));
                 }
-                if referenced.insert(arg) {
-                    refs.push((arg, line));
+                let net = names.slot(arg);
+                if !names.nets[net].referenced {
+                    names.nets[net].referenced = true;
+                    refs.push((net, line));
                 }
-                fanin.push(arg);
+                operands.push(net);
             }
         }
         // ISCAS-89 writes `DFF(d)`; synthesize the implicit clock pin.
         // It is an input like any other, delay included, so writing it as
         // one round-trips.
-        if kind == GateKind::Dff && fanin.len() == 1 {
-            if !ids.contains_key(IMPLICIT_CLOCK) {
+        if kind == GateKind::Dff && operands.len() - start == 1 {
+            let clk = *clock.get_or_insert_with(|| names.slot(IMPLICIT_CLOCK));
+            if names.nets[clk].id.is_none() {
                 let id = b.declare(IMPLICIT_CLOCK);
-                ids.insert(IMPLICIT_CLOCK, id);
+                names.nets[clk].id = Some(id);
                 b.define(id, GateKind::Input, [], delays.delay_for(GateKind::Input, id.index()));
             }
-            fanin.insert(0, IMPLICIT_CLOCK);
+            operands.insert(start, clk);
         }
-        if !kind.accepts_inputs(fanin.len()) {
-            return Err(BenchParseError::BadArity {
-                line,
-                func: func.to_owned(),
-                got: fanin.len(),
-            });
+        let got = operands.len() - start;
+        if !kind.accepts_inputs(got) {
+            return Err(BenchParseError::BadArity { line, func: func.to_owned(), got });
         }
-        if ids.contains_key(lhs) {
+        let net = names.slot(lhs);
+        if names.nets[net].id.is_some() {
             return Err(BenchParseError::DuplicateDefinition { line, name: lhs.to_owned() });
         }
         let id = b.declare(lhs);
-        ids.insert(lhs, id);
-        gates.push((id, kind, fanin));
+        names.nets[net].id = Some(id);
+        gates.push((id, kind, start..operands.len()));
     }
 
     // An output naming a net nothing defines or references is reported at
     // its own line; a referenced net that is never defined at the line of
     // its first reference.
-    for &(name, line) in &outputs {
-        if !ids.contains_key(name) && !referenced.contains(name) {
-            return Err(BenchParseError::UndefinedNet { line, name: name.to_owned() });
+    for &(net, line) in &outputs {
+        let net = &names.nets[net];
+        if net.id.is_none() && !net.referenced {
+            return Err(BenchParseError::UndefinedNet { line, name: net.name.to_owned() });
         }
     }
-    if let Some(&(name, line)) = refs.iter().find(|(name, _)| !ids.contains_key(name)) {
-        return Err(BenchParseError::UndefinedNet { line, name: name.to_owned() });
+    if let Some(&(net, line)) = refs.iter().find(|&&(net, _)| names.nets[net].id.is_none()) {
+        return Err(BenchParseError::UndefinedNet { line, name: names.nets[net].name.to_owned() });
     }
-    for (name, _) in outputs {
-        b.output(name, ids[name]);
+    // Every output and operand net is now defined.
+    let id_of = |net: usize| names.nets[net].id.expect("checked above: every net is defined");
+    for (net, _) in outputs {
+        b.output(names.nets[net].name, id_of(net));
     }
-    for (id, kind, fanin) in gates {
-        b.define(id, kind, fanin.iter().map(|f| ids[f]), delays.delay_for(kind, id.index()));
+    for (id, kind, range) in gates {
+        b.define(
+            id,
+            kind,
+            operands[range].iter().map(|&net| id_of(net)),
+            delays.delay_for(kind, id.index()),
+        );
     }
     Ok(b.finish()?)
+}
+
+/// One distinct net name of a `.bench` text.
+struct Net<'a> {
+    name: &'a str,
+    /// Its gate, once an `INPUT` line or a gate's left-hand side defines it.
+    id: Option<GateId>,
+    /// Whether any gate has named it as an operand.
+    referenced: bool,
+}
+
+/// The parser's one name table: each name token is hashed once, into the
+/// slot of `nets` that carries everything known about it. The hasher
+/// stays std's randomly keyed one, since the names are client text.
+struct Names<'a> {
+    slots: HashMap<&'a str, usize>,
+    nets: Vec<Net<'a>>,
+}
+
+impl<'a> Names<'a> {
+    /// An empty table with room for about one name per 16 bytes of `text`
+    /// (an ISCAS gate line is 15–30), so it rarely rehashes.
+    fn sized_for(text: &str) -> Self {
+        Names { slots: HashMap::with_capacity(text.len() / 16), nets: Vec::new() }
+    }
+
+    /// The slot of `name`, created on first sight.
+    fn slot(&mut self, name: &'a str) -> usize {
+        let next = self.nets.len();
+        let slot = *self.slots.entry(name).or_insert(next);
+        if slot == next {
+            self.nets.push(Net { name, id: None, referenced: false });
+        }
+        slot
+    }
 }
 
 fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {

@@ -1,5 +1,6 @@
 //! Validating circuit construction.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt::{self, Display};
@@ -401,12 +402,12 @@ impl CircuitBuilder {
     /// Returns the [`StructuralReport`] when the circuit has at least one
     /// structural issue.
     pub fn finish_with_diagnostics(self) -> Result<Circuit, StructuralReport> {
-        let issues = self.check();
+        let (fanout_start, fanout) = self.fanout_adjacency();
+        let issues = self.check(&fanout_start, &fanout);
         if !issues.is_empty() {
             return Err(StructuralReport { issues });
         }
 
-        let fanout = self.fanout_adjacency();
         let gates = self
             .gates
             .into_iter()
@@ -418,24 +419,44 @@ impl CircuitBuilder {
             })
             .collect();
 
-        Ok(Circuit { name: self.name, gates, fanout, inputs: self.inputs, outputs: self.outputs })
+        Ok(Circuit {
+            name: self.name,
+            gates,
+            fanout_start,
+            fanout,
+            inputs: self.inputs,
+            outputs: self.outputs,
+        })
     }
 
     /// Fanout adjacency of the pending gates (who reads each net, on which
-    /// pin).
-    fn fanout_adjacency(&self) -> Vec<Vec<FanoutEntry>> {
-        let mut fanout: Vec<Vec<FanoutEntry>> = vec![Vec::new(); self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            for (pin, &src) in g.fanin.iter().enumerate() {
-                fanout[src.index()].push(FanoutEntry { gate: GateId::new(i), pin });
+    /// pin) in [`Circuit`]'s flat layout: per-net offsets, then the sinks,
+    /// each net's in gate order.
+    fn fanout_adjacency(&self) -> (Vec<usize>, Vec<FanoutEntry>) {
+        let n = self.gates.len();
+        let mut start = vec![0usize; n + 1];
+        for g in &self.gates {
+            for &src in &g.fanin {
+                start[src.index() + 1] += 1;
             }
         }
-        fanout
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut fanout = vec![FanoutEntry { gate: GateId::new(0), pin: 0 }; start[n]];
+        for (i, g) in self.gates.iter().enumerate() {
+            for (pin, &src) in g.fanin.iter().enumerate() {
+                fanout[next[src.index()]] = FanoutEntry { gate: GateId::new(i), pin };
+                next[src.index()] += 1;
+            }
+        }
+        (start, fanout)
     }
 
     /// Collects every structural issue, in category order (emptiness,
     /// undefined gates, arity, duplicate names, cycle).
-    fn check(&self) -> Vec<StructuralIssue> {
+    fn check(&self, fanout_start: &[usize], fanout: &[FanoutEntry]) -> Vec<StructuralIssue> {
         let mut issues = Vec::new();
 
         if self.gates.is_empty() {
@@ -464,15 +485,22 @@ impl CircuitBuilder {
             }
         }
 
-        // Unique names: report each reused name once, with every holder.
-        let mut holders: HashMap<&str, Vec<GateId>> = HashMap::new();
+        // Unique names: report each reused name once, with every holder. A
+        // holder list is only built for a name that repeats.
+        let mut first_holder: HashMap<&str, GateId> = HashMap::with_capacity(self.gates.len());
+        let mut repeated: HashMap<&str, Vec<GateId>> = HashMap::new();
         for (i, g) in self.gates.iter().enumerate() {
-            if let Some(name) = &g.name {
-                holders.entry(name).or_default().push(GateId::new(i));
+            let Some(name) = &g.name else { continue };
+            match first_holder.entry(name) {
+                Entry::Vacant(e) => {
+                    e.insert(GateId::new(i));
+                }
+                Entry::Occupied(e) => {
+                    repeated.entry(name).or_insert_with(|| vec![*e.get()]).push(GateId::new(i));
+                }
             }
         }
-        let mut duplicates: Vec<(&str, Vec<GateId>)> =
-            holders.into_iter().filter(|(_, gates)| gates.len() > 1).collect();
+        let mut duplicates: Vec<(&str, Vec<GateId>)> = repeated.into_iter().collect();
         duplicates.sort_by_key(|(_, gates)| gates[0]);
         for (name, gates) in duplicates {
             issues.push(StructuralIssue::DuplicateName { name: name.to_owned(), gates });
@@ -492,10 +520,9 @@ impl CircuitBuilder {
             }
             let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
             let mut done = 0usize;
-            let fanout = self.fanout_adjacency();
             while let Some(i) = ready.pop() {
                 done += 1;
-                for entry in &fanout[i] {
+                for entry in &fanout[fanout_start[i]..fanout_start[i + 1]] {
                     let j = entry.gate.index();
                     if self.gates[j].kind.expect("defined").is_sequential() {
                         continue;

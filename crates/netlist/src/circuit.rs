@@ -72,7 +72,10 @@ pub struct FanoutEntry {
 pub struct Circuit {
     pub(crate) name: String,
     pub(crate) gates: Vec<Gate>,
-    pub(crate) fanout: Vec<Vec<FanoutEntry>>,
+    /// Every net's sinks, in one flat list: net `i`'s are
+    /// `fanout[fanout_start[i]..fanout_start[i + 1]]`, in gate order.
+    pub(crate) fanout_start: Vec<usize>,
+    pub(crate) fanout: Vec<FanoutEntry>,
     pub(crate) inputs: Vec<GateId>,
     pub(crate) outputs: Vec<GateId>,
 }
@@ -119,7 +122,9 @@ impl Circuit {
 
     /// The sinks of the net driven by `id`.
     pub fn fanout(&self, id: GateId) -> &[FanoutEntry] {
-        &self.fanout[id.index()]
+        // One bounds check for both offsets: the kernels call this per event.
+        let range = &self.fanout_start[id.index()..id.index() + 2];
+        &self.fanout[range[0]..range[1]]
     }
 
     /// Primary inputs, in declaration order.

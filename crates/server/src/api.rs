@@ -9,12 +9,13 @@
 //! by its budget.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 use parsim_core::RunBudget;
-use parsim_trace::ChunkFrame;
+use parsim_trace::{json_string, ChunkFrame};
 
-use crate::json::{obj, parse, Json};
+use crate::json::{obj, parse, write_number, Json};
 
 /// Which synchronization kernel runs the job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +66,10 @@ pub enum ObserveSpec {
     /// Nothing — final values and statistics only.
     Nothing,
 }
+
+/// The latest virtual time a job may simulate through, 2^40 ticks: far
+/// past any job the service runs, and exact as a JSON number.
+const UNTIL_CAP: u64 = 1 << 40;
 
 /// One parsed job submission.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,6 +141,9 @@ impl JobRequest {
         let until = v.get("until").and_then(Json::as_u64).ok_or("missing integer field `until`")?;
         if until == 0 {
             return Err("`until` must be positive".into());
+        }
+        if until > UNTIL_CAP {
+            return Err(format!("`until` {until} out of range 1..={UNTIL_CAP}"));
         }
         let seed = v.get("seed").and_then(Json::as_u64).unwrap_or(1);
         let interval = v.get("interval").and_then(Json::as_u64).unwrap_or(10);
@@ -243,7 +251,7 @@ pub enum JobEvent {
         /// Server-assigned job id.
         job_id: u64,
         /// How the shared artifact store satisfied this job's compiled
-        /// blocks (`hit`, `miss-compiled`, …).
+        /// blocks (`hit`, `miss`, …).
         cache: String,
     },
     /// One validated frame of the waveform dump.
@@ -289,15 +297,21 @@ impl JobEvent {
                 ("cache", Json::Str(cache.clone())),
             ])
             .render(),
-            JobEvent::Chunk(f) => obj(vec![
-                ("event", Json::Str("chunk".into())),
-                ("seq", Json::Num(f.seq as f64)),
-                ("records", Json::Num(f.records as f64)),
-                ("checksum", Json::Str(format!("{:016x}", f.checksum))),
-                ("last", Json::Bool(f.last)),
-                ("payload", Json::Str(f.payload.clone())),
-            ])
-            .render(),
+            // Written directly, in the key order the object renderer sorts
+            // them into, so the payload is escaped once and never cloned.
+            JobEvent::Chunk(f) => {
+                let mut out = String::with_capacity(f.payload.len() + f.payload.len() / 8 + 128);
+                let _ = write!(out, "{{\"checksum\":\"{:016x}\",\"event\":\"chunk\"", f.checksum);
+                out.push_str(if f.last { ",\"last\":true" } else { ",\"last\":false" });
+                out.push_str(",\"payload\":");
+                json_string(&f.payload, &mut out);
+                out.push_str(",\"records\":");
+                write_number(f.records as f64, &mut out);
+                out.push_str(",\"seq\":");
+                write_number(f.seq as f64, &mut out);
+                out.push('}');
+                out
+            }
             JobEvent::Done { job_id, status, end_time, events, rounds, wall_ms } => obj(vec![
                 ("event", Json::Str("done".into())),
                 ("job_id", Json::Num(*job_id as f64)),
@@ -409,6 +423,54 @@ mod tests {
             r#"{"tenant":"t","until":50,"generate":{"kind":"lfsr","size":8},"kernel":"psychic"}"#,
         ] {
             assert!(JobRequest::from_json(bad).is_err(), "{bad} should be rejected");
+        }
+    }
+
+    #[test]
+    fn until_is_capped_before_anything_is_built() {
+        let body = |until: &str| {
+            format!(
+                r#"{{"tenant":"t","until":{until},"interval":1,"generate":{{"kind":"lfsr","size":8}}}}"#
+            )
+        };
+        assert_eq!(JobRequest::from_json(&body(&UNTIL_CAP.to_string())).unwrap().until, UNTIL_CAP);
+        for over in [(UNTIL_CAP + 1).to_string(), "1e15".into(), "9007199254740992".into()] {
+            let err = JobRequest::from_json(&body(&over)).unwrap_err();
+            assert!(err.contains(&format!("1..={UNTIL_CAP}")), "{over}: {err}");
+        }
+        // 2^64 − 1 is 2^64 as a JSON number, which is no u64 at all.
+        let err = JobRequest::from_json(&body("18446744073709551615")).unwrap_err();
+        assert_eq!(err, "missing integer field `until`");
+    }
+
+    /// The object renderer `JobEvent::Chunk` used before it was written
+    /// directly, kept as its oracle.
+    fn chunk_by_object(f: &ChunkFrame) -> String {
+        obj(vec![
+            ("event", Json::Str("chunk".into())),
+            ("seq", Json::Num(f.seq as f64)),
+            ("records", Json::Num(f.records as f64)),
+            ("checksum", Json::Str(format!("{:016x}", f.checksum))),
+            ("last", Json::Bool(f.last)),
+            ("payload", Json::Str(f.payload.clone())),
+        ])
+        .render()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn chunk_events_render_as_the_object_renderer_did(
+            seq in proptest::prelude::any::<u64>(),
+            records in 0u64..1 << 20,
+            checksum in proptest::prelude::any::<u64>(),
+            last in proptest::prelude::any::<bool>(),
+            lines in proptest::prop::collection::vec(
+                proptest::prop::sample::select(vec!["0,a,1,X", "17,g\"q\",20,1", "3,λ\\,9,Z", "", "\t\u{1}"]),
+                0..8,
+            ),
+        ) {
+            let frame = ChunkFrame { seq, records, checksum, last, payload: lines.join("\n") };
+            proptest::prop_assert_eq!(JobEvent::Chunk(frame.clone()).render(), chunk_by_object(&frame));
         }
     }
 

@@ -4,9 +4,10 @@
 //! Routes:
 //!
 //! * `POST /jobs` — submit a job; the response is
-//!   `Transfer-Encoding: chunked` NDJSON, one [`JobEvent`] per line,
-//!   flushed as produced so clients see `accepted` and result chunks
-//!   while the simulation is still streaming.
+//!   `Transfer-Encoding: chunked` NDJSON, one [`JobEvent`] per line and
+//!   per HTTP chunk, each flushed as produced: clients see `accepted`
+//!   before the run starts, and the result chunks as they are framed
+//!   after it ends.
 //! * `GET /metrics` — JSON counter snapshot from
 //!   [`SimService::metrics`].
 //! * `GET /healthz` — liveness probe.
@@ -216,12 +217,13 @@ fn stream_job(service: &SimService, body: &str, out: &mut impl Write) -> io::Res
     )?;
     out.flush()?;
     let mut broken = false;
+    let mut buf = Vec::new();
     let mut sink = |event: JobEvent| {
         if broken {
             return;
         }
         let line = event.render();
-        if write_chunk(out, &line).is_err() {
+        if write_chunk(out, &mut buf, &line).is_err() {
             broken = true;
         }
     };
@@ -234,9 +236,15 @@ fn stream_job(service: &SimService, body: &str, out: &mut impl Write) -> io::Res
     Ok(())
 }
 
-fn write_chunk(out: &mut impl Write, line: &str) -> io::Result<()> {
-    // One NDJSON line per HTTP chunk: size in hex, payload, CRLF.
-    write!(out, "{:x}\r\n{line}\n\r\n", line.len() + 1)?;
+/// Writes one NDJSON line as one HTTP chunk (size in hex, payload, CRLF),
+/// assembled in `buf` so it leaves in one write.
+fn write_chunk(out: &mut impl Write, buf: &mut Vec<u8>, line: &str) -> io::Result<()> {
+    buf.clear();
+    buf.reserve(line.len() + 24);
+    let _ = write!(buf, "{:x}\r\n", line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.extend_from_slice(b"\n\r\n");
+    out.write_all(buf)?;
     out.flush()
 }
 

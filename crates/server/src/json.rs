@@ -51,7 +51,8 @@ impl Json {
     /// This value as a non-negative integer, if it is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, itself out of range.
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -77,13 +78,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
+            Json::Num(n) => write_number(*n, out),
             Json::Str(s) => json_string(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -111,6 +106,16 @@ impl Json {
     }
 }
 
+/// Appends a number as [`Json::render`] writes it: exact integers without
+/// a fraction, anything else in Rust's shortest round-trip form.
+pub(crate) fn write_number(n: f64, out: &mut String) {
+    if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
+    }
+}
+
 /// Builds an object from key/value pairs — the renderer-side convenience.
 pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
@@ -123,7 +128,7 @@ pub const MAX_DEPTH: usize = 64;
 /// Parses one JSON document; trailing non-whitespace is an error, and so is
 /// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -134,6 +139,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -202,55 +208,46 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
+            // Copy the run up to the next quote or backslash in one step.
+            // Both are ASCII, so the run ends on a character boundary, and
+            // it starts on one: only whole characters and escapes are
+            // consumed between runs.
+            let Some(len) = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
                 return Err(self.error("unterminated string"));
             };
+            s.push_str(&self.text[self.pos..self.pos + len]);
+            self.pos += len + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(s);
+            }
+            let Some(&esc) = self.bytes.get(self.pos) else {
+                return Err(self.error("unterminated escape"));
+            };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            let code = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|hex| std::str::from_utf8(hex).ok())
-                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                                .ok_or_else(|| self.error("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by this protocol;
-                            // map them to the replacement character.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
-                    }
-                }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at this byte.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let chunk = self
+            match esc {
+                b'"' => s.push('"'),
+                b'\\' => s.push('\\'),
+                b'/' => s.push('/'),
+                b'n' => s.push('\n'),
+                b'r' => s.push('\r'),
+                b't' => s.push('\t'),
+                b'b' => s.push('\u{8}'),
+                b'f' => s.push('\u{c}'),
+                b'u' => {
+                    let code = self
                         .bytes
-                        .get(start..end)
-                        .and_then(|chunk| std::str::from_utf8(chunk).ok())
-                        .ok_or_else(|| format!("bad UTF-8 at byte {start}"))?;
-                    s.push_str(chunk);
-                    self.pos = end;
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|hex| std::str::from_utf8(hex).ok())
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or_else(|| self.error("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not needed by this protocol;
+                    // map them to the replacement character.
+                    s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
+                _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
             }
         }
     }
@@ -323,15 +320,6 @@ impl Parser<'_> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,6 +365,125 @@ mod tests {
         assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
         let err = parse(&"{\"k\":".repeat(100_000)).unwrap_err();
         assert!(err.contains(&format!("at byte {}", 5 * MAX_DEPTH)), "{err}");
+    }
+
+    #[test]
+    fn as_u64_refuses_two_to_the_sixty_fourth() {
+        // 2^64 itself, and the same value spelled as its 20 digits.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(parse("1.8446744073709552e19").unwrap().as_u64(), None);
+        // The largest double below 2^64 is in range.
+        assert_eq!(parse("18446744073709549568").unwrap().as_u64(), Some(18446744073709549568));
+        assert_eq!(parse("0").unwrap().as_u64(), Some(0));
+    }
+
+    /// The per-byte string decoder `Parser::string` replaced, kept as its
+    /// oracle: the decoded string or error, and the offset it stopped at.
+    fn string_by_byte(bytes: &[u8]) -> (Result<String, String>, usize) {
+        let error = |what: &str, pos: usize| format!("{what} at byte {pos}");
+        let utf8_len = |first: u8| match first {
+            0x00..=0x7f => 1,
+            0xc0..=0xdf => 2,
+            0xe0..=0xef => 3,
+            _ => 4,
+        };
+        if bytes.first() != Some(&b'"') {
+            return (Err(error("expected `\"`", 0)), 0);
+        }
+        let mut pos = 1;
+        let mut s = String::new();
+        loop {
+            let Some(&b) = bytes.get(pos) else {
+                return (Err(error("unterminated string", pos)), pos);
+            };
+            pos += 1;
+            match b {
+                b'"' => return (Ok(s), pos),
+                b'\\' => {
+                    let Some(&esc) = bytes.get(pos) else {
+                        return (Err(error("unterminated escape", pos)), pos);
+                    };
+                    pos += 1;
+                    match esc {
+                        b'"' => s.push('"'),
+                        b'\\' => s.push('\\'),
+                        b'/' => s.push('/'),
+                        b'n' => s.push('\n'),
+                        b'r' => s.push('\r'),
+                        b't' => s.push('\t'),
+                        b'b' => s.push('\u{8}'),
+                        b'f' => s.push('\u{c}'),
+                        b'u' => {
+                            let Some(code) = bytes
+                                .get(pos..pos + 4)
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            else {
+                                return (Err(error("bad \\u escape", pos)), pos);
+                            };
+                            pos += 4;
+                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        }
+                        _ => return (Err(format!("bad escape at byte {}", pos - 1)), pos),
+                    }
+                }
+                _ => {
+                    let start = pos - 1;
+                    let end = start + utf8_len(b);
+                    let Some(chunk) =
+                        bytes.get(start..end).and_then(|chunk| std::str::from_utf8(chunk).ok())
+                    else {
+                        return (Err(format!("bad UTF-8 at byte {start}")), pos);
+                    };
+                    s.push_str(chunk);
+                    pos = end;
+                }
+            }
+        }
+    }
+
+    /// Pieces of string-literal bodies: plain text in every UTF-8 width,
+    /// every escape (good, truncated and bad), raw control bytes and quotes.
+    fn literal_pieces() -> Vec<&'static str> {
+        vec![
+            "a", "Z", " ", ",", "é", "λ", "€", "😀", "\t", "\u{1}", "\u{1f}", "\"", "\\", "\\\"",
+            "\\\\", "\\/", "\\n", "\\r", "\\t", "\\b", "\\f", "\\u00e9", "\\u20AC", "\\uD83D",
+            "\\u+12f", "\\u12", "\\uλ1", "\\x", "\\λ", "\\",
+        ]
+    }
+
+    /// Arbitrary text: every control character, both characters JSON
+    /// escapes, and one- to four-byte UTF-8.
+    fn text_pieces() -> Vec<String> {
+        let mut pieces: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
+        pieces.extend(["\"", "\\", "/", "u", "a", "é", "€", "😀", "\u{fffd}"].map(String::from));
+        pieces
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn strings_decode_as_the_per_byte_decoder_did(
+            parts in proptest::prop::collection::vec(
+                proptest::prop::sample::select(literal_pieces()),
+                0..24,
+            ),
+        ) {
+            let text = format!("\"{}", parts.concat());
+            let mut p = Parser { text: &text, bytes: text.as_bytes(), pos: 0, depth: 0 };
+            let ours = p.string();
+            proptest::prop_assert_eq!((ours, p.pos), string_by_byte(text.as_bytes()));
+        }
+
+        #[test]
+        fn rendered_strings_parse_back_unchanged(
+            parts in proptest::prop::collection::vec(
+                proptest::prop::sample::select(text_pieces()),
+                0..48,
+            ),
+        ) {
+            let s = Json::Str(parts.concat());
+            proptest::prop_assert_eq!(parse(&s.render()), Ok(s));
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Turns the workspace's fault-tolerant runtime fabric into a shared
 //! service: clients POST netlist + stimulus jobs over a small HTTP/JSON
 //! protocol, the server schedules them onto a bounded pool of fabric
-//! runs, and results stream back incrementally as validated chunk frames
-//! while quota and budget enforcement keeps any one tenant from starving
-//! the rest.
+//! runs, and results come back as validated chunk frames (framed after
+//! the run ends) while quota and budget enforcement keeps any one tenant
+//! from starving the rest.
 //!
 //! The moving parts, bottom up:
 //!

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use parsim_conservative::ThreadedConservativeSimulator;
 use parsim_core::{Observe, SimError, SimOutcome, Stimulus};
 use parsim_event::VirtualTime;
-use parsim_logic::{GateKind, Logic4};
+use parsim_logic::{GateKind, Logic4, LogicValue as _};
 use parsim_netlist::{bench, generate, Circuit, DelayModel};
 use parsim_optimistic::ThreadedTimeWarpSimulator;
 use parsim_partition::{ConePartitioner, GateWeights, Partition, Partitioner as _};
@@ -146,6 +146,9 @@ impl SimService {
             Ok(p) => p,
             Err(msg) => return self.fail(sink, "bad-request", &msg),
         };
+        if let Err(msg) = check_stimulus(req, &prepared.circuit) {
+            return self.fail(sink, "bad-request", &msg);
+        }
         // The slot bounds compile + run: both are CPU-heavy.
         let _slot = self.slots.acquire();
 
@@ -303,14 +306,43 @@ impl SimService {
         let mut writer =
             ChunkWriter::new(self.cfg.chunk_bytes, |frame| sink(JobEvent::Chunk(frame)));
         writer.push_line("net,name,time,value");
+        let mut row = String::new();
         for (id, w) in &outcome.waveforms {
             let name = circuit.gate(*id).name().unwrap_or("");
             for &(t, v) in w.transitions() {
-                writer.push_line(&format!("{},{name},{},{v}", id.index(), t.ticks()));
+                write_row(&mut row, id.index(), name, t.ticks(), v);
+                writer.push_line(&row);
             }
         }
         writer.finish();
     }
+}
+
+/// Overwrites `row` with one waveform CSV row, `net,name,time,value`.
+fn write_row(row: &mut String, net: usize, name: &str, time: u64, value: Logic4) {
+    row.clear();
+    push_decimal(row, net as u64);
+    row.push(',');
+    row.push_str(name);
+    row.push(',');
+    push_decimal(row, time);
+    row.push(',');
+    row.push(value.to_char());
+}
+
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// The largest generator size parameter a job may ask for: a
@@ -321,6 +353,25 @@ const GENERATOR_SIZE_CAP: usize = 4096;
 /// The largest `mesh` side: the mesh builds `side²` cells, so the side gets
 /// its own bound (16 384 cells) to stay under the `ripple_adder` cap.
 const MESH_SIDE_CAP: usize = 128;
+
+/// The most input values a job's stimulus may hold: vectors (one per
+/// `interval` ticks before `until`) × primary inputs. The fabric builds
+/// every vector before round one, so no run budget or deadline can stop
+/// an oversize one; it is refused here, before a run slot is taken.
+const STIMULUS_CAP: u64 = 1 << 22;
+
+fn check_stimulus(req: &JobRequest, circuit: &Circuit) -> Result<(), String> {
+    let vectors = req.until.div_ceil(req.interval);
+    let inputs = circuit.inputs().len() as u64;
+    let values = vectors.saturating_mul(inputs);
+    if values > STIMULUS_CAP {
+        return Err(format!(
+            "stimulus of {vectors} vectors × {inputs} inputs = {values} input values \
+             exceeds the limit of {STIMULUS_CAP}"
+        ));
+    }
+    Ok(())
+}
 
 fn build_circuit(spec: &NetlistSpec) -> Result<Circuit, String> {
     match spec {
@@ -404,6 +455,68 @@ mod tests {
         assert!(!Arc::ptr_eq(&built[1], &service.prepare(&cold[1]).unwrap()), "evicted: rebuilt");
         assert!(!Arc::ptr_eq(&first, &service.prepare(&warm).unwrap()), "evicted: rebuilt");
         assert_eq!(lock_recover(&service.prepared).len(), PREPARED_CAP);
+    }
+
+    /// Name pieces for waveform rows: CSV and JSON specials, non-ASCII.
+    fn name_pieces() -> Vec<&'static str> {
+        vec!["g", "7", "_", ",", "\"", "\\", " ", "é", "λ", "€", "😀", ""]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn rows_match_the_format_macro_row(
+            net in proptest::prelude::any::<usize>(),
+            name in proptest::prop::collection::vec(proptest::prop::sample::select(name_pieces()), 0..6),
+            time in proptest::prelude::any::<u64>(),
+            value in proptest::prop::sample::select(Logic4::all().to_vec()),
+            small in 0u64..2_000_000,
+        ) {
+            let name = name.concat();
+            let mut row = String::from("stale contents");
+            for (net, time) in [(net, time), (small as usize, small)] {
+                write_row(&mut row, net, &name, time, value);
+                proptest::prop_assert_eq!(&row, &format!("{net},{name},{time},{value}"));
+            }
+        }
+    }
+
+    #[test]
+    fn rows_match_the_format_macro_row_at_digit_boundaries() {
+        let mut row = String::new();
+        for n in [0, 9, 10, 99_999, 999_999, 1_000_000, 1_000_001, u64::MAX - 1, u64::MAX] {
+            write_row(&mut row, n as usize, "a,\"b\"", n, Logic4::X);
+            assert_eq!(row, format!("{},a,\"b\",{n},X", n as usize));
+        }
+    }
+
+    #[test]
+    fn oversize_stimulus_is_refused_before_a_slot_or_a_compile() {
+        let service = SimService::new(ServiceConfig::new(std::env::temp_dir().join("unused")));
+        let adder = NetlistSpec::Generate { kind: "ripple_adder".into(), size: 8 };
+        let inputs = generate::ripple_adder(8, DelayModel::Unit).inputs().len() as u64;
+        let mut req = request(adder);
+        req.interval = 1;
+        // One vector past the cap: refused with the limit named, and
+        // nothing compiled, no run slot taken, no `accepted` sent.
+        req.until = STIMULUS_CAP / inputs + 1;
+        let mut events = Vec::new();
+        service.submit_request(&req, &mut |e| events.push(e));
+        let [JobEvent::Error { code, message }] = events.as_slice() else {
+            panic!("expected one error event, got {events:?}");
+        };
+        assert_eq!(code, "bad-request");
+        assert!(message.contains(&STIMULUS_CAP.to_string()), "{message}");
+        let metrics = service.metrics();
+        assert_eq!(metrics["cache_misses"] + metrics["cache_hits"], 0.0, "{metrics:?}");
+        assert_eq!(metrics["slots_peak_in_use"], 0.0, "{metrics:?}");
+        // At the cap the stimulus is admitted.
+        req.until -= 1;
+        let prepared = service.prepare(&req).expect("valid generator");
+        assert_eq!(check_stimulus(&req, &prepared.circuit), Ok(()));
+        // The vector count rounds up: a partial interval is one more vector.
+        req.interval = 2;
+        req.until = 2 * (STIMULUS_CAP / inputs) + 1;
+        assert!(check_stimulus(&req, &prepared.circuit).is_err());
     }
 
     #[test]

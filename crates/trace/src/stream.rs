@@ -1,12 +1,13 @@
 //! Chunked streaming export: incremental framing for line-oriented
 //! waveform/trace text.
 //!
-//! The simulation service streams results while a job is still running, so
-//! an exporter cannot hand the client one finished document — it emits a
-//! sequence of [`ChunkFrame`]s, each carrying a bounded run of complete
-//! text lines plus enough framing metadata (sequence number, line count,
-//! checksum, end-of-stream flag) for the receiver to detect loss,
-//! reordering, corruption and truncation without trusting the transport.
+//! The simulation service sends a job's waveform dump as a sequence of
+//! [`ChunkFrame`]s rather than one finished document. Each frame carries a
+//! bounded run of complete text lines plus enough framing metadata
+//! (sequence number, line count, checksum, end-of-stream flag) for the
+//! receiver to detect loss, reordering, corruption and truncation without
+//! trusting the transport. The service frames the dump after the run ends;
+//! streaming frames while the run is still going is ROADMAP.md item 7.
 //! A budget-truncated job simply finishes its stream early: every frame
 //! already delivered remains valid, and the `last` frame marks the clean
 //! (if short) end — there is no torn final chunk, because a line enters a
@@ -76,6 +77,8 @@ pub struct ChunkWriter<F: FnMut(ChunkFrame)> {
     seq: u64,
     records: u64,
     buf: String,
+    /// The longest line pushed so far, newline included.
+    widest: usize,
     sink: F,
     finished: bool,
 }
@@ -100,7 +103,15 @@ impl<F: FnMut(ChunkFrame)> ChunkWriter<F> {
     /// Panics if `max_bytes` is zero.
     pub fn new(max_bytes: usize, sink: F) -> Self {
         assert!(max_bytes >= 1, "chunk payload target must be at least one byte");
-        ChunkWriter { max_bytes, seq: 0, records: 0, buf: String::new(), sink, finished: false }
+        ChunkWriter {
+            max_bytes,
+            seq: 0,
+            records: 0,
+            buf: String::new(),
+            widest: 0,
+            sink,
+            finished: false,
+        }
     }
 
     /// Appends one complete line (the `\n` terminator is added here;
@@ -115,6 +126,7 @@ impl<F: FnMut(ChunkFrame)> ChunkWriter<F> {
         assert!(!line.contains('\n'), "chunk lines must be newline-free");
         self.buf.push_str(line);
         self.buf.push('\n');
+        self.widest = self.widest.max(line.len() + 1);
         self.records += 1;
         if self.buf.len() >= self.max_bytes {
             self.emit(false);
@@ -122,8 +134,9 @@ impl<F: FnMut(ChunkFrame)> ChunkWriter<F> {
     }
 
     /// Flushes whatever is buffered as a non-final frame, even below the
-    /// payload target — the server calls this at job-progress boundaries
-    /// so a slow simulation still streams.
+    /// payload target. Nothing in the service calls it yet: frames are
+    /// built after the run, and emitting them at round boundaries is
+    /// ROADMAP.md item 7.
     pub fn flush(&mut self) {
         assert!(!self.finished, "flush after finish");
         if self.records > 0 {
@@ -144,7 +157,12 @@ impl<F: FnMut(ChunkFrame)> ChunkWriter<F> {
     }
 
     fn emit(&mut self, last: bool) {
-        let payload = std::mem::take(&mut self.buf);
+        // The next frame starts with the length this one reached plus the
+        // widest line seen, which a frame cut at the payload target cannot
+        // outgrow: it is emitted at the first line end at or past it.
+        let next =
+            if last { String::new() } else { String::with_capacity(self.buf.len() + self.widest) };
+        let payload = std::mem::replace(&mut self.buf, next);
         let frame = ChunkFrame {
             seq: self.seq,
             records: self.records,
