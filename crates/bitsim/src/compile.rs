@@ -53,7 +53,7 @@ mod tests {
         let scheduled = seen.iter().filter(|&&s| s).count();
         let sources = c.iter().filter(|(_, g)| g.kind().is_source()).count();
         assert_eq!(scheduled + sources, c.len());
-        assert_eq!(cc.levels().iter().map(ExactSizeIterator::len).sum::<usize>(), cc.ops().len());
+        assert_eq!(cc.sections().iter().map(ExactSizeIterator::len).sum::<usize>(), cc.ops().len());
     }
 
     #[test]

@@ -333,7 +333,7 @@ fn eval_tick<P: PackedValue>(
     // Kind runs never cross a section boundary, so each section takes the
     // next runs up to its end.
     let mut runs = cc.runs().iter().peekable();
-    for (section, range) in cc.levels().iter().enumerate() {
+    for (section, range) in cc.sections().iter().enumerate() {
         let span_start = if ph.enabled() { ph.now_ns() } else { 0 };
         while let Some((kind, run)) = runs.next_if(|(_, r)| r.end <= range.end) {
             eval_run(cc, *kind, &cc.ops()[run.clone()], values, out, seq);
@@ -470,7 +470,7 @@ mod tests {
         });
         assert!(Levelization::of(&c).depth() >= 200, "depth {}", Levelization::of(&c).depth());
         let block = CompiledBlock::compile(&c);
-        let (sections, ops) = (block.levels().len(), block.ops().len() as u64);
+        let (sections, ops) = (block.sections().len(), block.ops().len() as u64);
         assert_eq!(sections, 2, "a sequential and a combinational section");
 
         let stim = PackedStimulus::new(

@@ -88,7 +88,7 @@ pub(crate) fn kind_from_code(code: u8) -> Option<GateKind> {
 /// precomputed [`runs`](Self::runs) hold at most one run per gate kind per
 /// section — an executor dispatches a dozen times per sweep however deep
 /// the circuit is — and never cross the section boundary.
-/// [`levels`](Self::levels) exposes the section ranges (sequential section
+/// [`sections`](Self::sections) exposes the section ranges (sequential section
 /// first, when non-empty) — the unit of trace spans.
 ///
 /// Evaluation-order note: the schedule is *not* topological, and need not
@@ -103,7 +103,7 @@ pub struct CompiledBlock {
     fanins: Vec<GateId>,
     /// Section ranges over `ops`: the sequential section (if any), then
     /// the combinational section (if any).
-    levels: Vec<Range<usize>>,
+    sections: Vec<Range<usize>>,
     seq_ops: usize,
     nets: usize,
     /// Derived: circuit gate index → op index, [`NO_OP`] if not owned.
@@ -134,7 +134,7 @@ impl CompiledBlock {
 
         let mut ops: Vec<Op> = Vec::with_capacity(seq_ops + comb.len());
         let mut fanins: Vec<GateId> = Vec::new();
-        let mut levels: Vec<Range<usize>> = Vec::new();
+        let mut sections: Vec<Range<usize>> = Vec::new();
         for mut gates in [seq, comb] {
             if gates.is_empty() {
                 continue;
@@ -159,10 +159,10 @@ impl CompiledBlock {
                     fanin_len: g.fanin().len() as u32,
                 });
             }
-            levels.push(start..ops.len());
+            sections.push(start..ops.len());
         }
 
-        Self::assemble(ops, fanins, levels, seq_ops, circuit.len())
+        Self::assemble(ops, fanins, sections, seq_ops, circuit.len())
     }
 
     /// Builds a block from its serialized core fields, recomputing the
@@ -171,7 +171,7 @@ impl CompiledBlock {
     pub(crate) fn assemble(
         ops: Vec<Op>,
         fanins: Vec<GateId>,
-        levels: Vec<Range<usize>>,
+        sections: Vec<Range<usize>>,
         seq_ops: usize,
         nets: usize,
     ) -> Self {
@@ -180,7 +180,7 @@ impl CompiledBlock {
             op_of[op.gate.index()] = i as u32;
         }
         let mut runs: Vec<(GateKind, Range<usize>)> = Vec::new();
-        for section in &levels {
+        for section in &sections {
             let mut i = section.start;
             while i < section.end {
                 let kind = ops[i].kind;
@@ -192,7 +192,7 @@ impl CompiledBlock {
                 i = j;
             }
         }
-        CompiledBlock { ops, fanins, levels, seq_ops, nets, op_of, runs }
+        CompiledBlock { ops, fanins, sections, seq_ops, nets, op_of, runs }
     }
 
     /// The straight-line schedule: sequential section, then the
@@ -204,8 +204,8 @@ impl CompiledBlock {
     /// Section index ranges over [`ops`](Self::ops) — the unit of `Charge`
     /// spans: the sequential section first, then the combinational one; an
     /// empty section has no range, so at most two.
-    pub fn levels(&self) -> &[Range<usize>] {
-        &self.levels
+    pub fn sections(&self) -> &[Range<usize>] {
+        &self.sections
     }
 
     /// Maximal same-kind runs over the schedule (never crossing a section
@@ -285,7 +285,7 @@ mod tests {
         let scheduled = seen.iter().filter(|&&s| s).count();
         let sources = c.iter().filter(|(_, g)| g.kind().is_source()).count();
         assert_eq!(scheduled + sources, c.len());
-        assert_eq!(b.levels().iter().map(ExactSizeIterator::len).sum::<usize>(), b.ops().len());
+        assert_eq!(b.sections().iter().map(ExactSizeIterator::len).sum::<usize>(), b.ops().len());
     }
 
     #[test]
@@ -326,7 +326,7 @@ mod tests {
         blocks.push(CompiledBlock::compile(&deep));
         blocks.push(CompiledBlock::compile(&comb_only));
         for b in &blocks {
-            let sections = b.levels();
+            let sections = b.sections();
             assert!(sections.len() <= 2, "{} sections", sections.len());
             assert_eq!(sections.first().map_or(0, |s| s.start), 0);
             assert_eq!(sections.last().map_or(0, |s| s.end), b.ops().len());
@@ -350,7 +350,7 @@ mod tests {
         }
         let scheduled: usize = blocks[..3].iter().map(|b| b.ops().len()).sum();
         assert_eq!(scheduled, blocks[3].ops().len(), "LP blocks tile the whole-circuit block");
-        assert_eq!(blocks[4].levels().len(), 1, "a combinational circuit has one section");
+        assert_eq!(blocks[4].sections().len(), 1, "a combinational circuit has one section");
         let unowned = GateId::new(lp_of.iter().position(|&lp| lp != 0).expect("three LPs"));
         assert!(blocks[0].op_of(unowned).is_none());
     }
@@ -372,7 +372,7 @@ mod tests {
             if let Some((prev_kind, prev)) = w.checked_sub(1).map(|p| &b.runs()[p]) {
                 // Maximality: adjacent same-kind runs only at section seams.
                 if prev_kind == kind {
-                    assert!(b.levels().iter().any(|s| s.start == prev.end));
+                    assert!(b.sections().iter().any(|s| s.start == prev.end));
                 }
             }
         }

@@ -295,7 +295,7 @@ pub fn serialize_blocks(key: u64, blocks: &[CompiledBlock]) -> Vec<u8> {
         push_u32(&mut out, b.seq_ops() as u32);
         push_u32(&mut out, b.ops().len() as u32);
         push_u32(&mut out, b.fanins_raw().len() as u32);
-        push_u32(&mut out, b.levels().len() as u32);
+        push_u32(&mut out, b.sections().len() as u32);
         for op in b.ops() {
             push_u32(&mut out, op.gate.index() as u32);
             out.push(kind_code(op.kind));
@@ -307,7 +307,7 @@ pub fn serialize_blocks(key: u64, blocks: &[CompiledBlock]) -> Vec<u8> {
         for &f in b.fanins_raw() {
             push_u32(&mut out, f.index() as u32);
         }
-        for r in b.levels() {
+        for r in b.sections() {
             push_u32(&mut out, r.start as u32);
             push_u32(&mut out, r.end as u32);
         }
@@ -354,12 +354,12 @@ struct RawBlock {
     seq_ops: usize,
     ops: Vec<Op>,
     fanins: Vec<GateId>,
-    levels: Vec<Range<usize>>,
+    sections: Vec<Range<usize>>,
 }
 
 impl RawBlock {
     fn assemble(self) -> CompiledBlock {
-        CompiledBlock::assemble(self.ops, self.fanins, self.levels, self.seq_ops, self.nets)
+        CompiledBlock::assemble(self.ops, self.fanins, self.sections, self.seq_ops, self.nets)
     }
 
     /// `true` when this block is exactly what [`compile_blocks`] lowers LP
@@ -396,14 +396,14 @@ impl RawBlock {
             prev = Some(order);
             fanin_at += fanin.len();
         }
-        let sections = [0..self.seq_ops, self.seq_ops..self.ops.len()];
+        let expected = [0..self.seq_ops, self.seq_ops..self.ops.len()];
         fanin_at == self.fanins.len()
-            && self.levels.iter().eq(sections.iter().filter(|r| !r.is_empty()))
+            && self.sections.iter().eq(expected.iter().filter(|r| !r.is_empty()))
     }
 }
 
 /// Parses an artifact: magic, version, checksum, and every structural
-/// bound (op/fanin/level indices). Returns the stored key and the blocks'
+/// bound (op/fanin/section indices). Returns the stored key and the blocks'
 /// core arrays; `None` on any violation.
 fn parse(bytes: &[u8]) -> Option<(u64, Vec<RawBlock>)> {
     if bytes.len() < MAGIC.len() + 4 + 8 + 4 + 8 {
@@ -430,7 +430,7 @@ fn parse(bytes: &[u8]) -> Option<(u64, Vec<RawBlock>)> {
         let seq_ops = r.u32()? as usize;
         let n_ops = r.u32()? as usize;
         let n_fanins = r.u32()? as usize;
-        let n_levels = r.u32()? as usize;
+        let n_sections = r.u32()? as usize;
         let mut ops = Vec::with_capacity(n_ops.min(1 << 20));
         for _ in 0..n_ops {
             let gate = r.u32()? as usize;
@@ -455,21 +455,21 @@ fn parse(bytes: &[u8]) -> Option<(u64, Vec<RawBlock>)> {
             }
             fanins.push(GateId::new(f));
         }
-        let mut levels: Vec<Range<usize>> = Vec::with_capacity(n_levels.min(1 << 16));
+        let mut sections: Vec<Range<usize>> = Vec::with_capacity(n_sections.min(1 << 16));
         let mut prev_end = 0usize;
-        for _ in 0..n_levels {
+        for _ in 0..n_sections {
             let start = r.u32()? as usize;
             let end = r.u32()? as usize;
             if start != prev_end || end < start || end > n_ops {
                 return None;
             }
             prev_end = end;
-            levels.push(start..end);
+            sections.push(start..end);
         }
-        if prev_end != n_ops || seq_ops > n_ops || n_levels > 2 {
+        if prev_end != n_ops || seq_ops > n_ops || n_sections > 2 {
             return None;
         }
-        blocks.push(RawBlock { nets, seq_ops, ops, fanins, levels });
+        blocks.push(RawBlock { nets, seq_ops, ops, fanins, sections });
     }
     if r.pos != payload.len() {
         return None;

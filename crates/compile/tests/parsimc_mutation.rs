@@ -67,7 +67,7 @@ fn words(blocks: &[CompiledBlock]) -> Vec<usize> {
             pos += 21;
         }
         let fanins: usize = b.ops().iter().map(|op| b.fanin(op).len()).sum();
-        let tail = fanins + 2 * b.levels().len();
+        let tail = fanins + 2 * b.sections().len();
         at.extend((0..tail).map(|i| pos + 4 * i));
         pos += 4 * tail;
     }

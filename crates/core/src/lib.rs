@@ -7,8 +7,11 @@
 //! * [`evaluate_gate`] / [`GateRuntime`] — the *exact* gate evaluation
 //!   semantics (apply all input changes at a timestamp, evaluate each
 //!   affected gate once, schedule an output event only when the driven value
-//!   changes). Every kernel routes through this one function, which is why
-//!   differential testing across kernels is exact, not approximate.
+//!   changes). The sequential reference kernel and the oblivious kernel's
+//!   interpreted path call it; every fabric kernel and the compiled sweeps
+//!   run `parsim-compile`'s bytecode executors instead, which reproduce
+//!   these semantics exactly, so differential testing against the
+//!   sequential reference is exact, not approximate.
 //! * [`SequentialSimulator`] — the classic single-event-queue reference
 //!   kernel; the oracle for all correctness tests, and the engine behind
 //!   [`pre_simulate`] (§III pre-simulation load profiling).

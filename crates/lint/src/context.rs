@@ -5,9 +5,9 @@ use parsim_partition::{GateWeights, Partition};
 
 /// Everything a [`LintPass`](crate::LintPass) may inspect.
 ///
-/// Owns the [`Levelization`] (computed once, shared by all passes) and
-/// optionally borrows a [`Partition`] plus the [`GateWeights`] it was built
-/// for, enabling the partition-quality passes.
+/// Owns the [`Levelization`], computed once for the passes that read levels
+/// or a topological order, and optionally borrows a [`Partition`] plus the
+/// [`GateWeights`] it was built for, enabling the partition-quality passes.
 ///
 /// # Examples
 ///
@@ -55,7 +55,7 @@ impl<'a> LintContext<'a> {
         self.circuit
     }
 
-    /// Topological levels of the circuit, shared by all passes.
+    /// Topological levels of the circuit, computed once per context.
     pub fn levels(&self) -> &Levelization {
         &self.levels
     }

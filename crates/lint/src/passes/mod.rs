@@ -2,8 +2,8 @@
 //!
 //! Grouped by what they protect:
 //!
-//! * [`structural`] — build-time errors (cycles, undefined gates, arity,
-//!   duplicate names) upgraded from [`parsim_netlist::NetlistError`] to
+//! * [`structural`] — the builder's structural errors (cycles, undefined
+//!   gates, arity, duplicate names, [`parsim_netlist::NetlistError`]) as
 //!   site-carrying diagnostics,
 //! * logic quality — [`UnusedInput`], [`DeadLogic`], [`ConstCone`],
 //!   [`DuplicateGate`]: correctness-adjacent findings and synthesis

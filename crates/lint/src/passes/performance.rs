@@ -1,7 +1,7 @@
 //! Parallel-performance passes: fanout hotspots, shape imbalance and
 //! zero-delay feedback loops.
 
-use parsim_netlist::{Delay, GateId};
+use parsim_netlist::{Condensation, Delay, GateId};
 
 use crate::context::LintContext;
 use crate::diagnostic::{Code, Diagnostic, Severity};
@@ -131,6 +131,12 @@ impl LintPass for ShapeImbalance {
 /// re-excite the loop within a single simulation instant — livelocking
 /// event-driven kernels and breaking the lookahead assumption of the
 /// conservative ones.
+///
+/// Reports one finding per strongly connected component of the zero-delay
+/// subgraph that holds a loop (more than one gate, or one gate reading its
+/// own output), with every gate of the component as a site: loops that
+/// share gates are one finding. One [`Condensation`], linear in gates and
+/// edges.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ZeroDelayLoop;
 
@@ -145,73 +151,26 @@ impl LintPass for ZeroDelayLoop {
 
     fn run(&self, ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
         let c = ctx.circuit();
-        let n = c.len();
-        // Restrict to the zero-delay subgraph, keeping *all* edges —
-        // including edges into sequential elements, which is exactly where
-        // legal feedback lives.
-        let in_sub: Vec<bool> = c.ids().map(|id| c.delay(id) == Delay::ZERO).collect();
-        let mut indegree = vec![0usize; n];
-        for id in c.ids() {
-            if in_sub[id.index()] {
-                indegree[id.index()] = c.fanin(id).iter().filter(|f| in_sub[f.index()]).count();
-            }
-        }
-        // Kahn: peel nodes with no remaining zero-delay predecessors.
-        let mut ready: Vec<usize> = (0..n).filter(|&i| in_sub[i] && indegree[i] == 0).collect();
-        let mut remaining = in_sub.iter().filter(|&&s| s).count();
-        while let Some(i) = ready.pop() {
-            remaining -= 1;
-            for e in c.fanout(GateId::new(i)) {
-                let j = e.gate.index();
-                if in_sub[j] {
-                    indegree[j] -= 1;
-                    if indegree[j] == 0 {
-                        ready.push(j);
-                    }
-                }
-            }
-        }
-        if remaining == 0 {
-            return;
-        }
-        // Extract disjoint cycles from the leftover nodes.
-        let mut on_reported = vec![false; n];
-        for start in 0..n {
-            if indegree[start] == 0 || !in_sub[start] || on_reported[start] {
+        // The zero-delay subgraph keeps *all* its edges, including edges
+        // into sequential elements, which is exactly where legal feedback
+        // lives. Each of its cyclic components is one finding.
+        let keep =
+            |from: GateId, to: GateId| c.delay(from) == Delay::ZERO && c.delay(to) == Delay::ZERO;
+        let dag = Condensation::of(c, keep);
+        for comp in 0..dag.len() {
+            let members = dag.members(comp);
+            let g = members[0];
+            if members.len() == 1 && !(keep(g, g) && c.fanin(g).contains(&g)) {
                 continue;
             }
-            let mut seen = vec![usize::MAX; n];
-            let mut path = Vec::new();
-            let mut cur = start;
-            let cycle: Vec<usize> = loop {
-                if on_reported[cur] {
-                    break Vec::new(); // ran into an already-reported loop
-                }
-                if seen[cur] != usize::MAX {
-                    break path[seen[cur]..].to_vec();
-                }
-                seen[cur] = path.len();
-                path.push(cur);
-                cur = c
-                    .fanin(GateId::new(cur))
-                    .iter()
-                    .map(|f| f.index())
-                    .find(|&f| in_sub[f] && indegree[f] > 0)
-                    .expect("unresolved zero-delay node must have an unresolved fanin");
-            };
-            if cycle.is_empty() {
-                continue;
-            }
-            for &i in &cycle {
-                on_reported[i] = true;
-            }
-            let sites: Vec<GateId> = cycle.iter().map(|&i| GateId::new(i)).collect();
+            let mut sites = members.to_vec();
+            sites.sort_unstable();
             let names: Vec<String> = sites.iter().map(|&id| ctx.name_of(id)).collect();
             out.push(
                 Diagnostic::new(
                     Code::ZERO_DELAY_LOOP,
                     self.default_severity(),
-                    format!("feedback loop with zero total delay: {}", names.join(" -> ")),
+                    format!("feedback loop with zero total delay through {}", names.join(", ")),
                 )
                 .with_sites(sites)
                 .with_help("give at least one element on the loop a nonzero delay"),

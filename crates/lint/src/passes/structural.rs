@@ -5,58 +5,39 @@
 //! so structural problems can only be observed *during* construction. This
 //! module upgrades the builder's error path — [`check_build`] runs
 //! [`CircuitBuilder::finish_with_diagnostics`] and converts every
-//! [`StructuralIssue`] into a site-carrying [`Diagnostic`], including the
-//! full combinational cycle path that the legacy
-//! [`NetlistError`](parsim_netlist::NetlistError) only names opaquely.
+//! [`NetlistError`] it reports into a site-carrying [`Diagnostic`],
+//! including the full combinational cycle path.
 
-use parsim_netlist::{Circuit, CircuitBuilder, StructuralIssue, StructuralReport};
+use parsim_netlist::{Circuit, CircuitBuilder, NetlistError, StructuralReport};
 
 use crate::diagnostic::{Code, Diagnostic, Severity};
 use crate::report::LintReport;
 
-/// Converts one builder issue into a diagnostic.
-pub fn diagnose_issue(issue: &StructuralIssue) -> Diagnostic {
-    match issue {
-        StructuralIssue::Empty => {
-            Diagnostic::new(Code::EMPTY_CIRCUIT, Severity::Error, "circuit contains no gates")
-        }
-        StructuralIssue::UndefinedGate { gate, name } => Diagnostic::new(
+/// Converts one builder issue into a diagnostic: its message is the issue's
+/// own, its sites the gates the issue names.
+pub fn diagnose_issue(issue: &NetlistError) -> Diagnostic {
+    let (code, sites, help) = match issue {
+        NetlistError::Empty => (Code::EMPTY_CIRCUIT, &[][..], None),
+        NetlistError::UndefinedGate { gate, .. } => (
             Code::UNDEFINED_GATE,
-            Severity::Error,
-            format!("gate {name:?} is referenced but never defined"),
-        )
-        .with_site(*gate)
-        .with_help("define the gate, or remove the references to it"),
-        StructuralIssue::BadArity { gate, name, kind, got } => {
-            let expected = match (kind.min_inputs(), kind.max_inputs()) {
-                (lo, Some(hi)) if lo == hi => format!("exactly {lo}"),
-                (lo, Some(hi)) => format!("{lo} to {hi}"),
-                (lo, None) => format!("at least {lo}"),
-            };
-            Diagnostic::new(
-                Code::BAD_ARITY,
-                Severity::Error,
-                format!("gate {name:?} of kind {kind} has {got} inputs, expected {expected}"),
-            )
-            .with_site(*gate)
+            std::slice::from_ref(gate),
+            Some("define the gate, or remove the references to it"),
+        ),
+        NetlistError::BadArity { gate, .. } => (Code::BAD_ARITY, std::slice::from_ref(gate), None),
+        NetlistError::DuplicateName { gates, .. } => {
+            (Code::DUPLICATE_NAME, &gates[..], Some("rename all but one of the gates"))
         }
-        StructuralIssue::DuplicateName { name, gates } => Diagnostic::new(
-            Code::DUPLICATE_NAME,
-            Severity::Error,
-            format!("gate name {name:?} is defined {} times", gates.len()),
-        )
-        .with_sites(gates.iter().copied())
-        .with_help("rename all but one of the gates"),
-        StructuralIssue::CombinationalCycle { gates, names } => Diagnostic::new(
+        NetlistError::CombinationalCycle { gates, .. } => (
             Code::COMBINATIONAL_CYCLE,
-            Severity::Error,
-            format!(
-                "combinational cycle through {}",
-                names.iter().map(|n| format!("{n:?}")).collect::<Vec<_>>().join(" -> ")
-            ),
-        )
-        .with_sites(gates.iter().copied())
-        .with_help("break the loop with a flip-flop or latch, or remove the feedback path"),
+            &gates[..],
+            Some("break the loop with a flip-flop or latch, or remove the feedback path"),
+        ),
+    };
+    let d =
+        Diagnostic::new(code, Severity::Error, issue.to_string()).with_sites(sites.iter().copied());
+    match help {
+        Some(help) => d.with_help(help),
+        None => d,
     }
 }
 

@@ -196,6 +196,70 @@ fn seeded_zero_delay_loop() {
     assert!(diags[0].sites.contains(&g));
 }
 
+/// A zero-delay latch loop `q = LATCH(en, AND(data, q))`, with `data` on
+/// the AND's pin 0. Returns `[q, and]`.
+fn zero_delay_latch(
+    b: &mut CircuitBuilder,
+    en: parsim_netlist::GateId,
+    data: parsim_netlist::GateId,
+) -> [parsim_netlist::GateId; 2] {
+    let q = b.declare(format!("q{}", b.len()));
+    let and = b.gate(GateKind::And, [data, q], Delay::ZERO);
+    b.define(q, GateKind::Latch, [en, and], Delay::ZERO);
+    [q, and]
+}
+
+#[test]
+fn a_zero_delay_loop_downstream_of_another_is_reported() {
+    let mut b = CircuitBuilder::new("two_latch_races");
+    let en = b.input("en");
+    let a = b.input("a");
+    let loop_a = zero_delay_latch(&mut b, en, a);
+    let loop_b = zero_delay_latch(&mut b, en, loop_a[0]);
+    b.output("y", loop_b[0]);
+    let c = b.finish().unwrap();
+    let diags = lint(&c);
+    assert_eq!(diags.len(), 2, "{diags:?}");
+    let mut sites: Vec<Vec<parsim_netlist::GateId>> =
+        diags.iter().map(|d| d.sites.clone()).collect();
+    sites.sort();
+    let (mut want_a, mut want_b) = (loop_a.to_vec(), loop_b.to_vec());
+    want_a.sort();
+    want_b.sort();
+    assert_eq!(sites, [want_a, want_b]);
+    assert!(diags.iter().all(|d| d.code == Code::ZERO_DELAY_LOOP));
+}
+
+#[test]
+fn a_zero_delay_loop_feeding_a_long_chain_is_reported_once() {
+    let mut b = CircuitBuilder::new("latch_race_and_chain");
+    let en = b.input("en");
+    let a = b.input("a");
+    let [q, _] = zero_delay_latch(&mut b, en, a);
+    let mut cur = q;
+    for _ in 0..100_000 {
+        cur = b.gate(GateKind::Buf, [cur], Delay::ZERO);
+    }
+    b.output("y", cur);
+    let c = b.finish().unwrap();
+    let report = Linter::with_default_passes().run(&LintContext::new(&c));
+    assert_eq!(report.with_code(Code::ZERO_DELAY_LOOP).count(), 1);
+}
+
+#[test]
+fn a_zero_delay_self_loop_is_reported() {
+    let mut b = CircuitBuilder::new("latch_holds_itself");
+    let en = b.input("en");
+    let q = b.declare("q");
+    b.define(q, GateKind::Latch, [en, q], Delay::ZERO);
+    b.output("y", q);
+    let c = b.finish().unwrap();
+    let diags = lint(&c);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].code, Code::ZERO_DELAY_LOOP);
+    assert_eq!(diags[0].sites, [q]);
+}
+
 // ── partition-quality defects ─────────────────────────────────────────────
 
 #[test]

@@ -8,75 +8,21 @@ use std::fmt::{self, Display};
 use parsim_logic::GateKind;
 
 use crate::circuit::{Circuit, FanoutEntry, Gate};
-use crate::{Delay, GateId};
+use crate::{graph, Delay, GateId};
 
-/// Error produced when a circuit under construction is structurally invalid.
+/// One structural problem in a circuit under construction.
+///
+/// [`CircuitBuilder::finish`] returns the first one found;
+/// [`CircuitBuilder::finish_with_diagnostics`] collects every one in a
+/// [`StructuralReport`]. Each carries the [`GateId`]s involved, so
+/// downstream tooling (the `parsim-lint` crate, DOT highlighting) can point
+/// at the exact sites, and the gates' names for messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum NetlistError {
+    /// The circuit contains no gates.
+    Empty,
     /// A gate was declared (e.g. referenced by name in a `.bench` file or
     /// created with [`CircuitBuilder::declare`]) but never defined.
-    UndefinedGate {
-        /// Name of the undefined gate, or its id rendering if unnamed.
-        name: String,
-    },
-    /// A gate has an illegal number of inputs for its kind.
-    BadArity {
-        /// The offending gate.
-        gate: String,
-        /// Its kind.
-        kind: GateKind,
-        /// The number of fanin nets it was given.
-        got: usize,
-    },
-    /// A gate name was used twice.
-    DuplicateName {
-        /// The reused name.
-        name: String,
-    },
-    /// The combinational part of the circuit contains a cycle (a feedback
-    /// loop not broken by a flip-flop or latch).
-    CombinationalCycle {
-        /// The gates on one such cycle, in order.
-        cycle: Vec<String>,
-    },
-    /// The circuit contains no gates.
-    Empty,
-}
-
-impl Display for NetlistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetlistError::UndefinedGate { name } => {
-                write!(f, "gate {name:?} is referenced but never defined")
-            }
-            NetlistError::BadArity { gate, kind, got } => {
-                write!(f, "gate {gate:?} of kind {kind} cannot take {got} inputs")
-            }
-            NetlistError::DuplicateName { name } => {
-                write!(f, "gate name {name:?} is defined more than once")
-            }
-            NetlistError::CombinationalCycle { cycle } => {
-                write!(f, "combinational cycle through {}", cycle.join(" -> "))
-            }
-            NetlistError::Empty => write!(f, "circuit contains no gates"),
-        }
-    }
-}
-
-impl Error for NetlistError {}
-
-/// One structural problem found by [`CircuitBuilder::finish_with_diagnostics`].
-///
-/// Unlike [`NetlistError`], which reports only the first problem and names
-/// gates by string, a `StructuralIssue` carries the [`GateId`]s involved so
-/// downstream tooling (the `parsim-lint` crate, DOT highlighting) can point
-/// at the exact sites.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StructuralIssue {
-    /// The circuit contains no gates.
-    Empty,
-    /// A gate was declared but never defined.
     UndefinedGate {
         /// The undefined gate.
         gate: GateId,
@@ -101,7 +47,8 @@ pub enum StructuralIssue {
         /// Every gate carrying that name, in id order.
         gates: Vec<GateId>,
     },
-    /// The combinational part of the circuit contains a cycle.
+    /// The combinational part of the circuit contains a cycle (a feedback
+    /// loop not broken by a flip-flop or latch).
     CombinationalCycle {
         /// The gates on one such cycle, in order.
         gates: Vec<GateId>,
@@ -110,25 +57,36 @@ pub enum StructuralIssue {
     },
 }
 
-impl Display for StructuralIssue {
+impl Display for NetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StructuralIssue::Empty => write!(f, "circuit contains no gates"),
-            StructuralIssue::UndefinedGate { name, .. } => {
+            NetlistError::Empty => write!(f, "circuit contains no gates"),
+            NetlistError::UndefinedGate { name, .. } => {
                 write!(f, "gate {name:?} is referenced but never defined")
             }
-            StructuralIssue::BadArity { name, kind, got, .. } => {
-                write!(f, "gate {name:?} of kind {kind} cannot take {got} inputs")
+            NetlistError::BadArity { name, kind, got, .. } => {
+                write!(f, "gate {name:?} of kind {kind} has {got} inputs, expected ")?;
+                match (kind.min_inputs(), kind.max_inputs()) {
+                    (lo, Some(hi)) if lo == hi => write!(f, "exactly {lo}"),
+                    (lo, Some(hi)) => write!(f, "{lo} to {hi}"),
+                    (lo, None) => write!(f, "at least {lo}"),
+                }
             }
-            StructuralIssue::DuplicateName { name, gates } => {
+            NetlistError::DuplicateName { name, gates } => {
                 write!(f, "gate name {name:?} is defined {} times", gates.len())
             }
-            StructuralIssue::CombinationalCycle { names, .. } => {
-                write!(f, "combinational cycle through {}", names.join(" -> "))
+            NetlistError::CombinationalCycle { names, .. } => {
+                f.write_str("combinational cycle through ")?;
+                for (i, name) in names.iter().enumerate() {
+                    write!(f, "{}{name:?}", if i == 0 { "" } else { " -> " })?;
+                }
+                Ok(())
             }
         }
     }
 }
+
+impl Error for NetlistError {}
 
 /// Every structural problem in a circuit under construction, as returned by
 /// [`CircuitBuilder::finish_with_diagnostics`].
@@ -137,40 +95,14 @@ impl Display for StructuralIssue {
 /// collects all of them, so a user can fix a netlist in one round trip.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructuralReport {
-    issues: Vec<StructuralIssue>,
+    issues: Vec<NetlistError>,
 }
 
 impl StructuralReport {
     /// The issues found, grouped by category (emptiness, undefined gates,
     /// arity, duplicate names, cycles) and by gate id within a category.
-    pub fn issues(&self) -> &[StructuralIssue] {
+    pub fn issues(&self) -> &[NetlistError] {
         &self.issues
-    }
-
-    /// Number of issues.
-    pub fn len(&self) -> usize {
-        self.issues.len()
-    }
-
-    /// Returns `true` if the report contains no issues.
-    pub fn is_empty(&self) -> bool {
-        self.issues.is_empty()
-    }
-
-    /// Collapses the report into the legacy single-problem error (the first
-    /// issue, matching the order [`CircuitBuilder::finish`] checks in).
-    pub fn into_first_error(mut self) -> NetlistError {
-        match self.issues.swap_remove(0) {
-            StructuralIssue::Empty => NetlistError::Empty,
-            StructuralIssue::UndefinedGate { name, .. } => NetlistError::UndefinedGate { name },
-            StructuralIssue::BadArity { name, kind, got, .. } => {
-                NetlistError::BadArity { gate: name, kind, got }
-            }
-            StructuralIssue::DuplicateName { name, .. } => NetlistError::DuplicateName { name },
-            StructuralIssue::CombinationalCycle { names, .. } => {
-                NetlistError::CombinationalCycle { cycle: names }
-            }
-        }
     }
 }
 
@@ -369,10 +301,7 @@ impl CircuitBuilder {
     }
 
     fn display_name(&self, id: GateId) -> String {
-        match &self.gates[id.index()].name {
-            Some(n) => n.to_string(),
-            None => id.to_string(),
-        }
+        self.gates[id.index()].name.as_deref().map_or_else(|| id.to_string(), str::to_owned)
     }
 
     /// Validates the structure and produces the immutable [`Circuit`].
@@ -386,7 +315,8 @@ impl CircuitBuilder {
     /// [`finish_with_diagnostics`](Self::finish_with_diagnostics) for an
     /// exhaustive report.
     pub fn finish(self) -> Result<Circuit, NetlistError> {
-        self.finish_with_diagnostics().map_err(StructuralReport::into_first_error)
+        // A report holds at least one issue; the first is the one to return.
+        self.finish_with_diagnostics().map_err(|mut report| report.issues.swap_remove(0))
     }
 
     /// Validates the structure, reporting *every* structural problem.
@@ -456,18 +386,18 @@ impl CircuitBuilder {
 
     /// Collects every structural issue, in category order (emptiness,
     /// undefined gates, arity, duplicate names, cycle).
-    fn check(&self, fanout_start: &[usize], fanout: &[FanoutEntry]) -> Vec<StructuralIssue> {
+    fn check(&self, fanout_start: &[usize], fanout: &[FanoutEntry]) -> Vec<NetlistError> {
         let mut issues = Vec::new();
 
         if self.gates.is_empty() {
-            return vec![StructuralIssue::Empty];
+            return vec![NetlistError::Empty];
         }
 
         // Every declared gate must be defined.
         for (i, g) in self.gates.iter().enumerate() {
             if g.kind.is_none() {
                 let gate = GateId::new(i);
-                issues.push(StructuralIssue::UndefinedGate { gate, name: self.display_name(gate) });
+                issues.push(NetlistError::UndefinedGate { gate, name: self.display_name(gate) });
             }
         }
 
@@ -476,7 +406,7 @@ impl CircuitBuilder {
             let Some(kind) = g.kind else { continue };
             if !kind.accepts_inputs(g.fanin.len()) {
                 let gate = GateId::new(i);
-                issues.push(StructuralIssue::BadArity {
+                issues.push(NetlistError::BadArity {
                     gate,
                     name: self.display_name(gate),
                     kind,
@@ -503,71 +433,41 @@ impl CircuitBuilder {
         let mut duplicates: Vec<(&str, Vec<GateId>)> = repeated.into_iter().collect();
         duplicates.sort_by_key(|(_, gates)| gates[0]);
         for (name, gates) in duplicates {
-            issues.push(StructuralIssue::DuplicateName { name: name.to_owned(), gates });
+            issues.push(NetlistError::DuplicateName { name: name.to_owned(), gates });
         }
 
-        // Combinational cycle check: Kahn's algorithm over the edge set that
-        // excludes edges *into* sequential elements (a DFF/latch input is a
-        // legal feedback point). Skipped while any gate is undefined: the
-        // check needs every gate's kind.
+        // Combinational cycle check, skipped while any gate is undefined:
+        // the peel needs every gate's kind.
         if self.gates.iter().all(|g| g.kind.is_some()) {
-            let n = self.gates.len();
-            let mut indegree = vec![0usize; n];
-            for (i, g) in self.gates.iter().enumerate() {
-                if !g.kind.expect("defined").is_sequential() {
-                    indegree[i] = g.fanin.len();
-                }
-            }
-            let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-            let mut done = 0usize;
-            while let Some(i) = ready.pop() {
-                done += 1;
-                for entry in &fanout[fanout_start[i]..fanout_start[i + 1]] {
-                    let j = entry.gate.index();
-                    if self.gates[j].kind.expect("defined").is_sequential() {
-                        continue;
-                    }
-                    indegree[j] -= 1;
-                    if indegree[j] == 0 {
-                        ready.push(j);
-                    }
-                }
-            }
-            if done < n {
-                let gates = self.extract_cycle(&indegree);
+            let gate = |i: usize| (self.gates[i].kind.expect("defined"), self.gates[i].fanin.len());
+            let (order, residual) = graph::peel(gate, fanout_start, fanout, |_, _| {});
+            if order.len() < self.gates.len() {
+                let gates = self.extract_cycle(&residual);
                 let names = gates.iter().map(|&g| self.display_name(g)).collect();
-                issues.push(StructuralIssue::CombinationalCycle { gates, names });
+                issues.push(NetlistError::CombinationalCycle { gates, names });
             }
         }
 
         issues
     }
 
-    /// Walks backwards from an unresolved gate to recover one cycle for the
-    /// error message.
-    fn extract_cycle(&self, indegree: &[usize]) -> Vec<GateId> {
-        let start = indegree
-            .iter()
-            .position(|&d| d > 0)
-            .expect("extract_cycle called with no unresolved gate");
+    /// Walks backwards from the first gate the peel left (`residual > 0`)
+    /// through fanins it also left, to recover one cycle for the error.
+    fn extract_cycle(&self, residual: &[usize]) -> Vec<GateId> {
+        let mut cur = residual.iter().position(|&d| d > 0).expect("a gate the peel left");
         let mut seen = vec![usize::MAX; self.gates.len()];
         let mut path = Vec::new();
-        let mut cur = start;
-        loop {
-            if seen[cur] != usize::MAX {
-                return path[seen[cur]..].iter().map(|&i| GateId::new(i)).collect();
-            }
+        while seen[cur] == usize::MAX {
             seen[cur] = path.len();
-            path.push(cur);
-            // Follow any fanin that is itself still unresolved; one must
-            // exist on a cycle.
+            path.push(GateId::new(cur));
             cur = self.gates[cur]
                 .fanin
                 .iter()
                 .map(|f| f.index())
-                .find(|&f| indegree[f] > 0)
-                .unwrap_or_else(|| self.gates[cur].fanin[0].index());
+                .find(|&f| residual[f] > 0)
+                .expect("a gate the peel left has a fanin it left");
         }
+        path.split_off(seen[cur])
     }
 }
 
@@ -600,7 +500,9 @@ mod tests {
         let ghost = b.declare("ghost");
         b.gate(GateKind::And, [a, ghost], Delay::UNIT);
         match b.finish().unwrap_err() {
-            NetlistError::UndefinedGate { name } => assert_eq!(name, "ghost"),
+            NetlistError::UndefinedGate { gate, name } => {
+                assert_eq!((gate, name.as_str()), (ghost, "ghost"));
+            }
             e => panic!("unexpected error {e}"),
         }
     }
@@ -631,8 +533,10 @@ mod tests {
         let y = b.named_gate("y", GateKind::Not, [x], Delay::UNIT);
         b.define(x, GateKind::Not, [y], Delay::UNIT);
         match b.finish().unwrap_err() {
-            NetlistError::CombinationalCycle { cycle } => {
-                assert!(cycle.contains(&"x".to_string()) || cycle.contains(&"y".to_string()));
+            NetlistError::CombinationalCycle { gates, names } => {
+                assert_eq!(gates.len(), 2);
+                assert!(gates.contains(&x) && gates.contains(&y));
+                assert!(names.contains(&"x".to_string()) && names.contains(&"y".to_string()));
             }
             e => panic!("unexpected error {e}"),
         }

@@ -1,18 +1,13 @@
 //! Topological levelization of the combinational network.
 
-use crate::{Circuit, GateId};
+use crate::{graph, Circuit, GateId};
 
 /// Topological levels of a circuit's combinational network.
 ///
 /// Sources (primary inputs, constants, flip-flops and latches) sit at level
 /// 0; every other gate sits one level above its deepest fanin. Levelization
-/// drives:
-///
-/// * the **oblivious** simulator (§IV): evaluating gates in level order
-///   guarantees "components are evaluated after their input values are
-///   known" with no event queue at all,
-/// * **levelized partitioning** (§III), and
-/// * the depth statistic (critical path length in gate stages).
+/// drives **levelized partitioning** (§III) and the depth statistic
+/// (critical path length in gate stages).
 ///
 /// # Examples
 ///
@@ -42,32 +37,18 @@ impl Levelization {
     /// Always succeeds: construction already guarantees the combinational
     /// network is acyclic.
     pub fn of(circuit: &Circuit) -> Self {
-        let n = circuit.len();
-        let mut levels = vec![0u32; n];
-        let mut indegree = vec![0usize; n];
-        for (id, g) in circuit.iter() {
-            if !g.kind().is_sequential() {
-                indegree[id.index()] = g.fanin().len();
-            }
-        }
-        let mut order: Vec<GateId> = Vec::with_capacity(n);
-        let mut ready: std::collections::VecDeque<usize> =
-            (0..n).filter(|&i| indegree[i] == 0).collect();
-        while let Some(i) = ready.pop_front() {
-            order.push(GateId::new(i));
-            for entry in circuit.fanout(GateId::new(i)) {
-                let j = entry.gate.index();
-                if circuit.kind(entry.gate).is_sequential() {
-                    continue;
-                }
-                levels[j] = levels[j].max(levels[i] + 1);
-                indegree[j] -= 1;
-                if indegree[j] == 0 {
-                    ready.push_back(j);
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), n, "circuit invariant: combinational network is acyclic");
+        let mut levels = vec![0u32; circuit.len()];
+        let (order, _) = graph::peel(
+            |i| (circuit.gates[i].kind, circuit.gates[i].fanin.len()),
+            &circuit.fanout_start,
+            &circuit.fanout,
+            |i, j| levels[j] = levels[j].max(levels[i] + 1),
+        );
+        debug_assert_eq!(
+            order.len(),
+            circuit.len(),
+            "circuit invariant: combinational network is acyclic"
+        );
         let depth = levels.iter().copied().max().unwrap_or(0);
         Levelization { levels, order, depth }
     }

@@ -10,8 +10,12 @@
 //!
 //! * [`CircuitBuilder`] — validating construction (arity, dangling nets,
 //!   combinational cycles),
-//! * [`Levelization`] — topological levels for compiled-mode (oblivious)
-//!   simulation and levelized partitioning,
+//! * [`Levelization`] — topological levels for levelized partitioning and
+//!   the depth statistic, from the one combinational peel the builder's
+//!   cycle check also runs,
+//! * [`Condensation`] — the strongly connected components of any edge
+//!   subset (register loops for the cone partitioner, zero-delay loops for
+//!   lint),
 //! * [`mod@bench`] — ISCAS `.bench` format parsing and writing, with the classic
 //!   `c17` benchmark embedded,
 //! * [`dot`] — Graphviz export (optionally clustered by partition block),
@@ -50,14 +54,16 @@ mod circuit;
 mod delay;
 pub mod dot;
 pub mod generate;
+mod graph;
 mod hash;
 mod ids;
 mod levelize;
 mod stats;
 
-pub use builder::{CircuitBuilder, NetlistError, StructuralIssue, StructuralReport};
+pub use builder::{CircuitBuilder, NetlistError, StructuralReport};
 pub use circuit::{Circuit, FanoutEntry, Gate};
 pub use delay::{Delay, DelayModel};
+pub use graph::Condensation;
 pub use hash::Fnv1a;
 pub use ids::GateId;
 pub use levelize::Levelization;

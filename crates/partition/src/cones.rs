@@ -1,6 +1,6 @@
 //! Fanin-cone partitioning.
 
-use parsim_netlist::{Circuit, GateId};
+use parsim_netlist::{Circuit, Condensation, GateId};
 
 use crate::{least_loaded, GateWeights, Partition, Partitioner};
 
@@ -20,11 +20,11 @@ use crate::{least_loaded, GateWeights, Partition, Partitioner};
 /// The full cone sizes that fix this order come from one pass over the
 /// whole circuit, not one walk per output. Cones cross flip-flops, so the
 /// fanin graph is first condensed to its strongly connected components
-/// (iterative Tarjan). One bit per output, 64 outputs to a word and up to
-/// 16 words at a time, then flows from the outputs toward the inputs
-/// through the condensed DAG; a cone's size is the sum of the member
-/// counts of the components its bit reaches, accumulated for 64 outputs at
-/// once in bit-sliced counters. The pass costs
+/// ([`Condensation`] over every fanin edge). One bit per output, 64
+/// outputs to a word and up to 16 words at a time, then flows from the
+/// outputs toward the inputs through the condensed DAG; a cone's size is
+/// the sum of the member counts of the components its bit reaches,
+/// accumulated for 64 outputs at once in bit-sliced counters. The pass costs
 /// O((gates + edges) · ⌈outputs / 64⌉) word operations and
 /// O(components × 16) words of memory.
 #[derive(Debug, Clone, Copy, Default)]
@@ -91,8 +91,8 @@ const BATCH_WORDS: usize = 16;
 
 /// The full fanin-cone size of every primary output, in declaration order.
 fn cone_sizes(circuit: &Circuit) -> Vec<usize> {
-    let dag = Condensation::of(circuit);
-    let comps = dag.size.len();
+    let dag = Condensation::of(circuit, |_, _| true);
+    let comps = dag.len();
     // No cone exceeds the whole circuit, so this many bits hold any size.
     let planes = (usize::BITS - circuit.len().leading_zeros()) as usize;
     let mut sizes = Vec::with_capacity(circuit.outputs().len());
@@ -105,7 +105,7 @@ fn cone_sizes(circuit: &Circuit) -> Vec<usize> {
         counters.clear();
         counters.resize(words * planes, 0u64);
         for (j, po) in batch.iter().enumerate() {
-            reach[dag.comp[po.index()] * words + j / 64] |= 1 << (j % 64);
+            reach[dag.component(*po) * words + j / 64] |= 1 << (j % 64);
         }
         // Highest component first: every predecessor of a component has
         // handed on its bits before the component is read.
@@ -121,7 +121,7 @@ fn cone_sizes(circuit: &Circuit) -> Vec<usize> {
                 }
             }
             for (word, &b) in counters.chunks_exact_mut(planes).zip(&bits) {
-                add_sliced(word, b, dag.size[c]);
+                add_sliced(word, b, dag.members(c).len());
             }
         }
         for j in 0..batch.len() {
@@ -148,110 +148,6 @@ fn add_sliced(planes: &mut [u64], mask: u64, mut amount: usize) {
         }
         debug_assert_eq!(carry, 0, "a cone outgrew the circuit");
         amount &= amount - 1;
-    }
-}
-
-/// The fanin graph condensed to its strongly connected components.
-///
-/// Components are numbered in Tarjan's completion order, so every fanin
-/// edge between two components points to a lower number.
-struct Condensation {
-    /// The component of each gate.
-    comp: Vec<usize>,
-    /// The member count of each component.
-    size: Vec<usize>,
-    /// `targets[start[c]..start[c + 1]]`: the distinct other components
-    /// that feed component `c`.
-    start: Vec<usize>,
-    targets: Vec<usize>,
-}
-
-impl Condensation {
-    /// Iterative Tarjan over the fanin edges, so deep circuits cannot
-    /// overflow the stack.
-    fn of(circuit: &Circuit) -> Self {
-        const UNSEEN: usize = usize::MAX;
-        let n = circuit.len();
-        let mut index = vec![UNSEEN; n];
-        let mut low = vec![0; n];
-        // A gate is on Tarjan's stack exactly while it has an index and no
-        // component.
-        let mut comp = vec![UNSEEN; n];
-        let mut stack = Vec::new();
-        // DFS frames: (gate, next fanin pin to follow).
-        let mut frames: Vec<(usize, usize)> = Vec::new();
-        // Gates grouped by component: members[first[c]..first[c + 1]].
-        let mut members = Vec::with_capacity(n);
-        let mut first = vec![0];
-        let mut next = 0;
-        for root in 0..n {
-            if index[root] != UNSEEN {
-                continue;
-            }
-            index[root] = next;
-            low[root] = next;
-            next += 1;
-            stack.push(root);
-            frames.push((root, 0));
-            while let Some(frame) = frames.last_mut() {
-                let (v, pin) = *frame;
-                if let Some(w) = circuit.fanin(GateId::new(v)).get(pin).map(|w| w.index()) {
-                    frame.1 += 1;
-                    if index[w] == UNSEEN {
-                        index[w] = next;
-                        low[w] = next;
-                        next += 1;
-                        stack.push(w);
-                        frames.push((w, 0));
-                    } else if comp[w] == UNSEEN {
-                        low[v] = low[v].min(index[w]);
-                    }
-                    continue;
-                }
-                frames.pop();
-                if let Some(&(u, _)) = frames.last() {
-                    low[u] = low[u].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let c = first.len() - 1;
-                    loop {
-                        let w = stack.pop().expect("v is on the stack");
-                        comp[w] = c;
-                        members.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    first.push(members.len());
-                }
-            }
-        }
-
-        let comps = first.len() - 1;
-        let mut size = Vec::with_capacity(comps);
-        let mut start = Vec::with_capacity(comps + 1);
-        let mut targets = Vec::new();
-        let mut listed = vec![UNSEEN; comps];
-        start.push(0);
-        for c in 0..comps {
-            size.push(first[c + 1] - first[c]);
-            for &g in &members[first[c]..first[c + 1]] {
-                for f in circuit.fanin(GateId::new(g)) {
-                    let d = comp[f.index()];
-                    if d != c && listed[d] != c {
-                        listed[d] = c;
-                        targets.push(d);
-                    }
-                }
-            }
-            start.push(targets.len());
-        }
-        Condensation { comp, size, start, targets }
-    }
-
-    /// The components feeding component `c`.
-    fn fanin(&self, c: usize) -> &[usize] {
-        &self.targets[self.start[c]..self.start[c + 1]]
     }
 }
 
