@@ -71,7 +71,7 @@ impl<V: LogicValue> Default for GateRuntime<V> {
 pub fn evaluate_gate<V: LogicValue>(
     circuit: &Circuit,
     id: GateId,
-    read: &mut dyn FnMut(GateId) -> V,
+    read: &mut impl FnMut(GateId) -> V,
     rt: &mut GateRuntime<V>,
 ) -> Option<V> {
     let gate = circuit.gate(id);

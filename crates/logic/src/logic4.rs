@@ -16,6 +16,14 @@ use crate::value::{LogicValue, ParseLogicError};
 /// the [`resolve`](LogicValue::resolve) bus function treats `Z` as *absence*
 /// of a driver instead.
 ///
+/// The operators are constant truth tables, not control flow: `and`, `or`,
+/// `xor` and `resolve` read `AND_TABLE`, `OR_TABLE`, `XOR_TABLE` and
+/// `RESOLUTION` at `(a << 2) | b`, and `not` reads `NOT_TABLE` at `a`, so an
+/// evaluation costs no data-dependent branch. The index of a value is its
+/// discriminant, and the declaration order `Zero, One, X, Z` fixes it (0 to
+/// 3); the `Z`-reads-as-`X` rule of gate inputs lives in the tables' `Z`
+/// rows and columns.
+///
 /// # Examples
 ///
 /// ```
@@ -39,16 +47,63 @@ pub enum Logic4 {
     Z,
 }
 
-impl Logic4 {
-    /// Collapses `Z` to `X` for use as a gate input level.
-    fn input_level(self) -> Logic4 {
-        if self == Logic4::Z {
-            Logic4::X
-        } else {
-            self
-        }
-    }
+/// Truth-table index of the pair `(a, b)`: `a`'s discriminant in the high
+/// two bits, `b`'s in the low two.
+fn cell(a: Logic4, b: Logic4) -> usize {
+    ((a as usize) << 2) | b as usize
 }
+
+/// Kleene AND with `Z` read as `X`, indexed by [`cell`].
+const AND_TABLE: [Logic4; 16] = {
+    use Logic4::{One as I, Zero as O, X};
+    [
+        // 0  1  X  Z
+        O, O, O, O, // 0
+        O, I, X, X, // 1
+        O, X, X, X, // X
+        O, X, X, X, // Z
+    ]
+};
+
+/// Kleene OR with `Z` read as `X`, indexed by [`cell`].
+const OR_TABLE: [Logic4; 16] = {
+    use Logic4::{One as I, Zero as O, X};
+    [
+        // 0  1  X  Z
+        O, I, X, X, // 0
+        I, I, I, I, // 1
+        X, I, X, X, // X
+        X, I, X, X, // Z
+    ]
+};
+
+/// XOR: definite only when both operands are definite, indexed by [`cell`].
+const XOR_TABLE: [Logic4; 16] = {
+    use Logic4::{One as I, Zero as O, X};
+    [
+        // 0  1  X  Z
+        O, I, X, X, // 0
+        I, O, X, X, // 1
+        X, X, X, X, // X
+        X, X, X, X, // Z
+    ]
+};
+
+/// Kleene NOT with `Z` read as `X`, indexed by the operand's discriminant.
+const NOT_TABLE: [Logic4; 4] = [Logic4::One, Logic4::Zero, Logic4::X, Logic4::X];
+
+/// Bus resolution: `Z` is the identity, equal drivers agree, and any other
+/// pair conflicts to `X`. Indexed by [`cell`].
+const RESOLUTION: [Logic4; 16] = {
+    use Logic4::{One as I, Zero as O, X, Z};
+    [
+        // 0  1  X  Z
+        O, X, X, O, // 0
+        X, I, X, I, // 1
+        X, X, X, X, // X
+        O, I, X, Z, // Z
+    ]
+};
 
 impl LogicValue for Logic4 {
     const SYSTEM_NAME: &'static str = "Logic4";
@@ -66,42 +121,23 @@ impl LogicValue for Logic4 {
     }
 
     fn and(self, other: Self) -> Self {
-        match (self.input_level(), other.input_level()) {
-            (Logic4::Zero, _) | (_, Logic4::Zero) => Logic4::Zero,
-            (Logic4::One, Logic4::One) => Logic4::One,
-            _ => Logic4::X,
-        }
+        AND_TABLE[cell(self, other)]
     }
 
     fn or(self, other: Self) -> Self {
-        match (self.input_level(), other.input_level()) {
-            (Logic4::One, _) | (_, Logic4::One) => Logic4::One,
-            (Logic4::Zero, Logic4::Zero) => Logic4::Zero,
-            _ => Logic4::X,
-        }
+        OR_TABLE[cell(self, other)]
     }
 
     fn not(self) -> Self {
-        match self.input_level() {
-            Logic4::Zero => Logic4::One,
-            Logic4::One => Logic4::Zero,
-            _ => Logic4::X,
-        }
+        NOT_TABLE[self as usize]
     }
 
     fn xor(self, other: Self) -> Self {
-        match (self.to_bool(), other.to_bool()) {
-            (Some(a), Some(b)) => Logic4::from_bool(a != b),
-            _ => Logic4::X,
-        }
+        XOR_TABLE[cell(self, other)]
     }
 
     fn resolve(self, other: Self) -> Self {
-        match (self, other) {
-            (Logic4::Z, v) | (v, Logic4::Z) => v,
-            (a, b) if a == b => a,
-            _ => Logic4::X,
-        }
+        RESOLUTION[cell(self, other)]
     }
 
     fn to_char(self) -> char {
@@ -177,6 +213,69 @@ impl Not for Logic4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference derivations the tables are checked against, written from
+    /// Kleene's strong logic rather than from the tables: gate inputs read
+    /// `Z` as `X`, and resolution treats `Z` as no driver at all.
+    fn input_level(v: Logic4) -> Logic4 {
+        if v == Logic4::Z {
+            Logic4::X
+        } else {
+            v
+        }
+    }
+
+    fn kleene_and(a: Logic4, b: Logic4) -> Logic4 {
+        match (input_level(a), input_level(b)) {
+            (Logic4::Zero, _) | (_, Logic4::Zero) => Logic4::Zero,
+            (Logic4::One, Logic4::One) => Logic4::One,
+            _ => Logic4::X,
+        }
+    }
+
+    fn kleene_or(a: Logic4, b: Logic4) -> Logic4 {
+        match (input_level(a), input_level(b)) {
+            (Logic4::One, _) | (_, Logic4::One) => Logic4::One,
+            (Logic4::Zero, Logic4::Zero) => Logic4::Zero,
+            _ => Logic4::X,
+        }
+    }
+
+    fn kleene_not(a: Logic4) -> Logic4 {
+        match input_level(a) {
+            Logic4::Zero => Logic4::One,
+            Logic4::One => Logic4::Zero,
+            _ => Logic4::X,
+        }
+    }
+
+    fn kleene_xor(a: Logic4, b: Logic4) -> Logic4 {
+        match (a.to_bool(), b.to_bool()) {
+            (Some(a), Some(b)) => Logic4::from_bool(a != b),
+            _ => Logic4::X,
+        }
+    }
+
+    fn kleene_resolve(a: Logic4, b: Logic4) -> Logic4 {
+        match (a, b) {
+            (Logic4::Z, v) | (v, Logic4::Z) => v,
+            (a, b) if a == b => a,
+            _ => Logic4::X,
+        }
+    }
+
+    #[test]
+    fn tables_match_kleene_derivation() {
+        for &a in Logic4::all() {
+            assert_eq!(!a, kleene_not(a), "NOT {a}");
+            for &b in Logic4::all() {
+                assert_eq!(a & b, kleene_and(a, b), "{a} AND {b}");
+                assert_eq!(a | b, kleene_or(a, b), "{a} OR {b}");
+                assert_eq!(a ^ b, kleene_xor(a, b), "{a} XOR {b}");
+                assert_eq!(a.resolve(b), kleene_resolve(a, b), "resolve({a},{b})");
+            }
+        }
+    }
 
     #[test]
     fn controlling_values_dominate_unknowns() {

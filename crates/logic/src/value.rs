@@ -97,7 +97,8 @@ pub trait LogicValue:
     /// Kleene XOR.
     fn xor(self, other: Self) -> Self {
         // a XOR b = (a AND NOT b) OR (NOT a AND b); the default is correct for
-        // any Kleene system but implementations may override with a table.
+        // any Kleene system. `Logic4` and `Std9` override it with their
+        // `XOR_TABLE`s, `Bit` with `!=` on its Boolean level.
         self.and(other.not()).or(self.not().and(other))
     }
 

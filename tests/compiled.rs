@@ -87,7 +87,19 @@ fn every_fabric_kernel_matches_sequential_both_value_systems_multi_delay() {
         let stim = Stimulus::random(seed + 2, 11).with_clock(6);
         cross_check::<Bit>(&c, &stim, 260);
         cross_check::<Logic4>(&c, &stim, 260);
+        cross_check::<Std9>(&c, &stim, 260);
     }
+}
+
+/// Random enables make the bus see no driver, one driver and conflicting
+/// drivers, so the compiled `Tribuf` and `Bus` arms and both resolution
+/// tables are exercised.
+#[test]
+fn every_fabric_kernel_matches_sequential_on_a_tristate_bus() {
+    let c = generate::tristate_bus(6, DelayModel::Unit);
+    let stim = Stimulus::random(7, 5);
+    cross_check::<Logic4>(&c, &stim, 300);
+    cross_check::<Std9>(&c, &stim, 300);
 }
 
 #[test]
