@@ -12,7 +12,8 @@
 //! event queue's true cost against the oblivious kernel's flat sweep.
 
 use parsim_bench::{timed, Table};
-use parsim_core::{ObliviousSimulator, Observe, SequentialSimulator, Simulator, Stimulus};
+use parsim_bitsim::ObliviousSimulator;
+use parsim_core::{Observe, SequentialSimulator, Simulator, Stimulus};
 use parsim_event::VirtualTime;
 use parsim_logic::Bit;
 use parsim_netlist::{generate, DelayModel};

@@ -14,14 +14,14 @@
 //! wall-clock time to push 64 patterns through the packed kernel vs. 64
 //! back-to-back runs of the scalar oblivious and event-driven sequential
 //! kernels. `speedup` is against the scalar oblivious baseline (the
-//! like-for-like comparison: same evaluate-everything discipline, scalar
-//! words).
+//! like-for-like comparison: the same packed loop at one lane, so the
+//! column isolates the word width).
 
 use std::time::Duration;
 
 use parsim_bench::{ladder_dag, timed, Table};
-use parsim_bitsim::{BitSimulator, PackedBit, PackedStimulus, LANES};
-use parsim_core::{ObliviousSimulator, Observe, SequentialSimulator, Simulator, Stimulus};
+use parsim_bitsim::{BitSimulator, ObliviousSimulator, PackedBit, PackedStimulus, LANES};
+use parsim_core::{Observe, SequentialSimulator, Simulator, Stimulus};
 use parsim_event::VirtualTime;
 use parsim_logic::Bit;
 use parsim_netlist::{Circuit, DelayModel};

@@ -83,8 +83,8 @@ mod tests {
     use super::*;
     use crate::packed::{PackedBit, PackedLogic4};
     use parsim_core::fault::{enumerate_faults, simulate_faults};
-    use parsim_logic::{Bit, Logic4};
-    use parsim_netlist::{bench, generate, DelayModel};
+    use parsim_logic::{Bit, GateKind, Logic4};
+    use parsim_netlist::{bench, generate, CircuitBuilder, Delay, DelayModel};
 
     #[test]
     fn packed_campaign_matches_serial_on_c17() {
@@ -154,6 +154,40 @@ mod tests {
         let stimulus = Stimulus::random(7, 6).with_clock(4);
         let until = VirtualTime::new(120);
         let serial = simulate_faults::<Bit>(&c, &faults, &stimulus, until);
+        let packed = simulate_faults_packed::<PackedBit>(
+            &BitSimulator::new(),
+            &c,
+            &faults,
+            &stimulus,
+            until,
+        );
+        assert_eq!(packed, serial);
+    }
+
+    /// A constant-1 driver is high in every lane of every faulty machine,
+    /// as it is in each serial run: `y = a AND 1` follows `a`, so the
+    /// faults on `b`, which only `b AND 0` reads, stay undetected in both
+    /// campaigns.
+    #[test]
+    fn packed_campaign_drives_constant_ones_like_serial() {
+        let mut b = CircuitBuilder::new("consts");
+        let a = b.input("a");
+        let bb = b.input("b");
+        let (one, zero) = (b.constant(true), b.constant(false));
+        let y = b.gate(GateKind::And, [a, one], Delay::UNIT);
+        let z = b.gate(GateKind::Not, [y], Delay::UNIT);
+        let q = b.gate(GateKind::And, [bb, zero], Delay::UNIT);
+        b.output("y", y);
+        b.output("z", z);
+        b.output("q", q);
+        let c = b.finish().unwrap();
+        let faults = enumerate_faults(&c);
+        let stimulus = Stimulus::random(3, 5);
+        let until = VirtualTime::new(60);
+        let serial = simulate_faults::<Bit>(&c, &faults, &stimulus, until);
+        let undetected = serial.undetected();
+        assert!(undetected.contains(&StuckAtFault { net: bb, value: true }), "{undetected:?}");
+        assert!(undetected.contains(&StuckAtFault { net: bb, value: false }), "{undetected:?}");
         let packed = simulate_faults_packed::<PackedBit>(
             &BitSimulator::new(),
             &c,

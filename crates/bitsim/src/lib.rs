@@ -20,6 +20,10 @@
 //!   every gate evaluated every tick, double-buffered unit-delay
 //!   semantics, in one single-threaded loop (more cores run independent
 //!   packed passes, never shards of one).
+//! - [`ObliviousSimulator`]: the scalar oblivious kernel, which is
+//!   [`BitSimulator`] at one lane behind the
+//!   [`Simulator`](parsim_core::Simulator) trait, for the value systems
+//!   with a packed carrier ([`Packable`]).
 //! - [`PackedStimulus`] / [`PackedOutcome`]: transposing 64 scalar
 //!   [`Stimulus`](parsim_core::Stimulus) streams into packed events and
 //!   projecting per-lane scalar [`SimOutcome`](parsim_core::SimOutcome)s
@@ -37,14 +41,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod compile;
 mod fault;
+mod oblivious;
 mod packed;
 mod sim;
 mod stimulus;
 
-pub use compile::CompiledOp;
 pub use fault::simulate_faults_packed;
+pub use oblivious::{ObliviousSimulator, Packable};
 pub use packed::{PackedBit, PackedLogic4, PackedValue, LANES};
 pub use sim::{BitSimulator, PackedForce};
 pub use stimulus::{PackedEvent, PackedOutcome, PackedStimulus, PackedWaveform};

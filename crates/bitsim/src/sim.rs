@@ -2,13 +2,13 @@
 
 use std::marker::PhantomData;
 
+use parsim_compile::{CompiledBlock, Op};
 use parsim_core::{Observe, SimStats, WaveRecorder};
 use parsim_event::VirtualTime;
 use parsim_logic::{GateKind, LogicValue};
 use parsim_netlist::{Circuit, GateId};
 use parsim_trace::{Probe, ProbeHandle, TraceKind, NO_LP};
 
-use crate::compile::{assert_unit_delays, CompiledBlock, CompiledOp};
 use crate::packed::{PackedValue, LANES};
 use crate::stimulus::{PackedEvent, PackedOutcome, PackedStimulus, PackedWaveform};
 
@@ -17,17 +17,17 @@ use crate::stimulus::{PackedEvent, PackedOutcome, PackedStimulus, PackedWaveform
 /// tick.
 ///
 /// The kernel compiles the circuit once into a straight-line kind-major
-/// schedule ([`CompiledBlock`]) and then, like [`ObliviousSimulator`],
-/// evaluates every gate at every tick with double buffering — tick `t`
-/// values are a pure function of tick `t − 1` values, i.e. unit-delay
-/// semantics: evaluation fills a second full value buffer, the observed
-/// nets (only those) are compared and recorded, and the buffers swap. The
-/// packed operations are lane-exact, so **lane `k` of a packed run is
-/// bit-identical to a scalar run driven by stimulus lane `k` alone**
-/// (waveforms included); the differential suite compares packed runs
-/// against 64 [`SequentialSimulator`] runs.
+/// schedule ([`CompiledBlock`]) and then evaluates every gate at every
+/// tick with double buffering — tick `t` values are a pure function of
+/// tick `t − 1` values, i.e. unit-delay semantics: evaluation fills a
+/// second full value buffer, the observed nets (only those) are compared
+/// and recorded, and the buffers swap. The packed operations are
+/// lane-exact, so **lane `k` of a packed run is bit-identical to a scalar
+/// run driven by stimulus lane `k` alone** (waveforms included); the
+/// differential suite compares packed runs against 64
+/// [`SequentialSimulator`] runs. At one lane it is the scalar
+/// [`ObliviousSimulator`](crate::ObliviousSimulator).
 ///
-/// [`ObliviousSimulator`]: parsim_core::ObliviousSimulator
 /// [`SequentialSimulator`]: parsim_core::SequentialSimulator
 ///
 /// # Panics
@@ -101,20 +101,7 @@ impl<P: PackedValue> BitSimulator<P> {
         stimulus: &PackedStimulus,
         until: VirtualTime,
     ) -> PackedOutcome<P> {
-        let lanes = stimulus.lanes();
-        let mut events = stimulus.events::<P>(circuit, until);
-        // Constants behave like a t = 0 input event, on every lane.
-        for (id, g) in circuit.iter() {
-            if g.kind() == GateKind::Const1 {
-                events.push(PackedEvent {
-                    time: VirtualTime::ZERO,
-                    net: id,
-                    mask: lanes_mask(lanes),
-                    value: P::splat(P::Scalar::ONE),
-                });
-            }
-        }
-        self.run_events(circuit, events, lanes, until)
+        self.run_events(circuit, stimulus.events::<P>(circuit, until), stimulus.lanes(), until)
     }
 
     /// Runs a pre-transposed packed event stream — the lower-level entry
@@ -138,6 +125,9 @@ impl<P: PackedValue> BitSimulator<P> {
     /// the stuck value — lane `k` behaves like the circuit with fault `k`
     /// injected. This is the fault campaign's entry point: up to 64 faulty
     /// machines per packed pass.
+    ///
+    /// Every entry point ends here, so this is where constant-1 nets are
+    /// driven: like a `t = 0` input event on every lane.
     pub fn run_events_forced(
         &self,
         circuit: &Circuit,
@@ -147,8 +137,18 @@ impl<P: PackedValue> BitSimulator<P> {
         forces: &[PackedForce<P>],
     ) -> PackedOutcome<P> {
         assert!((1..=LANES).contains(&lanes), "1..={LANES} lanes required, got {lanes}");
-        events.sort_by_key(|e| (e.time, e.net.index()));
         assert_unit_delays(circuit);
+        for (id, g) in circuit.iter() {
+            if g.kind() == GateKind::Const1 {
+                events.push(PackedEvent {
+                    time: VirtualTime::ZERO,
+                    net: id,
+                    mask: lanes_mask(lanes),
+                    value: P::splat(P::Scalar::ONE),
+                });
+            }
+        }
+        events.sort_by_key(|e| (e.time, e.net.index()));
         let cc = CompiledBlock::compile(circuit);
         let mut apply = ApplyPhase {
             events,
@@ -211,6 +211,24 @@ pub struct PackedForce<P> {
     pub mask: u64,
     /// The stuck values; lanes outside `mask` are ignored.
     pub value: P,
+}
+
+/// The oblivious precondition: the kernel is double-buffered (tick `t`
+/// values are a pure function of tick `t − 1` values), which is only the
+/// circuit's behaviour when every gate takes exactly one tick.
+///
+/// # Panics
+///
+/// Panics if any non-source gate has a delay other than one tick.
+fn assert_unit_delays(circuit: &Circuit) {
+    for (_, g) in circuit.iter() {
+        assert!(
+            g.kind().is_source() || g.delay().ticks() == 1,
+            "oblivious simulation requires unit gate delays, found {} on a {}",
+            g.delay(),
+            g.kind()
+        );
+    }
 }
 
 /// All populated lanes as a mask.
@@ -349,7 +367,7 @@ fn eval_tick<P: PackedValue>(
 fn eval_run<P: PackedValue>(
     cc: &CompiledBlock,
     kind: GateKind,
-    ops: &[CompiledOp],
+    ops: &[Op],
     values: &[P],
     out: &mut [P],
     seq: &mut SeqState<P>,

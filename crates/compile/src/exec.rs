@@ -188,45 +188,32 @@ fn fold<V: LogicValue>(values: &[V], fanin: &[GateId], init: V, f: fn(V, V) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parsim_core::{evaluate_gate, GateRuntime};
     use parsim_logic::{Bit, Logic4};
     use parsim_netlist::{bench, generate, Circuit, DelayModel};
 
-    /// Reference: the interpreted per-gate walk, reimplemented here from
-    /// the shared evaluation functions (`parsim-core` depends on this
-    /// crate, so the test reproduces its `evaluate_gate` contract
-    /// directly).
-    fn interpret_gate<V: LogicValue>(
+    /// Per-gate state as the executors' three arrays.
+    type State<V> = (Vec<V>, Vec<V>, Vec<V>);
+
+    /// Reference: the sequential oracle's `evaluate_gate` over `ids`, on
+    /// runtime state read from and written back to `state`.
+    fn oracle<V: LogicValue>(
         c: &Circuit,
-        id: GateId,
+        ids: impl IntoIterator<Item = GateId>,
         values: &[V],
-        st: &mut GateSlices<'_, V>,
-    ) -> Option<V> {
-        use parsim_logic::eval_combinational;
-        let gi = id.index();
-        let kind = c.kind(id);
-        let inputs: Vec<V> = c.fanin(id).iter().map(|&f| values[f.index()]).collect();
-        let new = match kind {
-            k if k.is_source() => return None,
-            GateKind::Dff => {
-                let up = eval_dff(st.prev_clk[gi], inputs[0], inputs[1], st.q[gi]);
-                st.prev_clk[gi] = inputs[0];
-                st.q[gi] = up.q;
-                up.q
+        state: &mut State<V>,
+    ) -> Vec<(GateId, V, u32)> {
+        let mut out = Vec::new();
+        for id in ids {
+            let i = id.index();
+            let mut rt =
+                GateRuntime { q: state.0[i], prev_clk: state.1[i], last_driven: state.2[i] };
+            if let Some(v) = evaluate_gate(c, id, &mut |f| values[f.index()], &mut rt) {
+                out.push((id, v, c.delay(id).ticks() as u32));
             }
-            GateKind::Latch => {
-                let up = eval_latch(inputs[0], inputs[1], st.q[gi]);
-                st.prev_clk[gi] = inputs[0];
-                st.q[gi] = up.q;
-                up.q
-            }
-            k => eval_combinational(k, &inputs),
-        };
-        if new != st.last_driven[gi] {
-            st.last_driven[gi] = new;
-            Some(new)
-        } else {
-            None
+            (state.0[i], state.1[i], state.2[i]) = (rt.q, rt.prev_clk, rt.last_driven);
         }
+        out
     }
 
     fn random_values<V: LogicValue>(n: usize, seed: u64) -> Vec<V> {
@@ -261,13 +248,7 @@ mod tests {
             &mut |g, v, d| compiled.push((g, v, d)),
         );
 
-        let mut interpreted: Vec<(GateId, V, u32)> = Vec::new();
-        let mut st = GateSlices { q: &mut b.0, prev_clk: &mut b.1, last_driven: &mut b.2 };
-        for id in c.ids() {
-            if let Some(v) = interpret_gate(c, id, &values, &mut st) {
-                interpreted.push((id, v, c.delay(id).ticks() as u32));
-            }
-        }
+        let mut interpreted = oracle(c, c.ids(), &values, &mut b);
 
         compiled.sort_unstable_by_key(|&(g, _, _)| g);
         interpreted.sort_unstable_by_key(|&(g, _, _)| g);
@@ -323,13 +304,7 @@ mod tests {
                 &mut |g, v, d| compiled.push((g, v, d)),
             );
 
-            let mut interpreted = Vec::new();
-            let mut st = GateSlices { q: &mut b.0, prev_clk: &mut b.1, last_driven: &mut b.2 };
-            for &id in &dirty {
-                if let Some(v) = interpret_gate(&c, id, &values, &mut st) {
-                    interpreted.push((id, v, c.delay(id).ticks() as u32));
-                }
-            }
+            let mut interpreted = oracle(&c, dirty.iter().copied(), &values, &mut b);
 
             compiled.sort_unstable_by_key(|&(g, _, _)| g);
             interpreted.sort_unstable_by_key(|&(g, _, _)| g);

@@ -10,12 +10,13 @@
 //! by kind so the executors dispatch **once per kind** instead of once per
 //! gate.
 //!
-//! One compiler, three backends:
+//! One compiler, every backend:
 //!
-//! * **oblivious scalar** — [`execute_full`] evaluates every op of a
-//!   [`CompiledBlock`] each tick (`parsim-core`'s `ObliviousSimulator`),
-//! * **oblivious packed** — `parsim-bitsim` runs the same schedule with
-//!   64-lane packed words,
+//! * **oblivious** — `parsim-bitsim` walks the schedule every tick with
+//!   its own packed executor, 1 to 64 lanes per word (its scalar
+//!   `ObliviousSimulator` is one lane),
+//! * **full sweep** — [`execute_full`] evaluates every op of a
+//!   [`CompiledBlock`] once, scalar (no kernel calls it today),
 //! * **event-driven** — [`execute_sparse`] evaluates only the dirty gates
 //!   of a timestamp batch, exactly reproducing `evaluate_gate`'s semantics:
 //!   the only gate evaluator under every synchronous, conservative and

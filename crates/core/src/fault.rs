@@ -159,20 +159,6 @@ pub fn simulate_faults<V: LogicValue>(
     until: VirtualTime,
 ) -> FaultReport {
     let sim = SequentialSimulator::<V>::new().with_observe(Observe::Outputs);
-    simulate_faults_with(&sim, circuit, faults, stimulus, until)
-}
-
-/// [`simulate_faults`] with a caller-chosen kernel: any [`Simulator`] can
-/// drive the campaign, as all kernels commit identical histories. The
-/// kernel should observe primary outputs (detection compares PO waveforms —
-/// a kernel observing nothing detects nothing).
-pub fn simulate_faults_with<V: LogicValue>(
-    sim: &dyn Simulator<V>,
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    stimulus: &Stimulus,
-    until: VirtualTime,
-) -> FaultReport {
     let good = sim.run(circuit, stimulus, until);
     let good_waves: Vec<_> = circuit.outputs().iter().map(|po| &good.waveforms[po]).collect();
 
@@ -246,18 +232,6 @@ mod tests {
         assert!(report.coverage() < 1.0, "one vector cannot catch everything");
         let shown = report.to_string();
         assert!(shown.contains("coverage"));
-    }
-
-    #[test]
-    fn campaign_kernel_is_interchangeable() {
-        let c = bench::c17();
-        let stimulus = Stimulus::random(3, 8);
-        let faults = enumerate_faults(&c);
-        let until = VirtualTime::new(96);
-        let serial = simulate_faults::<Bit>(&c, &faults, &stimulus, until);
-        let oblivious = crate::ObliviousSimulator::<Bit>::new().with_observe(Observe::Outputs);
-        let via_oblivious = simulate_faults_with(&oblivious, &c, &faults, &stimulus, until);
-        assert_eq!(via_oblivious, serial);
     }
 
     #[test]

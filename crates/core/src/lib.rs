@@ -1,22 +1,18 @@
 //! Core simulation semantics, reference kernels, stimulus and results.
 //!
-//! This crate defines everything the parallel kernels
-//! (`parsim-sync`, `parsim-conservative`, `parsim-optimistic`) have in
-//! common, plus the two §IV algorithms that need no synchronization at all:
+//! This crate defines everything the kernels have in common, plus the
+//! reference kernel they are all tested against:
 //!
 //! * [`evaluate_gate`] / [`GateRuntime`] — the *exact* gate evaluation
 //!   semantics (apply all input changes at a timestamp, evaluate each
 //!   affected gate once, schedule an output event only when the driven value
-//!   changes). The sequential reference kernel and the oblivious kernel's
-//!   interpreted path call it; every fabric kernel and the compiled sweeps
-//!   run `parsim-compile`'s bytecode executors instead, which reproduce
-//!   these semantics exactly, so differential testing against the
-//!   sequential reference is exact, not approximate.
+//!   changes). The sequential reference kernel calls it; every other kernel
+//!   runs `parsim-compile`'s bytecode, whose executors reproduce these
+//!   semantics exactly, so differential testing against the sequential
+//!   reference is exact, not approximate.
 //! * [`SequentialSimulator`] — the classic single-event-queue reference
 //!   kernel; the oracle for all correctness tests, and the engine behind
 //!   [`pre_simulate`] (§III pre-simulation load profiling).
-//! * [`ObliviousSimulator`] — the §IV "oblivious" algorithm: no event queue,
-//!   every gate evaluated at every tick.
 //! * [`Stimulus`] — deterministic test-vector sources (random, counting,
 //!   explicit, with square-wave clocks for sequential circuits).
 //! * [`SimOutcome`] / [`SimStats`] / [`Waveform`] — results, protocol
@@ -47,7 +43,6 @@ mod error;
 mod eval;
 pub mod fault;
 mod lp;
-mod oblivious;
 mod outcome;
 mod profile;
 mod recorder;
@@ -60,7 +55,6 @@ mod waveform;
 pub use error::{BudgetExhausted, RunBudget, SimError, WorkerDiagnostic};
 pub use eval::{evaluate_gate, GateRuntime};
 pub use lp::{LpSpec, LpTopology};
-pub use oblivious::ObliviousSimulator;
 pub use outcome::{SimOutcome, SimStats};
 pub use profile::{pre_simulate, pre_simulate_fraction, ActivityProfile};
 pub use recorder::WaveRecorder;

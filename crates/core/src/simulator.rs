@@ -38,9 +38,9 @@ impl Observe {
 /// A simulation kernel: anything that can run a circuit against a stimulus
 /// up to an end time.
 ///
-/// Implementations in this workspace: the sequential reference, the
-/// oblivious compiled-mode kernel, and the synchronous / conservative /
-/// optimistic parallel kernels. All are interchangeable — logical results
+/// Implementations in this workspace: the sequential reference (here),
+/// the oblivious kernel (`parsim-bitsim`'s packed kernel at one lane), and
+/// the synchronous / conservative / optimistic parallel kernels. All are interchangeable — logical results
 /// are identical; only [`SimStats`](crate::SimStats) differ.
 pub trait Simulator<V: LogicValue> {
     /// A short, stable kernel name for experiment tables.

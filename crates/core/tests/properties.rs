@@ -1,8 +1,7 @@
-//! Differential property tests: the oblivious kernel and both queue
-//! variants of the sequential kernel must agree exactly on arbitrary
-//! circuits and stimuli.
+//! Value-system property tests on the sequential kernel: two-valued and
+//! four-valued simulation of arbitrary circuits and stimuli agree.
 
-use parsim_core::{ObliviousSimulator, Observe, SequentialSimulator, Simulator, Stimulus};
+use parsim_core::{SequentialSimulator, Simulator, Stimulus};
 use parsim_event::VirtualTime;
 use parsim_logic::{Bit, Logic4};
 use parsim_netlist::generate::{random_dag, RandomDagConfig};
@@ -30,21 +29,6 @@ fn any_stimulus() -> impl Strategy<Value = Stimulus> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Oblivious (no event queue) and event-driven sequential kernels are
-    /// bit-identical on unit-delay circuits — every net, every transition.
-    #[test]
-    fn oblivious_equals_sequential(cfg in any_dag(), stim in any_stimulus(), until in 20u64..200) {
-        let c = random_dag(&cfg);
-        let until = VirtualTime::new(until);
-        let a = ObliviousSimulator::<Logic4>::new()
-            .with_observe(Observe::AllNets)
-            .run(&c, &stim, until);
-        let b = SequentialSimulator::<Logic4>::new()
-            .with_observe(Observe::AllNets)
-            .run(&c, &stim, until);
-        prop_assert_eq!(a.divergence_from(&b), None);
-    }
 
     /// Two-valued and four-valued simulation agree on Boolean stimulus:
     /// Logic4 never reports a definite value different from Bit's.

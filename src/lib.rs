@@ -61,7 +61,8 @@ pub use parsim_trace as trace;
 /// Everything needed for typical use, importable in one line.
 pub mod prelude {
     pub use parsim_bitsim::{
-        simulate_faults_packed, BitSimulator, PackedBit, PackedLogic4, PackedStimulus, PackedValue,
+        simulate_faults_packed, BitSimulator, ObliviousSimulator, PackedBit, PackedLogic4,
+        PackedStimulus, PackedValue,
     };
     pub use parsim_conservative::{
         ConservativeSettings, ConservativeSimulator, DeadlockStrategy,
@@ -69,9 +70,9 @@ pub mod prelude {
     };
     pub use parsim_core::{
         evaluate_gate, fault, parse_vcd_changes, pre_simulate, write_vcd, ActivityProfile,
-        BudgetExhausted, GateRuntime, LpTopology, ObliviousSimulator, Observe, RunBudget,
-        SequentialSimulator, SimError, SimOutcome, SimStats, Simulator, Stimulus, WaveRecorder,
-        Waveform, WorkerDiagnostic,
+        BudgetExhausted, GateRuntime, LpTopology, Observe, RunBudget, SequentialSimulator,
+        SimError, SimOutcome, SimStats, Simulator, Stimulus, WaveRecorder, Waveform,
+        WorkerDiagnostic,
     };
     pub use parsim_event::{
         BinaryHeapQueue, BucketQueue, CalendarQueue, Event, EventQueue, Message, PairingHeapQueue,

@@ -7,8 +7,8 @@
 //! paths.
 //!
 //! The compiler is one subsystem with many backends (event-driven dirty
-//! batches under every fabric kernel, full sweeps in the oblivious and
-//! bit-parallel kernels); this suite is the contract that none of them
+//! batches under every fabric kernel, packed full sweeps in the oblivious
+//! kernel at one lane or 64); this suite is the contract that none of them
 //! drifts from the `evaluate_gate` semantics the sequential reference
 //! interprets.
 
@@ -115,13 +115,11 @@ fn compiled_oblivious_and_bitparallel_agree_with_event_driven() {
     let until = VirtualTime::new(240);
     let reference =
         SequentialSimulator::<Bit>::new().with_observe(Observe::AllNets).run(&c, &stim, until);
-    let oblivious = ObliviousSimulator::<Bit>::new()
-        .with_compiled()
-        .with_observe(Observe::AllNets)
-        .run(&c, &stim, until);
+    let oblivious =
+        ObliviousSimulator::<Bit>::new().with_observe(Observe::AllNets).run(&c, &stim, until);
     assert_eq!(oblivious.divergence_from(&reference), None);
-    // The bit-parallel kernel always runs the shared bytecode; lane 0
-    // must agree with the scalar reference.
+    // The bit-parallel kernel runs the shared schedule; lane 0 must agree
+    // with the scalar reference.
     let packed = BitSimulator::<PackedBit>::new().with_observe(Observe::AllNets).run(
         &c,
         &PackedStimulus::new(vec![stim.clone(); 4]),

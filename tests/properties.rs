@@ -159,3 +159,46 @@ proptest! {
         }
     }
 }
+
+fn any_unit_dag() -> impl Strategy<Value = generate::RandomDagConfig> {
+    (20usize..200, 2usize..12, 0.0f64..0.3, any::<u64>()).prop_map(
+        |(gates, inputs, seq_fraction, seed)| generate::RandomDagConfig {
+            gates,
+            inputs,
+            seq_fraction,
+            seed,
+            ..Default::default()
+        },
+    )
+}
+
+fn any_clocked_stimulus() -> impl Strategy<Value = Stimulus> {
+    (any::<u64>(), 1u64..20, 0.0f64..=1.0, 1u64..10).prop_map(
+        |(seed, interval, toggle, clock_half)| {
+            Stimulus::random_with_toggle(seed, interval, toggle).with_clock(clock_half)
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Oblivious (no event queue) and event-driven sequential kernels are
+    /// bit-identical on unit-delay circuits — every net, every transition.
+    #[test]
+    fn oblivious_equals_sequential(
+        cfg in any_unit_dag(),
+        stim in any_clocked_stimulus(),
+        until in 20u64..200,
+    ) {
+        let c = generate::random_dag(&cfg);
+        let until = VirtualTime::new(until);
+        let a = ObliviousSimulator::<Logic4>::new()
+            .with_observe(Observe::AllNets)
+            .run(&c, &stim, until);
+        let b = SequentialSimulator::<Logic4>::new()
+            .with_observe(Observe::AllNets)
+            .run(&c, &stim, until);
+        prop_assert_eq!(a.divergence_from(&b), None);
+    }
+}
