@@ -41,9 +41,12 @@ pub struct SimStats {
     pub events_rolled_back: u64,
     /// Anti-messages sent (optimistic kernels only).
     pub anti_messages: u64,
-    /// State snapshots taken (optimistic kernels only).
+    /// State saves taken: one per processed batch, on every optimistic
+    /// kernel (rolled-back batches included).
     pub state_saves: u64,
-    /// Bytes of state captured by snapshots (copy vs incremental saving).
+    /// State captured by those saves, counted in saved value slots (a net
+    /// value is one slot, a gate's sequential state three), not in bytes;
+    /// compare copy against incremental saving with it.
     pub state_bytes_saved: u64,
     /// GVT computations performed (optimistic kernels only).
     pub gvt_rounds: u64,

@@ -39,11 +39,6 @@ impl ActivityProfile {
         &self.counts
     }
 
-    /// Consumes the profile, returning the raw counts.
-    pub fn into_counts(self) -> Vec<u64> {
-        self.counts
-    }
-
     /// The evaluation count of one gate.
     ///
     /// # Panics

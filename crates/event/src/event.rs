@@ -1,4 +1,4 @@
-//! Events and inter-LP messages.
+//! Events: net-value changes in simulated time.
 
 use std::fmt::{self, Display};
 
@@ -43,87 +43,5 @@ impl<V> Event<V> {
 impl<V: Display> Display for Event<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "@{} {}={}", self.time, self.net, self.value)
-    }
-}
-
-/// A time-stamped message exchanged between logical processes.
-///
-/// This is the wire protocol of the parallel kernels:
-///
-/// * [`Message::Event`] — an ordinary simulation event (§II),
-/// * [`Message::Anti`] — a Time Warp anti-message cancelling a previously
-///   sent event (§IV: "they are sent anti-messages to cancel the original
-///   message"),
-/// * [`Message::Null`] — a Chandy–Misra–Bryant null message, "a way for an
-///   LP to notify its downstream neighbors that their inputs are stable up
-///   to the time of the time stamp" (§IV).
-///
-/// # Examples
-///
-/// ```
-/// use parsim_event::{Event, Message, VirtualTime};
-/// use parsim_logic::Bit;
-/// use parsim_netlist::GateId;
-///
-/// let m: Message<Bit> = Message::Null { time: VirtualTime::new(7) };
-/// assert_eq!(m.time(), VirtualTime::new(7));
-/// assert!(m.is_null());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Message<V> {
-    /// An ordinary simulation event.
-    Event(Event<V>),
-    /// An anti-message cancelling the identical previously-sent event.
-    Anti(Event<V>),
-    /// A promise that the sender will emit no event earlier than `time`.
-    Null {
-        /// The lower bound on future event times from this sender.
-        time: VirtualTime,
-    },
-}
-
-impl<V> Message<V> {
-    /// The message timestamp.
-    pub fn time(&self) -> VirtualTime {
-        match self {
-            Message::Event(e) | Message::Anti(e) => e.time,
-            Message::Null { time } => *time,
-        }
-    }
-
-    /// Returns `true` for null messages.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Message::Null { .. })
-    }
-
-    /// Returns `true` for anti-messages.
-    pub fn is_anti(&self) -> bool {
-        matches!(self, Message::Anti(_))
-    }
-}
-
-impl<V: Display> Display for Message<V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Message::Event(e) => write!(f, "{e}"),
-            Message::Anti(e) => write!(f, "anti({e})"),
-            Message::Null { time } => write!(f, "null@{time}"),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use parsim_logic::Logic4;
-
-    #[test]
-    fn message_accessors() {
-        let e = Event::new(VirtualTime::new(3), GateId::new(1), Logic4::X);
-        assert_eq!(Message::Event(e).time(), VirtualTime::new(3));
-        assert!(Message::Anti(e).is_anti());
-        assert!(!Message::Event(e).is_null());
-        assert_eq!(Message::Anti(e).to_string(), "anti(@3 g1=X)");
-        assert_eq!(Message::<Logic4>::Null { time: VirtualTime::new(9) }.to_string(), "null@9");
     }
 }

@@ -8,10 +8,8 @@
 //! * [`VirtualTime`] — the simulated-time axis, a totally ordered tick
 //!   counter with an *infinity* sentinel used by null-message and GVT
 //!   computations,
-//! * [`Event`] — a net-value change at a point in simulated time,
-//! * [`Message`] — the inter-LP protocol envelope (event, anti-event for
-//!   Time Warp cancellation, or null message for conservative deadlock
-//!   avoidance),
+//! * [`Event`] — a net-value change at a point in simulated time (each
+//!   parallel kernel family wraps it in a wire type of its own),
 //! * [`EventQueue`] — the pending-event-set contract, and [`BucketQueue`],
 //!   its one implementation under every event-driven kernel (the
 //!   sequential reference, the synchronous workers and the conservative
@@ -52,7 +50,7 @@ mod time;
 
 pub use bucket::BucketQueue;
 pub use calendar::CalendarQueue;
-pub use event::{Event, Message};
+pub use event::Event;
 pub use pairing::PairingHeapQueue;
 pub use queue::{BinaryHeapQueue, EventQueue};
 pub use time::VirtualTime;

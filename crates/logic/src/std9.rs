@@ -79,14 +79,6 @@ impl Std9 {
             _ => Std9::X,
         }
     }
-
-    /// Maps to the `X01` subset: like [`Std9::to_ux01`] but `U` becomes `X`.
-    pub fn to_x01(self) -> Std9 {
-        match self.to_ux01() {
-            Std9::U => Std9::X,
-            v => v,
-        }
-    }
 }
 
 /// The standard's `and_table`, transcribed verbatim from IEEE 1164-1993.

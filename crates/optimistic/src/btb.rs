@@ -1,14 +1,15 @@
 //! Breathing Time Buckets — the §VI synchronous/optimistic hybrid — as one
 //! protocol on both fabric drivers.
 
+use std::collections::BTreeMap;
+
 use parsim_event::{Event, VirtualTime};
 use parsim_logic::LogicValue;
 use parsim_runtime::{
     DecideCx, Decision, Fabric, FabricKernel, Machine, RoundCx, SyncProtocol, Threads, WorkerOutput,
 };
 
-use crate::lp::{TwLp, TwOutgoing, TwWork};
-use crate::threaded::TwWorker;
+use crate::lp::{TwLp, TwMsg, TwWork, TwWorker};
 use crate::{Cancellation, StateSaving};
 
 /// Batches each LP may process per breath.
@@ -105,8 +106,9 @@ impl<V: LogicValue> SyncProtocol<V> for BtbProtocol {
     /// horizon and the one that completes the exchange.
     const SUPERSTEP: bool = true;
 
-    /// Destination LP, event.
-    type Msg = (usize, Event<V>);
+    /// Destination LP, message: always an event, because cancellations
+    /// never leave the node.
+    type Msg = (usize, TwMsg<V>);
     type Worker = TwWorker<V>;
     /// `None` from an exchange round.
     type Report = Option<BtbReport>;
@@ -131,7 +133,7 @@ impl<V: LogicValue> SyncProtocol<V> for BtbProtocol {
         fabric: &Fabric<'_>,
         state: &mut TwWorker<V>,
         verdict: &Option<Breath>,
-        cx: &mut RoundCx<'_, '_, (usize, Event<V>)>,
+        cx: &mut RoundCx<'_, '_, (usize, TwMsg<V>)>,
     ) -> Option<BtbReport> {
         let TwWorker { lps, total, stats, gvt_rounds } = state;
         let mut round = TwWork::default();
@@ -142,10 +144,10 @@ impl<V: LogicValue> SyncProtocol<V> for BtbProtocol {
             Some(breath) => {
                 *gvt_rounds += 1;
                 for lp in lps.iter_mut() {
-                    lp.rollback_to_before(breath.horizon, &mut round, &mut |_| {});
+                    lp.rollback_to_before(breath.horizon, &mut round, &mut |_, _| {});
                     for (dst, e) in lp.fossil_collect(breath.commit) {
                         stats.messages_sent += 1;
-                        cx.send_lp(dst, (dst, e));
+                        cx.send_lp(dst, (dst, TwMsg::Event(e)));
                     }
                 }
                 None
@@ -153,9 +155,13 @@ impl<V: LogicValue> SyncProtocol<V> for BtbProtocol {
             None => {
                 // The exchange's releases. None lands behind its receiver's
                 // LVT: the horizon covered it.
-                for (dst, e) in cx.inbox.drain(..) {
+                let mut groups: BTreeMap<usize, Vec<TwMsg<V>>> = BTreeMap::new();
+                for (dst, msg) in cx.inbox.drain(..) {
+                    groups.entry(dst).or_default().push(msg);
+                }
+                for (dst, batch) in groups {
                     let mut work = TwWork::default();
-                    lps[fabric.slot_of(dst)].receive_event(e, &mut work, &mut |_| {});
+                    lps[fabric.slot_of(dst)].receive_batch(batch, &mut work, &mut |_, _| {});
                     debug_assert_eq!(work.rollbacks, 0, "a released send rolled back its receiver");
                 }
                 // Speculate with held sends. This worker's horizon estimate
@@ -176,9 +182,9 @@ impl<V: LogicValue> SyncProtocol<V> for BtbProtocol {
                             Some(t) if t <= until && t < horizon => {}
                             _ => break,
                         }
-                        lp.process_next(circuit, topo, until, block, &mut round, &mut |out| {
-                            if let TwOutgoing::Event { event, .. } = out {
-                                horizon = horizon.min(event.time);
+                        lp.process_next(circuit, topo, until, block, &mut round, &mut |_, msg| {
+                            if let TwMsg::Event(e) = msg {
+                                horizon = horizon.min(e.time);
                             }
                         });
                     }
@@ -192,7 +198,7 @@ impl<V: LogicValue> SyncProtocol<V> for BtbProtocol {
             // Priced while the price list is at hand: the committed work
             // so far, what one processor would have been charged.
             stats.modeled_work = total.committed_cost(m);
-            round.rollbacks * m.rollback_cost + round.state_slots_saved * m.incremental_save_cost
+            round.saving_cost(m, StateSaving::Incremental)
         });
         report
     }

@@ -21,7 +21,11 @@
 //! * an optional **time window** throttle bounding optimism.
 //!
 //! [`TimeWarpSimulator`] runs on the virtual multiprocessor with a
-//! deterministic smallest-clock scheduler; [`ThreadedTimeWarpSimulator`]
+//! deterministic smallest-clock scheduler, and that policy is all it has
+//! of its own: the LP state machine, the one message type (event or
+//! anti-message, in both directions), the per-processor LP set, the work
+//! counters and their prices, and the probe records are the ones the
+//! fabric kernels below use; [`ThreadedTimeWarpSimulator`]
 //! — one protocol (`TwProtocol`) on the threaded driver of the one kernel
 //! type, [`FabricKernel`], with the family settings of [`TimeWarpSettings`]
 //! — runs the identical LP state machine on real threads in fabric rounds,

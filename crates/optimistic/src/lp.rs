@@ -1,5 +1,6 @@
-//! The Time Warp logical-process state machine, shared by the modeled and
-//! threaded drivers.
+//! What every Time Warp kernel shares: the logical-process state machine,
+//! its one message type, the per-processor LP set, the work counters and
+//! their prices, and the probe records of an LP action.
 
 use std::collections::BTreeMap;
 
@@ -8,36 +9,28 @@ use parsim_event::{Event, VirtualTime};
 use parsim_logic::LogicValue;
 use parsim_machine::MachineConfig;
 use parsim_netlist::{Circuit, Delay, GateId};
-use parsim_runtime::{CompiledBlock, LpCore};
+use parsim_runtime::{CompiledBlock, Fabric, LpCore, WorkerOutput};
+use parsim_trace::{ProbeHandle, TraceKind};
 
 use crate::{Cancellation, StateSaving};
 
-/// An incoming message, for batched delivery.
+/// A Time Warp message, in both directions: an LP emits it with its
+/// destination LP as `(dst, msg)`, and a delivered batch hands it back.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum TwIncoming<V> {
+pub enum TwMsg<V> {
     /// A simulation event.
     Event(Event<V>),
-    /// An anti-message.
+    /// An anti-message cancelling the identical, previously sent event.
     Anti(Event<V>),
 }
 
-/// A protocol action emitted by an LP, for the driver to route.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TwOutgoing<V> {
-    /// Deliver an event message.
-    Event {
-        /// Destination LP.
-        dst: usize,
-        /// The event.
-        event: Event<V>,
-    },
-    /// Deliver an anti-message cancelling a previously sent event.
-    Anti {
-        /// Destination LP.
-        dst: usize,
-        /// The event to annihilate.
-        event: Event<V>,
-    },
+impl<V> TwMsg<V> {
+    /// The message's timestamp.
+    pub(crate) fn time(&self) -> VirtualTime {
+        match self {
+            TwMsg::Event(e) | TwMsg::Anti(e) => e.time,
+        }
+    }
 }
 
 /// Work performed by one action, for cost accounting.
@@ -47,6 +40,8 @@ pub(crate) struct TwWork {
     pub evaluations: u64,
     pub events_scheduled: u64,
     pub state_slots_saved: u64,
+    /// Processed batches: one state save each.
+    pub state_saves: u64,
     pub rollbacks: u64,
     pub events_rolled_back: u64,
     pub evaluations_rolled_back: u64,
@@ -60,6 +55,7 @@ impl TwWork {
         self.evaluations += w.evaluations;
         self.events_scheduled += w.events_scheduled;
         self.state_slots_saved += w.state_slots_saved;
+        self.state_saves += w.state_saves;
         self.rollbacks += w.rollbacks;
         self.events_rolled_back += w.events_rolled_back;
         self.evaluations_rolled_back += w.evaluations_rolled_back;
@@ -75,7 +71,18 @@ impl TwWork {
         stats.rollbacks = self.rollbacks;
         stats.events_rolled_back = self.events_rolled_back;
         stats.anti_messages = self.anti_messages;
+        stats.state_saves = self.state_saves;
         stats.state_bytes_saved = self.state_slots_saved;
+    }
+
+    /// The price of this work's rollbacks and saved state slots under
+    /// `saving`.
+    pub(crate) fn saving_cost(&self, machine: &MachineConfig, saving: StateSaving) -> u64 {
+        let slot_cost = match saving {
+            StateSaving::Copy => machine.copy_save_cost,
+            StateSaving::Incremental => machine.incremental_save_cost,
+        };
+        self.rollbacks * machine.rollback_cost + self.state_slots_saved * slot_cost
     }
 
     /// What one processor would be charged for the committed history alone
@@ -214,27 +221,21 @@ impl<V: LogicValue> TwLp<V> {
     /// Batching is the standard Time Warp implementation remedy.
     pub(crate) fn receive_batch(
         &mut self,
-        messages: Vec<TwIncoming<V>>,
+        messages: Vec<TwMsg<V>>,
         work: &mut TwWork,
-        out: &mut impl FnMut(TwOutgoing<V>),
+        out: &mut impl FnMut(usize, TwMsg<V>),
     ) {
-        let min_time = messages
-            .iter()
-            .map(|m| match m {
-                TwIncoming::Event(e) | TwIncoming::Anti(e) => e.time,
-            })
-            .min()
-            .expect("batch is nonempty");
+        let min_time = messages.iter().map(TwMsg::time).min().expect("batch is nonempty");
         if self.lvt.is_some_and(|lvt| min_time <= lvt) {
             self.rollback_to_before(min_time, work, out);
         }
         for msg in messages {
             match msg {
-                TwIncoming::Event(e) => {
+                TwMsg::Event(e) => {
                     debug_assert!(self.lvt.is_none_or(|lvt| e.time > lvt));
                     self.events.entry(e.time).or_default().push(e);
                 }
-                TwIncoming::Anti(e) => {
+                TwMsg::Anti(e) => {
                     debug_assert!(self.lvt.is_none_or(|lvt| e.time > lvt));
                     let bucket = self
                         .events
@@ -254,20 +255,6 @@ impl<V: LogicValue> TwLp<V> {
         self.flush_lazy(work, out);
     }
 
-    /// Handles an incoming event message; stragglers trigger rollback.
-    pub(crate) fn receive_event(
-        &mut self,
-        event: Event<V>,
-        work: &mut TwWork,
-        out: &mut impl FnMut(TwOutgoing<V>),
-    ) {
-        if self.lvt.is_some_and(|lvt| event.time <= lvt) {
-            self.rollback_to_before(event.time, work, out);
-        }
-        self.events.entry(event.time).or_default().push(event);
-        self.flush_lazy(work, out);
-    }
-
     /// Optimistically processes the next batch (if any at `≤ limit`),
     /// evaluating through `block` (this LP's bytecode). Returns `false` if
     /// there was nothing to do.
@@ -278,7 +265,7 @@ impl<V: LogicValue> TwLp<V> {
         limit: VirtualTime,
         block: &CompiledBlock,
         work: &mut TwWork,
-        out: &mut impl FnMut(TwOutgoing<V>),
+        out: &mut impl FnMut(usize, TwMsg<V>),
     ) -> bool {
         let now = match self.next_time() {
             Some(t) if t <= limit => t,
@@ -338,7 +325,7 @@ impl<V: LogicValue> TwLp<V> {
                 {
                     pending_cancel.remove(pos);
                 } else {
-                    out(TwOutgoing::Event { dst, event: e });
+                    out(dst, TwMsg::Event(e));
                 }
                 sent.push((dst, e));
             }
@@ -362,6 +349,7 @@ impl<V: LogicValue> TwLp<V> {
             }
             _ => unreachable!("history representation matches the saving policy"),
         }
+        work.state_saves += 1;
         self.batches.push(now);
         self.outputs.push(sent);
         self.self_sends.push(scheduled);
@@ -376,7 +364,7 @@ impl<V: LogicValue> TwLp<V> {
         &mut self,
         target: VirtualTime,
         work: &mut TwWork,
-        out: &mut impl FnMut(TwOutgoing<V>),
+        out: &mut impl FnMut(usize, TwMsg<V>),
     ) {
         if self.batches.last().is_none_or(|&t| t < target) {
             return;
@@ -420,7 +408,7 @@ impl<V: LogicValue> TwLp<V> {
                 match self.cancellation {
                     Cancellation::Aggressive => {
                         work.anti_messages += 1;
-                        out(TwOutgoing::Anti { dst, event: e });
+                        out(dst, TwMsg::Anti(e));
                     }
                     Cancellation::Lazy => self.pending_cancel.push((t, dst, e)),
                 }
@@ -454,7 +442,7 @@ impl<V: LogicValue> TwLp<V> {
     /// Lazy cancellation maintenance: once the frontier has moved past a
     /// rolled-back send's originating batch without regenerating it, the
     /// old message is known wrong and must be cancelled.
-    fn flush_lazy(&mut self, work: &mut TwWork, out: &mut impl FnMut(TwOutgoing<V>)) {
+    fn flush_lazy(&mut self, work: &mut TwWork, out: &mut impl FnMut(usize, TwMsg<V>)) {
         if self.pending_cancel.is_empty() {
             return;
         }
@@ -468,7 +456,7 @@ impl<V: LogicValue> TwLp<V> {
             if batch < frontier {
                 let (_, dst, e) = self.pending_cancel.remove(i);
                 work.anti_messages += 1;
-                out(TwOutgoing::Anti { dst, event: e });
+                out(dst, TwMsg::Anti(e));
             } else {
                 i += 1;
             }
@@ -524,4 +512,98 @@ impl<V: LogicValue> TwLp<V> {
     pub(crate) fn owned_values(&self, topo: &LpTopology) -> Vec<(GateId, V)> {
         self.core.owned_values(&topo.lps()[self.index].gates)
     }
+}
+
+/// One processor's LPs plus their accumulated work counters: a fabric
+/// worker under the threaded and breathing-time-buckets protocols, and one
+/// processor of the modeled Time Warp scheduler.
+pub struct TwWorker<V> {
+    pub(crate) lps: Vec<TwLp<V>>,
+    pub(crate) total: TwWork,
+    pub(crate) stats: SimStats,
+    pub(crate) gvt_rounds: u64,
+}
+
+impl<V: LogicValue> TwWorker<V> {
+    /// Builds worker `worker`'s LPs and preloads them.
+    pub(crate) fn new(
+        fabric: &Fabric<'_>,
+        worker: usize,
+        preloads: Vec<Vec<Event<V>>>,
+        saving: StateSaving,
+        cancellation: Cancellation,
+    ) -> Self {
+        let (circuit, topo) = (fabric.circuit(), fabric.topo());
+        let mut lps: Vec<TwLp<V>> = fabric
+            .my_lps(worker)
+            .map(|i| TwLp::new(circuit, topo, i, saving, cancellation, fabric.observed_by(i)))
+            .collect();
+        for (lp, events) in lps.iter_mut().zip(preloads) {
+            for e in events {
+                lp.preload(e);
+            }
+        }
+        TwWorker { lps, total: TwWork::default(), stats: SimStats::default(), gvt_rounds: 0 }
+    }
+
+    /// Tears the worker down into its share of the merged result.
+    pub(crate) fn finish(mut self, fabric: &Fabric<'_>) -> WorkerOutput<V> {
+        let mut owned_values = Vec::new();
+        let mut waveforms = BTreeMap::new();
+        for lp in &mut self.lps {
+            owned_values.extend(lp.owned_values(fabric.topo()));
+            waveforms.extend(lp.take_waveforms());
+        }
+        let mut stats = self.stats;
+        self.total.write_stats(&mut stats);
+        stats.gvt_rounds = self.gvt_rounds;
+        WorkerOutput { owned_values, waveforms, stats }
+    }
+}
+
+/// Records one LP action's work on processor `p` for LP `lp`: batched gate
+/// evaluations, a rollback (`arg` = events undone) and the state saved.
+/// `now` stamps the records and is read only when the probe is enabled.
+pub(crate) fn emit_work(
+    ph: &mut ProbeHandle,
+    now: impl FnOnce(&ProbeHandle) -> u64,
+    p: usize,
+    lp: usize,
+    w: &TwWork,
+) {
+    if !ph.enabled() {
+        return;
+    }
+    let t = now(ph);
+    if w.evaluations > 0 {
+        ph.emit(t, 0, p as u32, lp as u32, TraceKind::GateEval, w.evaluations);
+    }
+    if w.rollbacks > 0 {
+        ph.emit(t, 0, p as u32, lp as u32, TraceKind::Rollback, w.events_rolled_back);
+    }
+    if w.state_slots_saved > 0 {
+        ph.emit(t, 0, p as u32, lp as u32, TraceKind::StateSave, w.state_slots_saved);
+    }
+}
+
+/// Records one routed message on processor `p`: a `MessageSend` or an
+/// `AntiMessage` from LP `src` (`arg` = destination LP `dst`). `now` stamps
+/// the record and is read only when the probe is enabled.
+pub(crate) fn emit_send<V>(
+    ph: &mut ProbeHandle,
+    now: impl FnOnce(&ProbeHandle) -> u64,
+    p: usize,
+    src: usize,
+    dst: usize,
+    msg: &TwMsg<V>,
+) {
+    if !ph.enabled() {
+        return;
+    }
+    let kind = match msg {
+        TwMsg::Event(_) => TraceKind::MessageSend,
+        TwMsg::Anti(_) => TraceKind::AntiMessage,
+    };
+    let t = now(ph);
+    ph.emit(t, msg.time().ticks(), p as u32, src as u32, kind, dst as u64);
 }

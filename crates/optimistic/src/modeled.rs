@@ -1,33 +1,21 @@
-//! The modeled Time Warp kernel.
+//! The modeled Time Warp kernel: the clock-ordered scheduler over the LP
+//! state machine, messages, workers, probe records and prices every Time
+//! Warp kernel shares.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 
-use parsim_core::{Observe, SimOutcome, SimStats, Simulator, Stimulus, Waveform};
-use parsim_event::{Event, VirtualTime};
+use parsim_core::{Observe, SimOutcome, SimStats, Simulator, Stimulus};
+use parsim_event::VirtualTime;
 use parsim_logic::LogicValue;
 use parsim_machine::{MachineConfig, VirtualMachine};
-use parsim_netlist::{Circuit, GateId};
+use parsim_netlist::{Circuit, Delay};
 use parsim_partition::Partition;
 use parsim_runtime::Fabric;
 use parsim_trace::{Probe, TraceKind, NO_LP};
 
-use crate::lp::{TwLp, TwOutgoing, TwWork};
+use crate::lp::{emit_send, emit_work, TwLp, TwMsg, TwWork, TwWorker};
 use crate::{Cancellation, StateSaving, Window};
-
-#[derive(Debug, Clone, Copy)]
-enum TwMsg<V> {
-    Event(Event<V>),
-    Anti(Event<V>),
-}
-
-impl<V> TwMsg<V> {
-    fn event_time(&self) -> VirtualTime {
-        match self {
-            TwMsg::Event(e) | TwMsg::Anti(e) => e.time,
-        }
-    }
-}
 
 /// Jefferson's Time Warp on the virtual multiprocessor.
 ///
@@ -183,38 +171,29 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
     }
 
     fn run(&self, circuit: &Circuit, stimulus: &Stimulus, until: VirtualTime) -> SimOutcome<V> {
-        // The fabric is used for what every driver shares — the LP
-        // decomposition, the preload routing and the LPs' compiled blocks
-        // (compiled in memory on first use) — not for its round loop.
+        // The fabric supplies what every driver shares — the LP
+        // decomposition, the preloads and the LPs' compiled blocks — but not
+        // its round loop: the clock-ordered scheduler below replaces it.
         let fabric = Fabric::new(circuit, &self.partition, self.granularity, self.observe);
-        let topo = fabric.topo();
-        let n_lps = topo.lps().len();
-        let p_count = self.machine.processors;
-        let proc_of = |lp: usize| lp / self.granularity;
-        let mut vm = VirtualMachine::new(self.machine);
+        let (topo, machine) = (fabric.topo(), self.machine);
+        let mut vm = VirtualMachine::new(machine);
         vm.attach_probe(&self.probe);
         let mut ph = self.probe.handle();
-        let mut stats = SimStats::default();
 
-        let mut lps: Vec<TwLp<V>> = (0..n_lps)
-            .map(|i| {
-                TwLp::new(circuit, topo, i, self.saving, self.cancellation, fabric.observed_by(i))
+        let mut preloads = fabric.preloads::<V>(stimulus, until).into_iter();
+        let mut workers: Vec<TwWorker<V>> = (0..machine.processors)
+            .map(|p| {
+                let mine = preloads.by_ref().take(self.granularity).collect();
+                TwWorker::new(&fabric, p, mine, self.saving, self.cancellation)
             })
             .collect();
 
-        for (lp, events) in lps.iter_mut().zip(fabric.preloads::<V>(stimulus, until)) {
-            for e in events {
-                lp.preload(e);
-            }
-        }
-
         // Per-processor FIFO inboxes of (ready, dst LP, message).
         let mut inboxes: Vec<VecDeque<(u64, usize, TwMsg<V>)>> =
-            (0..p_count).map(|_| VecDeque::new()).collect();
+            (0..machine.processors).map(|_| VecDeque::new()).collect();
         let mut in_flight = 0usize;
-
-        let mut total_work = TwWork::default();
         let mut batches_since_gvt = 0u64;
+        let mut gvt_rounds = 0u64;
         let mut gvt_estimate = VirtualTime::ZERO;
         let window_ticks: Option<u64> = match self.window {
             Window::Auto => Some((2 * circuit.max_gate_delay().ticks()).max(16)),
@@ -222,79 +201,24 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
             Window::Unbounded => None,
         };
 
-        // Charges one LP action's work to processor `p` and routes its
-        // outgoing messages.
+        // Charges one action of LP `lp` on processor `p`, records it and
+        // routes its messages.
         macro_rules! route {
             ($p:expr, $lp:expr, $work:expr, $sends:expr) => {{
-                let w: &TwWork = &$work;
-                vm.charge(
-                    $p,
-                    w.events_processed * self.machine.event_cost
-                        + w.evaluations * self.machine.eval_cost
-                        + w.events_scheduled * self.machine.event_cost
-                        + w.rollbacks * self.machine.rollback_cost
-                        + w.state_slots_saved
-                            * match self.saving {
-                                StateSaving::Copy => self.machine.copy_save_cost,
-                                StateSaving::Incremental => self.machine.incremental_save_cost,
-                            },
-                );
-                if ph.enabled() {
-                    let t = vm.clock($p);
-                    if w.evaluations > 0 {
-                        ph.emit(t, 0, $p as u32, $lp as u32, TraceKind::GateEval, w.evaluations);
-                    }
-                    if w.rollbacks > 0 {
-                        ph.emit(
-                            t,
-                            0,
-                            $p as u32,
-                            $lp as u32,
-                            TraceKind::Rollback,
-                            w.events_rolled_back,
-                        );
-                    }
-                    if w.state_slots_saved > 0 {
-                        ph.emit(
-                            t,
-                            0,
-                            $p as u32,
-                            $lp as u32,
-                            TraceKind::StateSave,
-                            w.state_slots_saved,
-                        );
-                    }
-                }
+                let (p, w) = ($p, &$work);
+                workers[p].total.accumulate(w);
+                let executed = (w.events_processed + w.events_scheduled) * machine.event_cost
+                    + w.evaluations * machine.eval_cost;
+                vm.charge(p, executed + w.saving_cost(&machine, self.saving));
+                emit_work(&mut ph, |_| vm.clock(p), p, $lp, w);
                 for (dst, msg) in $sends {
-                    let ready = vm.send($p, proc_of(dst));
-                    match &msg {
-                        TwMsg::Event(e) => {
-                            stats.messages_sent += 1;
-                            if ph.enabled() {
-                                ph.emit(
-                                    vm.clock($p),
-                                    e.time.ticks(),
-                                    $p as u32,
-                                    $lp as u32,
-                                    TraceKind::MessageSend,
-                                    dst as u64,
-                                );
-                            }
-                        }
-                        TwMsg::Anti(e) => {
-                            if ph.enabled() {
-                                ph.emit(
-                                    vm.clock($p),
-                                    e.time.ticks(),
-                                    $p as u32,
-                                    $lp as u32,
-                                    TraceKind::AntiMessage,
-                                    dst as u64,
-                                );
-                            }
-                        }
+                    let to = fabric.worker_of(dst);
+                    let ready = vm.send(p, to);
+                    if let TwMsg::Event(_) = msg {
+                        workers[p].stats.messages_sent += 1;
                     }
-                    inboxes[proc_of(dst)].push_back((ready, dst, msg));
+                    emit_send(&mut ph, |_| vm.clock(p), p, $lp, dst, &msg);
+                    inboxes[to].push_back((ready, dst, msg));
                     in_flight += 1;
                 }
             }};
@@ -305,9 +229,9 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
             // action (deliverable messages first, then a processable LP).
             let limit = match window_ticks {
                 None => until,
-                Some(w) => until.min(gvt_estimate + parsim_netlist::Delay::new(w)),
+                Some(w) => until.min(gvt_estimate + Delay::new(w)),
             };
-            let mut order: Vec<usize> = (0..p_count).collect();
+            let mut order: Vec<usize> = (0..machine.processors).collect();
             order.sort_by_key(|&p| (vm.clock(p), p));
 
             let mut acted = false;
@@ -316,63 +240,41 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
                 // and applied with a single rollback per LP (see
                 // `TwLp::receive_batch` — per-message rollback lets the
                 // anti-message echo grow exponentially).
-                let mut groups: BTreeMap<usize, Vec<crate::lp::TwIncoming<V>>> = BTreeMap::new();
-                while let Some(&(ready, _, _)) = inboxes[p].front() {
+                let mut groups: BTreeMap<usize, Vec<TwMsg<V>>> = BTreeMap::new();
+                while let Some(&(ready, dst, msg)) = inboxes[p].front() {
                     if ready > vm.clock(p) {
                         break;
                     }
-                    let (ready, dst, msg) = inboxes[p].pop_front().expect("peeked");
+                    inboxes[p].pop_front();
                     in_flight -= 1;
                     vm.receive(p, ready);
-                    groups.entry(dst).or_default().push(match msg {
-                        TwMsg::Event(e) => crate::lp::TwIncoming::Event(e),
-                        TwMsg::Anti(e) => crate::lp::TwIncoming::Anti(e),
-                    });
+                    groups.entry(dst).or_default().push(msg);
                 }
-                if !groups.is_empty() {
-                    for (dst, batch) in groups {
-                        let mut work = TwWork::default();
-                        let mut sends: Vec<(usize, TwMsg<V>)> = Vec::new();
-                        lps[dst].receive_batch(batch, &mut work, &mut |out| match out {
-                            TwOutgoing::Event { dst, event } => {
-                                sends.push((dst, TwMsg::Event(event)));
-                            }
-                            TwOutgoing::Anti { dst, event } => {
-                                sends.push((dst, TwMsg::Anti(event)));
-                            }
-                        });
-                        total_work.accumulate(&work);
-                        route!(p, dst, work, sends);
-                    }
-                    acted = true;
+                acted = !groups.is_empty();
+                for (dst, batch) in groups {
+                    let (mut work, mut sends) = (TwWork::default(), Vec::new());
+                    let lp = &mut workers[p].lps[fabric.slot_of(dst)];
+                    lp.receive_batch(batch, &mut work, &mut |to, m| sends.push((to, m)));
+                    route!(p, dst, work, sends);
+                }
+                if acted {
                     break;
                 }
                 // Otherwise process the lowest-timestamp LP batch on p.
-                let candidate = (0..n_lps)
-                    .filter(|&lp| proc_of(lp) == p)
-                    .filter_map(|lp| lps[lp].next_time().map(|t| (t, lp)))
-                    .filter(|&(t, _)| t <= limit)
+                let candidate = workers[p]
+                    .lps
+                    .iter()
+                    .filter_map(|lp| lp.next_time().filter(|&t| t <= limit).map(|t| (t, lp.index)))
                     .min();
                 if let Some((_, lp_idx)) = candidate {
-                    let mut work = TwWork::default();
-                    let mut sends: Vec<(usize, TwMsg<V>)> = Vec::new();
-                    {
-                        let collect = &mut |out: TwOutgoing<V>| match out {
-                            TwOutgoing::Event { dst, event } => {
-                                sends.push((dst, TwMsg::Event(event)));
-                            }
-                            TwOutgoing::Anti { dst, event } => {
-                                sends.push((dst, TwMsg::Anti(event)));
-                            }
-                        };
-                        let block = fabric.compiled_block(lp_idx);
-                        let processed = lps[lp_idx]
-                            .process_next(circuit, topo, limit, block, &mut work, collect);
-                        debug_assert!(processed, "candidate had work");
-                    }
+                    let (mut work, mut sends) = (TwWork::default(), Vec::new());
+                    let lp = &mut workers[p].lps[fabric.slot_of(lp_idx)];
+                    let block = fabric.compiled_block(lp_idx);
+                    let mut collect = |to, m| sends.push((to, m));
+                    let processed =
+                        lp.process_next(circuit, topo, limit, block, &mut work, &mut collect);
+                    debug_assert!(processed, "candidate had work");
                     batches_since_gvt += 1;
-                    total_work.accumulate(&work);
-                    stats.state_saves += 1;
                     route!(p, lp_idx, work, sends);
                     acted = true;
                     break;
@@ -380,17 +282,17 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
             }
 
             // Periodic GVT + fossil collection.
-            let need_gvt = batches_since_gvt >= self.gvt_interval;
-            if need_gvt || !acted {
-                let gvt = lps
+            if batches_since_gvt >= self.gvt_interval || !acted {
+                let gvt = workers
                     .iter()
+                    .flat_map(|w| &w.lps)
                     .filter_map(TwLp::next_time)
-                    .chain(inboxes.iter().flat_map(|q| q.iter().map(|(_, _, m)| m.event_time())))
+                    .chain(inboxes.iter().flatten().map(|(_, _, m)| m.time()))
                     .min();
-                stats.gvt_rounds += 1;
+                gvt_rounds += 1;
                 batches_since_gvt = 0;
-                for p in 0..p_count {
-                    vm.charge(p, self.machine.gvt_cost);
+                for p in 0..machine.processors {
+                    vm.charge(p, machine.gvt_cost);
                 }
                 if ph.enabled() {
                     let g = gvt.map_or(0, VirtualTime::ticks);
@@ -399,7 +301,7 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
                 match gvt {
                     Some(g) => {
                         gvt_estimate = g;
-                        for lp in lps.iter_mut() {
+                        for lp in workers.iter_mut().flat_map(|w| &mut w.lps) {
                             let _ = lp.fossil_collect(g);
                         }
                         if !acted && g > until && in_flight == 0 {
@@ -426,25 +328,26 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
             }
         }
 
-        // Every LP has committed its full history; flush remaining lazy
-        // pendings is unnecessary (done() required them empty via quiesce).
-        debug_assert!(lps.iter().all(|lp| lp.done(until)));
-
-        let mut final_values = vec![V::ZERO; circuit.len()];
-        let mut waveforms: BTreeMap<GateId, Waveform<V>> = BTreeMap::new();
-        for lp in &lps {
-            for (id, v) in lp.owned_values(topo) {
-                final_values[id.index()] = v;
+        // Every LP has committed its full history.
+        debug_assert!(workers.iter().flat_map(|w| &w.lps).all(|lp| lp.done(until)));
+        let modeled_work = workers.iter().map(|w| w.total.committed_cost(&machine)).sum();
+        let mut outcome = SimOutcome {
+            final_values: vec![V::ZERO; circuit.len()],
+            waveforms: BTreeMap::new(),
+            end_time: until,
+            stats: SimStats::default(),
+        };
+        for out in workers.into_iter().map(|w| w.finish(&fabric)) {
+            for (id, v) in out.owned_values {
+                outcome.final_values[id.index()] = v;
             }
+            outcome.waveforms.extend(out.waveforms);
+            outcome.stats.merge(&out.stats);
         }
-        for lp in &mut lps {
-            waveforms.extend(lp.take_waveforms());
-        }
-
-        total_work.write_stats(&mut stats);
-        stats.modeled_makespan = vm.makespan();
-        stats.modeled_work = total_work.committed_cost(&self.machine);
-        SimOutcome { final_values, waveforms, end_time: until, stats }
+        outcome.stats.gvt_rounds = gvt_rounds;
+        outcome.stats.modeled_makespan = vm.makespan();
+        outcome.stats.modeled_work = modeled_work;
+        outcome
     }
 }
 

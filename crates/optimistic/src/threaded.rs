@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use parsim_core::SimStats;
 use parsim_event::{Event, VirtualTime};
 use parsim_logic::LogicValue;
 use parsim_runtime::{
@@ -10,7 +9,7 @@ use parsim_runtime::{
 };
 use parsim_trace::{ProbeHandle, TraceKind, NO_LP};
 
-use crate::lp::{TwIncoming, TwLp, TwOutgoing, TwWork};
+use crate::lp::{emit_send, emit_work, TwLp, TwMsg, TwWork, TwWorker};
 use crate::{Cancellation, StateSaving};
 
 /// Batches each LP may process per round, bounding optimism drift between
@@ -48,13 +47,6 @@ const BATCH_BUDGET: usize = 4;
 /// ```
 pub type ThreadedTimeWarpSimulator<V> = FabricKernel<TwProtocol, Threads, V>;
 
-/// A routed message: destination LP, payload.
-#[derive(Clone)]
-pub enum Wire<V> {
-    Event(usize, Event<V>),
-    Anti(usize, Event<V>),
-}
-
 /// The optimistic discipline: speculate freely between rounds; the
 /// coordinator computes the exact GVT at the barrier.
 ///
@@ -79,52 +71,6 @@ impl Default for TwProtocol {
     }
 }
 
-/// Per-worker state: this worker's LPs plus accumulated work counters.
-/// Shared with the breathing-time-buckets protocol.
-pub struct TwWorker<V> {
-    pub(crate) lps: Vec<TwLp<V>>,
-    pub(crate) total: TwWork,
-    pub(crate) stats: SimStats,
-    pub(crate) gvt_rounds: u64,
-}
-
-impl<V: LogicValue> TwWorker<V> {
-    /// Builds worker `worker`'s LPs and preloads them.
-    pub(crate) fn new(
-        fabric: &Fabric<'_>,
-        worker: usize,
-        preloads: Vec<Vec<Event<V>>>,
-        saving: StateSaving,
-        cancellation: Cancellation,
-    ) -> Self {
-        let (circuit, topo) = (fabric.circuit(), fabric.topo());
-        let mut lps: Vec<TwLp<V>> = fabric
-            .my_lps(worker)
-            .map(|i| TwLp::new(circuit, topo, i, saving, cancellation, fabric.observed_by(i)))
-            .collect();
-        for (lp, events) in lps.iter_mut().zip(preloads) {
-            for e in events {
-                lp.preload(e);
-            }
-        }
-        TwWorker { lps, total: TwWork::default(), stats: SimStats::default(), gvt_rounds: 0 }
-    }
-
-    /// Tears the worker down into its share of the merged result.
-    pub(crate) fn finish(mut self, fabric: &Fabric<'_>) -> WorkerOutput<V> {
-        let mut owned_values = Vec::new();
-        let mut waveforms = BTreeMap::new();
-        for lp in &mut self.lps {
-            owned_values.extend(lp.owned_values(fabric.topo()));
-            waveforms.extend(lp.take_waveforms());
-        }
-        let mut stats = self.stats;
-        self.total.write_stats(&mut stats);
-        stats.gvt_rounds = self.gvt_rounds;
-        WorkerOutput { owned_values, waveforms, stats }
-    }
-}
-
 /// Round report: quiescence flags plus this worker's GVT component (its
 /// LPs' next unprocessed work and the earliest message sent this round, so
 /// the global minimum lower-bounds everything still in flight).
@@ -134,26 +80,9 @@ pub struct TwReport {
     gvt: Option<VirtualTime>,
 }
 
-/// Per-batch work instants: rollbacks, state saves and a batched
-/// gate-evaluation record for LP `lp`.
-fn emit_work(ph: &mut ProbeHandle, p: usize, lp: usize, w: &TwWork) {
-    if !ph.enabled() {
-        return;
-    }
-    let t = ph.now_ns();
-    if w.evaluations > 0 {
-        ph.emit(t, 0, p as u32, lp as u32, TraceKind::GateEval, w.evaluations);
-    }
-    if w.rollbacks > 0 {
-        ph.emit(t, 0, p as u32, lp as u32, TraceKind::Rollback, w.events_rolled_back);
-    }
-    if w.state_slots_saved > 0 {
-        ph.emit(t, 0, p as u32, lp as u32, TraceKind::StateSave, w.state_slots_saved);
-    }
-}
-
 impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
-    type Msg = Wire<V>;
+    /// Destination LP, message.
+    type Msg = (usize, TwMsg<V>);
     type Worker = TwWorker<V>;
     type Report = TwReport;
     /// The GVT computed at the previous barrier (infinite before the first
@@ -178,7 +107,7 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
         fabric: &Fabric<'_>,
         state: &mut TwWorker<V>,
         verdict: &VirtualTime,
-        cx: &mut RoundCx<'_, '_, Wire<V>>,
+        cx: &mut RoundCx<'_, '_, (usize, TwMsg<V>)>,
     ) -> TwReport {
         let circuit = fabric.circuit();
         let topo = fabric.topo();
@@ -198,12 +127,9 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
         // Group the inbox per LP for single-rollback application
         // (per-message rollback lets the anti-message echo grow
         // exponentially — see `TwLp::receive_batch`).
-        let mut groups: BTreeMap<usize, Vec<TwIncoming<V>>> = BTreeMap::new();
-        for wire in cx.inbox.drain(..) {
-            match wire {
-                Wire::Event(dst, e) => groups.entry(dst).or_default().push(TwIncoming::Event(e)),
-                Wire::Anti(dst, e) => groups.entry(dst).or_default().push(TwIncoming::Anti(e)),
-            }
+        let mut groups: BTreeMap<usize, Vec<TwMsg<V>>> = BTreeMap::new();
+        for (dst, msg) in cx.inbox.drain(..) {
+            groups.entry(dst).or_default().push(msg);
         }
 
         let mut sent = false;
@@ -214,66 +140,42 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
         let lps = &mut state.lps;
         let probe = &mut *cx.probe;
         let outbox = &mut *cx.outbox;
-        let granularity = cx.granularity;
 
         // Routing shared by the receive and process paths.
         macro_rules! route {
-            ($src:expr, $out:expr) => {
-                match $out {
-                    TwOutgoing::Event { dst, event } => {
-                        stats.messages_sent += 1;
-                        sent = true;
-                        sent_min = Some(sent_min.map_or(event.time, |m| m.min(event.time)));
-                        if probe.enabled() {
-                            probe.emit(
-                                probe.now_ns(),
-                                event.time.ticks(),
-                                me as u32,
-                                $src as u32,
-                                TraceKind::MessageSend,
-                                dst as u64,
-                            );
-                        }
-                        outbox.send(dst / granularity, Wire::Event(dst, event));
-                    }
-                    TwOutgoing::Anti { dst, event } => {
-                        sent = true;
-                        sent_min = Some(sent_min.map_or(event.time, |m| m.min(event.time)));
-                        if probe.enabled() {
-                            probe.emit(
-                                probe.now_ns(),
-                                event.time.ticks(),
-                                me as u32,
-                                $src as u32,
-                                TraceKind::AntiMessage,
-                                dst as u64,
-                            );
-                        }
-                        outbox.send(dst / granularity, Wire::Anti(dst, event));
-                    }
+            ($src:expr, $dst:expr, $msg:expr) => {{
+                let msg = $msg;
+                if let TwMsg::Event(_) = msg {
+                    stats.messages_sent += 1;
                 }
-            };
+                sent = true;
+                sent_min = Some(sent_min.map_or(msg.time(), |m| m.min(msg.time())));
+                emit_send(probe, ProbeHandle::now_ns, me, $src, $dst, &msg);
+                outbox.send(fabric.worker_of($dst), ($dst, msg));
+            }};
         }
 
         // Apply the inbox: stragglers and anti-messages trigger rollbacks.
         for (dst, batch) in groups {
             let mut work = TwWork::default();
-            lps[dst % granularity].receive_batch(batch, &mut work, &mut |o| route!(dst, o));
+            lps[fabric.slot_of(dst)]
+                .receive_batch(batch, &mut work, &mut |to, m| route!(dst, to, m));
             total.accumulate(&work);
-            emit_work(probe, me, dst, &work);
+            emit_work(probe, ProbeHandle::now_ns, me, dst, &work);
         }
 
         // Optimistically process a bounded number of batches per LP.
-        for (slot, lp) in lps.iter_mut().enumerate() {
-            let lp_idx = me * granularity + slot;
+        for lp in lps.iter_mut() {
+            let lp_idx = lp.index;
             for _ in 0..BATCH_BUDGET {
                 let mut work = TwWork::default();
                 let block = fabric.compiled_block(lp_idx);
-                let processed = lp.process_next(circuit, topo, until, block, &mut work, &mut |o| {
-                    route!(lp_idx, o);
-                });
+                let processed =
+                    lp.process_next(circuit, topo, until, block, &mut work, &mut |to, m| {
+                        route!(lp_idx, to, m);
+                    });
                 total.accumulate(&work);
-                emit_work(probe, me, lp_idx, &work);
+                emit_work(probe, ProbeHandle::now_ns, me, lp_idx, &work);
                 if !processed {
                     break;
                 }
@@ -283,7 +185,7 @@ impl<V: LogicValue> SyncProtocol<V> for TwProtocol {
         let local = lps.iter().filter_map(TwLp::next_time).min();
         cx.charge(total.events_processed - processed_before, 0, 0);
         if let Some(t) = local {
-            cx.note_progress(me * granularity, t);
+            cx.note_progress(me * cx.granularity, t);
         }
         TwReport {
             sent,

@@ -4,7 +4,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::poison::lock_recover;
-use crate::{Metrics, Trace, TraceKind, TraceRecord, NO_LP};
+use crate::{Metrics, Trace, TraceKind, TraceRecord};
 
 /// Default per-thread ring capacity (records). At 48 bytes per record this
 /// bounds a worker's buffer to ~48 MB; overflowing records are counted, not
@@ -178,27 +178,6 @@ impl ProbeHandle {
         self.buf.push(TraceRecord { t, vt, processor, lp, kind, arg });
     }
 
-    /// Runs `wait` (a barrier wait, typically
-    /// `parsim_runtime::RoundBarrier::wait`), recording the measured span
-    /// as a [`TraceKind::BarrierWait`] record attributed to `processor` at
-    /// virtual time `vt` (no LP). When disabled this is exactly `wait()` —
-    /// no clock reads.
-    ///
-    /// Every threaded kernel synchronizes through this helper; taking a
-    /// closure instead of a concrete barrier type keeps this crate free of
-    /// any synchronization primitive choice (`std::sync::Barrier` is
-    /// banned workspace-wide: it hangs peers when a participant dies).
-    pub fn barrier_span<T>(&mut self, processor: u32, vt: u64, wait: impl FnOnce() -> T) -> T {
-        if self.shared.is_none() {
-            return wait();
-        }
-        let start = self.now_ns();
-        let out = wait();
-        let end = self.now_ns();
-        self.emit(start, vt, processor, NO_LP, TraceKind::BarrierWait, end - start);
-        out
-    }
-
     /// A sibling handle feeding the same probe, starting with an empty
     /// buffer. Used by values that own a handle but need `Clone` (e.g. the
     /// virtual machine); the sibling records independently.
@@ -211,14 +190,6 @@ impl ProbeHandle {
                 capacity: self.capacity,
                 dropped: 0,
             },
-        }
-    }
-
-    /// Records already-counted overflow from an external buffer (used by
-    /// tests; kernels normally just call [`emit`](Self::emit)).
-    pub fn count_dropped(&mut self, n: u64) {
-        if self.shared.is_some() {
-            self.dropped = self.dropped.saturating_add(n);
         }
     }
 }

@@ -151,11 +151,6 @@ impl<F: FnMut(ChunkFrame)> ChunkWriter<F> {
         self.emit(true);
     }
 
-    /// Frames emitted so far (not counting buffered lines).
-    pub fn frames_emitted(&self) -> u64 {
-        self.seq
-    }
-
     fn emit(&mut self, last: bool) {
         // The next frame starts with the length this one reached plus the
         // widest line seen, which a frame cut at the payload target cannot

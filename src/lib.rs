@@ -75,7 +75,7 @@ pub mod prelude {
         WorkerDiagnostic,
     };
     pub use parsim_event::{
-        BinaryHeapQueue, BucketQueue, CalendarQueue, Event, EventQueue, Message, PairingHeapQueue,
+        BinaryHeapQueue, BucketQueue, CalendarQueue, Event, EventQueue, PairingHeapQueue,
         VirtualTime,
     };
     pub use parsim_lint::{
