@@ -276,3 +276,119 @@ fn malformed_bodies_fail_fast_with_bad_request() {
         );
     }
 }
+
+/// Polls `service.metrics()[key]` until it reads `want`; panics after 60 s.
+fn wait_for_metric(service: &SimService, key: &str, want: f64) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while service.metrics()[key] != want {
+        assert!(std::time::Instant::now() < deadline, "{key} never reached {want}");
+        thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+fn metrics_map(values: [(&str, f64); 13]) -> BTreeMap<String, f64> {
+    values.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()
+}
+
+/// Pins every `/metrics` key on one scripted event sequence: a cold miss
+/// and a warm hit, a quota rejection, a slot wait behind a parked job, a
+/// malformed body, a budget-truncated job and a worker-kill failure.
+#[test]
+fn metrics_report_every_key_exactly_over_a_scripted_session() {
+    let mut cfg = test_config("pinned-metrics");
+    cfg.run_slots = 1;
+    cfg.quotas = TenantQuotas { max_in_flight: 1, max_events_per_job: None };
+    let service = Arc::new(SimService::new(cfg));
+    let expect = |values| assert_eq!(service.metrics(), metrics_map(values));
+    expect([
+        ("cache_hits", 0.0),
+        ("cache_misses", 0.0),
+        ("cache_raced_adopted", 0.0),
+        ("cache_recompiled_corrupt", 0.0),
+        ("jobs_admitted", 0.0),
+        ("jobs_completed", 0.0),
+        ("jobs_failed", 0.0),
+        ("jobs_rejected", 0.0),
+        ("jobs_truncated", 0.0),
+        ("slots_capacity", 1.0),
+        ("slots_in_use", 0.0),
+        ("slots_peak_in_use", 0.0),
+        ("slots_waits", 0.0),
+    ]);
+
+    // A cold miss, then a warm hit.
+    let done = |events: &[JobEvent]| matches!(events.last(), Some(JobEvent::Done { .. }));
+    assert!(done(&collect(&service, &adder_request("acme", KernelKind::Sync))));
+    assert!(done(&collect(&service, &adder_request("acme", KernelKind::Sync))));
+
+    // Job A parks after `accepted`, holding acme's only quota permit and
+    // the only run slot.
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let svc = Arc::clone(&service);
+    let a = thread::spawn(move || {
+        let mut events = Vec::new();
+        svc.submit_request(&adder_request("acme", KernelKind::Sync), &mut |e| {
+            if matches!(e, JobEvent::Accepted { .. }) {
+                started_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            }
+            events.push(e);
+        });
+        events
+    });
+    started_rx.recv().unwrap();
+    // acme is over quota; globex is admitted and waits for the slot.
+    let rejected = collect(&service, &adder_request("acme", KernelKind::Sync));
+    assert!(matches!(&rejected[..], [JobEvent::Error { code, .. }] if code == "quota-exhausted"));
+    let svc = Arc::clone(&service);
+    let b = thread::spawn(move || collect(&svc, &adder_request("globex", KernelKind::Sync)));
+    wait_for_metric(&service, "slots_waits", 1.0);
+    expect([
+        ("cache_hits", 2.0),
+        ("cache_misses", 1.0),
+        ("cache_raced_adopted", 0.0),
+        ("cache_recompiled_corrupt", 0.0),
+        ("jobs_admitted", 4.0),
+        ("jobs_completed", 2.0),
+        ("jobs_failed", 1.0),
+        ("jobs_rejected", 1.0),
+        ("jobs_truncated", 0.0),
+        ("slots_capacity", 1.0),
+        ("slots_in_use", 1.0),
+        ("slots_peak_in_use", 1.0),
+        ("slots_waits", 1.0),
+    ]);
+    release_tx.send(()).unwrap();
+    assert!(done(&a.join().unwrap()));
+    assert!(done(&b.join().unwrap()));
+
+    // A malformed body fails before admission.
+    service.submit("{oops", &mut |_| {});
+    // A budget-truncated job.
+    let mut truncated = adder_request("acme", KernelKind::Sync);
+    truncated.budget = parsim_core::RunBudget::UNLIMITED.with_max_rounds(3);
+    let events = collect(&service, &truncated);
+    assert!(matches!(events.last(), Some(JobEvent::Done { status, .. }) if status == "truncated"));
+    // A worker-kill failure.
+    let mut killed = adder_request("acme", KernelKind::Sync);
+    killed.fault_kill = Some((1, 2));
+    let events = collect(&service, &killed);
+    assert!(matches!(events.last(), Some(JobEvent::Error { code, .. }) if code == "worker-panic"));
+
+    expect([
+        ("cache_hits", 5.0),
+        ("cache_misses", 1.0),
+        ("cache_raced_adopted", 0.0),
+        ("cache_recompiled_corrupt", 0.0),
+        ("jobs_admitted", 6.0),
+        ("jobs_completed", 4.0),
+        ("jobs_failed", 3.0),
+        ("jobs_rejected", 1.0),
+        ("jobs_truncated", 1.0),
+        ("slots_capacity", 1.0),
+        ("slots_in_use", 0.0),
+        ("slots_peak_in_use", 1.0),
+        ("slots_waits", 1.0),
+    ]);
+}
