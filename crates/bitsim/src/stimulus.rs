@@ -173,11 +173,6 @@ impl<P: PackedValue> PackedWaveform<P> {
         }
         w
     }
-
-    /// The final packed value.
-    pub fn final_value(&self) -> P {
-        self.transitions.last().expect("waveform always has an initial entry").1
-    }
 }
 
 /// The result of one packed run: final values, waveforms and stats for all

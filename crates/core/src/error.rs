@@ -219,11 +219,6 @@ impl RunBudget {
         self
     }
 
-    /// True when no bound is set.
-    pub fn is_unlimited(&self) -> bool {
-        *self == RunBudget::UNLIMITED
-    }
-
     /// Which bound (if any) is exhausted by the given usage.
     pub fn exceeded_by(
         &self,
@@ -324,12 +319,11 @@ mod tests {
             .with_max_rounds(10)
             .with_max_events(100)
             .with_deadline(Duration::from_secs(1));
-        assert!(!b.is_unlimited());
         assert_eq!(b.exceeded_by(9, 99, Duration::ZERO), None);
         assert_eq!(b.exceeded_by(10, 99, Duration::ZERO), Some(BudgetExhausted::Rounds));
         assert_eq!(b.exceeded_by(9, 100, Duration::ZERO), Some(BudgetExhausted::Events));
         assert_eq!(b.exceeded_by(9, 99, Duration::from_secs(2)), Some(BudgetExhausted::Deadline));
         assert!(RunBudget::UNLIMITED.exceeded_by(u64::MAX, u64::MAX, Duration::MAX).is_none());
-        assert!(RunBudget::default().is_unlimited());
+        assert_eq!(RunBudget::default(), RunBudget::UNLIMITED);
     }
 }

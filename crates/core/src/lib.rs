@@ -56,7 +56,7 @@ pub use error::{BudgetExhausted, RunBudget, SimError, WorkerDiagnostic};
 pub use eval::{evaluate_gate, GateRuntime};
 pub use lp::{LpSpec, LpTopology};
 pub use outcome::{SimOutcome, SimStats};
-pub use profile::{pre_simulate, pre_simulate_fraction, ActivityProfile};
+pub use profile::{pre_simulate, ActivityProfile};
 pub use recorder::WaveRecorder;
 pub use sequential::SequentialSimulator;
 pub use simulator::{Observe, Simulator};

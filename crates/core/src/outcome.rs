@@ -176,6 +176,9 @@ impl<V: LogicValue> SimOutcome<V> {
     }
 
     /// The final primary-output values, in declaration order.
+    ///
+    /// Public API: what a caller compares with a truth table, as
+    /// [`SequentialSimulator`](crate::SequentialSimulator)'s example does.
     pub fn output_values(&self, circuit: &Circuit) -> Vec<V> {
         circuit.outputs().iter().map(|&po| self.value(po)).collect()
     }

@@ -1,7 +1,6 @@
 //! Pre-simulation activity profiling.
 
 use parsim_event::VirtualTime;
-use parsim_logic::LogicValue;
 use parsim_netlist::{Circuit, GateId};
 
 use crate::{Observe, SequentialSimulator, Stimulus};
@@ -82,19 +81,6 @@ pub fn pre_simulate(
     ActivityProfile { counts, window }
 }
 
-/// Convenience: profile with the same stimulus family the main run will use,
-/// over a window of `fraction` of the main run length (clamped to at least
-/// one stimulus interval).
-pub fn pre_simulate_fraction<V: LogicValue>(
-    circuit: &Circuit,
-    stimulus: &Stimulus,
-    until: VirtualTime,
-    fraction: f64,
-) -> ActivityProfile {
-    let window = ((until.ticks() as f64 * fraction) as u64).max(stimulus.interval());
-    pre_simulate(circuit, stimulus, VirtualTime::new(window))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,13 +115,5 @@ mod tests {
         let busy =
             pre_simulate(&c, &Stimulus::random_with_toggle(1, 10, 0.95), until).activity_level(&c);
         assert!(busy > 3.0 * lazy, "activity knob inert: {lazy} vs {busy}");
-    }
-
-    #[test]
-    fn fraction_window_clamps() {
-        let c = parsim_netlist::bench::c17();
-        let stim = Stimulus::random(1, 50);
-        let p = pre_simulate_fraction::<parsim_logic::Bit>(&c, &stim, VirtualTime::new(10), 0.01);
-        assert_eq!(p.window(), VirtualTime::new(50));
     }
 }

@@ -108,6 +108,9 @@ pub fn write_vcd<V: LogicValue>(circuit: &Circuit, outcome: &SimOutcome<V>) -> S
 /// to drive an input with); variables keep the names declared in the
 /// `$var` section.
 ///
+/// Public API: the reader half of [`write_vcd`]; a dump read back drives
+/// [`Stimulus::replay`](crate::Stimulus::replay), as the example shows.
+///
 /// # Examples
 ///
 /// ```

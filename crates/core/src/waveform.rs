@@ -68,12 +68,11 @@ impl<V: LogicValue> Waveform<V> {
         }
     }
 
-    /// The final recorded value.
-    pub fn final_value(&self) -> V {
-        self.transitions.last().expect("waveform always has an initial entry").1
-    }
-
     /// Number of value changes (excluding the initial entry).
+    ///
+    /// Public API: a net's activity in one run, the quantity §III's
+    /// pre-simulation weights partitions by; the kernel suites check that a
+    /// net moved with it.
     pub fn toggle_count(&self) -> usize {
         self.transitions.len() - 1
     }
@@ -118,7 +117,7 @@ mod tests {
         let mut w = Waveform::new(Logic4::Zero);
         w.record(VirtualTime::new(5), Logic4::One);
         w.record(VirtualTime::new(5), Logic4::X);
-        assert_eq!(w.final_value(), Logic4::X);
+        assert_eq!(w.value_at(VirtualTime::new(5)), Logic4::X);
         assert_eq!(w.toggle_count(), 1);
     }
 
@@ -146,7 +145,7 @@ mod tests {
         w.record(VirtualTime::new(3), Logic4::One);
         w.record(VirtualTime::new(7), Logic4::Zero);
         w.truncate_from(VirtualTime::new(5));
-        assert_eq!(w.final_value(), Logic4::One);
+        assert_eq!(w.value_at(VirtualTime::new(99)), Logic4::One);
         assert_eq!(w.toggle_count(), 1);
         // Re-recording the same history reproduces the original waveform.
         w.record(VirtualTime::new(7), Logic4::Zero);

@@ -10,8 +10,8 @@ use crate::report::LintReport;
 /// `out`. Passes must be deterministic: the same circuit must always produce
 /// the same diagnostics in the same order, so reports are diffable.
 pub trait LintPass {
-    /// The pass's stable registry name (used for severity overrides and
-    /// disabling; conventionally equal to the code it emits).
+    /// The pass's stable registry name (used for severity overrides;
+    /// conventionally equal to the code it emits).
     fn name(&self) -> &'static str;
 
     /// The severity this pass emits unless overridden in the [`Linter`].
@@ -28,7 +28,6 @@ pub trait LintPass {
 struct Registered {
     pass: Box<dyn LintPass>,
     severity: Option<Severity>,
-    enabled: bool,
 }
 
 /// A configurable registry of [`LintPass`]es.
@@ -77,31 +76,22 @@ impl Linter {
 
     /// Adds a pass at its default severity.
     pub fn register(&mut self, pass: impl LintPass + 'static) -> &mut Self {
-        self.passes.push(Registered { pass: Box::new(pass), severity: None, enabled: true });
+        self.passes.push(Registered { pass: Box::new(pass), severity: None });
         self
     }
 
     /// Overrides the severity of every diagnostic a pass emits.
     ///
     /// Returns `true` if a pass with that name is registered.
+    ///
+    /// Public API: the linter's one per-pass setting, for a caller that
+    /// gates on errors (the type's example). To leave a pass out, build the
+    /// linter with [`new`](Self::new) and [`register`](Self::register) the
+    /// others.
     pub fn set_severity(&mut self, pass: &str, severity: Severity) -> bool {
-        self.configure(pass, |r| r.severity = Some(severity))
-    }
-
-    /// Disables a pass entirely. Returns `true` if it was registered.
-    pub fn disable(&mut self, pass: &str) -> bool {
-        self.configure(pass, |r| r.enabled = false)
-    }
-
-    /// Re-enables a previously disabled pass. Returns `true` if registered.
-    pub fn enable(&mut self, pass: &str) -> bool {
-        self.configure(pass, |r| r.enabled = true)
-    }
-
-    fn configure(&mut self, pass: &str, f: impl FnOnce(&mut Registered)) -> bool {
         match self.passes.iter_mut().find(|r| r.pass.name() == pass) {
             Some(r) => {
-                f(r);
+                r.severity = Some(severity);
                 true
             }
             None => false,
@@ -113,16 +103,13 @@ impl Linter {
         self.passes.iter().map(|r| r.pass.name()).collect()
     }
 
-    /// Runs every enabled pass and collects the findings.
+    /// Runs every registered pass and collects the findings.
     ///
     /// Diagnostics are sorted most severe first, then by code, then by first
     /// site, so reports are stable across runs.
     pub fn run(&self, ctx: &LintContext<'_>) -> LintReport {
         let mut diagnostics = Vec::new();
         for r in &self.passes {
-            if !r.enabled {
-                continue;
-            }
             let start = diagnostics.len();
             r.pass.run(ctx, &mut diagnostics);
             if let Some(severity) = r.severity {
@@ -186,11 +173,6 @@ mod tests {
         assert!(linter.set_severity("always-fires", Severity::Error));
         let report = linter.run(&LintContext::new(&c));
         assert_eq!(report.diagnostics()[0].severity, Severity::Error);
-
-        assert!(linter.disable("always-fires"));
-        assert!(linter.run(&LintContext::new(&c)).is_clean());
-        assert!(linter.enable("always-fires"));
-        assert!(!linter.run(&LintContext::new(&c)).is_clean());
 
         assert!(!linter.set_severity("no-such-pass", Severity::Note));
     }

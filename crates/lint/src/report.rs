@@ -2,8 +2,6 @@
 
 use std::fmt::Write as _;
 
-use parsim_netlist::GateId;
-
 use crate::diagnostic::{Diagnostic, Severity};
 
 /// The result of a [`Linter::run`](crate::Linter::run): every diagnostic,
@@ -47,6 +45,9 @@ impl LintReport {
     }
 
     /// Returns `true` if any diagnostic is an error.
+    ///
+    /// Public API: the gate a caller fails a build on; the seeded-defect
+    /// suite checks it from outside the crate.
     pub fn has_errors(&self) -> bool {
         self.count(Severity::Error) > 0
     }
@@ -57,21 +58,11 @@ impl LintReport {
     }
 
     /// The diagnostics carrying a particular code.
+    ///
+    /// Public API: how a caller finds one finding's sites; the seeded-defect
+    /// suite looks its diagnostics up by it from outside the crate.
     pub fn with_code(&self, code: crate::Code) -> impl Iterator<Item = &Diagnostic> + '_ {
         self.diagnostics.iter().filter(move |d| d.code == code)
-    }
-
-    /// Every site mentioned by any diagnostic, deduplicated, in id order.
-    ///
-    /// Feed this to
-    /// [`dot::write_dot_highlighted`](parsim_netlist::dot::write_dot_highlighted)
-    /// to visualize the findings.
-    pub fn all_sites(&self) -> Vec<GateId> {
-        let mut sites: Vec<GateId> =
-            self.diagnostics.iter().flat_map(|d| d.sites.iter().copied()).collect();
-        sites.sort_unstable();
-        sites.dedup();
-        sites
     }
 
     /// Renders a human-readable multi-line report.
@@ -134,6 +125,7 @@ impl LintReport {
 mod tests {
     use super::*;
     use crate::Code;
+    use parsim_netlist::GateId;
 
     fn sample() -> LintReport {
         LintReport::new(
@@ -155,7 +147,6 @@ mod tests {
         assert!(r.has_errors());
         assert_eq!(r.count(Severity::Warning), 1);
         assert_eq!(r.with_code(Code::DEAD_LOGIC).count(), 1);
-        assert_eq!(r.all_sites(), vec![GateId::new(3), GateId::new(4)]);
     }
 
     #[test]

@@ -71,6 +71,9 @@ impl Std9 {
     /// Maps to the `UX01` subset used by the standard's logic tables:
     /// weak levels keep their Boolean meaning, everything indeterminate
     /// becomes `X`, and `U` is preserved.
+    ///
+    /// Public API: IEEE 1164's `To_UX01`, which a user of the nine-valued
+    /// type expects beside it; the property suite checks the tables by it.
     pub fn to_ux01(self) -> Std9 {
         match self {
             Std9::U => Std9::U,

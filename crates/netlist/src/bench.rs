@@ -413,6 +413,9 @@ OUTPUT(23)
 
 /// A small sequential benchmark in the spirit of ISCAS-89 `s27`: three
 /// flip-flops with an implicit clock, four inputs, one output.
+///
+/// Public API: the shared sequential fixture that the netlist, lint and
+/// bit-parallel test suites load from outside this module.
 pub fn s27ish() -> Circuit {
     parse("s27ish", S27ISH_TEXT, DelayModel::Unit).expect("embedded s27ish netlist is valid")
 }

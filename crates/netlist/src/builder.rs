@@ -267,11 +267,6 @@ impl CircuitBuilder {
         }
     }
 
-    /// Returns `true` if `id` has been defined (not just declared).
-    pub fn is_defined(&self, id: GateId) -> bool {
-        self.gates[id.index()].kind.is_some()
-    }
-
     /// Marks a net as a primary output under the given name.
     ///
     /// If the driving gate is unnamed, the output name is attached to it, so
@@ -560,9 +555,7 @@ mod tests {
     fn forward_declared_input_is_registered() {
         let mut b = CircuitBuilder::new("t");
         let a = b.declare("a");
-        assert!(!b.is_defined(a));
         b.define(a, GateKind::Input, [], Delay::ZERO);
-        assert!(b.is_defined(a));
         let g = b.gate(GateKind::Buf, [a], Delay::UNIT);
         b.output("o", g);
         let c = b.finish().unwrap();

@@ -1,6 +1,5 @@
 //! The immutable circuit arena.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use parsim_logic::GateKind;
@@ -153,11 +152,6 @@ impl Circuit {
         self.iter().find(|(_, g)| g.name() == Some(name)).map(|(id, _)| id)
     }
 
-    /// A name → id map for every named gate.
-    pub fn name_map(&self) -> HashMap<&str, GateId> {
-        self.iter().filter_map(|(id, g)| g.name().map(|n| (n, id))).collect()
-    }
-
     /// The smallest propagation delay of any non-source gate.
     ///
     /// This bounds the circuit-wide *lookahead* available to conservative
@@ -178,6 +172,9 @@ impl Circuit {
     }
 
     /// Ids of all sequential elements (flip-flops and latches).
+    ///
+    /// Public API: a netlist's register set, what a caller needs to find
+    /// its state; the generator and builder suites count registers by it.
     pub fn sequential_elements(&self) -> Vec<GateId> {
         self.iter().filter(|(_, g)| g.kind.is_sequential()).map(|(id, _)| id).collect()
     }
@@ -245,7 +242,6 @@ mod tests {
         assert_eq!(c.find("a"), Some(c.inputs()[0]));
         assert_eq!(c.find("y"), Some(c.outputs()[0]));
         assert_eq!(c.find("zzz"), None);
-        assert_eq!(c.name_map().len(), 3);
     }
 
     #[test]

@@ -148,18 +148,6 @@ impl DelayModel {
             }
         }
     }
-
-    /// The smallest delay this model can assign to a non-source gate.
-    ///
-    /// Conservative simulation uses this as a circuit-wide lookahead bound.
-    pub fn min_delay(self) -> Delay {
-        match self {
-            DelayModel::Unit => Delay::UNIT,
-            DelayModel::Fixed(d) => d,
-            DelayModel::PerKind => Delay::UNIT,
-            DelayModel::Uniform { min, .. } => Delay::new(min),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -200,12 +188,6 @@ mod tests {
     fn uniform_sources_have_zero_delay() {
         let m = DelayModel::Uniform { min: 5, max: 9, seed: 1 };
         assert_eq!(m.delay_for(GateKind::Input, 3), Delay::ZERO);
-    }
-
-    #[test]
-    fn min_delay_matches_model() {
-        assert_eq!(DelayModel::Unit.min_delay(), Delay::UNIT);
-        assert_eq!(DelayModel::Uniform { min: 4, max: 8, seed: 0 }.min_delay(), Delay::new(4));
     }
 
     #[test]

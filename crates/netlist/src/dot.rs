@@ -24,6 +24,9 @@ use crate::{Circuit, GateId};
 /// assert!(text.starts_with("digraph"));
 /// assert!(text.contains("NAND"));
 /// ```
+///
+/// Public API: the Graphviz export a user runs on a circuit and its
+/// partition; nothing in the workspace renders one itself.
 pub fn write_dot(circuit: &Circuit, clusters: Option<&dyn Fn(GateId) -> usize>) -> String {
     write_dot_highlighted(circuit, clusters, &[])
 }

@@ -134,6 +134,12 @@ impl<V: LogicValue> TimeWarpSimulator<V> {
     /// Removes the optimism bound entirely (pure Jefferson Time Warp).
     /// Expect the §V instability: on scattered partitions with spread-out
     /// delays, rollback echo can blow the message population up.
+    ///
+    /// Public API: the unthrottled protocol the paper describes, which
+    /// EXPERIMENTS.md E4 cites for the non-convergence that made lazy
+    /// cancellation the default; no committed table sets it, and the
+    /// optimistic property suite checks it still commits the sequential
+    /// history.
     pub fn with_unbounded_optimism(mut self) -> Self {
         self.window = Window::Unbounded;
         self

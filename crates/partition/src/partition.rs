@@ -79,6 +79,9 @@ impl Partition {
     }
 
     /// Places every gate in block 0 (the sequential baseline).
+    ///
+    /// Public API: the one-LP baseline a caller lints or runs against; the
+    /// lint suites build their partition-quality contexts with it.
     pub fn single_block(n: usize) -> Self {
         Partition { blocks: 1, assignment: vec![0; n] }
     }

@@ -45,6 +45,10 @@ impl GateWeights {
 
     /// Weights from arbitrary non-negative values.
     ///
+    /// Public API: weights from a caller's own cost model
+    /// ([`from_counts`](Self::from_counts) covers pre-simulation profiles);
+    /// the partitioner suites use it for skewed weights.
+    ///
     /// # Panics
     ///
     /// Panics if any weight is negative or non-finite.

@@ -157,6 +157,9 @@ impl FaultPlan {
     /// Stalls `worker` at round `round` (a hang, not a crash). Pair with
     /// [`RunOptions::barrier_timeout`](crate::RunOptions::barrier_timeout),
     /// which is the guard this fault exercises.
+    ///
+    /// Public API: the hang fault the fabric suite injects from outside the
+    /// crate to exercise the barrier timeout.
     pub fn with_stall(self, worker: usize, round: u64) -> Self {
         self.with(FaultSpec::StallWorker { worker, round })
     }

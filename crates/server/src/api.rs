@@ -159,13 +159,13 @@ impl JobRequest {
         let mut budget = RunBudget::UNLIMITED;
         if let Some(b) = v.get("budget") {
             if let Some(r) = b.get("max_rounds").and_then(Json::as_u64) {
-                budget.max_rounds = Some(r);
+                budget = budget.with_max_rounds(r);
             }
             if let Some(e) = b.get("max_events").and_then(Json::as_u64) {
-                budget.max_events = Some(e);
+                budget = budget.with_max_events(e);
             }
             if let Some(ms) = b.get("deadline_ms").and_then(Json::as_u64) {
-                budget.deadline = Some(Duration::from_millis(ms));
+                budget = budget.with_deadline(Duration::from_millis(ms));
             }
         }
         let fault_kill = match v.get("fault_kill") {
@@ -284,6 +284,9 @@ pub enum JobEvent {
 
 impl JobEvent {
     /// True for the stream-ending events (`done` / `error`).
+    ///
+    /// Public API: how a client of the NDJSON stream knows the job ended
+    /// (the crate example checks it).
     pub fn is_terminal(&self) -> bool {
         matches!(self, JobEvent::Done { .. } | JobEvent::Error { .. })
     }

@@ -62,5 +62,5 @@ pub mod service;
 pub use api::{JobEvent, JobRequest, KernelKind, NetlistSpec, ObserveSpec};
 pub use http::Server;
 pub use quota::{QuotaLedger, TenantQuotas};
-pub use scheduler::{RunSlots, SlotStats};
+pub use scheduler::RunSlots;
 pub use service::{ServiceConfig, SimService};

@@ -58,17 +58,12 @@ impl std::fmt::Display for QuotaExceeded {
     }
 }
 
-#[derive(Debug, Default)]
-struct Usage {
-    in_flight: usize,
-    admitted: u64,
-    rejected: u64,
-}
-
-/// Tracks per-tenant usage; cloned handles share one ledger.
+/// Tracks per-tenant jobs in flight; cloned handles share one ledger. A
+/// tenant has an entry only while it has a job in flight, so the map is
+/// bounded by admitted jobs, not by the tenant names clients send.
 #[derive(Debug, Clone, Default)]
 pub struct QuotaLedger {
-    tenants: Arc<Mutex<HashMap<String, Usage>>>,
+    tenants: Arc<Mutex<HashMap<String, usize>>>,
 }
 
 impl QuotaLedger {
@@ -82,31 +77,26 @@ impl QuotaLedger {
     /// every exit path, including panics unwinding through the job.
     pub fn admit(&self, tenant: &str, quotas: &TenantQuotas) -> Result<QuotaPermit, QuotaExceeded> {
         let mut map = lock_recover(&self.tenants);
-        let usage = map.entry(tenant.to_owned()).or_default();
-        if usage.in_flight >= quotas.max_in_flight {
-            usage.rejected += 1;
+        if map.get(tenant).copied().unwrap_or(0) >= quotas.max_in_flight {
             return Err(QuotaExceeded { tenant: tenant.to_owned(), limit: quotas.max_in_flight });
         }
-        usage.in_flight += 1;
-        usage.admitted += 1;
+        *map.entry(tenant.to_owned()).or_default() += 1;
         Ok(QuotaPermit { ledger: self.clone(), tenant: tenant.to_owned() })
-    }
-
-    /// (admitted, rejected) totals across all tenants.
-    pub fn totals(&self) -> (u64, u64) {
-        let map = lock_recover(&self.tenants);
-        map.values().fold((0, 0), |(a, r), u| (a + u.admitted, r + u.rejected))
     }
 
     /// Jobs currently in flight for `tenant`.
     pub fn in_flight(&self, tenant: &str) -> usize {
-        lock_recover(&self.tenants).get(tenant).map_or(0, |u| u.in_flight)
+        lock_recover(&self.tenants).get(tenant).copied().unwrap_or(0)
     }
 
+    /// Releases one of `tenant`'s jobs, forgetting the tenant at zero.
     fn release(&self, tenant: &str) {
         let mut map = lock_recover(&self.tenants);
-        if let Some(u) = map.get_mut(tenant) {
-            u.in_flight = u.in_flight.saturating_sub(1);
+        if let Some(n) = map.get_mut(tenant) {
+            *n = n.saturating_sub(1);
+            if *n == 0 {
+                map.remove(tenant);
+            }
         }
     }
 }
@@ -142,8 +132,21 @@ mod tests {
         drop(a1);
         assert_eq!(ledger.in_flight("acme"), 1);
         ledger.admit("acme", &q).unwrap();
-        let (admitted, rejected) = ledger.totals();
-        assert_eq!((admitted, rejected), (4, 1));
+    }
+
+    #[test]
+    fn ledger_forgets_tenants_with_nothing_in_flight() {
+        let ledger = QuotaLedger::new();
+        let q = TenantQuotas::default();
+        for i in 0..10_000 {
+            drop(ledger.admit(&format!("tenant-{i}"), &q).unwrap());
+        }
+        let closed = TenantQuotas { max_in_flight: 0, max_events_per_job: None };
+        assert!(ledger.admit("refused", &closed).is_err());
+        assert!(
+            lock_recover(&ledger.tenants).is_empty(),
+            "the ledger kept tenants with nothing in flight"
+        );
     }
 
     #[test]

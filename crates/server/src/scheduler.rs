@@ -11,61 +11,57 @@
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use parsim_runtime::lock_recover;
-
-#[derive(Debug)]
-struct SlotState {
-    free: usize,
-    in_use: usize,
-    peak_in_use: usize,
-    waits: u64,
-}
+use parsim_trace::Metrics;
 
 #[derive(Debug)]
 struct Inner {
-    state: Mutex<SlotState>,
+    free: Mutex<usize>,
     available: Condvar,
     capacity: usize,
+    metrics: Arc<Metrics>,
 }
 
 /// A counting semaphore over the concurrent fabric-run budget; cloned
 /// handles share one pool.
+///
+/// The pool records its pressure in a registry as it changes: the gauges
+/// `slots_capacity`, `slots_in_use` and `slots_peak_in_use`, and the
+/// counter `slots_waits` (acquisitions that found no free slot).
 #[derive(Debug, Clone)]
 pub struct RunSlots {
     inner: Arc<Inner>,
 }
 
-/// Point-in-time pool statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotStats {
-    /// Total slots in the pool.
-    pub capacity: usize,
-    /// Slots currently held.
-    pub in_use: usize,
-    /// Most slots ever held at once.
-    pub peak_in_use: usize,
-    /// Acquisitions that had to wait for a free slot.
-    pub waits: u64,
-}
-
 impl RunSlots {
-    /// A pool of `capacity` concurrent runs.
+    /// A pool of `capacity` concurrent runs, recording into a registry of
+    /// its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        RunSlots::recording_into(capacity, Arc::new(Metrics::new()))
+    }
+
+    /// A pool of `capacity` concurrent runs that records into `metrics`,
+    /// the registry its owner reports (the service's `/metrics`).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero — a zero-slot server could never run
     /// anything.
-    pub fn new(capacity: usize) -> Self {
+    pub fn recording_into(capacity: usize, metrics: Arc<Metrics>) -> Self {
         assert!(capacity >= 1, "run pool needs at least one slot");
+        metrics.gauge_set("slots_capacity", capacity as f64);
+        metrics.gauge_set("slots_in_use", 0.0);
+        metrics.gauge_set("slots_peak_in_use", 0.0);
+        metrics.counter_add("slots_waits", 0);
         RunSlots {
             inner: Arc::new(Inner {
-                state: Mutex::new(SlotState {
-                    free: capacity,
-                    in_use: 0,
-                    peak_in_use: 0,
-                    waits: 0,
-                }),
+                free: Mutex::new(capacity),
                 available: Condvar::new(),
                 capacity,
+                metrics,
             }),
         }
     }
@@ -74,35 +70,28 @@ impl RunSlots {
     /// condvar's (roughly FIFO on Linux); jobs are short, so starvation
     /// is bounded in practice by the per-job budget.
     pub fn acquire(&self) -> SlotGuard {
-        let mut state = lock_recover(&self.inner.state);
-        if state.free == 0 {
-            state.waits += 1;
-            while state.free == 0 {
-                state = self.inner.available.wait(state).unwrap_or_else(PoisonError::into_inner);
+        let metrics = &self.inner.metrics;
+        let mut free = lock_recover(&self.inner.free);
+        if *free == 0 {
+            metrics.counter_add("slots_waits", 1);
+            while *free == 0 {
+                free = self.inner.available.wait(free).unwrap_or_else(PoisonError::into_inner);
             }
         }
-        state.free -= 1;
-        state.in_use += 1;
-        state.peak_in_use = state.peak_in_use.max(state.in_use);
+        *free -= 1;
+        // Published under the pool lock, so the gauge follows the pool's
+        // own order of acquisitions and releases.
+        let in_use = (self.inner.capacity - *free) as f64;
+        metrics.gauge_set("slots_in_use", in_use);
+        metrics.gauge_max("slots_peak_in_use", in_use);
         SlotGuard { slots: self.clone() }
     }
 
-    /// Current pool statistics.
-    pub fn stats(&self) -> SlotStats {
-        let state = lock_recover(&self.inner.state);
-        SlotStats {
-            capacity: self.inner.capacity,
-            in_use: state.in_use,
-            peak_in_use: state.peak_in_use,
-            waits: state.waits,
-        }
-    }
-
     fn release(&self) {
-        let mut state = lock_recover(&self.inner.state);
-        state.free += 1;
-        state.in_use = state.in_use.saturating_sub(1);
-        drop(state);
+        let mut free = lock_recover(&self.inner.free);
+        *free += 1;
+        self.inner.metrics.gauge_set("slots_in_use", (self.inner.capacity - *free) as f64);
+        drop(free);
         self.inner.available.notify_one();
     }
 }
@@ -127,7 +116,8 @@ mod tests {
 
     #[test]
     fn bounds_concurrency_to_pool_capacity() {
-        let slots = RunSlots::new(2);
+        let metrics = Arc::new(Metrics::new());
+        let slots = RunSlots::recording_into(2, Arc::clone(&metrics));
         let handles: Vec<_> = (0..6)
             .map(|_| {
                 let slots = slots.clone();
@@ -141,15 +131,16 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let stats = slots.stats();
-        assert_eq!(stats.in_use, 0, "all slots released");
-        assert!(stats.peak_in_use <= 2, "pool of 2 never ran 3: {stats:?}");
-        assert!(stats.waits >= 1, "6 jobs through 2 slots must have waited");
+        let stats = metrics.snapshot();
+        assert_eq!(stats.gauges["slots_in_use"], 0.0, "all slots released");
+        assert!(stats.gauges["slots_peak_in_use"] <= 2.0, "pool of 2 never ran 3: {stats:?}");
+        assert!(stats.counters["slots_waits"] >= 1, "6 jobs through 2 slots must have waited");
     }
 
     #[test]
     fn slot_released_even_when_the_job_panics() {
-        let slots = RunSlots::new(1);
+        let metrics = Arc::new(Metrics::new());
+        let slots = RunSlots::recording_into(1, Arc::clone(&metrics));
         let s2 = slots.clone();
         let _ = thread::spawn(move || {
             let _g = s2.acquire();
@@ -159,6 +150,6 @@ mod tests {
         // If the panic leaked the slot this would deadlock; a working
         // Drop makes it return immediately.
         let _g = slots.acquire();
-        assert_eq!(slots.stats().in_use, 1);
+        assert_eq!(metrics.snapshot().gauges["slots_in_use"], 1.0);
     }
 }

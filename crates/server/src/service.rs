@@ -6,8 +6,13 @@
 //! prepared (parsed + partitioned) circuits, and — crucially — a single
 //! [`ArtifactStore`] shared by *all* jobs, so the second tenant to submit
 //! a given circuit reuses the first tenant's compiled bytecode. Each job
-//! reports how the store satisfied it in its `accepted` event, and the
-//! aggregate hit/miss counters are surfaced by [`SimService::metrics`].
+//! reports how the store satisfied it in its `accepted` event.
+//!
+//! Every number [`SimService::metrics`] reports lives in one
+//! [`parsim_trace::Metrics`] registry, recorded once where it happens:
+//! admission and rejection from the ledger's answer, job outcomes as the
+//! job ends, cache hits and misses from the outcome the store returns, and
+//! run-slot pressure inside [`RunSlots`]. `/metrics` is a flat view of it.
 //!
 //! A job's whole lifecycle happens inside [`SimService::submit`] on the
 //! caller's thread (the HTTP layer gives each connection its own), with
@@ -28,9 +33,11 @@ use parsim_logic::{GateKind, Logic4, LogicValue as _};
 use parsim_netlist::{bench, generate, Circuit, DelayModel};
 use parsim_optimistic::ThreadedTimeWarpSimulator;
 use parsim_partition::{ConePartitioner, GateWeights, Partition, Partitioner as _};
-use parsim_runtime::{lock_recover, ArtifactStore, FabricKernel, FaultPlan, SyncProtocol, Threads};
+use parsim_runtime::{
+    lock_recover, ArtifactStore, CacheOutcome, FabricKernel, FaultPlan, SyncProtocol, Threads,
+};
 use parsim_sync::ThreadedSyncSimulator;
-use parsim_trace::ChunkWriter;
+use parsim_trace::{ChunkWriter, Metrics};
 
 use crate::api::{JobEvent, JobRequest, KernelKind, NetlistSpec, ObserveSpec};
 use crate::quota::{QuotaLedger, TenantQuotas};
@@ -80,12 +87,19 @@ struct Prepared {
 /// circuits still hit.
 const PREPARED_CAP: usize = 64;
 
-#[derive(Debug, Default, Clone, Copy)]
-struct JobCounters {
-    completed: u64,
-    truncated: u64,
-    failed: u64,
-}
+/// The counters the service records itself, registered at zero so a fresh
+/// service reports every key; [`RunSlots`] registers the `slots_*` keys.
+const COUNTERS: [&str; 9] = [
+    "jobs_admitted",
+    "jobs_rejected",
+    "jobs_completed",
+    "jobs_truncated",
+    "jobs_failed",
+    "cache_hits",
+    "cache_misses",
+    "cache_recompiled_corrupt",
+    "cache_raced_adopted",
+];
 
 /// The multi-tenant simulation service. Cheap to share: the HTTP layer
 /// holds it in an `Arc` and calls [`submit`](SimService::submit) from
@@ -104,7 +118,8 @@ pub struct SimService {
     /// collides with another tenant's entry.
     memo_keys: RandomState,
     next_job: AtomicU64,
-    counters: Mutex<JobCounters>,
+    /// Everything `/metrics` reports, shared with the run pool.
+    metrics: Arc<Metrics>,
 }
 
 impl SimService {
@@ -112,7 +127,11 @@ impl SimService {
     /// first compile.
     pub fn new(cfg: ServiceConfig) -> Self {
         let store = ArtifactStore::new(&cfg.cache_dir);
-        let slots = RunSlots::new(cfg.run_slots);
+        let metrics = Arc::new(Metrics::new());
+        for name in COUNTERS {
+            metrics.counter_add(name, 0);
+        }
+        let slots = RunSlots::recording_into(cfg.run_slots, Arc::clone(&metrics));
         SimService {
             cfg,
             store,
@@ -121,7 +140,7 @@ impl SimService {
             prepared: Mutex::new(VecDeque::new()),
             memo_keys: RandomState::new(),
             next_job: AtomicU64::new(0),
-            counters: Mutex::new(JobCounters::default()),
+            metrics,
         }
     }
 
@@ -138,7 +157,10 @@ impl SimService {
     /// [`submit`](Self::submit) for an already-parsed request.
     pub fn submit_request(&self, req: &JobRequest, sink: &mut dyn FnMut(JobEvent)) {
         // Admission first: a tenant over quota must not consume a slot.
-        let _permit = match self.ledger.admit(&req.tenant, &self.cfg.quotas) {
+        let admission = self.ledger.admit(&req.tenant, &self.cfg.quotas);
+        self.metrics
+            .counter_add(if admission.is_ok() { "jobs_admitted" } else { "jobs_rejected" }, 1);
+        let _permit = match admission {
             Ok(p) => p,
             Err(e) => return self.fail(sink, "quota-exhausted", &e.to_string()),
         };
@@ -159,6 +181,7 @@ impl SimService {
             prepared.circuit.ids().map(|id| prepared.partition.block_of(id)).collect();
         let (_, cache_outcome, _) =
             self.store.load_or_compile(&prepared.circuit, &lp_of, prepared.partition.blocks());
+        self.metrics.counter_add(cache_counter(cache_outcome), 1);
 
         let job_id = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;
         sink(JobEvent::Accepted { job_id, cache: cache_outcome.label().to_owned() });
@@ -170,14 +193,8 @@ impl SimService {
             Ok(outcome) => {
                 self.stream_waveforms(&prepared.circuit, &outcome, sink);
                 let truncated = outcome.stats.truncated;
-                {
-                    let mut c = lock_recover(&self.counters);
-                    if truncated {
-                        c.truncated += 1;
-                    } else {
-                        c.completed += 1;
-                    }
-                }
+                self.metrics
+                    .counter_add(if truncated { "jobs_truncated" } else { "jobs_completed" }, 1);
                 sink(JobEvent::Done {
                     job_id,
                     status: if truncated { "truncated" } else { "complete" }.to_owned(),
@@ -191,37 +208,23 @@ impl SimService {
         }
     }
 
-    /// Flat counter snapshot for the `/metrics` endpoint: job outcomes,
-    /// quota decisions, pool pressure and shared-cache effectiveness.
+    /// The `/metrics` view: every counter and gauge in the service's
+    /// registry — job outcomes, quota decisions, pool pressure and
+    /// shared-cache effectiveness — flattened to one map.
     pub fn metrics(&self) -> BTreeMap<String, f64> {
-        let cache = self.store.metrics();
-        let slots = self.slots.stats();
-        let (admitted, rejected) = self.ledger.totals();
-        let c = *lock_recover(&self.counters);
-        let mut m = BTreeMap::new();
-        m.insert("jobs_admitted".to_owned(), admitted as f64);
-        m.insert("jobs_rejected".to_owned(), rejected as f64);
-        m.insert("jobs_completed".to_owned(), c.completed as f64);
-        m.insert("jobs_truncated".to_owned(), c.truncated as f64);
-        m.insert("jobs_failed".to_owned(), c.failed as f64);
-        m.insert("cache_hits".to_owned(), cache.hits as f64);
-        m.insert("cache_misses".to_owned(), cache.misses as f64);
-        m.insert("cache_recompiled_corrupt".to_owned(), cache.recompiled_corrupt as f64);
-        m.insert("cache_raced_adopted".to_owned(), cache.raced_adopted as f64);
-        m.insert("slots_capacity".to_owned(), slots.capacity as f64);
-        m.insert("slots_in_use".to_owned(), slots.in_use as f64);
-        m.insert("slots_peak_in_use".to_owned(), slots.peak_in_use as f64);
-        m.insert("slots_waits".to_owned(), slots.waits as f64);
-        m
+        let snapshot = self.metrics.snapshot();
+        let counters = snapshot.counters.into_iter().map(|(name, n)| (name, n as f64));
+        counters.chain(snapshot.gauges).collect()
     }
 
-    /// The shared artifact store (tests inspect its metrics directly).
+    /// The shared artifact store (its directory is where every job's
+    /// kernel looks up compiled blocks).
     pub fn store(&self) -> &ArtifactStore {
         &self.store
     }
 
     fn fail(&self, sink: &mut dyn FnMut(JobEvent), code: &str, message: &str) {
-        lock_recover(&self.counters).failed += 1;
+        self.metrics.counter_add("jobs_failed", 1);
         sink(JobEvent::Error { code: code.to_owned(), message: message.to_owned() });
     }
 
@@ -394,6 +397,16 @@ fn build_circuit(spec: &NetlistSpec) -> Result<Circuit, String> {
                 other => Err(format!("unknown generator `{other}`")),
             }
         }
+    }
+}
+
+/// The `/metrics` counter one cache outcome adds to.
+fn cache_counter(outcome: CacheOutcome) -> &'static str {
+    match outcome {
+        CacheOutcome::Hit => "cache_hits",
+        CacheOutcome::MissCompiled => "cache_misses",
+        CacheOutcome::RecompiledCorrupt => "cache_recompiled_corrupt",
+        CacheOutcome::RacedAdopted => "cache_raced_adopted",
     }
 }
 

@@ -90,6 +90,15 @@ struct Inner {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// The entry for `name`, default-created on first use. Looks the key up
+/// first, so the name is copied into the map once, not on every update.
+fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
 /// The registry. Shared behind the probe; updates take a short lock, so
 /// callers should aggregate locally and publish summaries (end of run, end
 /// of superstep), not per event.
@@ -107,18 +116,26 @@ impl Metrics {
     /// Adds `n` to the named counter (created at zero on first use).
     pub fn counter_add(&self, name: &str, n: u64) {
         let mut inner = lock_recover(&self.inner);
-        let c = inner.counters.entry(name.to_owned()).or_insert(0);
+        let c = slot(&mut inner.counters, name);
         *c = c.saturating_add(n);
     }
 
     /// Sets the named gauge.
     pub fn gauge_set(&self, name: &str, v: f64) {
-        lock_recover(&self.inner).gauges.insert(name.to_owned(), v);
+        *slot(&mut lock_recover(&self.inner).gauges, name) = v;
+    }
+
+    /// Raises the named gauge (created at zero) to `v` if it reads lower:
+    /// a high-water mark.
+    pub fn gauge_max(&self, name: &str, v: f64) {
+        let mut inner = lock_recover(&self.inner);
+        let g = slot(&mut inner.gauges, name);
+        *g = g.max(v);
     }
 
     /// Records a sample into the named histogram.
     pub fn observe(&self, name: &str, v: u64) {
-        lock_recover(&self.inner).histograms.entry(name.to_owned()).or_default().observe(v);
+        slot(&mut lock_recover(&self.inner).histograms, name).observe(v);
     }
 
     /// A point-in-time copy of every metric.
@@ -187,6 +204,17 @@ mod tests {
         assert_eq!(s.counters["events"], 15);
         assert_eq!(s.gauges["util"], 0.75);
         assert!(s.to_string().contains("events = 15"));
+    }
+
+    #[test]
+    fn gauge_max_keeps_the_high_water_mark() {
+        let m = Metrics::new();
+        m.gauge_max("peak", 3.0);
+        m.gauge_max("peak", 1.0);
+        m.gauge_set("level", 2.0);
+        m.gauge_set("level", 1.0);
+        let s = m.snapshot();
+        assert_eq!((s.gauges["peak"], s.gauges["level"]), (3.0, 1.0));
     }
 
     #[test]
