@@ -47,12 +47,6 @@ impl PackedStimulus {
         PackedStimulus { lanes }
     }
 
-    /// Bundles 64 lanes of the same stimulus (the fault-campaign shape:
-    /// identical vectors, per-lane fault injection).
-    pub fn splat(stimulus: &Stimulus) -> Self {
-        PackedStimulus { lanes: vec![stimulus.clone(); LANES] }
-    }
-
     /// Number of populated lanes.
     pub fn lanes(&self) -> usize {
         self.lanes.len()

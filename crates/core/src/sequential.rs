@@ -3,7 +3,7 @@
 use std::marker::PhantomData;
 
 use parsim_event::{BucketQueue, Event, EventQueue, VirtualTime};
-use parsim_logic::{GateKind, LogicValue};
+use parsim_logic::LogicValue;
 use parsim_netlist::{Circuit, GateId};
 use parsim_trace::{Probe, TraceKind};
 
@@ -97,7 +97,7 @@ impl<V: LogicValue> SequentialSimulator<V> {
         let mut ph = self.probe.handle();
 
         // Initialization: stimulus events plus constant drivers.
-        for e in stimulus.events::<V>(circuit, until) {
+        for e in stimulus.known_events::<V>(circuit, until) {
             let (due, net) = (e.time, e.net);
             queue.push(e);
             stats.events_scheduled += 1;
@@ -110,15 +110,6 @@ impl<V: LogicValue> SequentialSimulator<V> {
                     TraceKind::Enqueue,
                     queue.len() as u64,
                 );
-            }
-        }
-        for (id, g) in circuit.iter() {
-            if g.kind() == GateKind::Const1 {
-                queue.push(Event::new(VirtualTime::ZERO, id, V::ONE));
-                stats.events_scheduled += 1;
-                if ph.enabled() {
-                    ph.emit(0, 0, 0, id.index() as u32, TraceKind::Enqueue, queue.len() as u64);
-                }
             }
         }
 
@@ -257,7 +248,7 @@ impl<V: LogicValue> Simulator<V> for SequentialSimulator<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsim_logic::Bit;
+    use parsim_logic::{Bit, GateKind};
     use parsim_netlist::{bench, generate, CircuitBuilder, Delay, DelayModel};
 
     fn run_bits(circuit: &Circuit, stim: &Stimulus, until: u64) -> SimOutcome<Bit> {

@@ -1,7 +1,7 @@
 //! Deterministic test-vector sources.
 
 use parsim_event::{Event, VirtualTime};
-use parsim_logic::LogicValue;
+use parsim_logic::{GateKind, LogicValue};
 use parsim_netlist::{Circuit, GateId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -119,6 +119,10 @@ impl Stimulus {
     ///
     /// Changes whose names do not match a primary input of the target
     /// circuit are ignored (a VCD dump usually contains internal nets too).
+    ///
+    /// Public API: the replay half of the VCD workflow
+    /// ([`parse_vcd_changes`](crate::parse_vcd_changes)'s example); only
+    /// doc examples and tests call it in the workspace.
     pub fn replay(changes: Vec<(u64, String, bool)>) -> Self {
         Stimulus { pattern: Pattern::Replay(changes), interval: 1, clock_half_period: None }
     }
@@ -225,6 +229,21 @@ impl Stimulus {
         }
 
         events.sort_by_key(|e| (e.time, e.net.index()));
+        events
+    }
+
+    /// Every event known before a run starts: [`events`](Self::events),
+    /// sorted by (time, net), then a `t = 0` event driving each constant-1
+    /// net high, in gate-id order. The sequential kernel and the fabric's
+    /// preloads both start from this list.
+    pub fn known_events<V: LogicValue>(
+        &self,
+        circuit: &Circuit,
+        until: VirtualTime,
+    ) -> Vec<Event<V>> {
+        let mut events = self.events(circuit, until);
+        let constants = circuit.ids().filter(|&id| circuit.kind(id) == GateKind::Const1);
+        events.extend(constants.map(|id| Event::new(VirtualTime::ZERO, id, V::ONE)));
         events
     }
 

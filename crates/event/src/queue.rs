@@ -102,11 +102,6 @@ impl<V> BinaryHeapQueue<V> {
     pub fn new() -> Self {
         BinaryHeapQueue { heap: BinaryHeap::new(), next_seq: 0 }
     }
-
-    /// Creates an empty queue with pre-allocated capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        BinaryHeapQueue { heap: BinaryHeap::with_capacity(capacity), next_seq: 0 }
-    }
 }
 
 impl<V> Default for BinaryHeapQueue<V> {

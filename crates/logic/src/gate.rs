@@ -68,6 +68,9 @@ pub enum GateKind {
 
 impl GateKind {
     /// All gate kinds, in a fixed order (useful for table-driven tests).
+    ///
+    /// Public API: the table-driven tests of the netlist and compile
+    /// crates iterate it, as can any downstream caller's.
     pub fn all() -> &'static [GateKind] {
         use GateKind::*;
         &[

@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 
-use parsim_core::{Observe, SimOutcome, SimStats, Simulator, Stimulus};
+use parsim_core::{Observe, SimOutcome, Simulator, Stimulus};
 use parsim_event::VirtualTime;
 use parsim_logic::LogicValue;
 use parsim_machine::{MachineConfig, VirtualMachine};
@@ -337,19 +337,7 @@ impl<V: LogicValue> Simulator<V> for TimeWarpSimulator<V> {
         // Every LP has committed its full history.
         debug_assert!(workers.iter().flat_map(|w| &w.lps).all(|lp| lp.done(until)));
         let modeled_work = workers.iter().map(|w| w.total.committed_cost(&machine)).sum();
-        let mut outcome = SimOutcome {
-            final_values: vec![V::ZERO; circuit.len()],
-            waveforms: BTreeMap::new(),
-            end_time: until,
-            stats: SimStats::default(),
-        };
-        for out in workers.into_iter().map(|w| w.finish(&fabric)) {
-            for (id, v) in out.owned_values {
-                outcome.final_values[id.index()] = v;
-            }
-            outcome.waveforms.extend(out.waveforms);
-            outcome.stats.merge(&out.stats);
-        }
+        let mut outcome = fabric.merge(workers.into_iter().map(|w| w.finish(&fabric)), until);
         outcome.stats.gvt_rounds = gvt_rounds;
         outcome.stats.modeled_makespan = vm.makespan();
         outcome.stats.modeled_work = modeled_work;

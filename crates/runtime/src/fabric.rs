@@ -10,7 +10,7 @@ use parsim_core::{
     WorkerDiagnostic,
 };
 use parsim_event::{Event, VirtualTime};
-use parsim_logic::{GateKind, LogicValue};
+use parsim_logic::LogicValue;
 use parsim_machine::{MachineConfig, VirtualMachine};
 use parsim_netlist::{Circuit, GateId};
 use parsim_partition::Partition;
@@ -330,14 +330,13 @@ impl<'c> Fabric<'c> {
         self.circuit.ids().map(|id| self.topo.lp_of(id)).collect()
     }
 
-    /// Obtains the LPs' compiled blocks through the on-disk
-    /// [`ArtifactStore`] rooted at `dir` instead of compiling them in
-    /// memory: a valid cached artifact for this circuit + LP assignment
-    /// skips compilation entirely; a miss (or a corrupt entry) compiles and
-    /// repopulates the store.
-    pub fn with_compiled_cache(self, dir: impl Into<std::path::PathBuf>) -> Self {
+    /// Obtains the LPs' compiled blocks through `store` instead of
+    /// compiling them in memory: one [`ArtifactStore::load_or_compile`]
+    /// keyed by this fabric's LP assignment. A valid cached artifact skips
+    /// compilation entirely; a miss (or a corrupt entry) compiles and
+    /// repopulates the store. [`Fabric::cache_outcome`] reports which.
+    pub fn with_compiled_cache(self, store: &ArtifactStore) -> Self {
         let start = Instant::now();
-        let store = ArtifactStore::new(dir);
         let lp_of = self.lp_assignment();
         let n_lps = self.topo.lps().len();
         let (blocks, outcome, artifact_bytes) = store.load_or_compile(self.circuit, &lp_of, n_lps);
@@ -363,6 +362,14 @@ impl<'c> Fabric<'c> {
                 artifact_bytes: 0,
             }
         })
+    }
+
+    /// How this fabric's compiled blocks were obtained: the store's answer
+    /// if [`Fabric::with_compiled_cache`] loaded them, else
+    /// [`CacheOutcome::MissCompiled`] — compiled in memory, here if nothing
+    /// has needed them yet.
+    pub fn cache_outcome(&self) -> CacheOutcome {
+        self.plan().outcome
     }
 
     /// LP `lp`'s compiled bytecode: every protocol evaluates its dirty
@@ -423,13 +430,7 @@ impl<'c> Fabric<'c> {
         until: VirtualTime,
     ) -> Vec<Vec<Event<V>>> {
         let mut preloads: Vec<Vec<Event<V>>> = vec![Vec::new(); self.topo.lps().len()];
-        let mut initial: Vec<Event<V>> = stimulus.events::<V>(self.circuit, until);
-        for (id, g) in self.circuit.iter() {
-            if g.kind() == GateKind::Const1 {
-                initial.push(Event::new(VirtualTime::ZERO, id, V::ONE));
-            }
-        }
-        for e in &initial {
+        for e in &stimulus.known_events::<V>(self.circuit, until) {
             let owner = self.topo.lp_of(e.net);
             let mut to_owner = false;
             for &dst in self.topo.destinations(e.net) {
@@ -600,8 +601,11 @@ impl<'c> Fabric<'c> {
         Ok(SimOutcome { final_values, waveforms, end_time, stats })
     }
 
-    /// Folds the workers' outputs into one outcome covering `until`.
-    fn merge<V: LogicValue>(
+    /// Folds the workers' outputs into one outcome covering `until`: each
+    /// worker's owned final values and waveforms, and the sum of their
+    /// stats. Both drivers end here, and so does a scheduler that steps the
+    /// fabric's LPs itself (modeled Time Warp).
+    pub fn merge<V: LogicValue>(
         &self,
         outputs: impl Iterator<Item = WorkerOutput<V>>,
         until: VirtualTime,

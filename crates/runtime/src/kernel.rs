@@ -12,20 +12,20 @@ use parsim_netlist::Circuit;
 use parsim_partition::Partition;
 use parsim_trace::Probe;
 
-use crate::{Fabric, FaultPlan, RunOptions, SyncProtocol};
+use crate::{ArtifactStore, Fabric, FaultPlan, RunOptions, SyncProtocol};
 
 /// The threaded driver: one worker thread per partition block, the
 /// lock-free mailbox mesh and the round barrier ([`Fabric::run`]), with
 /// the run's [`RunOptions`] and, optionally, the artifact store the
-/// compiled blocks are loaded from.
+/// compiled blocks are loaded through.
 ///
 /// On a single-core host a threaded kernel demonstrates correctness, not
 /// speedup; wall-clock numbers are only meaningful on real multiprocessors.
 #[derive(Debug, Clone, Default)]
 pub struct Threads {
     options: RunOptions,
-    /// Root of the on-disk artifact store; `None` compiles in memory.
-    cache: Option<PathBuf>,
+    /// The on-disk artifact store; `None` compiles in memory.
+    cache: Option<ArtifactStore>,
 }
 
 /// The modeled driver: the fabric's deterministic single-threaded driver
@@ -107,10 +107,11 @@ impl<P: Default, V> FabricKernel<P, Threads, V> {
 
 impl<P, V> FabricKernel<P, Threads, V> {
     /// Obtains the LPs' compiled blocks through the on-disk artifact store
-    /// rooted at `dir` instead of compiling them in memory: a warm cache
-    /// skips compilation entirely.
+    /// rooted at `dir` instead of compiling them in memory, with one load
+    /// per [`fabric`](Self::fabric) built: a warm cache skips compilation
+    /// entirely.
     pub fn with_compiled_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.driver.cache = Some(dir.into());
+        self.driver.cache = Some(ArtifactStore::new(dir));
         self
     }
 
@@ -140,6 +141,40 @@ impl<P, V> FabricKernel<P, Threads, V> {
         self
     }
 
+    /// The first half of [`try_run`](Self::try_run): builds the fabric
+    /// this kernel runs `circuit` on. With
+    /// [`with_compiled_cache`](Self::with_compiled_cache) the LPs' blocks
+    /// are loaded through the store here — the run's one artifact load —
+    /// and [`Fabric::cache_outcome`] reports how the store answered;
+    /// without it they are compiled in memory on first use.
+    pub fn fabric<'c>(&self, circuit: &'c Circuit) -> Fabric<'c>
+    where
+        P: SyncProtocol<V>,
+        V: LogicValue,
+    {
+        let fabric =
+            Fabric::new(circuit, &self.partition, self.protocol.granularity(), self.observe);
+        match &self.driver.cache {
+            Some(store) => fabric.with_compiled_cache(store),
+            None => fabric,
+        }
+    }
+
+    /// The second half of [`try_run`](Self::try_run): runs the kernel on a
+    /// fabric its [`fabric`](Self::fabric) built.
+    pub fn run_on(
+        &self,
+        fabric: &Fabric<'_>,
+        stimulus: &Stimulus,
+        until: VirtualTime,
+    ) -> Result<SimOutcome<V>, SimError>
+    where
+        P: SyncProtocol<V>,
+        V: LogicValue,
+    {
+        fabric.run(stimulus, until, &self.probe, &self.protocol, &self.driver.options)
+    }
+
     /// Runs the kernel, returning a structured [`SimError`] instead of
     /// panicking when a worker fails or the protocol aborts.
     pub fn try_run(
@@ -152,12 +187,7 @@ impl<P, V> FabricKernel<P, Threads, V> {
         P: SyncProtocol<V>,
         V: LogicValue,
     {
-        let mut fabric =
-            Fabric::new(circuit, &self.partition, self.protocol.granularity(), self.observe);
-        if let Some(dir) = &self.driver.cache {
-            fabric = fabric.with_compiled_cache(dir);
-        }
-        fabric.run(stimulus, until, &self.probe, &self.protocol, &self.driver.options)
+        self.run_on(&self.fabric(circuit), stimulus, until)
     }
 }
 

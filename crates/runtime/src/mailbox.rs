@@ -124,6 +124,9 @@ pub struct MailboxMesh<M> {
 impl<M> MailboxMesh<M> {
     /// A mesh with one ring per worker pair
     /// ([`DEFAULT_RING_CAPACITY`] slots each) and no fault injection.
+    ///
+    /// Public API: the default-capacity mesh the mailbox unit tests and the
+    /// loom models build; the fabric sizes its rings from the topology.
     pub fn new(workers: usize) -> Self {
         Self::with_ring_capacity(workers, DEFAULT_RING_CAPACITY)
     }

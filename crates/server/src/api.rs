@@ -268,7 +268,9 @@ pub enum JobEvent {
         events: u64,
         /// Synchronization rounds executed.
         rounds: u64,
-        /// Host wall-clock milliseconds spent in the kernel run.
+        /// Host wall-clock milliseconds spent in the kernel run, and only
+        /// there: building the job's fabric (its artifact load) happens
+        /// before `accepted` and is not included.
         wall_ms: f64,
     },
     /// The job failed; terminal. `code` is machine-readable.

@@ -5,8 +5,11 @@
 //! per-tenant [`QuotaLedger`], the bounded [`RunSlots`] pool, a cache of
 //! prepared (parsed + partitioned) circuits, and — crucially — a single
 //! [`ArtifactStore`] shared by *all* jobs, so the second tenant to submit
-//! a given circuit reuses the first tenant's compiled bytecode. Each job
-//! reports how the store satisfied it in its `accepted` event.
+//! a given circuit reuses the first tenant's compiled bytecode. Inside its
+//! run slot each job builds its fabric through the configured kernel,
+//! which is its one load from the store; it reports how the store
+//! answered that load in its `accepted` event and then runs on that same
+//! fabric.
 //!
 //! Every number [`SimService::metrics`] reports lives in one
 //! [`parsim_trace::Metrics`] registry, recorded once where it happens:
@@ -173,38 +176,17 @@ impl SimService {
         }
         // The slot bounds compile + run: both are CPU-heavy.
         let _slot = self.slots.acquire();
-
-        // Pre-warm the shared store with exactly the key the fabric will
-        // look up (granularity-1 runs: LP == partition block), and report
-        // the outcome so clients see cross-tenant reuse.
-        let lp_of: Vec<usize> =
-            prepared.circuit.ids().map(|id| prepared.partition.block_of(id)).collect();
-        let (_, cache_outcome, _) =
-            self.store.load_or_compile(&prepared.circuit, &lp_of, prepared.partition.blocks());
-        self.metrics.counter_add(cache_counter(cache_outcome), 1);
-
-        let job_id = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;
-        sink(JobEvent::Accepted { job_id, cache: cache_outcome.label().to_owned() });
-
-        let start = Instant::now();
-        let result = self.run_kernel(req, &prepared);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        match result {
-            Ok(outcome) => {
-                self.stream_waveforms(&prepared.circuit, &outcome, sink);
-                let truncated = outcome.stats.truncated;
-                self.metrics
-                    .counter_add(if truncated { "jobs_truncated" } else { "jobs_completed" }, 1);
-                sink(JobEvent::Done {
-                    job_id,
-                    status: if truncated { "truncated" } else { "complete" }.to_owned(),
-                    end_time: outcome.end_time.ticks(),
-                    events: outcome.stats.events_processed,
-                    rounds: outcome.stats.barriers,
-                    wall_ms,
-                });
+        let part = prepared.partition.clone();
+        match req.kernel {
+            KernelKind::Sync => {
+                self.run_job(ThreadedSyncSimulator::new(part), req, &prepared, sink);
             }
-            Err(e) => self.fail(sink, classify(&e), &e.to_string()),
+            KernelKind::Conservative => {
+                self.run_job(ThreadedConservativeSimulator::new(part), req, &prepared, sink);
+            }
+            KernelKind::TimeWarp => {
+                self.run_job(ThreadedTimeWarpSimulator::new(part), req, &prepared, sink);
+            }
         }
     }
 
@@ -217,8 +199,9 @@ impl SimService {
         counters.chain(snapshot.gauges).collect()
     }
 
-    /// The shared artifact store (its directory is where every job's
-    /// kernel looks up compiled blocks).
+    /// The shared artifact store: every job's kernel loads its compiled
+    /// blocks through this directory, once per job, when the job's fabric
+    /// is built.
     pub fn store(&self) -> &ArtifactStore {
         &self.store
     }
@@ -255,28 +238,17 @@ impl SimService {
         Ok(p)
     }
 
-    fn run_kernel(
-        &self,
-        req: &JobRequest,
-        prep: &Prepared,
-    ) -> Result<SimOutcome<Logic4>, SimError> {
-        let part = prep.partition.clone();
-        match req.kernel {
-            KernelKind::Sync => self.run_on(ThreadedSyncSimulator::new(part), req, prep),
-            KernelKind::Conservative => {
-                self.run_on(ThreadedConservativeSimulator::new(part), req, prep)
-            }
-            KernelKind::TimeWarp => self.run_on(ThreadedTimeWarpSimulator::new(part), req, prep),
-        }
-    }
-
     /// Configures any threaded kernel the same way and runs the job on it.
-    fn run_on<P: SyncProtocol<Logic4>>(
+    /// The job's fabric is built first — its one artifact-store load — and
+    /// `accepted` reports how the store answered; the run then goes on that
+    /// same fabric.
+    fn run_job<P: SyncProtocol<Logic4>>(
         &self,
         kernel: FabricKernel<P, Threads, Logic4>,
         req: &JobRequest,
         prep: &Prepared,
-    ) -> Result<SimOutcome<Logic4>, SimError> {
+        sink: &mut dyn FnMut(JobEvent),
+    ) {
         let observe = match req.observe {
             ObserveSpec::Outputs => Observe::Outputs,
             ObserveSpec::AllNets => Observe::AllNets,
@@ -292,8 +264,33 @@ impl SimService {
         if let Some((w, r)) = req.fault_kill {
             k = k.with_faults(FaultPlan::new().with_kill(w, r));
         }
+        let fabric = k.fabric(&prep.circuit);
+        let cache_outcome = fabric.cache_outcome();
+        self.metrics.counter_add(cache_counter(cache_outcome), 1);
+        let job_id = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;
+        sink(JobEvent::Accepted { job_id, cache: cache_outcome.label().to_owned() });
+
         let stimulus = Stimulus::random(req.seed, req.interval);
-        k.try_run(&prep.circuit, &stimulus, VirtualTime::new(req.until))
+        let start = Instant::now();
+        let result = k.run_on(&fabric, &stimulus, VirtualTime::new(req.until));
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        match result {
+            Ok(outcome) => {
+                self.stream_waveforms(&prep.circuit, &outcome, sink);
+                let truncated = outcome.stats.truncated;
+                self.metrics
+                    .counter_add(if truncated { "jobs_truncated" } else { "jobs_completed" }, 1);
+                sink(JobEvent::Done {
+                    job_id,
+                    status: if truncated { "truncated" } else { "complete" }.to_owned(),
+                    end_time: outcome.end_time.ticks(),
+                    events: outcome.stats.events_processed,
+                    rounds: outcome.stats.barriers,
+                    wall_ms,
+                });
+            }
+            Err(e) => self.fail(sink, classify(&e), &e.to_string()),
+        }
     }
 
     /// Streams the waveform dump as validated chunk frames: a CSV header

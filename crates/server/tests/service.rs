@@ -392,3 +392,67 @@ fn metrics_report_every_key_exactly_over_a_scripted_session() {
         ("slots_waits", 1.0),
     ]);
 }
+
+/// Every `.parsimc` artifact under `dir`.
+fn artifacts(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let entries = std::fs::read_dir(dir).expect("the store exists after a compile");
+    let paths = entries.map(|e| e.expect("readable store entry").path());
+    paths.filter(|p| p.extension().is_some_and(|x| x == "parsimc")).collect()
+}
+
+/// A job's one store load happens before `accepted`: the kernel runs on
+/// the blocks that load returned and never reads the store again, so an
+/// artifact corrupted after `accepted` stays corrupt until the next job
+/// finds it.
+#[test]
+fn the_job_runs_on_the_blocks_its_accepted_event_reports() {
+    const CORRUPT: &[u8] = b"not a parsimc artifact";
+    let cfg = test_config("one-load");
+    let dir = cfg.cache_dir.clone();
+    let service = SimService::new(cfg);
+    let req = adder_request("acme", KernelKind::Sync);
+    let mut events = Vec::new();
+    service.submit_request(&req, &mut |e| {
+        if matches!(e, JobEvent::Accepted { .. }) {
+            for path in artifacts(&dir) {
+                std::fs::write(path, CORRUPT).expect("overwrite the artifact");
+            }
+        }
+        events.push(e);
+    });
+    assert!(matches!(&events[0], JobEvent::Accepted { cache, .. } if cache == "miss"));
+    assert!(
+        matches!(events.last(), Some(JobEvent::Done { status, .. }) if status == "complete"),
+        "{:?}",
+        events.last()
+    );
+
+    let circuit = generate::ripple_adder(8, DelayModel::Unit);
+    let partition = ConePartitioner.partition(&circuit, 2, &GateWeights::uniform(circuit.len()));
+    let direct = ThreadedSyncSimulator::<Logic4>::new(partition)
+        .with_observe(Observe::AllNets)
+        .try_run(&circuit, &Stimulus::random(42, 10), VirtualTime::new(200))
+        .unwrap();
+    let mut expected = String::from("net,name,time,value\n");
+    for (id, w) in &direct.waveforms {
+        let name = circuit.gate(*id).name().unwrap_or("");
+        for &(t, v) in w.transitions() {
+            expected.push_str(&format!("{},{name},{},{v}\n", id.index(), t.ticks()));
+        }
+    }
+    let streamed = reassemble(&chunk_frames(&events)).expect("stream validates");
+    assert_eq!(streamed, expected, "the job ran on the blocks it loaded before `accepted`");
+
+    let stored = artifacts(&dir);
+    assert_eq!(stored.len(), 1, "{stored:?}");
+    assert!(std::fs::read(&stored[0]).unwrap() == CORRUPT, "the artifact was reloaded");
+    let next = collect(&service, &req);
+    assert!(
+        matches!(&next[0], JobEvent::Accepted { cache, .. } if cache == "recompiled_corrupt"),
+        "{:?}",
+        next[0]
+    );
+    let metrics = service.metrics();
+    assert_eq!((metrics["cache_misses"], metrics["cache_recompiled_corrupt"]), (1.0, 1.0));
+    assert_eq!(metrics["cache_hits"], 0.0, "{metrics:?}");
+}

@@ -230,6 +230,7 @@ mod tests {
     use parsim_machine::MachineConfig;
     use parsim_netlist::{bench, generate, Circuit, DelayModel};
     use parsim_partition::{FiducciaMattheyses, GateWeights, Partitioner};
+    use parsim_runtime::CacheOutcome;
 
     fn check_equivalent<V: LogicValue>(c: &Circuit, stim: &Stimulus, until: u64, p: usize) {
         let part = FiducciaMattheyses::default().partition(c, p, &GateWeights::uniform(c.len()));
@@ -279,6 +280,29 @@ mod tests {
     fn single_worker_degenerates_to_sequential() {
         let c = bench::c17();
         check_equivalent::<Bit>(&c, &Stimulus::random(2, 5), 150, 1);
+    }
+
+    #[test]
+    fn running_on_the_built_fabric_is_try_run() {
+        let dir = std::env::temp_dir().join(format!("parsim-sync-fabric-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let c = generate::ripple_adder(8, DelayModel::PerKind);
+        let part = FiducciaMattheyses::default().partition(&c, 3, &GateWeights::uniform(c.len()));
+        let (stim, until) = (Stimulus::random(3, 7), VirtualTime::new(300));
+        let kernel = ThreadedSyncSimulator::<Logic4>::new(part)
+            .with_observe(Observe::AllNets)
+            .with_compiled_cache(&dir);
+        // Each fabric loads through the store once: the first compiles and
+        // stores, the second over the same store finds the artifact.
+        let cold = kernel.fabric(&c);
+        assert_eq!(cold.cache_outcome(), CacheOutcome::MissCompiled);
+        let warm = kernel.fabric(&c);
+        assert_eq!(warm.cache_outcome(), CacheOutcome::Hit);
+        let direct = kernel.try_run(&c, &stim, until).expect("a healthy run");
+        for fabric in [&cold, &warm] {
+            assert_eq!(kernel.run_on(fabric, &stim, until).expect("a healthy run"), direct);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
