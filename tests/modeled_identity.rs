@@ -6,8 +6,9 @@
 //! table either. The modeled Time Warp kernel's full statistics and probe
 //! records are pinned the same way, over every setting it has. The
 //! threaded conservative and breathing-time-buckets kernels are held to
-//! the modeled driver's counters, and the threaded kernels to their own
-//! from run to run.
+//! the modeled driver's counters, threaded Time Warp's full statistics are
+//! pinned as literals, and the threaded kernels repeat their own from run
+//! to run.
 
 use parsim::prelude::*;
 
@@ -337,6 +338,71 @@ fn threaded_statistics_repeat_exactly() {
     }
 }
 
+/// Every `SimStats` counter in declaration order (`events_processed`
+/// through `modeled_work`, as in [`TwRow`]); `truncated` is asserted false.
+type StatsRow = [u64; 14];
+
+fn stats_row(s: &SimStats) -> StatsRow {
+    assert!(!s.truncated);
+    [
+        s.events_processed,
+        s.events_scheduled,
+        s.gate_evaluations,
+        s.messages_sent,
+        s.null_messages,
+        s.barriers,
+        s.rollbacks,
+        s.events_rolled_back,
+        s.anti_messages,
+        s.state_saves,
+        s.state_bytes_saved,
+        s.gvt_rounds,
+        s.modeled_makespan,
+        s.modeled_work,
+    ]
+}
+
+/// Threaded Time Warp's whole `SimStats`, pinned over processors, state
+/// saving, cancellation and LP granularity. Its rollbacks, anti-messages
+/// and state saves depend only on the round structure, so any change to
+/// the LP's rollback or cancellation bookkeeping that moves one counter —
+/// or the order anti-messages leave in, which decides later rollbacks —
+/// shows here. Every lazy cell rolls back; some of them regenerate every
+/// rolled-back send and so cancel none, but each circuit's lazy cells
+/// together send anti-messages.
+#[test]
+fn threaded_time_warp_statistics_are_pinned() {
+    let mut rows = Vec::new();
+    for s in subjects().into_iter().filter(|s| s.name != "c17") {
+        let weights = GateWeights::uniform(s.circuit.len());
+        let mut lazy_anti_messages = 0;
+        for p in [2, 4] {
+            let part = FiducciaMattheyses::default().partition(&s.circuit, p, &weights);
+            for saving in [StateSaving::Copy, StateSaving::Incremental] {
+                for cancellation in [Cancellation::Lazy, Cancellation::Aggressive] {
+                    for granularity in [1, 2] {
+                        let stats = ThreadedTimeWarpSimulator::<Logic4>::new(part.clone())
+                            .with_state_saving(saving)
+                            .with_cancellation(cancellation)
+                            .with_granularity(granularity)
+                            .run(&s.circuit, &s.stimulus, s.until)
+                            .stats;
+                        let cell =
+                            format!("{}/P{p}/{saving:?}/{cancellation:?}/g{granularity}", s.name);
+                        if cancellation == Cancellation::Lazy {
+                            assert!(stats.rollbacks > 0, "{cell}: the cell must roll back");
+                            lazy_anti_messages += stats.anti_messages;
+                        }
+                        rows.push((cell, stats_row(&stats)));
+                    }
+                }
+            }
+        }
+        assert!(lazy_anti_messages > 0, "{}: lazy cancellation must cancel", s.name);
+    }
+    check("threaded Time Warp", &rows, THREADED_TW_PINNED);
+}
+
 /// What the breathing protocol counts, driver-independent because each
 /// breath is one sealed round: `barriers` (rounds), `messages_sent`,
 /// `gate_evaluations`, `rollbacks`, `events_rolled_back`, `state_saves`.
@@ -557,4 +623,42 @@ const TW_PINNED: &[(&str, TwRow)] = &[
     ("lfsr10/P4/Incremental/Lazy/g1/Some(16)", [449, 119, 1068, 53, 0, 0, 27, 79, 5, 523, 3732, 29, 4637, 9188, 1929, 9176359144217460183]),
     ("lfsr10/P4/Incremental/Lazy/g2/None", [811, 119, 1069, 124, 0, 0, 65, 151, 10, 968, 4169, 32, 5251, 10508, 3506, 14282455325656902652]),
     ("lfsr10/P4/Incremental/Lazy/g2/Some(16)", [811, 119, 1069, 124, 0, 0, 65, 151, 10, 968, 4169, 32, 5251, 10508, 3506, 14282455325656902652]),
+];
+
+/// Captured at commit bee1d26, before the LP's rollback withdrew self-sends
+/// in one pass and its lazy-cancellation set was keyed.
+#[rustfmt::skip]
+const THREADED_TW_PINNED: &[(&str, StatsRow)] = &[
+    ("dag250/P2/Copy/Lazy/g1", [7242, 5938, 12869, 831, 0, 64, 2, 38, 0, 505, 302708, 64, 0, 0]),
+    ("dag250/P2/Copy/Lazy/g2", [11374, 8469, 18423, 4746, 0, 95, 200, 5052, 80, 1476, 514027, 95, 0, 0]),
+    ("dag250/P2/Copy/Aggressive/g1", [7242, 5938, 12869, 831, 0, 64, 2, 38, 0, 505, 302708, 64, 0, 0]),
+    ("dag250/P2/Copy/Aggressive/g2", [11374, 12115, 26242, 9325, 0, 139, 362, 12080, 4659, 1990, 700719, 139, 0, 0]),
+    ("dag250/P2/Incremental/Lazy/g1", [7242, 5921, 12976, 831, 0, 64, 1, 17, 0, 505, 46165, 64, 0, 0]),
+    ("dag250/P2/Incremental/Lazy/g2", [11374, 8553, 24457, 4755, 0, 106, 175, 5235, 89, 1569, 89944, 106, 0, 0]),
+    ("dag250/P2/Incremental/Aggressive/g1", [7242, 5921, 12976, 831, 0, 64, 1, 17, 0, 505, 46165, 64, 0, 0]),
+    ("dag250/P2/Incremental/Aggressive/g2", [11374, 11388, 36231, 8865, 0, 147, 348, 10648, 4199, 2068, 130682, 147, 0, 0]),
+    ("dag250/P4/Copy/Lazy/g1", [8430, 6008, 13015, 1826, 0, 66, 12, 147, 1, 1010, 322078, 66, 0, 0]),
+    ("dag250/P4/Copy/Lazy/g2", [12501, 8083, 17484, 5702, 0, 91, 299, 4646, 109, 2666, 491468, 91, 0, 0]),
+    ("dag250/P4/Copy/Aggressive/g1", [8430, 5987, 12976, 1848, 0, 66, 11, 114, 23, 1010, 322078, 66, 0, 0]),
+    ("dag250/P4/Copy/Aggressive/g2", [12501, 9929, 21430, 9106, 0, 118, 434, 8455, 3513, 3122, 581288, 118, 0, 0]),
+    ("dag250/P4/Incremental/Lazy/g1", [8430, 6021, 13328, 1825, 0, 66, 9, 178, 0, 1017, 48563, 66, 0, 0]),
+    ("dag250/P4/Incremental/Lazy/g2", [12501, 8060, 19865, 5698, 0, 99, 266, 4599, 105, 2723, 76658, 99, 0, 0]),
+    ("dag250/P4/Incremental/Aggressive/g1", [8430, 5992, 13409, 1852, 0, 66, 10, 133, 27, 1017, 48761, 66, 0, 0]),
+    ("dag250/P4/Incremental/Aggressive/g2", [12501, 9761, 25999, 9040, 0, 126, 417, 8145, 3447, 3234, 98608, 126, 0, 0]),
+    ("lfsr10/P2/Copy/Lazy/g1", [273, 107, 1058, 20, 0, 36, 17, 46, 0, 280, 7139, 36, 0, 0]),
+    ("lfsr10/P2/Copy/Lazy/g2", [506, 128, 1399, 114, 0, 44, 79, 243, 9, 680, 10540, 44, 0, 0]),
+    ("lfsr10/P2/Copy/Aggressive/g1", [273, 111, 1092, 23, 0, 37, 17, 55, 3, 288, 7343, 37, 0, 0]),
+    ("lfsr10/P2/Copy/Aggressive/g2", [506, 139, 1442, 139, 0, 46, 84, 279, 34, 703, 10904, 46, 0, 0]),
+    ("lfsr10/P2/Incremental/Lazy/g1", [273, 126, 1241, 23, 0, 42, 15, 87, 3, 327, 4083, 42, 0, 0]),
+    ("lfsr10/P2/Incremental/Lazy/g2", [506, 124, 1632, 106, 0, 50, 80, 265, 1, 770, 5667, 50, 0, 0]),
+    ("lfsr10/P2/Incremental/Aggressive/g1", [273, 120, 1291, 24, 0, 43, 16, 89, 4, 331, 4235, 43, 0, 0]),
+    ("lfsr10/P2/Incremental/Aggressive/g2", [506, 135, 1640, 135, 0, 51, 91, 272, 30, 782, 5698, 51, 0, 0]),
+    ("lfsr10/P4/Copy/Lazy/g1", [449, 123, 1405, 53, 0, 43, 41, 241, 5, 662, 9267, 43, 0, 0]),
+    ("lfsr10/P4/Copy/Lazy/g2", [811, 126, 1551, 129, 0, 45, 116, 587, 15, 1370, 11497, 45, 0, 0]),
+    ("lfsr10/P4/Copy/Aggressive/g1", [449, 120, 1400, 58, 0, 44, 46, 244, 10, 661, 9250, 44, 0, 0]),
+    ("lfsr10/P4/Copy/Aggressive/g2", [811, 122, 1542, 134, 0, 45, 117, 579, 20, 1361, 11429, 45, 0, 0]),
+    ("lfsr10/P4/Incremental/Lazy/g1", [449, 124, 1424, 53, 0, 43, 40, 220, 5, 668, 4941, 43, 0, 0]),
+    ("lfsr10/P4/Incremental/Lazy/g2", [811, 125, 1577, 129, 0, 45, 116, 525, 15, 1379, 6067, 45, 0, 0]),
+    ("lfsr10/P4/Incremental/Aggressive/g1", [449, 119, 1424, 57, 0, 44, 42, 215, 9, 664, 4936, 44, 0, 0]),
+    ("lfsr10/P4/Incremental/Aggressive/g2", [811, 147, 1640, 161, 0, 48, 131, 599, 47, 1448, 6330, 48, 0, 0]),
 ];
