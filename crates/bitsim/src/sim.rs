@@ -389,11 +389,8 @@ fn eval_run<P: PackedValue>(
         GateKind::Nand => run!(|ins| fold(values, ins, one, P::and).not()),
         GateKind::Or => run!(|ins| fold(values, ins, zero, P::or)),
         GateKind::Nor => run!(|ins| fold(values, ins, zero, P::or).not()),
-        // Xor reduces without an initial element, like the scalar kernel.
-        GateKind::Xor => run!(|ins| ins.iter().map(|&f| at(f)).reduce(P::xor).unwrap_or(zero)),
-        GateKind::Xnor => {
-            run!(|ins| ins.iter().map(|&f| at(f)).reduce(P::xor).unwrap_or(zero).not());
-        }
+        GateKind::Xor => run!(|ins| reduce_xor(values, ins)),
+        GateKind::Xnor => run!(|ins| reduce_xor(values, ins).not()),
         GateKind::Mux2 => run!(|ins| P::mux(at(ins[0]), at(ins[1]), at(ins[2]))),
         GateKind::Tribuf => run!(|ins| P::tribuf(at(ins[0]), at(ins[1]))),
         GateKind::Bus => run!(|ins| fold(values, ins, P::splat(P::Scalar::HIGH_Z), P::resolve)),
@@ -423,9 +420,29 @@ fn eval_run<P: PackedValue>(
     }
 }
 
+/// `init` combined with each fanin value through `f`, left to right. Up
+/// to four fanins are read without a loop; a kind run is ordered by fanin
+/// count, so op after op takes the same arm.
 #[inline]
 fn fold<P: PackedValue>(values: &[P], fanin: &[GateId], init: P, f: fn(P, P) -> P) -> P {
-    fanin.iter().fold(init, |acc, &g| f(acc, values[g.index()]))
+    let at = |g: &GateId| values[g.index()];
+    match fanin {
+        [a] => f(init, at(a)),
+        [a, b] => f(f(init, at(a)), at(b)),
+        [a, b, c] => f(f(f(init, at(a)), at(b)), at(c)),
+        [a, b, c, d] => f(f(f(f(init, at(a)), at(b)), at(c)), at(d)),
+        _ => fanin.iter().fold(init, |acc, g| f(acc, at(g))),
+    }
+}
+
+/// Xor over the fanin values, without an initial element, like the scalar
+/// kernel: the first fanin starts the fold.
+#[inline]
+fn reduce_xor<P: PackedValue>(values: &[P], fanin: &[GateId]) -> P {
+    match fanin.split_first() {
+        Some((first, rest)) => fold(values, rest, values[first.index()], P::xor),
+        None => P::splat(P::Scalar::ZERO),
+    }
 }
 
 #[cfg(test)]

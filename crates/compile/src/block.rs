@@ -57,6 +57,16 @@ pub(crate) fn kind_code(kind: GateKind) -> u8 {
     }
 }
 
+/// Where an op sits inside its section: kind code, then fanin count, then
+/// gate id, packed into one integer with that order (the gate id is its
+/// low 32 bits). Kind-major makes the runs; ordering each run by fanin
+/// count gives the per-op fanin loop one trip count for long stretches,
+/// which the branch predictor learns, where gate-id order changes it at
+/// random.
+pub(crate) fn schedule_key(kind: GateKind, fanin: &[GateId], gate: GateId) -> u128 {
+    (u128::from(kind_code(kind)) << 96) | ((fanin.len() as u128) << 32) | gate.index() as u128
+}
+
 /// Inverse of [`kind_code`]; `None` for bytes no kind maps to.
 pub(crate) fn kind_from_code(code: u8) -> Option<GateKind> {
     Some(match code {
@@ -84,10 +94,12 @@ pub(crate) fn kind_from_code(code: u8) -> Option<GateKind> {
 ///
 /// Layout: `ops[..seq_ops]` is the sequential section (flip-flops and
 /// latches), followed by *one* combinational section holding every other
-/// owned gate. Each section is sorted by kind, then gate id, so the
-/// precomputed [`runs`](Self::runs) hold at most one run per gate kind per
-/// section — an executor dispatches a dozen times per sweep however deep
-/// the circuit is — and never cross the section boundary.
+/// owned gate. Each section is sorted by kind, then fanin count, then gate
+/// id, so the precomputed [`runs`](Self::runs) hold at most one run per
+/// gate kind per section — an executor dispatches a dozen times per sweep
+/// however deep the circuit is — and never cross the section boundary;
+/// inside a run the fanin count never decreases, so a fanin loop's trip
+/// count changes only a few times per run instead of at random.
 /// [`sections`](Self::sections) exposes the section ranges (sequential section
 /// first, when non-empty) — the unit of trace spans.
 ///
@@ -121,13 +133,16 @@ impl CompiledBlock {
     /// Compiles the subset of `circuit` owned by one LP (`owns` decides
     /// membership).
     pub fn compile_filtered(circuit: &Circuit, owns: impl Fn(GateId) -> bool) -> Self {
-        let (mut seq, mut comb): (Vec<GateId>, Vec<GateId>) = (Vec::new(), Vec::new());
+        // Each owned gate's schedule key, taken once: sorting compares
+        // integers instead of looking gates up.
+        let (mut seq, mut comb) = (Vec::new(), Vec::new());
         for id in circuit.ids().filter(|&id| owns(id)) {
-            let kind = circuit.kind(id);
-            if kind.is_sequential() {
-                seq.push(id);
-            } else if !kind.is_source() {
-                comb.push(id);
+            let g = circuit.gate(id);
+            let key = schedule_key(g.kind(), g.fanin(), id);
+            if g.kind().is_sequential() {
+                seq.push(key);
+            } else if !g.kind().is_source() {
+                comb.push(key);
             }
         }
         let seq_ops = seq.len();
@@ -135,13 +150,14 @@ impl CompiledBlock {
         let mut ops: Vec<Op> = Vec::with_capacity(seq_ops + comb.len());
         let mut fanins: Vec<GateId> = Vec::new();
         let mut sections: Vec<Range<usize>> = Vec::new();
-        for mut gates in [seq, comb] {
-            if gates.is_empty() {
+        for mut keys in [seq, comb] {
+            if keys.is_empty() {
                 continue;
             }
-            gates.sort_unstable_by_key(|&id| (kind_code(circuit.kind(id)), id));
+            keys.sort_unstable();
             let start = ops.len();
-            for id in gates {
+            for key in keys {
+                let id = GateId::new(key as u32 as usize);
                 let g = circuit.gate(id);
                 let delay = g.delay().ticks();
                 assert!(delay <= u64::from(u32::MAX), "gate delay overflows the op encoding");
@@ -342,12 +358,30 @@ mod tests {
             let mut kinds_present = 0;
             for section in sections {
                 let ops = &b.ops()[section.clone()];
-                let key = |op: &Op| (kind_code(op.kind), op.gate);
-                assert!(ops.windows(2).all(|w| key(&w[0]) < key(&w[1])), "kind-major, then id");
+                let key = |op: &Op| (kind_code(op.kind), b.fanin(op).len(), op.gate);
+                assert!(
+                    ops.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+                    "kind-major, then fanin count, then id"
+                );
                 kinds_present += 1 + ops.windows(2).filter(|w| w[0].kind != w[1].kind).count();
             }
             assert_eq!(b.runs().len(), kinds_present, "one run per kind present per section");
+            for (_, run) in b.runs() {
+                let arity: Vec<usize> =
+                    b.ops()[run.clone()].iter().map(|op| b.fanin(op).len()).collect();
+                assert!(
+                    arity.windows(2).all(|w| w[0] <= w[1]),
+                    "fanin counts never decrease in a run"
+                );
+            }
         }
+        let mixed_arity = |b: &CompiledBlock| {
+            b.runs().iter().any(|(_, run)| {
+                let ops = &b.ops()[run.clone()];
+                ops.iter().any(|op| b.fanin(op).len() != b.fanin(&ops[0]).len())
+            })
+        };
+        assert!(mixed_arity(&blocks[3]), "some run mixes fanin counts, so the order is exercised");
         let scheduled: usize = blocks[..3].iter().map(|b| b.ops().len()).sum();
         assert_eq!(scheduled, blocks[3].ops().len(), "LP blocks tile the whole-circuit block");
         assert_eq!(blocks[4].sections().len(), 1, "a combinational circuit has one section");

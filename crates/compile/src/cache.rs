@@ -22,13 +22,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parsim_netlist::{Circuit, Fnv1a, GateId};
 
-use crate::block::{kind_code, kind_from_code, CompiledBlock, Op, NO_SEQ_SLOT};
+use crate::block::{kind_code, kind_from_code, schedule_key, CompiledBlock, Op, NO_SEQ_SLOT};
 use crate::compile_blocks;
 
 /// Bytecode format version; bump on any layout or semantics change (kind
-/// codes, hash function, array meaning). Old-version files are treated as
-/// misses, never migrated.
-pub const FORMAT_VERSION: u32 = 2;
+/// codes, hash function, array meaning, op order). Old-version files are
+/// treated as misses, never migrated. Version 3 orders each section by
+/// (kind code, fanin count, gate id); version 2 had no fanin count in the
+/// key.
+pub const FORMAT_VERSION: u32 = 3;
 
 const MAGIC: [u8; 8] = *b"PARSIMC\0";
 
@@ -298,7 +300,8 @@ impl RawBlock {
 
     /// `true` when this block is exactly what [`compile_blocks`] lowers LP
     /// `lp`'s share of `circuit` to: the sequential section then the
-    /// combinational one, each in (kind code, gate) order, every op naming
+    /// combinational one, each in (kind code, fanin count, gate) order,
+    /// every op naming
     /// a gate `lp` owns with that gate's kind, delay and fanin list, the
     /// fanin array laid out in op order and the section ranges exact.
     fn is_lowering_of(&self, circuit: &Circuit, lp_of: &[usize], lp: usize) -> bool {
@@ -306,15 +309,15 @@ impl RawBlock {
             return false;
         }
         let mut fanin_at = 0usize;
-        let mut prev: Option<(u8, GateId)> = None;
+        let mut prev: Option<u128> = None;
         for (i, op) in self.ops.iter().enumerate() {
             let g = op.gate;
             let sequential = i < self.seq_ops;
             if i == self.seq_ops {
                 prev = None;
             }
-            let order = (kind_code(op.kind), g);
             let fanin = circuit.fanin(g);
+            let order = schedule_key(op.kind, fanin, g);
             let ok = lp_of[g.index()] == lp
                 && op.kind == circuit.kind(g)
                 && op.kind.is_sequential() == sequential

@@ -285,3 +285,114 @@ fn forged_artifact_at_the_right_key_is_recompiled_not_trusted() {
     assert_eq!(outcome, CacheOutcome::Hit, "the store was healed");
     assert_eq!(healed, honest);
 }
+
+/// Rewrites an artifact's op order: within each section, ops sorted by
+/// `key(kind byte, fanin count, gate)`, the fanin array laid out again in
+/// the new op order, sequential state slots renumbered by position, the
+/// version stamped [`FORMAT_VERSION`](parsim::compile::FORMAT_VERSION) and
+/// the checksum re-stamped. Layout per DESIGN.md §8: a 24-byte file
+/// header, then per block a 24-byte header, 21-byte op records, the fanin
+/// array and the section bounds.
+fn reorder_ops(artifact: &[u8], key: fn(u8, usize, u32) -> (u8, usize, u32)) -> Vec<u8> {
+    let word = |at: usize| u32::from_le_bytes(artifact[at..at + 4].try_into().expect("4 bytes"));
+    let mut out = artifact[..24].to_vec();
+    out[8..12].copy_from_slice(&parsim::compile::FORMAT_VERSION.to_le_bytes());
+    let mut pos = 24;
+    for _ in 0..word(20) {
+        let [seq_ops, n_ops, n_fanins, n_sections] =
+            [8, 12, 16, 20].map(|field| word(pos + field) as usize);
+        out.extend_from_slice(&artifact[pos..pos + 24]);
+        let (ops_at, fanins_at) = (pos + 24, pos + 24 + 21 * n_ops);
+        let tail_at = fanins_at + 4 * n_fanins;
+        // (kind byte, gate, delay bytes, fanin bytes) per op.
+        let mut ops: Vec<(u8, u32, &[u8], &[u8])> = (0..n_ops)
+            .map(|i| {
+                let at = ops_at + 21 * i;
+                let (start, len) = (word(at + 13) as usize, word(at + 17) as usize);
+                let fanin = &artifact[fanins_at + 4 * start..fanins_at + 4 * (start + len)];
+                (artifact[at + 4], word(at), &artifact[at + 5..at + 9], fanin)
+            })
+            .collect();
+        let order = |op: &(u8, u32, &[u8], &[u8])| key(op.0, op.3.len() / 4, op.1);
+        ops[..seq_ops].sort_by_key(order);
+        ops[seq_ops..].sort_by_key(order);
+        let mut fanins: Vec<u8> = Vec::new();
+        for (i, (kind, gate, delay, fanin)) in ops.into_iter().enumerate() {
+            let slot = if i < seq_ops { i as u32 } else { u32::MAX };
+            out.extend_from_slice(&gate.to_le_bytes());
+            out.push(kind);
+            out.extend_from_slice(delay);
+            out.extend_from_slice(&slot.to_le_bytes());
+            out.extend_from_slice(&(fanins.len() as u32 / 4).to_le_bytes());
+            out.extend_from_slice(&(fanin.len() as u32 / 4).to_le_bytes());
+            fanins.extend_from_slice(fanin);
+        }
+        out.extend_from_slice(&fanins);
+        out.extend_from_slice(&artifact[tail_at..tail_at + 8 * n_sections]);
+        pos = tail_at + 8 * n_sections;
+    }
+    out.extend_from_slice(&[0; 8]);
+    restamp(&mut out);
+    out
+}
+
+#[test]
+fn an_artifact_in_kind_then_gate_order_is_refused_at_format_3() {
+    // Format 3 orders each section by (kind code, fanin count, gate). The
+    // same blocks in format 2's (kind code, gate) order, stamped version 3
+    // with a valid checksum and planted at the right key, hold every op
+    // with the right kind, delay, owner and fanins; only the order check
+    // can refuse them.
+    assert_eq!(parsim::compile::FORMAT_VERSION, 3);
+    let cache = CacheDir::new("format3");
+    let c = generate::random_dag(&generate::RandomDagConfig {
+        gates: 400,
+        seq_fraction: 0.15,
+        seed: 23,
+        ..Default::default()
+    });
+    let lp_of: Vec<usize> = (0..c.len()).map(|i| i % 2).collect();
+    let key = ArtifactStore::cache_key(&c, &lp_of, 2);
+    let honest = compile_blocks(&c, &lp_of, 2);
+    let current = serialize_blocks(key, &honest);
+    // The rewriter is faithful: in the format-3 order it rebuilds the
+    // compiler's own artifact byte for byte.
+    assert_eq!(reorder_ops(&current, |kind, arity, gate| (kind, arity, gate)), current);
+    let kind_then_gate = reorder_ops(&current, |kind, _, gate| (kind, 0, gate));
+    assert_ne!(kind_then_gate, current, "some run's gate order differs from its fanin order");
+
+    let store = ArtifactStore::new(&cache.0);
+    std::fs::create_dir_all(&cache.0).expect("create the store");
+    let plant = || std::fs::write(store.path_of(key), &kind_then_gate).expect("plant the artifact");
+    plant();
+    let (blocks, outcome, _) = store.load_or_compile(&c, &lp_of, 2);
+    assert_eq!(outcome, CacheOutcome::RecompiledCorrupt, "the old op order is refused");
+    assert_eq!(blocks, honest);
+
+    // Through a kernel: the run recompiles, is bit-identical to a run that
+    // compiles fresh, and heals the store in place.
+    plant();
+    let stim = Stimulus::random(3, 9).with_clock(5);
+    let until = VirtualTime::new(200);
+    let partition = Partition::new(2, lp_of.clone()).expect("two blocks");
+    let sim = |probe: &Probe| {
+        ThreadedSyncSimulator::<Logic4>::new(partition.clone())
+            .with_observe(Observe::AllNets)
+            .with_probe(probe.clone())
+    };
+    let fresh = sim(&Probe::disabled()).run(&c, &stim, until);
+    let probe = Probe::enabled();
+    let planted = sim(&probe).with_compiled_cache(&cache.0).run(&c, &stim, until);
+    assert_eq!(
+        planted.divergence_from(&fresh),
+        None,
+        "the refused artifact must not reach the kernel"
+    );
+    assert_eq!(planted.stats, fresh.stats);
+    let kinds = trace_kinds(&probe);
+    assert!(!kinds.contains(&TraceKind::CacheHit), "the old order is not a hit");
+    assert!(kinds.contains(&TraceKind::Compile), "the run recompiles");
+    let (healed, outcome, _) = store.load_or_compile(&c, &lp_of, 2);
+    assert_eq!(outcome, CacheOutcome::Hit, "the store was healed at the same key");
+    assert_eq!(healed, honest);
+}
