@@ -1,9 +1,11 @@
-//! Transposing scalar stimulus streams and waveforms into packed lanes.
+//! Packing per-lane stimulus into lane words, and projecting packed
+//! waveforms back out to lanes.
 
 use std::collections::BTreeMap;
 
-use parsim_core::{SimOutcome, SimStats, Stimulus, Waveform};
-use parsim_event::{Event, VirtualTime};
+use parsim_core::{InputChanges, SimOutcome, SimStats, Stimulus, Waveform};
+use parsim_event::VirtualTime;
+use parsim_logic::LogicValue;
 use parsim_netlist::{Circuit, GateId};
 
 use crate::packed::{PackedValue, LANES};
@@ -14,7 +16,9 @@ use crate::packed::{PackedValue, LANES};
 /// The packed kernel simulates all lanes in one pass; lane `k` of the
 /// result is bit-identical to a scalar run driven by `lane(k)` alone —
 /// the transposition is what lets the differential harness compare one
-/// packed run against 64 `SequentialSimulator` runs.
+/// packed run against 64 `SequentialSimulator` runs. It draws each lane's
+/// changes straight into lane words ([`events`](Self::events)); no lane's
+/// scalar event list is built.
 ///
 /// # Examples
 ///
@@ -57,53 +61,57 @@ impl PackedStimulus {
         &self.lanes[k]
     }
 
-    /// Transposes the per-lane scalar event streams into packed events:
-    /// one [`PackedEvent`] per `(time, net)` carrying the lane mask and the
-    /// per-lane values, sorted by `(time, net)` like every scalar kernel's
-    /// input queue.
+    /// Transposes the lanes into packed events: one [`PackedEvent`] per
+    /// `(time, net)` carrying the lane mask and the per-lane values, sorted
+    /// by `(time, net)` like every scalar kernel's input queue. Lane `k`'s
+    /// events are exactly `lane(k).events(circuit, until)`.
+    ///
+    /// Each lane is one [`InputChanges`] source. The lanes advance side by
+    /// side, one timestamp at a time, and each lane's changes go straight
+    /// into per-input mask and value words as bit `k`, with no branch per
+    /// input. The words are kept in net order, and a timestamp emits the
+    /// inputs some lane drove by scanning them: one word per input per
+    /// timestamp, never more than the sweep's own work.
     pub fn events<P: PackedValue>(
         &self,
         circuit: &Circuit,
         until: VirtualTime,
     ) -> Vec<PackedEvent<P>> {
-        // Each lane's stream in time order. Stable, so a lane driving one
-        // net twice at one time keeps its stream order and the later value
-        // wins below.
-        let lanes: Vec<Vec<Event<P::Scalar>>> = self
-            .lanes
-            .iter()
-            .map(|stim| {
-                let mut lane = stim.events(circuit, until);
-                lane.sort_by_key(|e| e.time);
-                lane
-            })
-            .collect();
-        // Merge the lanes one timestamp at a time. `slot[net]` is where
-        // the packed event of `net` at the timestamp being merged sits in
-        // `events`; an entry left by an earlier timestamp points below
-        // `start` and is stale.
-        let mut cursor = vec![0usize; lanes.len()];
-        let mut slot = vec![usize::MAX; circuit.len()];
+        let inputs = circuit.inputs();
+        let mut by_net: Vec<usize> = (0..inputs.len()).collect();
+        by_net.sort_unstable_by_key(|&i| inputs[i]);
+        let mut rank = vec![0usize; inputs.len()];
+        for (r, &i) in by_net.iter().enumerate() {
+            rank[i] = r;
+        }
+        // Per input, by rank: the lanes that drive it at this timestamp and
+        // the lanes that drive it high.
+        let mut mask = vec![0u64; inputs.len()];
+        let mut ones = vec![0u64; inputs.len()];
+        let one = P::splat(P::Scalar::ONE);
+        let mut sources: Vec<InputChanges<'_>> =
+            self.lanes.iter().map(|stim| stim.changes(circuit, until)).collect();
         let mut events: Vec<PackedEvent<P>> = Vec::new();
-        let next_time = |cursor: &[usize]| {
-            lanes.iter().zip(cursor).filter_map(|(lane, &c)| lane.get(c)).map(|e| e.time).min()
-        };
-        while let Some(time) = next_time(&cursor) {
-            let start = events.len();
-            for (k, (lane, c)) in lanes.iter().zip(&mut cursor).enumerate() {
-                while let Some(e) = lane.get(*c).filter(|e| e.time == time) {
-                    *c += 1;
-                    let net = e.net;
-                    if !(start..events.len()).contains(&slot[net.index()]) {
-                        slot[net.index()] = events.len();
-                        events.push(PackedEvent { time, net, mask: 0, value: P::ALL_ZERO });
-                    }
-                    let packed = &mut events[slot[net.index()]];
-                    packed.mask |= 1 << k;
-                    packed.value.set_lane(k, e.value);
+        while let Some(time) = sources.iter().filter_map(InputChanges::next_time).min() {
+            for (k, lane) in sources.iter_mut().enumerate() {
+                if lane.next_time() != Some(time) {
+                    continue;
+                }
+                lane.advance(|input, value, changed| {
+                    let r = rank[input];
+                    let bit = u64::from(changed) << k;
+                    mask[r] |= bit;
+                    // A later change of the same input at this time wins.
+                    ones[r] = (ones[r] & !bit) | (u64::from(value) << k & bit);
+                });
+            }
+            for (r, (m, v)) in mask.iter_mut().zip(&mut ones).enumerate() {
+                if *m != 0 {
+                    let value = P::ALL_ZERO.select(one, std::mem::take(v));
+                    events.push(PackedEvent { time, net: inputs[by_net[r]], mask: *m, value });
+                    *m = 0;
                 }
             }
-            events[start..].sort_unstable_by_key(|e| e.net);
         }
         events
     }

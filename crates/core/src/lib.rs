@@ -60,6 +60,6 @@ pub use profile::{pre_simulate, ActivityProfile};
 pub use recorder::WaveRecorder;
 pub use sequential::SequentialSimulator;
 pub use simulator::{Observe, Simulator};
-pub use stimulus::Stimulus;
+pub use stimulus::{InputChanges, Stimulus};
 pub use vcd::{parse_vcd_changes, write_vcd};
 pub use waveform::Waveform;
